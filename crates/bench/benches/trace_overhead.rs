@@ -2,7 +2,7 @@
 //! (the default; must stay within ~2% of the pre-observability kernel),
 //! with event capture into the null-sink ring buffer, with telemetry
 //! sampling, and with the kernel phase profiler at its default and a
-//! dense cadence — all on the same 8×8 DRAIN point as `sim_kernel`.
+//! dense cadence — all on one saturated 8×8 DRAIN point.
 //!
 //! The `disabled` variant doubles as the metrics-subsystem regression
 //! gate: the registry is pull-based and the profiler costs one branch

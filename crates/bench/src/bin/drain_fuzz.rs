@@ -17,7 +17,7 @@
 //! ```text
 //! drain_fuzz [--points N] [--seed S] [--inject CYCLES] [--smoke]
 //!            [--baseline escape-vc|spin|updown|ideal] [--seed-fault]
-//!            [--shards K] [--rng-mode stream|keyed] [--json PATH]
+//!            [--shards K] [--json PATH]
 //! ```
 //!
 //! `--smoke` is the CI preset (few points, short runs, and the 2-shard
@@ -27,13 +27,7 @@
 //! catch each one — exit code 0 iff every seeded fault is detected.
 //! `--shards K` runs both legs of every point on the K-shard allocation
 //! kernel, which must not change any verdict (it is bit-identical to the
-//! serial kernel). `--rng-mode keyed` runs both legs of every point
-//! under the keyed counter-based sample mixer (see
-//! [`drain_netsim::rng`]); tie-breaks differ from stream mode but every
-//! verdict must still hold — including `--seed-fault` detection, which
-//! is how CI pins sabotage detection as mode-independent. The
-//! `DRAIN_RNG` environment knob overrides the flag, like every
-//! `Scheme`-built simulation.
+//! serial kernel).
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -46,7 +40,7 @@ use drain_bench::sweep::plan::TopoSpec;
 use drain_bench::table::banner;
 use drain_bench::Scale;
 use drain_netsim::traffic::SyntheticPattern;
-use drain_netsim::{RngMode, RunOutcome};
+use drain_netsim::RunOutcome;
 use drain_topology::NodeId;
 
 /// One fuzz point: a fully determined (topology, traffic, scheme-config)
@@ -106,7 +100,6 @@ fn gen_point(i: usize, base_seed: u64, inject_cycles: u64, fault: FaultSeed) -> 
         baseline: Baseline::EscapeVc,
         flightrec_dir: None,
         shards: 1,
-        rng_mode: RngMode::Stream,
     };
     if fault != FaultSeed::None {
         // A sabotaged turn-table is only *observable* when a drain window
@@ -166,7 +159,6 @@ fn point_json(p: &FuzzPoint, r: &OracleReport, ok: bool) -> Json {
         ("full_drain_period", num(p.spec.full_drain_period as f64)),
         ("baseline", Json::Str(p.spec.baseline.name().to_string())),
         ("shards", num(p.spec.shards as f64)),
-        ("rng_mode", Json::Str(p.spec.rng_mode.label().to_string())),
         ("seeded_fault", Json::Bool(p.fault != FaultSeed::None)),
         ("ok", Json::Bool(ok)),
         ("drain_outcome", Json::Str(outcome_str(r.drain.outcome).into())),
@@ -190,7 +182,6 @@ struct Args {
     seed_fault: bool,
     baseline: Baseline,
     shards: usize,
-    rng_mode: RngMode,
     json_path: String,
 }
 
@@ -202,7 +193,6 @@ fn parse_args() -> Args {
         seed_fault: false,
         baseline: Baseline::EscapeVc,
         shards: 1,
-        rng_mode: RngMode::Stream,
         json_path: "results/drain_fuzz.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
@@ -218,11 +208,6 @@ fn parse_args() -> Args {
             "--json" => args.json_path = val("--json"),
             "--seed-fault" => args.seed_fault = true,
             "--shards" => args.shards = val("--shards").parse().expect("--shards"),
-            "--rng-mode" => {
-                let v = val("--rng-mode");
-                args.rng_mode = RngMode::parse(&v)
-                    .unwrap_or_else(|| panic!("--rng-mode must be 'stream' or 'keyed', got {v:?}"));
-            }
             "--smoke" => {
                 args.points = 24;
                 args.inject = 1_500;
@@ -246,13 +231,6 @@ fn parse_args() -> Args {
             }
             other => panic!("unknown argument {other:?}"),
         }
-    }
-    // Resolve the DRAIN_RNG override here, not only inside the oracle's
-    // config builder, so the recorded point JSON labels the mode the
-    // simulations actually ran under.
-    if let Ok(v) = std::env::var("DRAIN_RNG") {
-        args.rng_mode = RngMode::parse(&v)
-            .unwrap_or_else(|| panic!("DRAIN_RNG must be 'stream' or 'keyed', got {v:?}"));
     }
     args
 }
@@ -288,7 +266,6 @@ fn main() {
             let mut p = gen_point(i, args.seed, args.inject, fault);
             p.spec.baseline = args.baseline;
             p.spec.shards = args.shards;
-            p.spec.rng_mode = args.rng_mode;
             p.spec.flightrec_dir = Some(flightrec_dir.clone());
             p
         })

@@ -38,7 +38,7 @@ use drain_bench::table::{banner, f3, print_table};
 use drain_bench::{Scale, Scheme};
 use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{
-    RunOutcome, TelemetrySample, TraceConfig, TraceEvent, TraceSink,
+    DrawSite, RunOutcome, TelemetrySample, TraceConfig, TraceEvent, TraceSink,
 };
 use drain_path::DrainPath;
 use drain_topology::{LinkId, NodeId, Topology};
@@ -130,9 +130,6 @@ struct TraceRun {
     flight_record: Option<PathBuf>,
     sink_errors: u64,
     metrics: drain_netsim::MetricsSnapshot,
-    /// RNG mode the point ran under (honours `DRAIN_RNG`); selects the
-    /// `drain_rng_draws_total{mode}` rows of the scheduler table.
-    rng_mode: &'static str,
 }
 
 fn telemetry_jsonl(samples: &[TelemetrySample], period: u64) -> String {
@@ -251,7 +248,6 @@ fn main() {
                 flight_record: sim.flight_record().map(|p| p.to_path_buf()),
                 sink_errors: sim.core().tracer().sink_errors(),
                 metrics: sim.metrics_snapshot(),
-                rng_mode: sim.core().config().rng_mode.label(),
                 samples: sim.core_mut().telemetry_mut().take_samples(),
             }
         },
@@ -382,11 +378,8 @@ fn main() {
         m.counter_value_labeled("drain_wake_events_total", &[("event", event)])
             .unwrap_or(0)
     };
-    // Draw-volume rows carry the mode in the counter name so a stream
-    // and a keyed run are distinguishable in the same CSV schema.
-    let rng_mode = run.rng_mode;
     let draws = |site: &str| {
-        m.counter_value_labeled("drain_rng_draws_total", &[("site", site), ("mode", rng_mode)])
+        m.counter_value_labeled("drain_rng_draws_total", &[("site", site)])
             .unwrap_or(0)
     };
     let sched_rows: Vec<Vec<String>> = [
@@ -404,9 +397,11 @@ fn main() {
     ]
     .into_iter()
     .map(|(name, v)| vec![name.to_string(), v.to_string()])
-    .chain(["phase_a", "injection", "mechanism"].into_iter().map(|s| {
-        vec![format!("rng_draws_{s}_{rng_mode}"), draws(s).to_string()]
-    }))
+    .chain(
+        DrawSite::ALL
+            .into_iter()
+            .map(|s| vec![format!("rng_draws_{}", s.label()), draws(s.label()).to_string()]),
+    )
     .collect();
     let sched_header = ["counter", "total"];
     print_table(

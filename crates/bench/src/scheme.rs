@@ -5,7 +5,7 @@ use drain_coherence::{CoherenceConfig, CoherenceEngine};
 use drain_core::{DrainConfig, DrainMechanism};
 use drain_netsim::routing::FullyAdaptive;
 use drain_netsim::traffic::{Endpoints, SyntheticPattern, SyntheticTraffic};
-use drain_netsim::{RngMode, Sim, SimConfig, TraceConfig};
+use drain_netsim::{Sim, SimConfig, TraceConfig};
 use drain_path::DrainPath;
 use drain_topology::Topology;
 use drain_workloads::{AppModel, AppTrace};
@@ -36,44 +36,6 @@ impl DrainVariant {
             DrainVariant::Vn1Vc2 => "DRAIN (VN-1,VC-2)",
             DrainVariant::Vn3Vc2 => "DRAIN (VN-3,VC-2)",
             DrainVariant::Vn1Vc6 => "DRAIN (VN-1,VC-6)",
-        }
-    }
-}
-
-/// Applies the `DRAIN_PHASE_A` environment override to a simulator
-/// configuration: `dense` forces the re-route-every-cycle Phase A scan
-/// (wake scheduler off) — the parity/baseline mode for the wake-vs-dense
-/// differentials and `bench_kernel.sh --baseline` — while `wake`
-/// (re-)selects the default wake-driven scheduler. Both modes are
-/// bit-identical, so the result cache deliberately does not key on this.
-/// Honoured by every [`Scheme`]-built simulation and by the differential
-/// oracle (so `drain_fuzz` can be forced onto either path).
-pub fn phase_a_env_override(config: &mut SimConfig) {
-    if let Ok(v) = std::env::var("DRAIN_PHASE_A") {
-        match v.trim() {
-            "dense" => config.wake_scheduler = false,
-            "wake" => config.wake_scheduler = true,
-            other => panic!("DRAIN_PHASE_A must be 'wake' or 'dense', got {other:?}"),
-        }
-    }
-}
-
-/// Applies the `DRAIN_RNG` environment override to a simulator
-/// configuration: `keyed` selects the counter-based keyed sample mixer
-/// (draws are pure functions of `(seed, cycle, site, id)` — see
-/// [`drain_netsim::rng`]), `stream` (re-)selects the default serial
-/// draw stream. The two modes produce *different* (equally valid)
-/// random sequences — results are NOT bit-identical across modes, only
-/// within one — so unlike `DRAIN_PHASE_A`/`DRAIN_SHARDS` this knob is
-/// for the keyed pin family, differentials and benchmarks, not for
-/// transparently re-running cached figures. Honoured by every
-/// [`Scheme`]-built simulation and by the differential oracle (it
-/// overrides `drain_fuzz --rng-mode`).
-pub fn rng_env_override(config: &mut SimConfig) {
-    if let Ok(v) = std::env::var("DRAIN_RNG") {
-        match RngMode::parse(v.trim()) {
-            Some(mode) => config.rng_mode = mode,
-            None => panic!("DRAIN_RNG must be 'stream' or 'keyed', got {v:?}"),
         }
     }
 }
@@ -146,8 +108,6 @@ impl Scheme {
             config.shards = k;
             config.shard_min_active = 0;
         }
-        phase_a_env_override(&mut config);
-        rng_env_override(&mut config);
         // `DRAIN_PROFILE=P` turns on the kernel phase profiler (sample
         // every P cycles) for every experiment simulation. The profiler
         // is a pure observer — bit-identical results at any cadence,

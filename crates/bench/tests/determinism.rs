@@ -7,18 +7,21 @@
 //!    byte-identical traces with the gate forced off and on,
 //! 4. the sharded allocation kernel is invisible: the same seeded point
 //!    produces identical [`drain_netsim::Stats`], the same final cycle and
-//!    byte-identical traces at every shard count,
+//!    byte-identical traces at every shard count — and the shard planners
+//!    together draw exactly the serial kernel's per-site sample counts,
 //! 5. the wake-driven Phase A scheduler is invisible: the same seeded
 //!    point produces identical [`drain_netsim::Stats`], the same final
 //!    cycle and byte-identical traces with blocked-VC parking on and with
-//!    the dense re-route-every-cycle scan forced, at every shard count,
-//! 6. the keyed counter-based RNG (`RngMode::Keyed`) is deterministic by
-//!    construction: the same seeded point produces identical
-//!    [`drain_netsim::Stats`], the same final cycle, the same draw
-//!    counts and byte-identical traces across every cell of the
-//!    K ∈ {1, 2, 4, 8} × wake on/off × fast-forward on/off × profiler
-//!    cadence matrix — and the sharded planners produce exactly the
-//!    serial kernel's draw volume (no census replay).
+//!    the dense re-route-every-cycle scan forced, at every shard count —
+//!    and parked heads draw nothing.
+//!
+//! 6. a closed-loop coherence point that evicts repeats exactly (the
+//!    victim draw indexes a sorted candidate list, not `HashMap` order).
+//!
+//! Items 3–5 hold by construction under the keyed RNG (each draw is
+//! `mix(seed, cycle, site, id)`, see `drain_netsim::rng`); the tests are
+//! what keeps it so. The profiler-cadence differential lives in
+//! `metrics.rs`.
 
 use drain_bench::engine::SweepEngine;
 use drain_bench::cache::ResultCache;
@@ -28,7 +31,7 @@ use drain_bench::sweep::plan::{load_sweep_specs, PointSpec, TopoSpec};
 use drain_bench::{Scale, Scheme};
 use drain_netsim::rng::NUM_DRAW_SITES;
 use drain_netsim::traffic::SyntheticPattern;
-use drain_netsim::{DrawSite, RngMode, Stats, TraceConfig, TraceSink};
+use drain_netsim::{DrawSite, RunOutcome, Stats, TraceConfig, TraceSink};
 use drain_topology::faults::FaultInjector;
 use drain_topology::Topology;
 
@@ -207,29 +210,26 @@ fn fast_forward_gate_keeps_traces_byte_identical() {
     }
 }
 
-/// One seeded point on the `shards`-way kernel (1 = serial reference).
-/// Forces the sharded path from cycle 0 via `set_shards`.
-fn point_stats_sharded(scheme: Scheme, rate: f64, shards: usize) -> (Stats, u64) {
-    let topo = irregular_topo();
-    let mut sim =
-        scheme.synthetic_sim(&topo, false, SyntheticPattern::UniformRandom, rate, 11, 512);
-    sim.set_shards(shards);
-    sim.run(6_000);
-    (sim.stats().clone(), sim.core().cycle())
-}
-
 /// Sharded-kernel differential: every headline scheme at a low and a
 /// saturated rate must produce identical `Stats` (every counter and full
-/// latency histograms) and the same final cycle on the 2- and 4-shard
-/// kernels as on the serial kernel.
+/// latency histograms), the same final cycle and the same per-site draw
+/// counts on the 2-, 4- and 8-shard kernels as on the serial kernel
+/// (planners sweep only owned slots, so their draws sum to the serial
+/// count).
 #[test]
 fn sharded_kernel_is_bit_identical_across_schemes() {
     for scheme in Scheme::headline() {
         for rate in [0.01, 0.35] {
-            let (serial, serial_cycle) = point_stats_sharded(scheme, rate, 1);
+            let (serial, serial_cycle, _, serial_draws) = point_stats_wake(scheme, rate, true, 1);
             assert!(serial.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
-            for k in [2usize, 4] {
-                let (sharded, cycle) = point_stats_sharded(scheme, rate, k);
+            for k in [2usize, 4, 8] {
+                let (sharded, cycle, _, draws) = point_stats_wake(scheme, rate, true, k);
+                assert_eq!(
+                    serial_draws,
+                    draws,
+                    "{} at rate {rate}: draw counts must not depend on shard count {k}",
+                    scheme.label()
+                );
                 assert_eq!(
                     serial,
                     sharded,
@@ -248,7 +248,7 @@ fn sharded_kernel_is_bit_identical_across_schemes() {
 }
 
 /// Same differential on the trace stream: with event capture on, the
-/// serial and the 2-/4-shard kernels must yield byte-identical JSONL.
+/// serial and the 2-/4-/8-shard kernels must yield byte-identical JSONL.
 #[test]
 fn sharded_kernel_keeps_traces_byte_identical() {
     let topo = irregular_topo();
@@ -279,7 +279,7 @@ fn sharded_kernel_keeps_traces_byte_identical() {
                 .collect()
         };
         let serial = traced(1);
-        for k in [2usize, 4] {
+        for k in [2usize, 4, 8] {
             assert_eq!(
                 serial,
                 traced(k),
@@ -291,14 +291,16 @@ fn sharded_kernel_keeps_traces_byte_identical() {
 }
 
 /// One seeded point with the wake scheduler set to `wake` on the
-/// `shards`-way kernel. Returns the wake counters too, so callers can
-/// assert the parking path actually engaged.
+/// `shards`-way kernel (1 = serial reference; `set_shards` forces the
+/// sharded path from cycle 0). Returns the wake counters and per-site draw
+/// counts too, so callers can assert the parking path actually engaged
+/// and that parked heads drew nothing.
 fn point_stats_wake(
     scheme: Scheme,
     rate: f64,
     wake: bool,
     shards: usize,
-) -> (Stats, u64, drain_netsim::WakeCounters) {
+) -> (Stats, u64, drain_netsim::WakeCounters, [u64; NUM_DRAW_SITES]) {
     let topo = irregular_topo();
     let mut sim =
         scheme.synthetic_sim(&topo, false, SyntheticPattern::UniformRandom, rate, 11, 512);
@@ -309,6 +311,7 @@ fn point_stats_wake(
         sim.stats().clone(),
         sim.core().cycle(),
         sim.core().wake_counters(),
+        sim.core().rng_draw_counts(),
     )
 }
 
@@ -316,14 +319,18 @@ fn point_stats_wake(
 /// saturated rate, on the serial and the 2-/4-shard kernels, must produce
 /// identical `Stats` (every counter and full latency histograms) and the
 /// same final cycle whether blocked VCs park on wake subscriptions or the
-/// dense Phase A scan re-routes them every cycle.
+/// dense Phase A scan re-routes them every cycle. A parked head's draw is
+/// never computed: at the saturated rate the wake-scheduled run performs
+/// strictly fewer Phase A draws than the dense scan.
 #[test]
 fn wake_scheduler_is_bit_identical_to_dense_scan() {
     for scheme in Scheme::headline() {
         for rate in [0.01, 0.35] {
             for k in [1usize, 2, 4] {
-                let (dense, dense_cycle, dense_ctrs) = point_stats_wake(scheme, rate, false, k);
-                let (wake, wake_cycle, wake_ctrs) = point_stats_wake(scheme, rate, true, k);
+                let (dense, dense_cycle, dense_ctrs, dense_draws) =
+                    point_stats_wake(scheme, rate, false, k);
+                let (wake, wake_cycle, wake_ctrs, wake_draws) =
+                    point_stats_wake(scheme, rate, true, k);
                 assert_eq!(
                     dense,
                     wake,
@@ -342,11 +349,25 @@ fn wake_scheduler_is_bit_identical_to_dense_scan() {
                     "dense scan must never park ({})",
                     scheme.label()
                 );
+                assert_eq!(
+                    dense_draws[DrawSite::Injection.index()],
+                    wake_draws[DrawSite::Injection.index()],
+                    "wake scheduling must not change injection draws"
+                );
                 if rate > 0.1 {
                     assert!(
                         wake_ctrs.parks > 0 && wake_ctrs.skips > 0,
                         "{} saturated at {k} shards: wake scheduler never engaged ({wake_ctrs:?})",
                         scheme.label()
+                    );
+                    assert!(
+                        wake_draws[DrawSite::PhaseA.index()]
+                            < dense_draws[DrawSite::PhaseA.index()],
+                        "{} saturated at {k} shards: parked heads must skip their draws \
+                         (wake {} vs dense {})",
+                        scheme.label(),
+                        wake_draws[DrawSite::PhaseA.index()],
+                        dense_draws[DrawSite::PhaseA.index()]
                     );
                 }
             }
@@ -394,178 +415,6 @@ fn wake_scheduler_keeps_traces_byte_identical() {
                 "{}: trace bytes must not depend on the wake scheduler at {k} shards",
                 scheme.label()
             );
-        }
-    }
-}
-
-/// One seeded keyed-mode point across the full determinism matrix:
-/// shard count, wake scheduler, fast-forward gate, profiler cadence.
-/// Returns the per-site draw counts too, so callers can prove the
-/// sharded planners draw exactly the serial volume (no census replay)
-/// and that parked heads draw nothing.
-fn point_stats_keyed(
-    scheme: Scheme,
-    rate: f64,
-    shards: usize,
-    wake: bool,
-    ff: bool,
-    profile_period: u64,
-) -> (Stats, u64, [u64; NUM_DRAW_SITES]) {
-    let topo = irregular_topo();
-    let mut sim =
-        scheme.synthetic_sim(&topo, false, SyntheticPattern::UniformRandom, rate, 11, 512);
-    sim.set_rng_mode(RngMode::Keyed);
-    sim.set_shards(shards);
-    sim.set_wake_scheduler(wake);
-    sim.set_fast_forward(ff);
-    sim.set_profile_period(profile_period);
-    sim.run(6_000);
-    (
-        sim.stats().clone(),
-        sim.core().cycle(),
-        sim.core().rng_draw_counts(),
-    )
-}
-
-/// Keyed-mode differential: every headline scheme at a low and a
-/// saturated rate must produce identical `Stats`, the same final cycle
-/// *and the same per-site draw counts* at K ∈ {1, 2, 4, 8} with
-/// fast-forward on and off. Equal draw counts across K are the census
-/// retirement made observable: a stream-mode sharded planner replays
-/// the whole census K times, a keyed planner sweeps only owned slots.
-#[test]
-fn keyed_mode_is_bit_identical_across_shards_and_fast_forward() {
-    for scheme in Scheme::headline() {
-        for rate in [0.01, 0.35] {
-            let (serial, serial_cycle, serial_draws) =
-                point_stats_keyed(scheme, rate, 1, true, true, 0);
-            assert!(serial.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
-            for k in [2usize, 4, 8] {
-                for ff in [true, false] {
-                    let (sharded, cycle, draws) =
-                        point_stats_keyed(scheme, rate, k, true, ff, 0);
-                    assert_eq!(
-                        serial,
-                        sharded,
-                        "{} at rate {rate}: keyed stats diverged at shards={k} ff={ff}",
-                        scheme.label()
-                    );
-                    assert_eq!(serial_cycle, cycle);
-                    assert_eq!(
-                        serial_draws,
-                        draws,
-                        "{} at rate {rate}: keyed draw counts diverged at shards={k} ff={ff} \
-                         (sharded planners must not replay the census)",
-                        scheme.label()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Keyed-mode wake differential: parking is invisible to results, and
-/// parked heads provably draw *nothing* — at a saturated rate the
-/// wake-scheduled run performs strictly fewer Phase A draws than the
-/// dense scan while producing identical `Stats`. (In stream mode the
-/// two schedulers draw the same count by contract; the draw saving is
-/// the keyed mode's whole point.)
-#[test]
-fn keyed_wake_scheduler_is_bit_identical_and_parked_heads_draw_nothing() {
-    for scheme in Scheme::headline() {
-        for rate in [0.01, 0.35] {
-            for k in [1usize, 4] {
-                let (dense, dense_cycle, dense_draws) =
-                    point_stats_keyed(scheme, rate, k, false, true, 0);
-                let (wake, wake_cycle, wake_draws) =
-                    point_stats_keyed(scheme, rate, k, true, true, 0);
-                assert_eq!(
-                    dense,
-                    wake,
-                    "{} at rate {rate}, {k} shards: keyed stats must not depend on the wake scheduler",
-                    scheme.label()
-                );
-                assert_eq!(dense_cycle, wake_cycle);
-                assert_eq!(
-                    dense_draws[DrawSite::Injection.index()],
-                    wake_draws[DrawSite::Injection.index()],
-                    "wake scheduling must not change injection draws"
-                );
-                if rate > 0.1 {
-                    assert!(
-                        wake_draws[DrawSite::PhaseA.index()]
-                            < dense_draws[DrawSite::PhaseA.index()],
-                        "{} saturated at {k} shards: parked heads must skip their draws \
-                         (wake {} vs dense {})",
-                        scheme.label(),
-                        wake_draws[DrawSite::PhaseA.index()],
-                        dense_draws[DrawSite::PhaseA.index()]
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Keyed-mode profiler-cadence differential: the phase profiler is a
-/// pure observer at any cadence, and keyed draws keyed on the actual
-/// cycle number cannot be perturbed by it.
-#[test]
-fn keyed_mode_is_bit_identical_across_profile_cadence() {
-    let scheme = Scheme::Drain(DrainVariant::Vn1Vc2);
-    let (base, base_cycle, base_draws) = point_stats_keyed(scheme, 0.35, 2, true, true, 0);
-    for period in [1u64, 64, 1024] {
-        let (got, cycle, draws) = point_stats_keyed(scheme, 0.35, 2, true, true, period);
-        assert_eq!(base, got, "profiler cadence {period} perturbed keyed stats");
-        assert_eq!(base_cycle, cycle);
-        assert_eq!(base_draws, draws);
-    }
-}
-
-/// Keyed-mode trace differential: with event capture on, the serial and
-/// the 2-/4-/8-shard kernels must yield byte-identical JSONL, wake on
-/// and off.
-#[test]
-fn keyed_mode_keeps_traces_byte_identical() {
-    let topo = irregular_topo();
-    for scheme in Scheme::headline() {
-        let traced = |shards: usize, wake: bool| -> String {
-            let mut sim = scheme.synthetic_sim_traced(
-                &topo,
-                false,
-                SyntheticPattern::UniformRandom,
-                0.10,
-                11,
-                512,
-                1,
-                TraceConfig::events_on(),
-            );
-            sim.set_rng_mode(RngMode::Keyed);
-            sim.set_shards(shards);
-            sim.set_wake_scheduler(wake);
-            sim.set_trace_sink(TraceSink::Memory(Vec::new()));
-            sim.run(2_000);
-            let events = sim
-                .core_mut()
-                .tracer_mut()
-                .take_memory()
-                .expect("memory sink installed");
-            assert!(!events.is_empty());
-            events
-                .iter()
-                .map(|e| e.to_jsonl() + "\n")
-                .collect()
-        };
-        let serial = traced(1, true);
-        for k in [2usize, 4, 8] {
-            for wake in [true, false] {
-                assert_eq!(
-                    serial,
-                    traced(k, wake),
-                    "{}: keyed trace bytes diverged at shards={k} wake={wake}",
-                    scheme.label()
-                );
-            }
         }
     }
 }
@@ -647,4 +496,29 @@ fn fast_forward_engages_on_idle_gaps_and_stays_exact() {
         stats_on.drains > 0,
         "short-epoch run must execute drain windows across the gaps"
     );
+}
+
+/// Coherence runs that fill the L1 must repeat: canneal on mesh(8,8) at
+/// 1 200 operations per core overflows the 256-line L1, so every core
+/// evicts. Each `HashMap` gets its own hasher keys, so two engines in one
+/// process iterate their line tables in different orders — an eviction
+/// victim picked by position in that order diverges here.
+#[test]
+fn evicting_coherence_point_repeats_exactly() {
+    let topo = Topology::mesh(8, 8);
+    let app = drain_workloads::app_by_name("canneal").expect("canneal model");
+    let run = || {
+        let mut sim = Scheme::Drain(DrainVariant::Vn1Vc2).coherence_sim(
+            &topo,
+            true,
+            &app,
+            Some(1_200),
+            3,
+            Scheme::DEFAULT_EPOCH,
+        );
+        let outcome = sim.run(2_000_000);
+        assert_eq!(outcome, RunOutcome::WorkloadFinished);
+        (sim.stats().clone(), sim.core().cycle())
+    };
+    assert_eq!(run(), run());
 }

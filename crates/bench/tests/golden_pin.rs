@@ -4,22 +4,15 @@
 //! bytes across reruns and worker-thread counts), these tests pin the
 //! kernel's observable behaviour to constants captured from a known-good
 //! build. Any data-layout or allocation-order rework that silently drifts
-//! the RNG draw schedule, the allocation order, or the trace stream fails
-//! here even though it would still be self-consistent.
+//! the keyed draws (`drain_netsim::rng`: mixer, draw-site keys, slot
+//! identities), the allocation order, or the trace stream fails here even
+//! though it would still be self-consistent.
 //!
-//! The pinned digests were captured on the occupancy-driven kernel (PR 5)
-//! and must survive the struct-of-arrays arena refactor (PR 6) unchanged:
-//! same seeds, same cycles, same bytes. The sharded kernel (PR 7) is held
-//! to the same constants: the 4-shard runs below must reproduce the
-//! digests captured on the serial kernel bit for bit.
-//!
-//! Two pin families exist, one per RNG determinism contract (see
-//! `drain_netsim::rng`): the `PINNED_*` constants are the original
-//! serial-draw-stream family; the `KEYED_*` constants pin the keyed
-//! counter-based mixer, which produces a different (equally valid)
-//! random sequence and therefore different digests. Every helper here
-//! sets its mode explicitly, so neither family is perturbed by the
-//! `DRAIN_RNG` environment knob.
+//! The pinned digests were captured on the serial kernel when the keyed
+//! counter-based RNG was introduced (PR 10). The sharded kernel is held to
+//! the same constants, as are the wake scheduler, fast-forward and (via
+//! `DRAIN_PROFILE=64` in `scripts/check.sh`) the phase profiler: every
+//! cell of that matrix must reproduce the digests bit for bit.
 //!
 //! If a *deliberate* behaviour change invalidates them, re-capture with
 //! `cargo test -p drain-bench --test golden_pin -- --nocapture` (each test
@@ -28,7 +21,7 @@
 use drain_bench::scheme::DrainVariant;
 use drain_bench::Scheme;
 use drain_netsim::traffic::SyntheticPattern;
-use drain_netsim::{RngMode, TraceConfig, TraceSink};
+use drain_netsim::{TraceConfig, TraceSink};
 use drain_topology::Topology;
 
 /// FNV-1a, dependency-free (the workspace builds offline).
@@ -54,7 +47,7 @@ fn headline() -> [(&'static str, Scheme); 3] {
 /// injection (far past saturation, the bench's `saturated` preset rate),
 /// a short drain epoch so forced movement appears in-window, 2 000 cycles
 /// of JSONL event bytes.
-fn saturated_trace_digest(scheme: Scheme, shards: usize, mode: RngMode) -> u64 {
+fn saturated_trace_digest(scheme: Scheme, shards: usize) -> u64 {
     let topo = Topology::mesh(4, 4);
     let mut sim = scheme.synthetic_sim_traced(
         &topo,
@@ -66,7 +59,6 @@ fn saturated_trace_digest(scheme: Scheme, shards: usize, mode: RngMode) -> u64 {
         1,
         TraceConfig::events_on(),
     );
-    sim.set_rng_mode(mode);
     sim.set_shards(shards);
     sim.set_trace_sink(TraceSink::Memory(Vec::new()));
     sim.run(2_000);
@@ -90,17 +82,16 @@ fn saturated_trace_digest(scheme: Scheme, shards: usize, mode: RngMode) -> u64 {
 /// Digest of a saturated untraced run's full statistics: mesh(8,8) (the
 /// bench topology), 40% injection, 2 000 cycles, `Stats` debug-formatted
 /// (every counter plus both full latency histograms).
-fn saturated_stats_digest(scheme: Scheme, shards: usize, mode: RngMode) -> u64 {
-    saturated_stats_digest_cfg(scheme, shards, mode, true, true)
+fn saturated_stats_digest(scheme: Scheme, shards: usize) -> u64 {
+    saturated_stats_digest_cfg(scheme, shards, true, true)
 }
 
 /// [`saturated_stats_digest`] with the wake scheduler and fast-forward
-/// axes exposed — the keyed pin family is held across the full
-/// K × wake × fast-forward matrix.
+/// axes exposed — the pins are held across the full K × wake ×
+/// fast-forward matrix.
 fn saturated_stats_digest_cfg(
     scheme: Scheme,
     shards: usize,
-    mode: RngMode,
     wake: bool,
     fast_forward: bool,
 ) -> u64 {
@@ -113,7 +104,6 @@ fn saturated_stats_digest_cfg(
         17,
         Scheme::DEFAULT_EPOCH,
     );
-    sim.set_rng_mode(mode);
     sim.set_shards(shards);
     sim.set_wake_scheduler(wake);
     sim.set_fast_forward(fast_forward);
@@ -125,24 +115,24 @@ fn saturated_stats_digest_cfg(
     fnv1a(format!("{:?}", sim.stats()).as_bytes())
 }
 
-/// Expected per-scheme digests, captured pre-refactor (see module docs).
+/// Expected per-scheme digests (see module docs).
 const PINNED_TRACE: [(&str, u64); 3] = [
-    ("escapevc", 0x8ec1_d206_79fd_17a4),
-    ("spin", 0x3662_c02a_c36d_e52f),
-    ("drain", 0x3acb_7a6e_5720_bc45),
+    ("escapevc", 0xce49_ab86_21d3_29ed),
+    ("spin", 0x5e02_858b_8c95_b6b9),
+    ("drain", 0x0737_66c1_e779_2f5c),
 ];
 
 const PINNED_STATS: [(&str, u64); 3] = [
-    ("escapevc", 0xe401_d053_4cb9_3be6),
-    ("spin", 0x3937_bbf6_d045_8451),
-    ("drain", 0x8ce1_dc7a_8e37_0223),
+    ("escapevc", 0xcf86_eb2f_2f37_335f),
+    ("spin", 0x14b4_d9c7_ac8a_89dc),
+    ("drain", 0x3784_8be9_cc04_e6fe),
 ];
 
 #[test]
 fn saturated_golden_trace_is_pinned() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 1, RngMode::Stream)))
+        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 1)))
         .collect();
     for (id, d) in &got {
         println!("trace {id}: {d:#018x}");
@@ -157,7 +147,7 @@ fn saturated_golden_trace_is_pinned() {
 fn saturated_stats_are_pinned() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 1, RngMode::Stream)))
+        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 1)))
         .collect();
     for (id, d) in &got {
         println!("stats {id}: {d:#018x}");
@@ -174,7 +164,7 @@ fn saturated_stats_are_pinned() {
 fn four_shard_golden_trace_matches_serial_pins() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 4, RngMode::Stream)))
+        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 4)))
         .collect();
     for (id, d) in &got {
         println!("trace k4 {id}: {d:#018x}");
@@ -191,7 +181,7 @@ fn four_shard_golden_trace_matches_serial_pins() {
 fn four_shard_stats_match_serial_pins() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 4, RngMode::Stream)))
+        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 4)))
         .collect();
     for (id, d) in &got {
         println!("stats k4 {id}: {d:#018x}");
@@ -202,93 +192,28 @@ fn four_shard_stats_match_serial_pins() {
     );
 }
 
-/// Expected per-scheme digests for the keyed counter-based RNG
-/// (`RngMode::Keyed`), captured on the serial kernel at its introduction.
-/// A different sequence than the stream family by design; pinned so the
-/// keyed mixer and its draw-site keys can never drift silently.
-const KEYED_TRACE: [(&str, u64); 3] = [
-    ("escapevc", 0xce49_ab86_21d3_29ed),
-    ("spin", 0x5e02_858b_8c95_b6b9),
-    ("drain", 0x0737_66c1_e779_2f5c),
-];
-
-const KEYED_STATS: [(&str, u64); 3] = [
-    ("escapevc", 0xcf86_eb2f_2f37_335f),
-    ("spin", 0x14b4_d9c7_ac8a_89dc),
-    ("drain", 0x3784_8be9_cc04_e6fe),
-];
-
-#[test]
-fn keyed_saturated_golden_trace_is_pinned() {
-    let got: Vec<(&str, u64)> = headline()
-        .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 1, RngMode::Keyed)))
-        .collect();
-    for (id, d) in &got {
-        println!("keyed trace {id}: {d:#018x}");
-    }
-    assert_eq!(
-        got, KEYED_TRACE,
-        "keyed-mode trace bytes drifted from the pinned digests"
-    );
-}
-
-#[test]
-fn keyed_saturated_stats_are_pinned() {
-    let got: Vec<(&str, u64)> = headline()
-        .into_iter()
-        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 1, RngMode::Keyed)))
-        .collect();
-    for (id, d) in &got {
-        println!("keyed stats {id}: {d:#018x}");
-    }
-    assert_eq!(
-        got, KEYED_STATS,
-        "keyed-mode stats drifted from the pinned digests"
-    );
-}
-
-/// Keyed draws are a pure function of (seed, cycle, site, id), so the
-/// shard planners need no census replay — and the digests must still
-/// land on the exact serial-kernel pins at every shard count.
-#[test]
-fn keyed_four_shard_golden_trace_matches_serial_pins() {
-    let got: Vec<(&str, u64)> = headline()
-        .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 4, RngMode::Keyed)))
-        .collect();
-    for (id, d) in &got {
-        println!("keyed trace k4 {id}: {d:#018x}");
-    }
-    assert_eq!(
-        got, KEYED_TRACE,
-        "keyed 4-shard trace bytes drifted from the serial kernel's pins"
-    );
-}
-
-/// The keyed stats pin must hold across the full determinism matrix:
-/// shard count K ∈ {1, 2, 4, 8} × wake scheduler on/off × fast-forward
-/// on/off. Keyed draws depend only on the key, never on visit order or
+/// The stats pin must hold across the full determinism matrix: shard
+/// count K ∈ {1, 2, 4, 8} × wake scheduler on/off × fast-forward on/off.
+/// Draws depend only on the key, never on visit order or
 /// which cycles were actually swept, so every cell hashes identically.
 /// Run on the drain scheme (the only one exercising all mechanism
 /// paths); the per-scheme serial pins above cover the other schemes.
 #[test]
-fn keyed_stats_pins_hold_across_shards_wake_and_fast_forward() {
-    let pinned = KEYED_STATS[2].1;
+fn stats_pins_hold_across_shards_wake_and_fast_forward() {
+    let pinned = PINNED_STATS[2].1;
     for shards in [1usize, 2, 4, 8] {
         for wake in [true, false] {
             for ff in [true, false] {
                 let d = saturated_stats_digest_cfg(
                     Scheme::Drain(DrainVariant::Vn1Vc2),
                     shards,
-                    RngMode::Keyed,
                     wake,
                     ff,
                 );
-                println!("keyed stats k{shards} wake={wake} ff={ff}: {d:#018x}");
+                println!("stats k{shards} wake={wake} ff={ff}: {d:#018x}");
                 assert_eq!(
                     d, pinned,
-                    "keyed stats diverged at shards={shards} wake={wake} ff={ff}"
+                    "stats diverged at shards={shards} wake={wake} ff={ff}"
                 );
             }
         }

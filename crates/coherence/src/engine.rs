@@ -705,7 +705,7 @@ impl CoherenceEngine {
     fn evict_one(&mut self, core: &mut SimCore, node: NodeId) -> bool {
         let victim = {
             let ns = &self.nodes[node.index()];
-            let candidates: Vec<Addr> = ns
+            let mut candidates: Vec<Addr> = ns
                 .lines
                 .keys()
                 .copied()
@@ -714,6 +714,9 @@ impl CoherenceEngine {
             if candidates.is_empty() {
                 return false;
             }
+            // `HashMap` iteration order changes from process to process;
+            // the seeded draw must index a canonical order to repeat.
+            candidates.sort_unstable();
             candidates[self.rng.gen_range(0..candidates.len())]
         };
         let state = self.nodes[node.index()].lines[&victim];

@@ -236,19 +236,19 @@ pub fn run_checks(core: &SimCore) -> Result<(), Violation> {
 }
 
 /// The cheap (O(occupied VCs)) half of the occupancy check, run every
-/// cycle: every VC in the active index holds exactly one live packet whose
-/// recorded location points back at that VC, and timers are sane. Walks
-/// [`SimCore::occupied_vc_indices`] rather than rescanning the dense VC
-/// array; the index itself is cross-validated against the raw array by the
-/// deep sweep.
+/// cycle: every VC in the occupancy bitmap holds exactly one live packet
+/// whose recorded location points back at that VC, and timers are sane.
+/// Walks [`SimCore::occupied_vc_indices`] rather than rescanning the dense
+/// VC array; the bitmap itself is cross-validated against the raw array
+/// by the deep sweep.
 fn occupancy_vcs(core: &SimCore) -> Result<(), String> {
     let cfg = core.config();
     let mut seen: HashSet<PacketId> = HashSet::new();
-    for &idx in core.occupied_vc_indices() {
-        let r = core.vc_ref_of_index(idx as usize);
+    for idx in core.occupied_vc_indices() {
+        let r = core.vc_ref_of_index(idx);
         let s = core.vc(r);
         let Some(pid) = s.occ else {
-            return Err(format!("{r:?} is in the active index but holds no packet"));
+            return Err(format!("{r:?} is in the occupancy bitmap but holds no packet"));
         };
         if s.entered_at > core.cycle() {
             return Err(format!(
@@ -286,8 +286,8 @@ fn occupancy_vcs(core: &SimCore) -> Result<(), String> {
 }
 
 /// The deep (O(live packets + VCs)) half of the occupancy check, run every
-/// [`CheckConfig::deep_interval`] cycles: the active-VC index exactly
-/// mirrors the dense VC array, every queued packet sits in the queue its
+/// [`CheckConfig::deep_interval`] cycles: the occupancy indexes exactly
+/// mirror the dense VC array, every queued packet sits in the queue its
 /// location claims, and every live packet is held by exactly one
 /// container. This is the expensive sweep when injection queues back up,
 /// hence the cadence.

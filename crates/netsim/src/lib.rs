@@ -41,10 +41,8 @@
 //!   histograms under one stable `drain_` namespace, Prometheus and
 //!   JSONL exposition) and the sampled kernel phase profiler. Pure
 //!   observers: enabling them cannot perturb results.
-//! * [`rng`] — the two determinism contracts for stochastic tie-breaks:
-//!   the serial draw stream (`Stream`, the default) and the keyed
-//!   counter-based mixer (`Keyed`), under which draws are pure functions
-//!   of `(seed, cycle, site, id)`.
+//! * [`rng`] — the determinism contract for stochastic tie-breaks: every
+//!   draw is a pure function of `(seed, cycle, site, id)`.
 //!
 //! # Examples
 //!
@@ -101,7 +99,7 @@ pub use metrics::{
     MetricsSnapshot, Phase, PhaseProfiler,
 };
 pub use packet::{Location, MessageClass, Packet, PacketId, PacketSlab};
-pub use rng::{DrawSite, RngMode};
+pub use rng::DrawSite;
 pub use shard::{ShardFabric, ShardMap, MAX_SHARDS};
 pub use sim::{RunOutcome, Sim};
 pub use state::{SimCore, VcRef, VcState};

@@ -1,45 +1,30 @@
-//! Keyed counter-based RNG: the determinism contract v2.
+//! Keyed counter-based RNG: the simulator's only source of tie-break
+//! samples.
 //!
-//! The simulator's stochastic choices (adaptive tie-breaks, injection
-//! tie-breaks) historically came from one serial ChaCha8 stream advanced
-//! once per visited ready non-ejecting VC head in arena order — the
-//! *draw-stream contract* (DESIGN.md §7). That contract makes results
-//! deterministic but couples every draw to the global visit schedule:
-//! parked heads must still consume a draw (capping the wake scheduler's
-//! win), and shard planners must replay the entire global census just to
-//! stay at the right stream position.
-//!
-//! [`RngMode::Keyed`] replaces the stream with a pure function: each
-//! draw is [`mix`]`(seed, cycle, site, id)`, where `site` names the draw
-//! class ([`DrawSite`]) and `id` is the draw's dense identity within the
-//! site (arena slot index for Phase A, (node, class) queue index for
-//! injection). Draws are then order- and position-independent:
+//! Every stochastic choice in the core (adaptive-routing tie-breaks for
+//! in-network heads and for injection-queue heads) is the pure function
+//! [`mix`]`(seed, cycle, site, id)`, where `site` names the draw class
+//! ([`DrawSite`]) and `id` is the draw's dense identity within the site
+//! (arena slot index for Phase A, (node, class) queue index for
+//! injection). Draws are therefore order- and position-independent:
 //!
 //! * parked heads draw **nothing** — skipping a head skips its draw,
-//! * shard planners compute draws **only for owned slots** — no RNG
-//!   clone, no census replay, no stream-equality asserts,
-//! * shard-count invariance holds *by construction*: the sample a head
-//!   receives depends only on its identity and the cycle, never on who
-//!   computed it or in what order.
-//!
-//! `Stream` stays the default: every paper figure and every existing
-//! golden pin was recorded under the serial stream, and keyed mode —
-//! while equally well-distributed — produces a *different* (equally
-//! valid) random sequence, so the two modes are separate pin families.
+//! * shard planners compute draws **only for owned slots**,
+//! * shard-count, wake-scheduler and fast-forward invariance hold *by
+//!   construction*: the sample a head receives depends only on its
+//!   identity and the cycle, never on who computed it or in what order.
 //!
 //! The mixer is a dependency-free splitmix64-style permutation chain
 //! (Steele et al., "Fast splittable pseudorandom number generators",
 //! OOPSLA 2014): each key word is absorbed through one round of the
 //! 64-bit finalizer, giving full avalanche between any two distinct
 //! `(seed, cycle, site, id)` tuples. It is a statistical-quality mixer,
-//! not a cryptographic one — exactly the bar ChaCha8 was clearing.
+//! not a cryptographic one — the paper's fully-adaptive routing (Table
+//! II) asks only for a uniform pick among productive outputs.
 
-/// Which serial draw stream / keyed draw family a sample belongs to.
-///
-/// In `Stream` mode all sites share the single serial stream (the site
-/// only labels the draw-volume counters); in `Keyed` mode the site is
-/// part of the key, so e.g. Phase A slot 7 and injection queue 7 can
-/// never receive the same sample by accident.
+/// Which keyed draw family a sample belongs to. The site is part of the
+/// key, so e.g. Phase A slot 7 and injection queue 7 can never receive
+/// the same sample by accident.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum DrawSite {
@@ -49,16 +34,10 @@ pub enum DrawSite {
     /// Injection routing tie-break for a source-queue head
     /// (`id` = (node, class) queue index).
     Injection = 1,
-    /// Deadlock-freedom mechanism draws (`id` chosen by the mechanism,
-    /// e.g. a router or epoch number). Reserved: no built-in mechanism
-    /// draws randomness today — the paper's drain directions come from
-    /// the precomputed Eulerian circuit — but the site keeps mechanism
-    /// randomness off the routing streams the day one does.
-    Mechanism = 2,
 }
 
 /// Number of [`DrawSite`] variants (sizes the per-site draw counters).
-pub const NUM_DRAW_SITES: usize = 3;
+pub const NUM_DRAW_SITES: usize = 2;
 
 impl DrawSite {
     /// Stable label used by the `drain_rng_draws_total{site}` metrics.
@@ -66,7 +45,6 @@ impl DrawSite {
         match self {
             DrawSite::PhaseA => "phase_a",
             DrawSite::Injection => "injection",
-            DrawSite::Mechanism => "mechanism",
         }
     }
 
@@ -77,47 +55,7 @@ impl DrawSite {
     }
 
     /// All sites, in counter-array order.
-    pub const ALL: [DrawSite; NUM_DRAW_SITES] =
-        [DrawSite::PhaseA, DrawSite::Injection, DrawSite::Mechanism];
-}
-
-/// How the simulator core produces its stochastic tie-break samples.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RngMode {
-    /// Determinism contract v1: one serial ChaCha8 stream, advanced once
-    /// per visited ready non-ejecting head in arena order (parked heads
-    /// included) and once per non-empty injection queue head. The
-    /// default — all paper figures and pre-existing golden pins were
-    /// recorded under it.
-    #[default]
-    Stream,
-    /// Determinism contract v2: each draw is the pure function
-    /// [`mix`]`(seed, cycle, site, id)`. Parked heads draw nothing and
-    /// shard planners draw only for owned slots; shard-count, wake
-    /// on/off and fast-forward invariance hold by construction. Its own
-    /// golden-pin family (digests differ from `Stream` — a different,
-    /// equally valid random sequence).
-    Keyed,
-}
-
-impl RngMode {
-    /// Stable label used by the `drain_rng_draws_total{mode}` metrics
-    /// and the `DRAIN_RNG` environment knob.
-    pub fn label(self) -> &'static str {
-        match self {
-            RngMode::Stream => "stream",
-            RngMode::Keyed => "keyed",
-        }
-    }
-
-    /// Parses the `DRAIN_RNG` spelling (`"stream"` / `"keyed"`).
-    pub fn parse(s: &str) -> Option<RngMode> {
-        match s {
-            "stream" => Some(RngMode::Stream),
-            "keyed" => Some(RngMode::Keyed),
-            _ => None,
-        }
-    }
+    pub const ALL: [DrawSite; NUM_DRAW_SITES] = [DrawSite::PhaseA, DrawSite::Injection];
 }
 
 /// One round of the splitmix64 output permutation: a bijection on `u64`
@@ -136,8 +74,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// Each key word is absorbed through one `splitmix64` round, so the
 /// chain is a composition of bijections seeded by the full key — two
 /// tuples differing in any word produce unrelated outputs. Cost: four
-/// rounds of shift/xor/multiply, comparable to one ChaCha8 block
-/// amortised word, with no stream state to carry, clone or replay.
+/// rounds of shift/xor/multiply, with no stream state to carry.
 ///
 /// # Examples
 ///
@@ -165,15 +102,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_labels_round_trip() {
-        for mode in [RngMode::Stream, RngMode::Keyed] {
-            assert_eq!(RngMode::parse(mode.label()), Some(mode));
-        }
-        assert_eq!(RngMode::parse("chacha"), None);
-        assert_eq!(RngMode::default(), RngMode::Stream);
-    }
-
-    #[test]
     fn site_indices_are_dense() {
         for (i, site) in DrawSite::ALL.iter().enumerate() {
             assert_eq!(site.index(), i);
@@ -187,7 +115,6 @@ mod tests {
         assert_ne!(base, mix(0xD4A2, 7, DrawSite::PhaseA, 3));
         assert_ne!(base, mix(0xD4A1, 8, DrawSite::PhaseA, 3));
         assert_ne!(base, mix(0xD4A1, 7, DrawSite::Injection, 3));
-        assert_ne!(base, mix(0xD4A1, 7, DrawSite::Mechanism, 3));
         assert_ne!(base, mix(0xD4A1, 7, DrawSite::PhaseA, 4));
     }
 

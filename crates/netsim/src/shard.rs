@@ -21,28 +21,14 @@
 //!
 //! # Determinism
 //!
-//! Two RNG contracts exist (see [`crate::rng`]); both make sharded
-//! results bit-identical to serial ones, by very different means.
-//!
-//! Under [`crate::rng::RngMode::Stream`] (the default) the serial kernel
-//! draws one RNG sample per visited ready non-ejecting VC head
-//! (ascending arena order) and one per non-empty injection-queue head
-//! (ascending queue order). To give every shard the samples the serial
-//! kernel would have used, each planner clones the cycle-start RNG and
-//! replays the *entire* global draw schedule — a cheap
-//! ready/non-ejecting predicate per occupied slot — consuming every draw
-//! while acting only on its own shard's. All clones therefore end at the
-//! same stream position (debug-asserted via `ChaCha8Rng: PartialEq`) and
-//! the merge adopts shard 0's clone as the post-cycle RNG.
-//!
-//! Under [`crate::rng::RngMode::Keyed`] every draw is the pure function
-//! `mix(seed, cycle, site, id)`, so the census disappears entirely: a
-//! planner sweeps only its own slots — through a per-shard sub-view of
-//! the occupancy bitmap ([`ShardMap`]'s slot masks) — computes each
-//! owned head's sample in place, and carries no RNG at all. No clone, no
-//! replay, no stream-equality assert: shard-count invariance holds by
-//! construction, because the sample a head receives depends only on its
-//! identity and the cycle.
+//! Every tie-break draw is the pure function `mix(seed, cycle, site,
+//! id)` (see [`crate::rng`]), so a planner sweeps only its own slots —
+//! through a per-shard sub-view of the occupancy bitmap ([`ShardMap`]'s
+//! slot masks) — and computes each owned head's sample in place. The
+//! sample a head receives depends only on its identity and the cycle, so
+//! shard-count invariance of the draws holds by construction; what the
+//! merge below has to reproduce is only the serial kernel's *commit
+//! order*.
 //!
 //! # The barrier merge
 //!
@@ -64,15 +50,13 @@
 //! drain epochs, so `Forced` and `Freeze` cycles bypass the sharded path
 //! entirely and need no distributed protocol.
 
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 use drain_topology::{partition::Partition, LinkId, NodeId, Topology};
 
 use crate::metrics::Phase;
 use crate::packet::{MessageClass, PacketId};
-use crate::rng::{mix, DrawSite, RngMode, NUM_DRAW_SITES};
+use crate::rng::{mix, DrawSite, NUM_DRAW_SITES};
 use crate::routing::Candidate;
 use crate::state::{LinkRequest, MoveSource, ParkNote, PendingOccupy, PhaseAOutcome, SimCore};
 
@@ -90,11 +74,10 @@ pub struct ShardMap {
     slot_owner: Vec<u16>,
     link_owner: Vec<u16>,
     /// Per shard: a bitmap over the occupancy words with exactly this
-    /// shard's owned slots set. Keyed-mode planners sweep
+    /// shard's owned slots set. Planners sweep
     /// `occ_bits[wi] & slot_mask[shard][wi]` — a per-shard sub-view of
     /// the occupancy bitmap that skips foreign slots wholesale instead
-    /// of filtering them bit by bit (the stream census must still walk
-    /// the global words: every slot's draw has to be replayed).
+    /// of filtering them bit by bit.
     slot_mask: Vec<Vec<u64>>,
     cut_links: usize,
 }
@@ -241,14 +224,9 @@ impl ShardFabric {
 /// One shard's pure plan for a cycle: what its routers would commit.
 #[derive(Debug)]
 pub(crate) struct ShardPlan {
-    /// Stream mode: the census-advanced RNG clone (all shards must
-    /// agree; shard 0's becomes the post-cycle RNG). Keyed mode carries
-    /// `None` — draws are pure functions of `(seed, cycle, site, id)`,
-    /// so there is no stream position to replay, agree on, or adopt.
-    rng: Option<ChaCha8Rng>,
     /// Per-site samples this plan computed (merged into the core's
-    /// `drain_rng_draws_total` counters; in stream mode that includes
-    /// the full census replay — the honest O(K × heads) cost).
+    /// `drain_rng_draws_total` counters; summed over shards this equals
+    /// the serial kernel's count).
     draws: [u64; NUM_DRAW_SITES],
     /// Ejection outcomes, ascending queue id (queue ids are wholly owned
     /// by one shard, so ids never collide across plans).
@@ -304,9 +282,9 @@ pub(crate) struct PlanScratch {
 }
 
 /// Plans one shard's allocation phase against the frozen cycle-start
-/// state: the census RNG replay (see the module docs), Phase A routing
-/// decisions for owned slots and injection heads, and local Phase B
-/// arbitration for owned ejection queues and output links.
+/// state: Phase A routing decisions for owned slots and injection heads,
+/// and local Phase B arbitration for owned ejection queues and output
+/// links.
 pub(crate) fn plan_shard(
     core: &SimCore,
     map: &ShardMap,
@@ -320,9 +298,7 @@ pub(crate) fn plan_shard(
     // bool read through the shared core otherwise), and a pure observer
     // — the measurement never feeds back into the plan.
     let timing = core.prof_active().then(Instant::now);
-    let keyed = core.config().rng_mode == RngMode::Keyed;
     let seed = core.config().seed;
-    let mut rng = (!keyed).then(|| core.rng_clone());
     let mut draws = [0u64; NUM_DRAW_SITES];
     scratch.reqs.clear();
     scratch.ejects.clear();
@@ -331,110 +307,65 @@ pub(crate) fn plan_shard(
     let mut skips = 0u64;
     let mut wake_stalls = 0u64;
 
-    if keyed {
-        // Keyed Phase A sweep: only this shard's occupied slots, via the
-        // per-shard occupancy sub-view. Each routed head's sample is the
-        // pure `mix(seed, cycle, PhaseA, idx)` — identical to what the
-        // serial keyed sweep computes for the same slot on the same
-        // cycle, so no census, no replay, no stream to agree on. Parked
-        // heads draw nothing.
-        let mask = &map.slot_mask[shard as usize];
-        for (wi, (&occ_w, &mask_w)) in core.occ_bits.iter().zip(mask).enumerate() {
-            let mut w = occ_w & mask_w;
-            while w != 0 {
-                let idx = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                if core.vc_ready_at[idx] > now {
-                    continue;
+    // Phase A sweep: only this shard's occupied slots, via the per-shard
+    // occupancy sub-view, ascending — the serial sweep's order restricted
+    // to owned slots. Each routed head's sample is the pure
+    // `mix(seed, cycle, PhaseA, idx)` the serial sweep computes for the
+    // same slot on the same cycle. Parked heads draw nothing.
+    let mask = &map.slot_mask[shard as usize];
+    for (wi, (&occ_w, &mask_w)) in core.occ_bits.iter().zip(mask).enumerate() {
+        let mut w = occ_w & mask_w;
+        while w != 0 {
+            let idx = wi * 64 + w.trailing_zeros() as usize;
+            w &= w - 1;
+            if core.vc_ready_at[idx] > now {
+                continue;
+            }
+            let here = core.idx_here[idx];
+            if core.vc_dest[idx] == here {
+                let q = core.qidx(NodeId(here), MessageClass(core.vc_class[idx]));
+                scratch.ejects.push((q, idx, PacketId(core.vc_occ[idx])));
+                continue;
+            }
+            if wake_on && core.vc_wake_at[idx] > now {
+                skips += 1;
+                if telem_on {
+                    stalls.push((u32::from(here), 1));
                 }
-                let here = core.idx_here[idx];
-                if core.vc_dest[idx] == here {
-                    let q = core.qidx(NodeId(here), MessageClass(core.vc_class[idx]));
-                    scratch.ejects.push((q, idx, PacketId(core.vc_occ[idx])));
-                    continue;
-                }
-                if wake_on && core.vc_wake_at[idx] > now {
-                    skips += 1;
+                continue;
+            }
+            let sample = mix(seed, now, DrawSite::PhaseA, idx as u64);
+            draws[DrawSite::PhaseA.index()] += 1;
+            let link = LinkId(core.idx_link[idx]);
+            let vc = core.idx_vc[idx];
+            // The same `phase_a_route_or_park` call the serial sweep
+            // makes, with the outcome recorded instead of committed.
+            match core.phase_a_route_or_park(idx, link, vc, sample, &mut scratch.cands) {
+                PhaseAOutcome::Route(out_link, target, blocked_for) => scratch.reqs.push((
+                    out_link.0,
+                    LinkRequest {
+                        source: MoveSource::Vc(idx),
+                        pid: PacketId(core.vc_occ[idx]),
+                        target,
+                        blocked_for,
+                    },
+                )),
+                outcome => {
                     if telem_on {
                         stalls.push((u32::from(here), 1));
                     }
-                    continue;
-                }
-                let sample = mix(seed, now, DrawSite::PhaseA, idx as u64);
-                draws[DrawSite::PhaseA.index()] += 1;
-                plan_slot_route(
-                    core,
-                    idx,
-                    here,
-                    sample,
-                    telem_on,
-                    scratch,
-                    &mut parks,
-                    &mut stalls,
-                    &mut wake_stalls,
-                );
-            }
-        }
-    } else {
-        // Stream-mode Phase A census: every occupied slot in ascending
-        // arena order — the serial sweep's draw schedule. Non-owned
-        // slots still consume their draw (that is the census); owned
-        // ones also decide.
-        let rng = rng.as_mut().expect("stream mode carries an RNG clone");
-        for wi in 0..core.occ_bits.len() {
-            let mut w = core.occ_bits[wi];
-            while w != 0 {
-                let idx = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                if core.vc_ready_at[idx] > now {
-                    continue;
-                }
-                let here = core.idx_here[idx];
-                let owned = map.slot_owner[idx] == shard;
-                if core.vc_dest[idx] == here {
-                    // Ejecting heads draw nothing in the serial kernel.
-                    if owned {
-                        let q = core.qidx(NodeId(here), MessageClass(core.vc_class[idx]));
-                        scratch.ejects.push((q, idx, PacketId(core.vc_occ[idx])));
+                    match outcome {
+                        PhaseAOutcome::Park(note) => parks.push(note),
+                        _ => wake_stalls += 1,
                     }
-                    continue;
                 }
-                let sample = rng.gen::<u64>();
-                draws[DrawSite::PhaseA.index()] += 1;
-                // Parked heads consume their census draw like every other
-                // ready non-ejecting head, but are not re-routed — the
-                // serial sweep's parked fast path, replayed shard-locally.
-                if wake_on && core.vc_wake_at[idx] > now {
-                    if owned {
-                        skips += 1;
-                        if telem_on {
-                            stalls.push((u32::from(here), 1));
-                        }
-                    }
-                    continue;
-                }
-                if !owned {
-                    continue;
-                }
-                plan_slot_route(
-                    core,
-                    idx,
-                    here,
-                    sample,
-                    telem_on,
-                    scratch,
-                    &mut parks,
-                    &mut stalls,
-                    &mut wake_stalls,
-                );
             }
         }
     }
 
-    // Injection: every non-empty queue head in ascending (node, class)
-    // order, exactly the serial sweep (including its whole-phase
-    // `nonempty_inj` gate). Stream mode must draw for *every* head
-    // (census); keyed mode skips foreign queues before drawing.
+    // Injection: every owned non-empty queue head in ascending (node,
+    // class) order, as in the serial sweep (including its whole-phase
+    // `nonempty_inj` gate).
     if core.nonempty_inj > 0 {
         let classes = core.config().num_classes;
         for q in 0..core.inj.len() {
@@ -442,18 +373,11 @@ pub(crate) fn plan_shard(
                 continue;
             };
             let node = NodeId((q / classes) as u16);
-            let owned = map.shard_of_node[node.index()] == shard;
-            if keyed && !owned {
+            if map.shard_of_node[node.index()] != shard {
                 continue;
             }
-            let sample = match rng.as_mut() {
-                Some(rng) => rng.gen::<u64>(),
-                None => mix(seed, now, DrawSite::Injection, q as u64),
-            };
+            let sample = mix(seed, now, DrawSite::Injection, q as u64);
             draws[DrawSite::Injection.index()] += 1;
-            if !owned {
-                continue;
-            }
             let class = MessageClass((q % classes) as u8);
             if let Some((out_link, target)) =
                 core.injection_route(node, class, sample, &mut scratch.cands)
@@ -504,7 +428,7 @@ pub(crate) fn plan_shard(
     }
 
     // Local Phase B, links: every requester of an owned link is owned,
-    // and the census visited them in the serial sweep's order, so a
+    // and the sweeps above visited them in the serial sweep's order, so a
     // stable sort by link id reproduces the serial request lists — and
     // therefore the serial winner — exactly.
     scratch.reqs.sort_by_key(|&(li, _)| li);
@@ -523,7 +447,6 @@ pub(crate) fn plan_shard(
     }
 
     ShardPlan {
-        rng,
         draws,
         ejects,
         grants,
@@ -532,45 +455,6 @@ pub(crate) fn plan_shard(
         skips,
         wake_stalls,
         plan_nanos: timing.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
-    }
-}
-
-/// Phase A decision for one owned, ready, non-ejecting, non-parked slot:
-/// the same `phase_a_route_or_park` call the serial sweep makes, with the
-/// outcome recorded into the plan instead of committed.
-#[allow(clippy::too_many_arguments)]
-fn plan_slot_route(
-    core: &SimCore,
-    idx: usize,
-    here: u16,
-    sample: u64,
-    telem_on: bool,
-    scratch: &mut PlanScratch,
-    parks: &mut Vec<ParkNote>,
-    stalls: &mut Vec<(u32, u64)>,
-    wake_stalls: &mut u64,
-) {
-    let link = LinkId(core.idx_link[idx]);
-    let vc = core.idx_vc[idx];
-    match core.phase_a_route_or_park(idx, link, vc, sample, &mut scratch.cands) {
-        PhaseAOutcome::Route(out_link, target, blocked_for) => scratch.reqs.push((
-            out_link.0,
-            LinkRequest {
-                source: MoveSource::Vc(idx),
-                pid: PacketId(core.vc_occ[idx]),
-                target,
-                blocked_for,
-            },
-        )),
-        outcome => {
-            if telem_on {
-                stalls.push((u32::from(here), 1));
-            }
-            match outcome {
-                PhaseAOutcome::Park(note) => parks.push(note),
-                _ => *wake_stalls += 1,
-            }
-        }
     }
 }
 
@@ -583,7 +467,6 @@ fn apply_plans(
     plans: Vec<ShardPlan>,
     fabric: &mut ShardFabric,
 ) -> u64 {
-    let mut rng: Option<ChaCha8Rng> = None;
     let mut draws = [0u64; NUM_DRAW_SITES];
     let mut ejects: Vec<EjectOutcome> = Vec::new();
     let mut grants: Vec<(u32, LinkRequest)> = Vec::new();
@@ -592,15 +475,6 @@ fn apply_plans(
     let mut skips = 0u64;
     let mut wake_stalls = 0u64;
     for (shard, p) in plans.into_iter().enumerate() {
-        match (&rng, p.rng) {
-            // Stream mode: every clone must have replayed the identical
-            // global draw schedule — contract v1's keystone.
-            (Some(r), Some(pr)) => debug_assert!(*r == pr, "shard census RNG streams diverged"),
-            (None, Some(pr)) => rng = Some(pr),
-            // Keyed mode: no stream position exists to compare or adopt
-            // — shard-count invariance is the mixer's purity.
-            (_, None) => {}
-        }
         for (acc, d) in draws.iter_mut().zip(p.draws) {
             *acc += d;
         }
@@ -611,11 +485,6 @@ fn apply_plans(
         parks.extend(p.parks);
         skips += p.skips;
         wake_stalls += p.wake_stalls;
-    }
-    if let Some(rng) = rng {
-        // Stream mode: adopt shard 0's advanced clone as the post-cycle
-        // serial stream position.
-        core.set_rng(rng);
     }
     core.note_rng_draws(draws);
 
@@ -903,7 +772,7 @@ mod tests {
 
     /// The per-shard occupancy-word masks partition the slot space
     /// exactly: pairwise disjoint, jointly complete, and each bit agrees
-    /// with `slot_owner`. The keyed planners sweep
+    /// with `slot_owner`. The planners sweep
     /// `occ_bits[wi] & slot_mask[shard][wi]`, so a stray or missing bit
     /// would silently double- or un-route a head.
     #[test]

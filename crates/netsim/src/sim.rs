@@ -138,18 +138,6 @@ impl Sim {
         self.core.set_wake_scheduler(enabled);
     }
 
-    /// Switches the tie-break sample source (see [`crate::rng`]) for an
-    /// assembled simulation: the serial draw stream (default) or the
-    /// keyed counter-based mixer. Meant for pre-run configuration — the
-    /// two modes produce different (equally valid) random sequences and
-    /// therefore separate golden-pin families; *within* a mode, results
-    /// are bit-identical across shard counts, wake scheduling,
-    /// fast-forward and profiler cadence (the keyed differential suite
-    /// proves it).
-    pub fn set_rng_mode(&mut self, mode: crate::rng::RngMode) {
-        self.core.set_rng_mode(mode);
-    }
-
     /// The simulation state.
     pub fn core(&self) -> &SimCore {
         &self.core
@@ -486,15 +474,14 @@ impl Sim {
                 v,
             );
         }
-        let mode = self.core.config().rng_mode.label();
         for (site, v) in crate::rng::DrawSite::ALL
             .iter()
             .zip(self.core.rng_draw_counts())
         {
             m.counter_labeled(
                 "drain_rng_draws_total",
-                "Tie-break RNG samples produced, by draw site and RNG mode",
-                &[("site", site.label()), ("mode", mode)],
+                "Tie-break RNG samples produced, by draw site",
+                &[("site", site.label())],
                 v,
             );
         }

@@ -2,7 +2,7 @@
 //!
 //! [`SimCore`] owns everything a cycle touches: the topology, VC buffers,
 //! link timers, injection/ejection queues, the packet slab, the routing
-//! function, statistics and the RNG. The driver in [`crate::sim`] sequences
+//! function and statistics. The driver in [`crate::sim`] sequences
 //! endpoints → mechanism → allocation each cycle; mechanisms and endpoint
 //! models receive `&mut SimCore` and use the accessors here.
 //!
@@ -31,8 +31,6 @@
 //! * One grant per output link per cycle; one ejection per (node, class)
 //!   per cycle.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -42,7 +40,7 @@ use crate::config::SimConfig;
 use crate::mechanism::{ForcedKind, ForcedMove};
 use crate::metrics::{Phase, PhaseProfiler};
 use crate::packet::{Location, MessageClass, Packet, PacketId, PacketSlab};
-use crate::rng::{mix, DrawSite, RngMode, NUM_DRAW_SITES};
+use crate::rng::{mix, DrawSite, NUM_DRAW_SITES};
 use crate::routing::{Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
 use crate::stats::{Stats, WakeCounters};
 use crate::telemetry::Telemetry;
@@ -80,6 +78,18 @@ pub struct VcState {
 
 /// Sentinel in the `vc_occ` array for an empty VC.
 const EMPTY: u32 = u32::MAX;
+
+/// Ascending indices of the set bits of a bitmap (bit `i % 64` of word
+/// `i / 64`).
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&w| {
+            let rest = w & (w - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |w| wi * 64 + w.trailing_zeros() as usize)
+    })
+}
 
 /// Outcome info for a delivered packet, handed to ejection-queue consumers.
 #[derive(Clone, Debug)]
@@ -216,12 +226,9 @@ pub struct SimCore {
     pub stats: Stats,
     /// Current cycle.
     cycle: u64,
-    /// Active-VC index, dense half: the link-major array index of every
-    /// occupied VC, in arbitrary order (swap-remove keeps vacate O(1)).
-    active: Vec<u32>,
-    /// Active-VC index, slot half: `active_pos[idx]` is the position of
-    /// `idx` inside `active`, or `u32::MAX` when the VC is empty.
-    active_pos: Vec<u32>,
+    /// Number of occupied VCs (the popcount of `occ_bits`, kept as a
+    /// counter).
+    in_network: usize,
     /// Cached `config.total_vcs()` (the link-major stride).
     pub(crate) stride: usize,
     /// Number of non-empty injection queues (skips the Phase A injection
@@ -234,11 +241,8 @@ pub struct SimCore {
     /// Packets parked in ejection queues (counter form of
     /// [`SimCore::ejection_backlog`]).
     ej_backlog: usize,
-    rng: ChaCha8Rng,
-    /// Per-[`DrawSite`] tie-break samples produced so far (either mode;
-    /// surfaced as `drain_rng_draws_total{site,mode}`). In stream mode
-    /// under the sharded kernel this counts every census replay draw —
-    /// the honest O(shards × heads) cost keyed mode removes.
+    /// Per-[`DrawSite`] tie-break samples produced so far (surfaced as
+    /// `drain_rng_draws_total{site}`).
     rng_draws: [u64; NUM_DRAW_SITES],
     /// Bitmap over (node, class) ejection-queue indices with at least one
     /// parked packet (lets consumers pop deliveries without sweeping
@@ -250,9 +254,8 @@ pub struct SimCore {
     /// Decode table: VC-within-VN of each link-major VC index.
     pub(crate) idx_vc: Vec<u8>,
     /// Decode table: router at which each link-major VC index sits (the
-    /// dst node of its link). Built for the shard planners' census sweep;
-    /// the serial hot path keeps decoding through `idx_link` + the
-    /// topology.
+    /// dst node of its link). Read by the shard planners; the serial hot
+    /// path keeps decoding through `idx_link` + the topology.
     pub(crate) idx_here: Vec<u16>,
     /// Scratch buffers reused across cycles.
     cand_buf: Vec<Candidate>,
@@ -263,10 +266,9 @@ pub struct SimCore {
     /// Ejection-request scratch.
     eject_buf: Vec<(usize, usize, PacketId)>,
     /// Wake scheduler: per-VC wake deadline. `0` = fresh/active (route on
-    /// visit); `> now` = parked (Phase A skips routing; in stream mode the
-    /// head still consumes its serial RNG draw, in keyed mode it draws
+    /// visit); `> now` = parked (Phase A skips routing and draws
     /// nothing); `0 < v <= now` = woken, routes on the next visit.
-    /// `pub(crate)` read-only for the shard planners' census.
+    /// `pub(crate)` read-only for the shard planners.
     pub(crate) vc_wake_at: Vec<u64>,
     /// Wake scheduler: per-output-link subscriber lists, fired (drained)
     /// by [`SimCore::vacate_slot`] on that link's input buffers.
@@ -326,7 +328,6 @@ impl SimCore {
         let n = topo.num_nodes();
         let total_vcs = config.total_vcs();
         let classes = config.num_classes;
-        let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let tracer = Tracer::new(&config.trace);
         let telem = Telemetry::new(&config.trace, m, n);
         let prof = PhaseProfiler::new(config.metrics.profile_period);
@@ -347,13 +348,11 @@ impl SimCore {
             packets: PacketSlab::new(),
             stats: Stats::new(),
             cycle: 0,
-            active: Vec::new(),
-            active_pos: vec![u32::MAX; slots],
+            in_network: 0,
             stride: total_vcs,
             nonempty_inj: 0,
             inj_head_dest: vec![0; n * classes],
             ej_backlog: 0,
-            rng,
             rng_draws: [0; NUM_DRAW_SITES],
             ej_bits: vec![0; (n * classes).div_ceil(64)],
             idx_link: (0..slots).map(|i| (i / total_vcs) as u32).collect(),
@@ -436,7 +435,7 @@ impl SimCore {
 
     /// Number of packets currently inside VC buffers.
     pub fn packets_in_network(&self) -> usize {
-        self.active.len()
+        self.in_network
     }
 
     /// Number of live packets anywhere (queues + network).
@@ -555,15 +554,12 @@ impl SimCore {
         }
     }
 
-    /// Link-major array indices of every occupied VC, in arbitrary order.
-    ///
-    /// This is the live active-VC index: O(occupied) to walk instead of
-    /// O(links × VCs). Callers that need the dense sweep's deterministic
-    /// order must sort a copy ascending (link-major indices sort exactly
-    /// like the `link, vn, vc` loop nest). Map entries back to buffers
-    /// with [`SimCore::vc_ref_of_index`].
-    pub fn occupied_vc_indices(&self) -> &[u32] {
-        &self.active
+    /// Link-major array indices of every occupied VC, ascending (the set
+    /// bits of [`SimCore::occupied_vc_bitmap`]): exactly the order of the
+    /// `link, vn, vc` loop nest, in O(words + occupied). Map entries back
+    /// to buffers with [`SimCore::vc_ref_of_index`].
+    pub fn occupied_vc_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        set_bits(&self.occ_bits)
     }
 
     /// Occupancy bitmap over link-major VC indices: bit `i % 64` of word
@@ -579,50 +575,23 @@ impl SimCore {
     }
 
     /// Cross-validates the occupancy indexes against the dense VC arena:
-    /// every occupied VC must appear exactly once in the active index, the
-    /// per-link occupancy counts and the occupancy bitmap must agree with
-    /// the arena, and the hot mirrors (`dest`, `class`, `len_flits`) must
-    /// match the occupant in the packet slab. Used by the deep invariant
-    /// sweep.
+    /// the occupied-VC counter, the per-link occupancy counts and the
+    /// occupancy bitmap must agree with the arena, and the hot mirrors
+    /// (`dest`, `class`, `len_flits`) must match the occupant in the
+    /// packet slab. Used by the deep invariant sweep.
     ///
     /// # Errors
     ///
     /// Returns a description of the first mismatch found.
     pub fn validate_active_index(&self) -> Result<(), String> {
         let occupied = self.vc_occ.iter().filter(|&&o| o != EMPTY).count();
-        if occupied != self.active.len() {
+        if occupied != self.in_network {
             return Err(format!(
-                "active index holds {} entries but {} VCs are occupied",
-                self.active.len(),
-                occupied
+                "occupied-VC counter reads {} but {} VCs are occupied",
+                self.in_network, occupied
             ));
         }
         for (idx, &occ) in self.vc_occ.iter().enumerate() {
-            let pos = self.active_pos[idx];
-            match (occ != EMPTY, pos != u32::MAX) {
-                (true, false) => {
-                    return Err(format!(
-                        "occupied VC {:?} missing from active index",
-                        self.vc_ref_of_index(idx)
-                    ));
-                }
-                (false, true) => {
-                    return Err(format!(
-                        "empty VC {:?} present in active index",
-                        self.vc_ref_of_index(idx)
-                    ));
-                }
-                (true, true) => {
-                    if self.active.get(pos as usize) != Some(&(idx as u32)) {
-                        return Err(format!(
-                            "active index slot mismatch for VC {:?} (pos {})",
-                            self.vc_ref_of_index(idx),
-                            pos
-                        ));
-                    }
-                }
-                (false, false) => {}
-            }
             if (self.occ_bits[idx / 64] >> (idx % 64)) & 1 != u64::from(occ != EMPTY) {
                 return Err(format!(
                     "occupancy bitmap disagrees with arena at VC {:?}",
@@ -669,28 +638,29 @@ impl SimCore {
         Ok(())
     }
 
-    /// Registers `idx` as occupied in every occupancy index (active list,
+    /// Registers `idx` as occupied in every occupancy index (counter,
     /// per-link count, bitmap).
     #[inline]
     fn activate(&mut self, idx: usize) {
-        debug_assert_eq!(self.active_pos[idx], u32::MAX, "VC already indexed");
-        self.active_pos[idx] = self.active.len() as u32;
-        self.active.push(idx as u32);
+        debug_assert_eq!(
+            self.occ_bits[idx / 64] >> (idx % 64) & 1,
+            0,
+            "VC already indexed"
+        );
+        self.in_network += 1;
         self.link_occ[idx / self.stride] += 1;
         self.occ_bits[idx / 64] |= 1 << (idx % 64);
     }
 
-    /// Removes `idx` from every occupancy index (swap-remove, O(1)).
+    /// Removes `idx` from every occupancy index.
     #[inline]
     fn deactivate(&mut self, idx: usize) {
-        let pos = self.active_pos[idx] as usize;
-        debug_assert_eq!(self.active[pos], idx as u32, "active index corrupted");
-        self.active_pos[idx] = u32::MAX;
-        let last = self.active.pop().expect("active list is non-empty");
-        if pos < self.active.len() {
-            self.active[pos] = last;
-            self.active_pos[last as usize] = pos as u32;
-        }
+        debug_assert_eq!(
+            self.occ_bits[idx / 64] >> (idx % 64) & 1,
+            1,
+            "VC not indexed"
+        );
+        self.in_network -= 1;
         self.link_occ[idx / self.stride] -= 1;
         self.occ_bits[idx / 64] &= !(1 << (idx % 64));
     }
@@ -831,45 +801,16 @@ impl SimCore {
         node.index() * self.config.num_classes + class.index()
     }
 
-    /// Snapshot of the RNG at its current stream position. In stream
-    /// mode, shard planners clone the cycle-start RNG, replay the full
-    /// global draw schedule (consuming every draw, using only their own
-    /// shard's), and the merge asserts all clones ended at the same
-    /// position (see [`crate::shard`]). Keyed mode never calls this —
-    /// there is no stream position to keep.
-    pub(crate) fn rng_clone(&self) -> ChaCha8Rng {
-        debug_assert_eq!(
-            self.config.rng_mode,
-            RngMode::Stream,
-            "keyed mode must not clone the serial stream"
-        );
-        self.rng.clone()
-    }
-
-    /// Replaces the RNG with `rng` — the stream-mode merge step adopts
-    /// shard 0's advanced clone so the stream position matches the
-    /// serial kernel's.
-    pub(crate) fn set_rng(&mut self, rng: ChaCha8Rng) {
-        self.rng = rng;
-    }
-
-    /// One tie-break sample for `site`, identity `id` (see
-    /// [`crate::rng`]): the next serial stream draw in stream mode, the
-    /// pure `mix(seed, cycle, site, id)` in keyed mode. The identity is
-    /// ignored by the stream — order of calls is its key — and the
-    /// stream is untouched by keyed mode.
+    /// One tie-break sample for `site`, identity `id`: the pure
+    /// `mix(seed, cycle, site, id)` of [`crate::rng`], counted per site.
     #[inline]
-    pub(crate) fn draw_sample(&mut self, site: DrawSite, id: u64) -> u64 {
+    fn draw_sample(&mut self, site: DrawSite, id: u64) -> u64 {
         self.rng_draws[site.index()] += 1;
-        match self.config.rng_mode {
-            RngMode::Stream => self.rng.gen::<u64>(),
-            RngMode::Keyed => mix(self.config.seed, self.cycle, site, id),
-        }
+        mix(self.config.seed, self.cycle, site, id)
     }
 
     /// Per-[`DrawSite`] tie-break samples produced so far, in
-    /// [`DrawSite::ALL`] order (either mode; the sharded stream-mode
-    /// kernel counts every census replay draw).
+    /// [`DrawSite::ALL`] order (identical at every shard count).
     pub fn rng_draw_counts(&self) -> [u64; NUM_DRAW_SITES] {
         self.rng_draws
     }
@@ -880,18 +821,6 @@ impl SimCore {
         for (acc, d) in self.rng_draws.iter_mut().zip(draws) {
             *acc += d;
         }
-    }
-
-    /// A tie-break sample for a deadlock-freedom mechanism's stochastic
-    /// choice, keyed by a mechanism-chosen identity (e.g. a router or
-    /// epoch number). Rides the serial stream in stream mode — calling
-    /// it shifts the draw schedule of everything after it, which is the
-    /// coupling [`RngMode::Keyed`] exists to remove — and the dedicated
-    /// [`DrawSite::Mechanism`] key family in keyed mode, where it is
-    /// schedule-free. No built-in mechanism draws randomness today; the
-    /// hook keeps future mechanism randomness off the routing streams.
-    pub fn mechanism_sample(&mut self, id: u64) -> u64 {
-        self.draw_sample(DrawSite::Mechanism, id)
     }
 
     /// Free slots in a node's per-class injection queue.
@@ -1183,10 +1112,9 @@ impl SimCore {
     ///   driver emits one boundary sample stamped at the last elided
     ///   window boundary instead (see [`SimCore::telemetry_note_jump`]) —
     ///   exact, and without giving up the jump,
-    /// * all injection queues are empty (a queued head re-routes — and in
-    ///   stream mode draws one serial RNG sample — every cycle) and no
-    ///   ejection backlog remains (endpoint models consume deliveries on
-    ///   per-cycle ticks),
+    /// * all injection queues are empty (a queued head re-routes every
+    ///   cycle) and no ejection backlog remains (endpoint models consume
+    ///   deliveries on per-cycle ticks),
     /// * no occupied VC is allocation-eligible before `t` (an eligible
     ///   but blocked VC has `ready_at <= now`, which yields `None` — so
     ///   congested cycles are never skipped).
@@ -1210,10 +1138,14 @@ impl SimCore {
             return None;
         }
         let mut t = u64::MAX;
-        for &idx in &self.active {
-            t = t.min(self.vc_ready_at[idx as usize]);
+        for idx in set_bits(&self.occ_bits) {
+            let ready_at = self.vc_ready_at[idx];
+            if ready_at <= self.cycle {
+                return None;
+            }
+            t = t.min(ready_at);
         }
-        (t > self.cycle).then_some(t)
+        Some(t)
     }
 
     /// Jumps the clock forward to `t` (idle-cycle fast-forward). Only
@@ -1272,10 +1204,9 @@ impl SimCore {
         // state (see [`Telemetry::checkout_routers`]).
         let mut routers = self.telem.checkout_routers(n);
         // VC buffers sit at the input of their link's destination router;
-        // only occupied ones contribute, so walk the active index.
-        for &idx in &self.active {
-            let link = LinkId(idx / self.stride as u32);
-            routers[self.topo.link(link).dst.index()].occupied_vcs += 1;
+        // only occupied ones contribute.
+        for idx in set_bits(&self.occ_bits) {
+            routers[self.idx_here[idx] as usize].occupied_vcs += 1;
         }
         for (q, queue) in self.inj.iter().enumerate() {
             routers[q / self.config.num_classes].inj_depth += queue.len() as u32;
@@ -1290,10 +1221,10 @@ impl SimCore {
     /// link and one ejection per (node, class), and commits the moves.
     pub(crate) fn allocate_and_move(&mut self) {
         // Phase A: VC requests, visiting occupied buffers in ascending
-        // link-major index order — the exact order of the former dense
-        // `link, vn, vc` loop nest, so RNG draws and trace events land on
-        // identical buffers in identical sequence. Ascending set-bit
-        // iteration over the occupancy bitmap IS that order, and visits
+        // link-major index order — the order of the `link, vn, vc` loop
+        // nest, which fixes each output link's request-list order (and so
+        // its arbitration winner). Ascending set-bit iteration over the
+        // occupancy bitmap IS that order, and visits
         // exactly the occupied slots: a half-empty stride (baseline
         // configs idle 2 of 3 VNs under single-class traffic) costs
         // nothing. Phase A only registers requests — occupancy, and
@@ -1397,11 +1328,9 @@ impl SimCore {
     }
 
     /// Phase A body for one occupied VC buffer: eject request, or a routed
-    /// move request. Stream mode draws one serial sample per visited ready
-    /// non-ejecting head (the contract-v1 draw schedule); keyed mode draws
-    /// `mix(seed, cycle, PhaseA, idx)` only for heads that actually route.
-    /// Reads only the VC arena and its hot mirrors; the packet slab is
-    /// never touched here.
+    /// move request. Draws `mix(seed, cycle, PhaseA, idx)` only for heads
+    /// that actually route. Reads only the VC arena and its hot mirrors;
+    /// the packet slab is never touched here.
     #[inline]
     fn phase_a_vc(
         &mut self,
@@ -1421,23 +1350,12 @@ impl SimCore {
             eject_reqs.push((self.qidx(here, class), idx, pid));
             return;
         }
-        // Stream mode's determinism contract: every visited ready
-        // non-ejecting head consumes exactly one serial draw — parked or
-        // not — so the wake scheduler never shifts the draw schedule.
-        // Keyed mode's draws are position-free, so a parked head's draw
-        // is simply never computed (the arithmetic the stream contract
-        // forced the wake scheduler to keep paying).
-        let keyed = self.config.rng_mode == RngMode::Keyed;
-        let mut sample = if keyed {
-            0
-        } else {
-            self.draw_sample(DrawSite::PhaseA, idx as u64)
-        };
         // Parked fast path: a head whose last routing pass proved no
         // feasible move, with a wake deadline still in the future, routes
         // the same `None` the dense scan would recompute — skip the ctx
         // build, the routing call and the feasibility walk entirely. This
-        // is the saturated-regime cost the wake scheduler removes.
+        // is the saturated-regime cost the wake scheduler removes. Draws
+        // are position-free, so a parked head's sample is never computed.
         if self.vc_wake_at[idx] > now {
             self.wake.skips += 1;
             if self.telem.active() {
@@ -1445,9 +1363,7 @@ impl SimCore {
             }
             return;
         }
-        if keyed {
-            sample = self.draw_sample(DrawSite::PhaseA, idx as u64);
-        }
+        let sample = self.draw_sample(DrawSite::PhaseA, idx as u64);
         let mut cands = std::mem::take(&mut self.cand_buf);
         match self.phase_a_route_or_park(idx, link, vc, sample, &mut cands) {
             PhaseAOutcome::Route(out_link, target, blocked_for) => self.register_request(
@@ -1817,9 +1733,8 @@ impl SimCore {
             return;
         }
         let now = self.cycle;
-        for &idx in &self.active {
-            let w = &mut self.vc_wake_at[idx as usize];
-            *w = (*w).min(now);
+        for idx in set_bits(&self.occ_bits) {
+            self.vc_wake_at[idx] = self.vc_wake_at[idx].min(now);
         }
         self.wake.wake_alls += 1;
     }
@@ -1858,18 +1773,6 @@ impl SimCore {
         self.gate_next = (self.cycle / GATE_WINDOW + 1) * GATE_WINDOW;
     }
 
-    /// Switches the tie-break sample source (see [`crate::rng`]) for an
-    /// assembled core and re-seeds the serial stream to its cycle-0
-    /// position. Meant for pre-run configuration: the two modes produce
-    /// different (equally valid) random sequences, so switching mid-run
-    /// splices two unrelated draw histories — deterministic, but pinned
-    /// by neither mode's golden family.
-    pub fn set_rng_mode(&mut self, mode: RngMode) {
-        self.config.rng_mode = mode;
-        self.rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        self.rng_draws = [0; NUM_DRAW_SITES];
-    }
-
     /// Deep-sweep validation of the wake scheduler (paired with
     /// [`SimCore::validate_active_index`]):
     ///
@@ -1887,8 +1790,7 @@ impl SimCore {
     pub fn validate_wake_parking(&self) -> Result<(), String> {
         let now = self.cycle;
         let mut cands = Vec::new();
-        for &idx in &self.active {
-            let idx = idx as usize;
+        for idx in self.occupied_vc_indices() {
             if self.vc_wake_at[idx] <= now {
                 continue;
             }
@@ -2371,15 +2273,6 @@ impl SimCore {
         self.stats.oracle_resolutions += 1;
         self.finish_delivery(PacketId(occ), true);
     }
-
-    /// Direct RNG access for endpoint models that want the core's seeded
-    /// stream. This is the *serial* stream: drawing from it shifts the
-    /// stream-mode draw schedule of everything after it, and keyed mode
-    /// never reads it — schedule-free mechanism/endpoint randomness
-    /// should go through [`SimCore::mechanism_sample`] instead.
-    pub fn rng(&mut self) -> &mut impl Rng {
-        &mut self.rng
-    }
 }
 
 impl std::fmt::Debug for SimCore {
@@ -2387,7 +2280,7 @@ impl std::fmt::Debug for SimCore {
         f.debug_struct("SimCore")
             .field("topology", &self.topo.name())
             .field("cycle", &self.cycle)
-            .field("in_network", &self.active.len())
+            .field("in_network", &self.in_network)
             .field("live_packets", &self.packets.len())
             .field("routing", &self.routing.name())
             .finish()

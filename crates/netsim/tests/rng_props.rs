@@ -1,20 +1,16 @@
-//! Property tests for the keyed counter-based RNG (`RngMode::Keyed`).
+//! Property tests for the keyed counter-based RNG.
 //!
-//! The determinism contract v2 (see `drain_netsim::rng`) promises that a
-//! keyed draw is a pure function of `(seed, cycle, site, id)` — nothing
-//! else. Two consequences are load-bearing enough to pin as properties
-//! rather than examples:
+//! The determinism contract (see `drain_netsim::rng`) promises that a
+//! draw is a pure function of `(seed, cycle, site, id)` — nothing else.
+//! Two consequences are load-bearing enough to pin as properties rather
+//! than examples:
 //!
 //! * **visit-order invariance**: evaluating any set of draw keys in any
-//!   permutation yields identical values per key. The serial draw stream
-//!   has the opposite character — a draw's value is determined by its
-//!   *position* in the sweep — and the contrast is asserted here too, so
-//!   the property cannot pass vacuously;
+//!   permutation yields identical values per key;
 //! * **partition invariance**: splitting the allocation sweep across an
 //!   arbitrary shard partition of an arbitrary connected topology
 //!   changes neither the results nor the number of draws performed —
-//!   shard planners compute draws only for the slots they own, with no
-//!   census replay.
+//!   shard planners compute draws only for the slots they own.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -24,13 +20,12 @@ use drain_netsim::mechanism::NoMechanism;
 use drain_netsim::rng::{mix, NUM_DRAW_SITES};
 use drain_netsim::routing::FullyAdaptive;
 use drain_netsim::traffic::{SyntheticPattern, SyntheticTraffic};
-use drain_netsim::{DrawSite, RngMode, Sim, SimConfig};
+use drain_netsim::{DrawSite, Sim, SimConfig};
 use drain_topology::chiplet::random_connected;
 
 proptest! {
     /// Every key maps to the same value no matter where in the visit
-    /// order it is evaluated — and the serial stream provably does not
-    /// have this property (its values are positional).
+    /// order it is evaluated.
     #[test]
     fn keyed_draws_are_invariant_under_visit_order_permutations(
         seed in any::<u64>(),
@@ -63,28 +58,10 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
-
-        // Contrast: the serial stream assigns values by position, so the
-        // same reordering remaps values onto different keys whenever the
-        // permutation moved a key (guard against fixed-point shuffles).
-        if keys != shuffled {
-            let stream_eval = |order: &[(usize, u64, u64)]| {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                order
-                    .iter()
-                    .map(|&k| (k, rng.gen::<u64>()))
-                    .collect::<Vec<_>>()
-            };
-            let mut sa = stream_eval(&keys);
-            let mut sb = stream_eval(&shuffled);
-            sa.sort_unstable();
-            sb.sort_unstable();
-            prop_assert_ne!(sa, sb);
-        }
     }
 }
 
-/// One keyed-mode run on the `shards`-way kernel: full debug-formatted
+/// One run on the `shards`-way kernel: full debug-formatted
 /// statistics, final cycle, and per-site draw counts.
 fn keyed_run(
     topo: &drain_topology::Topology,
@@ -113,7 +90,6 @@ fn keyed_run(
             sim_seed ^ 0x9E37,
         )),
     );
-    sim.set_rng_mode(RngMode::Keyed);
     sim.run(800);
     (
         format!("{:?}", sim.stats()),
@@ -126,10 +102,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// An arbitrary shard partition of an arbitrary connected topology
-    /// is invisible in keyed mode: identical statistics, identical final
-    /// cycle, and — because the planners sweep only owned slots instead
-    /// of replaying a global census — exactly the serial kernel's draw
-    /// counts.
+    /// is invisible: identical statistics, identical final cycle, and —
+    /// because the planners sweep only owned slots — exactly the serial
+    /// kernel's draw counts.
     #[test]
     fn keyed_sharded_run_matches_serial_on_arbitrary_partitions(
         n in 4u16..=20,

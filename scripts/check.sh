@@ -48,14 +48,14 @@ cargo test -p drain-bench --test golden_trace -q
 echo "==> trace overhead benchmark (smoke mode)"
 cargo bench -p drain-bench --bench trace_overhead -- --test
 
-echo "==> kernel benchmark (smoke mode: untimed low + saturated presets)"
-# One untimed pass of every (preset, scheme) point — including the
-# saturated preset, so the dense-sweep path can't silently break — plus
-# the cross-refactor golden pins: trace-byte and Stats digests recorded
-# before the struct-of-arrays kernel landed (see DESIGN.md §7.6). Any
-# change to visit order, RNG draw schedule, or candidate ordering fails
-# here, not in a figure regeneration a week later.
-scripts/bench_kernel.sh --test
+echo "==> repo benchmark (quick mode: every workload once, all output checks)"
+# One short repetition of the seven BENCHMARK.json workloads with every
+# output check on (see benchmark/README.md), plus the golden pins:
+# trace-byte and Stats digests of the saturated presets (see DESIGN.md,
+# "Determinism contract"). Any change to the keyed draws, visit order or
+# candidate ordering fails here, not in a figure regeneration a week
+# later.
+benchmark/run.sh --quick
 cargo test -p drain-bench --test golden_pin -q
 
 echo "==> drain-metrics smoke (registry + phase profiler + exposition round-trip)"
@@ -71,30 +71,28 @@ cargo test -p drain-bench --test metrics -q
 # cadence — metrics are pure observers and this holds them to it.
 DRAIN_PROFILE=64 cargo test -p drain-bench --test golden_pin -q
 
-echo "==> wake-scheduler smoke (wake-vs-dense differentials + dense golden pins)"
+echo "==> wake-scheduler smoke (wake-vs-dense differentials)"
 # The golden-pin run above already gates the wake-driven Phase A scheduler
-# (it is the config default). Here the wake-vs-dense differentials get a
-# named CI line, and the pins are repeated once with the dense scan forced
-# — both schedulers must reproduce the same FNV constants bit-for-bit.
+# (it is the config default) and repeats the pins with the dense scan
+# forced in-process; here the wake-vs-dense differentials get a named CI
+# line.
 cargo test -p drain-bench --test determinism -q wake_scheduler
-DRAIN_PHASE_A=dense cargo test -p drain-bench --test golden_pin -q
 
-echo "==> keyed-RNG smoke (keyed pins + differentials + keyed fuzz leg)"
-# The keyed counter-based RNG (DESIGN.md §11, determinism contract v2)
-# has its own golden-pin family and differential suite: keyed pins must
-# reproduce at K ∈ {1, 2, 4, 8} × wake on/off × fast-forward on/off,
-# the sharded planners must perform exactly the serial draw count (no
-# census replay), and keyed draws must be invariant under visit-order
-# permutations and arbitrary shard partitions. All keyed tests set
-# their mode explicitly, so these filters are env-independent; the
-# DRAIN_RNG=keyed env path is exercised by the fuzz leg, which also
-# re-proves sabotage detection is mode-independent.
-cargo test -p drain-bench --test golden_pin -q keyed
-cargo test -p drain-bench --test determinism -q keyed
-cargo test -p drain-netsim --test rng_props -q
-DRAIN_RNG=keyed ./target/release/drain_fuzz --smoke \
-    --json results/drain_fuzz_smoke_keyed.json
-./target/release/drain_fuzz --smoke --rng-mode keyed --seed-fault \
-    --json results/drain_fuzz_smoke_keyed_fault.json
+echo "==> results guard (cheap figures must reproduce the committed results/*.txt)"
+# results/*.txt back every number in EXPERIMENTS.md. Re-run the figures
+# that take seconds and diff their stdout against the committed files,
+# ignoring the engine summary line (wall time, thread count). A simulator
+# change that moves results must regenerate results/ and restate
+# EXPERIMENTS.md in the same PR.
+cargo build --release -p drain-bench --bins --quiet
+guard_dir=$(mktemp -d)
+trap 'rm -rf "$guard_dir"' EXIT
+summary='^[a-z0-9_]+: [0-9]+ points \('
+for fig in fig04 fig06 fig09 fig11 table1 table2; do
+    DRAIN_RESULTS_DIR="$guard_dir/results" DRAIN_CACHE_DIR="$guard_dir/cache" \
+        "./target/release/$fig" | grep -vE "$summary" > "$guard_dir/$fig.txt"
+    diff <(grep -vE "$summary" "results/$fig.txt") "$guard_dir/$fig.txt" \
+        || { echo "results/$fig.txt is stale: regenerate results/ (see EXPERIMENTS.md)"; exit 1; }
+done
 
 echo "All checks passed."

@@ -95,31 +95,6 @@ impl Scheme {
         seed: u64,
     ) -> Sim {
         config.seed = seed;
-        // `DRAIN_SHARDS=K` runs every experiment simulation on the
-        // K-shard allocation kernel. The sharded kernel is bit-identical
-        // to the serial one (enforced by the determinism and golden-pin
-        // suites), which is also why the result cache deliberately does
-        // NOT key on the shard count: cached serial results stay valid.
-        if let Ok(v) = std::env::var("DRAIN_SHARDS") {
-            let k: usize = v
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("DRAIN_SHARDS must be an integer, got {v:?}"));
-            config.shards = k;
-            config.shard_min_active = 0;
-        }
-        // `DRAIN_PROFILE=P` turns on the kernel phase profiler (sample
-        // every P cycles) for every experiment simulation. The profiler
-        // is a pure observer — bit-identical results at any cadence,
-        // enforced by the metrics differential suite and the golden pins
-        // — so the result cache deliberately does not key on it either.
-        if let Ok(v) = std::env::var("DRAIN_PROFILE") {
-            let p: u64 = v
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("DRAIN_PROFILE must be an integer, got {v:?}"));
-            config.metrics.profile_period = p;
-        }
         match self {
             Scheme::Drain(_) => {
                 let path = DrainPath::compute(topo).expect("connected topology");

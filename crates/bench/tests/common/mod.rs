@@ -1,0 +1,84 @@
+//! Shared by the differential suites `determinism.rs` and `metrics.rs`.
+
+use std::sync::Arc;
+
+use drain_core::{DrainConfig, DrainMechanism};
+use drain_netsim::routing::FullyAdaptive;
+use drain_netsim::traffic::{Endpoints, InjectionEvent, TraceTraffic};
+use drain_netsim::{MessageClass, RunOutcome, Sim, SimConfig, TraceConfig};
+use drain_path::DrainPath;
+use drain_topology::faults::FaultInjector;
+use drain_topology::{NodeId, Topology};
+
+/// The small irregular topology the differentials run on.
+pub fn irregular_topo() -> Topology {
+    FaultInjector::new(9)
+        .remove_links(&Topology::mesh(4, 4), 2)
+        .expect("mesh(4,4) tolerates two removals")
+}
+
+/// A workload where fast-forward provably engages: three scripted bursts
+/// separated by thousands of idle cycles, under DRAIN with a short epoch.
+/// Returns the simulation and the number of scripted packets.
+pub fn bursty_sim(trace: TraceConfig) -> (Sim, u64) {
+    let topo = Arc::new(irregular_topo());
+    let n = topo.num_nodes() as u16;
+    let mut events = Vec::new();
+    for (burst, start) in [(0u64, 0u64), (1, 5_000), (2, 15_000)] {
+        for i in 0..8u16 {
+            events.push(InjectionEvent {
+                cycle: start + u64::from(i / 4),
+                // src ≡ 3i+b, dest ≡ 5i+7+b (mod n): equal only when
+                // 2i ≡ -7, impossible for even n — no self-addressed packets.
+                src: NodeId((i * 3 + burst as u16) % n),
+                dest: NodeId((i * 5 + 7 + burst as u16) % n),
+                class: MessageClass::REQUEST,
+                len_flits: 1,
+            });
+        }
+    }
+    let packets = events.len() as u64;
+    let path = DrainPath::compute(&topo).expect("connected");
+    let mech = DrainMechanism::new(
+        path,
+        DrainConfig {
+            epoch: 2_048,
+            ..DrainConfig::default()
+        },
+    );
+    let sim = Sim::new(
+        Arc::clone(&topo),
+        SimConfig {
+            num_classes: 1,
+            seed: 5,
+            trace,
+            ..SimConfig::drain_default()
+        },
+        Box::new(FullyAdaptive::new(topo)),
+        Box::new(mech),
+        Box::new(TraceTraffic::new(events)),
+    );
+    (sim, packets)
+}
+
+/// The un-jumped reference: [`Sim::run`]'s loop without the fast-forward
+/// attempt — one [`Sim::step`] per cycle under the same stop conditions.
+/// `E` is the simulation's endpoint model, whose `finished` ends the run
+/// (the differentials never ask for stop-on-deadlock, so that condition
+/// has no counterpart here).
+pub fn run_stepped<E: Endpoints>(sim: &mut Sim, cycles: u64) -> RunOutcome {
+    let end = sim.core().cycle() + cycles;
+    while sim.core().cycle() < end {
+        sim.step();
+        if sim.violation().is_some() {
+            return RunOutcome::InvariantViolation;
+        }
+        let endpoints = sim
+            .endpoints_as::<E>()
+            .expect("run_stepped called with the simulation's endpoint type");
+        if endpoints.finished(sim.core()) {
+            return RunOutcome::WorkloadFinished;
+        }
+    }
+    RunOutcome::BudgetExhausted
+}

@@ -4,7 +4,9 @@
 //! 2. a warm cache rerun simulates nothing and returns identical points,
 //! 3. the occupancy-driven kernel's idle-cycle fast-forward is invisible:
 //!    the same seeded point produces identical [`drain_netsim::Stats`] and
-//!    byte-identical traces with the gate forced off and on,
+//!    the same final cycle through `Sim::run` (which jumps) and through a
+//!    loop over `Sim::step` (which cannot), and event capture turns
+//!    jumping off,
 //! 4. the sharded allocation kernel is invisible: the same seeded point
 //!    produces identical [`drain_netsim::Stats`], the same final cycle and
 //!    byte-identical traces at every shard count — and the shard planners
@@ -30,10 +32,12 @@ use drain_bench::scheme::DrainVariant;
 use drain_bench::sweep::plan::{load_sweep_specs, PointSpec, TopoSpec};
 use drain_bench::{Scale, Scheme};
 use drain_netsim::rng::NUM_DRAW_SITES;
-use drain_netsim::traffic::SyntheticPattern;
+use drain_netsim::traffic::{SyntheticPattern, SyntheticTraffic};
 use drain_netsim::{DrawSite, RunOutcome, Stats, TraceConfig, TraceSink};
-use drain_topology::faults::FaultInjector;
 use drain_topology::Topology;
+
+mod common;
+use common::{bursty_sim, irregular_topo, run_stepped};
 
 /// The fig10-style grid this test sweeps: one scheme on a 4×4 mesh with
 /// two different fault patterns.
@@ -124,89 +128,45 @@ fn warm_cache_rerun_runs_zero_simulations() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The small irregular topology the fast-forward differentials run on.
-fn irregular_topo() -> Topology {
-    FaultInjector::new(9)
-        .remove_links(&Topology::mesh(4, 4), 2)
-        .expect("mesh(4,4) tolerates two removals")
-}
-
-/// One seeded point with the fast-forward gate forced to `ff`.
-fn point_stats(scheme: Scheme, rate: f64, ff: bool) -> (Stats, u64, u64) {
+/// One seeded point, run through `Sim::run` (fast-forward available) or —
+/// `stepped` — through the un-jumped reference loop.
+fn point_stats(scheme: Scheme, rate: f64, stepped: bool) -> (Stats, u64) {
     let topo = irregular_topo();
     // A short drain epoch so DRAIN's windows (and their fast-forward
     // horizon/rebase accounting) are exercised inside the run.
     let mut sim =
         scheme.synthetic_sim(&topo, false, SyntheticPattern::UniformRandom, rate, 11, 512);
-    sim.set_fast_forward(ff);
-    sim.run(6_000);
-    (sim.stats().clone(), sim.core().cycle(), sim.ff_cycles_skipped())
+    if stepped {
+        run_stepped::<SyntheticTraffic>(&mut sim, 6_000);
+    } else {
+        sim.run(6_000);
+    }
+    (sim.stats().clone(), sim.core().cycle())
 }
 
 /// Kernel differential: every headline scheme at a low and a saturated
 /// rate must produce identical `Stats` (every counter and full latency
 /// histograms) whether idle cycles are stepped or fast-forwarded.
 #[test]
-fn fast_forward_gate_is_bit_identical_across_schemes() {
+fn fast_forward_is_bit_identical_to_stepping_across_schemes() {
     for scheme in Scheme::headline() {
         for rate in [0.01, 0.35] {
-            let (off, cycle_off, _) = point_stats(scheme, rate, false);
-            let (on, cycle_on, _) = point_stats(scheme, rate, true);
+            let (stepped, cycle_stepped) = point_stats(scheme, rate, true);
+            let (run, cycle_run) = point_stats(scheme, rate, false);
             assert_eq!(
-                off,
-                on,
-                "{} at rate {rate}: stats must not depend on the fast-forward gate",
+                stepped,
+                run,
+                "{} at rate {rate}: stats must not depend on fast-forward",
                 scheme.label()
             );
             assert_eq!(
-                cycle_off,
-                cycle_on,
-                "{} at rate {rate}: final cycle must not depend on the gate",
+                cycle_stepped,
+                cycle_run,
+                "{} at rate {rate}: final cycle must not depend on fast-forward",
                 scheme.label()
             );
-            assert!(off.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
+            assert!(stepped.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
         }
-    }
-}
-
-/// Same differential on the trace stream: with event capture on, both
-/// gate settings must yield byte-identical JSONL (capture itself pins the
-/// clock, and the gate must respect that).
-#[test]
-fn fast_forward_gate_keeps_traces_byte_identical() {
-    let topo = irregular_topo();
-    for scheme in Scheme::headline() {
-        let traced = |ff: bool| -> String {
-            let mut sim = scheme.synthetic_sim_traced(
-                &topo,
-                false,
-                SyntheticPattern::UniformRandom,
-                0.10,
-                11,
-                512,
-                1,
-                TraceConfig::events_on(),
-            );
-            sim.set_fast_forward(ff);
-            sim.set_trace_sink(TraceSink::Memory(Vec::new()));
-            sim.run(2_000);
-            let events = sim
-                .core_mut()
-                .tracer_mut()
-                .take_memory()
-                .expect("memory sink installed");
-            assert!(!events.is_empty());
-            events
-                .iter()
-                .map(|e| e.to_jsonl() + "\n")
-                .collect()
-        };
-        assert_eq!(
-            traced(false),
-            traced(true),
-            "{}: trace bytes must not depend on the fast-forward gate",
-            scheme.label()
-        );
     }
 }
 
@@ -419,83 +379,58 @@ fn wake_scheduler_keeps_traces_byte_identical() {
     }
 }
 
-/// A workload where fast-forward provably engages: scripted bursts with
-/// long idle gaps under DRAIN with a short epoch. The fast run must skip
-/// a large share of the clock yet reproduce the stepped run's stats,
-/// final cycle, and drain-window count exactly.
+/// On the bursty workload `Sim::run` must skip a large share of the clock
+/// yet reproduce the stepped reference's stats, final cycle, and
+/// drain-window count exactly.
 #[test]
 fn fast_forward_engages_on_idle_gaps_and_stays_exact() {
-    use drain_core::{DrainConfig, DrainMechanism};
-    use drain_netsim::mechanism::Mechanism;
-    use drain_netsim::routing::FullyAdaptive;
-    use drain_netsim::traffic::{InjectionEvent, TraceTraffic};
-    use drain_netsim::{MessageClass, Sim, SimConfig};
-    use drain_path::DrainPath;
-    use drain_topology::NodeId;
+    use drain_netsim::traffic::TraceTraffic;
 
-    let topo = irregular_topo();
-    let n = topo.num_nodes() as u16;
-    // Three bursts separated by thousands of idle cycles.
-    let mut events = Vec::new();
-    for (burst, start) in [(0u64, 0u64), (1, 5_000), (2, 15_000)] {
-        for i in 0..8u16 {
-            events.push(InjectionEvent {
-                cycle: start + u64::from(i / 4),
-                // src ≡ 3i+b, dest ≡ 5i+7+b (mod n): equal only when
-                // 2i ≡ -7, impossible for even n — no self-addressed packets.
-                src: NodeId((i * 3 + burst as u16) % n),
-                dest: NodeId((i * 5 + 7 + burst as u16) % n),
-                class: MessageClass::REQUEST,
-                len_flits: 1,
-            });
-        }
-    }
-    let run = |ff: bool| -> (Stats, u64, u64, u64) {
-        let topo = std::sync::Arc::new(irregular_topo());
-        let path = DrainPath::compute(&topo).expect("connected");
-        let mech: Box<dyn Mechanism> = Box::new(DrainMechanism::new(
-            path,
-            DrainConfig {
-                epoch: 2_048,
-                ..DrainConfig::default()
-            },
-        ));
-        let mut sim = Sim::new(
-            std::sync::Arc::clone(&topo),
-            SimConfig {
-                num_classes: 1,
-                seed: 5,
-                ..SimConfig::drain_default()
-            },
-            Box::new(FullyAdaptive::new(topo)),
-            mech,
-            Box::new(TraceTraffic::new(events.clone())),
-        );
-        sim.set_fast_forward(ff);
-        sim.run(30_000);
-        (
-            sim.stats().clone(),
-            sim.core().cycle(),
-            sim.ff_cycles_skipped(),
-            sim.ff_jumps(),
-        )
-    };
-    let (stats_off, cycle_off, skipped_off, _) = run(false);
-    let (stats_on, cycle_on, skipped_on, jumps_on) = run(true);
-    assert_eq!(skipped_off, 0, "gate off must step every cycle");
+    let (mut stepped, packets) = bursty_sim(TraceConfig::default());
+    let outcome_stepped = run_stepped::<TraceTraffic>(&mut stepped, 30_000);
+    let (mut fast, _) = bursty_sim(TraceConfig::default());
+    let outcome_fast = fast.run(30_000);
+
+    assert_eq!(stepped.ff_cycles_skipped(), 0, "Sim::step never jumps");
     assert!(
-        skipped_on > 5_000,
-        "bursty idle gaps must fast-forward thousands of cycles, got {skipped_on}"
+        fast.ff_cycles_skipped() > 5_000,
+        "bursty idle gaps must fast-forward thousands of cycles, got {}",
+        fast.ff_cycles_skipped()
     );
-    assert!(jumps_on > 0);
-    assert_eq!(stats_off, stats_on, "fast-forward changed the stats");
-    assert_eq!(cycle_off, cycle_on, "fast-forward changed the final cycle");
-    assert_eq!(stats_on.injected, events.len() as u64);
-    assert_eq!(stats_on.ejected, events.len() as u64);
+    assert!(fast.ff_jumps() > 0);
+    assert_eq!(outcome_stepped, outcome_fast, "fast-forward changed the outcome");
+    assert_eq!(stepped.stats(), fast.stats(), "fast-forward changed the stats");
+    assert_eq!(
+        stepped.core().cycle(),
+        fast.core().cycle(),
+        "fast-forward changed the final cycle"
+    );
+    assert_eq!(fast.stats().injected, packets);
+    assert_eq!(fast.stats().ejected, packets);
     assert!(
-        stats_on.drains > 0,
+        fast.stats().drains > 0,
         "short-epoch run must execute drain windows across the gaps"
     );
+}
+
+/// Event capture needs every tick: the same bursty run with tracing on
+/// must not skip a single cycle, so its trace bytes cannot depend on
+/// fast-forward.
+#[test]
+fn traced_run_never_fast_forwards() {
+    let (mut traced, packets) = bursty_sim(TraceConfig::events_on());
+    traced.set_trace_sink(TraceSink::Memory(Vec::new()));
+    traced.run(30_000);
+
+    assert_eq!(traced.ff_cycles_skipped(), 0, "a traced run must step every cycle");
+    assert_eq!(traced.ff_jumps(), 0);
+    assert_eq!(traced.stats().ejected, packets);
+    let events = traced
+        .core_mut()
+        .tracer_mut()
+        .take_memory()
+        .expect("memory sink installed");
+    assert!(!events.is_empty());
 }
 
 /// Coherence runs that fill the L1 must repeat: canneal on mesh(8,8) at

@@ -9,10 +9,10 @@
 //! though it would still be self-consistent.
 //!
 //! The pinned digests were captured on the serial kernel when the keyed
-//! counter-based RNG was introduced (PR 10). The sharded kernel is held to
-//! the same constants, as are the wake scheduler, fast-forward and (via
-//! `DRAIN_PROFILE=64` in `scripts/check.sh`) the phase profiler: every
-//! cell of that matrix must reproduce the digests bit for bit.
+//! counter-based RNG was introduced (PR 10). The sharded kernel, the wake
+//! scheduler and the phase profiler (sampling in-process through
+//! `Sim::set_profile_period`) are held to the same constants: every cell
+//! must reproduce the digests bit for bit.
 //!
 //! If a *deliberate* behaviour change invalidates them, re-capture with
 //! `cargo test -p drain-bench --test golden_pin -- --nocapture` (each test
@@ -46,8 +46,9 @@ fn headline() -> [(&'static str, Scheme); 3] {
 /// Digest of a saturated traced run: mesh(4,4), 40% uniform-random
 /// injection (far past saturation, the bench's `saturated` preset rate),
 /// a short drain epoch so forced movement appears in-window, 2 000 cycles
-/// of JSONL event bytes.
-fn saturated_trace_digest(scheme: Scheme, shards: usize) -> u64 {
+/// of JSONL event bytes. `profile_period` is the phase profiler's cadence
+/// (0 = off).
+fn saturated_trace_digest(scheme: Scheme, shards: usize, profile_period: u64) -> u64 {
     let topo = Topology::mesh(4, 4);
     let mut sim = scheme.synthetic_sim_traced(
         &topo,
@@ -60,6 +61,7 @@ fn saturated_trace_digest(scheme: Scheme, shards: usize) -> u64 {
         TraceConfig::events_on(),
     );
     sim.set_shards(shards);
+    sim.set_profile_period(profile_period);
     sim.set_trace_sink(TraceSink::Memory(Vec::new()));
     sim.run(2_000);
     let events = sim
@@ -81,20 +83,10 @@ fn saturated_trace_digest(scheme: Scheme, shards: usize) -> u64 {
 
 /// Digest of a saturated untraced run's full statistics: mesh(8,8) (the
 /// bench topology), 40% injection, 2 000 cycles, `Stats` debug-formatted
-/// (every counter plus both full latency histograms).
-fn saturated_stats_digest(scheme: Scheme, shards: usize) -> u64 {
-    saturated_stats_digest_cfg(scheme, shards, true, true)
-}
-
-/// [`saturated_stats_digest`] with the wake scheduler and fast-forward
-/// axes exposed — the pins are held across the full K × wake ×
-/// fast-forward matrix.
-fn saturated_stats_digest_cfg(
-    scheme: Scheme,
-    shards: usize,
-    wake: bool,
-    fast_forward: bool,
-) -> u64 {
+/// (every counter plus both full latency histograms), with the shard
+/// count, wake scheduler and profiler cadence (0 = off) chosen by the
+/// caller.
+fn saturated_stats_digest(scheme: Scheme, shards: usize, wake: bool, profile_period: u64) -> u64 {
     let topo = Topology::mesh(8, 8);
     let mut sim = scheme.synthetic_sim(
         &topo,
@@ -106,7 +98,7 @@ fn saturated_stats_digest_cfg(
     );
     sim.set_shards(shards);
     sim.set_wake_scheduler(wake);
-    sim.set_fast_forward(fast_forward);
+    sim.set_profile_period(profile_period);
     sim.run(2_000);
     assert!(
         sim.stats().ejected > 0,
@@ -132,7 +124,7 @@ const PINNED_STATS: [(&str, u64); 3] = [
 fn saturated_golden_trace_is_pinned() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 1)))
+        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 1, 0)))
         .collect();
     for (id, d) in &got {
         println!("trace {id}: {d:#018x}");
@@ -147,7 +139,7 @@ fn saturated_golden_trace_is_pinned() {
 fn saturated_stats_are_pinned() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 1)))
+        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 1, true, 0)))
         .collect();
     for (id, d) in &got {
         println!("stats {id}: {d:#018x}");
@@ -164,7 +156,7 @@ fn saturated_stats_are_pinned() {
 fn four_shard_golden_trace_matches_serial_pins() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 4)))
+        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 4, 0)))
         .collect();
     for (id, d) in &got {
         println!("trace k4 {id}: {d:#018x}");
@@ -181,7 +173,7 @@ fn four_shard_golden_trace_matches_serial_pins() {
 fn four_shard_stats_match_serial_pins() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 4)))
+        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 4, true, 0)))
         .collect();
     for (id, d) in &got {
         println!("stats k4 {id}: {d:#018x}");
@@ -193,29 +185,35 @@ fn four_shard_stats_match_serial_pins() {
 }
 
 /// The stats pin must hold across the full determinism matrix: shard
-/// count K ∈ {1, 2, 4, 8} × wake scheduler on/off × fast-forward on/off.
-/// Draws depend only on the key, never on visit order or
-/// which cycles were actually swept, so every cell hashes identically.
-/// Run on the drain scheme (the only one exercising all mechanism
-/// paths); the per-scheme serial pins above cover the other schemes.
+/// count K ∈ {1, 2, 4, 8} × wake scheduler on/off. Draws depend only on
+/// the key, never on visit order or which heads were actually routed, so
+/// every cell hashes identically. Run on the drain scheme (the only one
+/// exercising all mechanism paths); the per-scheme serial pins above
+/// cover the other schemes.
 #[test]
-fn stats_pins_hold_across_shards_wake_and_fast_forward() {
+fn stats_pins_hold_across_shards_and_wake() {
     let pinned = PINNED_STATS[2].1;
     for shards in [1usize, 2, 4, 8] {
         for wake in [true, false] {
-            for ff in [true, false] {
-                let d = saturated_stats_digest_cfg(
-                    Scheme::Drain(DrainVariant::Vn1Vc2),
-                    shards,
-                    wake,
-                    ff,
-                );
-                println!("stats k{shards} wake={wake} ff={ff}: {d:#018x}");
-                assert_eq!(
-                    d, pinned,
-                    "stats diverged at shards={shards} wake={wake} ff={ff}"
-                );
-            }
+            let d = saturated_stats_digest(Scheme::Drain(DrainVariant::Vn1Vc2), shards, wake, 0);
+            println!("stats k{shards} wake={wake}: {d:#018x}");
+            assert_eq!(d, pinned, "stats diverged at shards={shards} wake={wake}");
         }
     }
+}
+
+/// The phase profiler is a pure observer: with it sampling every 64th
+/// cycle, every headline scheme must still reproduce both pin families.
+#[test]
+fn pins_hold_with_the_profiler_sampling() {
+    let trace: Vec<(&str, u64)> = headline()
+        .into_iter()
+        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 1, 64)))
+        .collect();
+    assert_eq!(trace, PINNED_TRACE, "profiling moved the trace bytes");
+    let stats: Vec<(&str, u64)> = headline()
+        .into_iter()
+        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 1, true, 64)))
+        .collect();
+    assert_eq!(stats, PINNED_STATS, "profiling moved the stats");
 }

@@ -140,7 +140,6 @@ fn sharded_flight_recorder_dumps_replayable_seed() {
         // Drain forced moves need occupied escape VCs to expose the skew.
         escape_entry_patience: 0,
         shards: 2,
-        shard_min_active: 0,
         checks: CheckConfig::full().no_panic().with_progress_horizon(20_000),
         trace: TraceConfig::events_on().with_flight_recorder(dir.clone()),
         ..SimConfig::drain_default()

@@ -6,9 +6,9 @@
 //!    byte-identical traces with profiling off and on, at every shard
 //!    count;
 //! 2. telemetry sampling coexists with idle fast-forward — stats and
-//!    final cycle are bit-identical with the gate off and on, sample
-//!    stamps always sit on window boundaries, and cumulative link-flit
-//!    accounting agrees to the flit;
+//!    final cycle are bit-identical between `Sim::run` and a stepped
+//!    loop over `Sim::step`, sample stamps always sit on window
+//!    boundaries, and cumulative link-flit accounting agrees to the flit;
 //! 3. a real simulation's Prometheus exposition parses back and
 //!    re-encodes byte-identically, with registry counters agreeing with
 //!    [`drain_netsim::Stats`];
@@ -18,16 +18,9 @@
 use drain_bench::Scheme;
 use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{MetricsSnapshot, Stats, TraceConfig, TraceSink};
-use drain_topology::faults::FaultInjector;
-use drain_topology::Topology;
 
-/// The small irregular topology the differentials run on (same one the
-/// determinism suite uses).
-fn irregular_topo() -> Topology {
-    FaultInjector::new(9)
-        .remove_links(&Topology::mesh(4, 4), 2)
-        .expect("mesh(4,4) tolerates two removals")
-}
+mod common;
+use common::{bursty_sim, irregular_topo, run_stepped};
 
 /// One seeded point with the phase profiler at `period` (0 = off) on the
 /// `shards`-way kernel. Returns stats, final cycle, and trace bytes.
@@ -92,63 +85,28 @@ fn profiler_is_bit_identical_off_and_on() {
     }
 }
 
-/// Telemetry × fast-forward differential, on a workload where the gate
-/// provably engages: scripted bursts separated by long idle gaps, with
-/// telemetry sampling every 64 cycles. The fast leg must skip thousands
-/// of cycles yet reproduce the stepped leg's stats, final cycle, and
-/// cumulative per-link flit accounting exactly; every sample stamp (on
-/// both legs) must sit on a window boundary.
+/// Telemetry × fast-forward differential, on a workload where jumps
+/// provably happen: scripted bursts separated by long idle gaps, with
+/// telemetry sampling every 64 cycles. The fast leg (`Sim::run`) must
+/// skip thousands of cycles yet reproduce the stepped leg's (a loop over
+/// `Sim::step`) stats, final cycle, and cumulative per-link flit
+/// accounting exactly; every sample stamp (on both legs) must sit on a
+/// window boundary.
 #[test]
 fn telemetry_sampling_coexists_with_fast_forward() {
-    use drain_core::{DrainConfig, DrainMechanism};
-    use drain_netsim::mechanism::Mechanism;
-    use drain_netsim::routing::FullyAdaptive;
-    use drain_netsim::traffic::{InjectionEvent, TraceTraffic};
-    use drain_netsim::{MessageClass, Sim, SimConfig, TelemetrySample};
-    use drain_path::DrainPath;
-    use drain_topology::NodeId;
+    use drain_netsim::traffic::TraceTraffic;
+    use drain_netsim::TelemetrySample;
 
     const PERIOD: u64 = 64;
 
-    let topo = irregular_topo();
-    let n = topo.num_nodes() as u16;
-    let mut events = Vec::new();
-    for (burst, start) in [(0u64, 0u64), (1, 5_000), (2, 15_000)] {
-        for i in 0..8u16 {
-            events.push(InjectionEvent {
-                cycle: start + u64::from(i / 4),
-                src: NodeId((i * 3 + burst as u16) % n),
-                dest: NodeId((i * 5 + 7 + burst as u16) % n),
-                class: MessageClass::REQUEST,
-                len_flits: 1,
-            });
+    let run = |stepped: bool| -> (Stats, u64, u64, Vec<TelemetrySample>, Vec<u64>) {
+        let (mut sim, _) = bursty_sim(TraceConfig::default().with_telemetry(PERIOD));
+        if stepped {
+            run_stepped::<TraceTraffic>(&mut sim, 30_000);
+        } else {
+            sim.run(30_000);
         }
-    }
-    let run = |ff: bool| -> (Stats, u64, u64, Vec<TelemetrySample>, Vec<u64>) {
-        let topo = std::sync::Arc::new(irregular_topo());
-        let path = DrainPath::compute(&topo).expect("connected");
-        let mech: Box<dyn Mechanism> = Box::new(DrainMechanism::new(
-            path,
-            DrainConfig {
-                epoch: 2_048,
-                ..DrainConfig::default()
-            },
-        ));
-        let num_links = topo.num_unidirectional_links();
-        let mut sim = Sim::new(
-            std::sync::Arc::clone(&topo),
-            SimConfig {
-                num_classes: 1,
-                seed: 5,
-                trace: TraceConfig::default().with_telemetry(PERIOD),
-                ..SimConfig::drain_default()
-            },
-            Box::new(FullyAdaptive::new(topo)),
-            mech,
-            Box::new(TraceTraffic::new(events.clone())),
-        );
-        sim.set_fast_forward(ff);
-        sim.run(30_000);
+        let num_links = sim.core().topology().num_unidirectional_links();
         let cumulative: Vec<u64> = (0..num_links)
             .map(|l| sim.core().telemetry().total_link_flits(l))
             .collect();
@@ -161,24 +119,25 @@ fn telemetry_sampling_coexists_with_fast_forward() {
         )
     };
 
-    let (stats_off, cycle_off, skipped_off, samples_off, links_off) = run(false);
-    let (stats_on, cycle_on, skipped_on, samples_on, links_on) = run(true);
+    let (stats_stepped, cycle_stepped, skipped_stepped, samples_stepped, links_stepped) =
+        run(true);
+    let (stats_fast, cycle_fast, skipped_fast, samples_fast, links_fast) = run(false);
 
-    assert_eq!(skipped_off, 0, "gate off must step every cycle");
+    assert_eq!(skipped_stepped, 0, "Sim::step never jumps");
     assert!(
-        skipped_on > 5_000,
-        "bursty idle gaps must fast-forward thousands of cycles, got {skipped_on}"
+        skipped_fast > 5_000,
+        "bursty idle gaps must fast-forward thousands of cycles, got {skipped_fast}"
     );
-    assert_eq!(stats_off, stats_on, "fast-forward changed the stats");
-    assert_eq!(cycle_off, cycle_on, "fast-forward changed the final cycle");
+    assert_eq!(stats_stepped, stats_fast, "fast-forward changed the stats");
+    assert_eq!(cycle_stepped, cycle_fast, "fast-forward changed the final cycle");
     assert_eq!(
-        links_off, links_on,
-        "cumulative per-link flit accounting must not depend on the gate"
+        links_stepped, links_fast,
+        "cumulative per-link flit accounting must not depend on fast-forward"
     );
 
     // Every sample stamp — stepped or jump-emitted — sits on a window
     // boundary (the window's last cycle).
-    for s in samples_off.iter().chain(&samples_on) {
+    for s in samples_stepped.iter().chain(&samples_fast) {
         assert_eq!(
             (s.cycle + 1) % PERIOD,
             0,
@@ -189,33 +148,33 @@ fn telemetry_sampling_coexists_with_fast_forward() {
     // The fast leg collapses each idle stretch into one jump-emitted
     // sample, so it takes strictly fewer samples — but both legs must
     // account for the same total traffic.
-    assert!(!samples_on.is_empty());
+    assert!(!samples_fast.is_empty());
     assert!(
-        samples_on.len() < samples_off.len(),
+        samples_fast.len() < samples_stepped.len(),
         "fast leg must elide idle sample boundaries ({} vs {})",
-        samples_on.len(),
-        samples_off.len()
+        samples_fast.len(),
+        samples_stepped.len()
     );
     let windowed = |samples: &[TelemetrySample]| -> u64 {
         samples.iter().map(|s| s.total_flits()).sum()
     };
     assert_eq!(
-        windowed(&samples_off),
-        windowed(&samples_on),
+        windowed(&samples_stepped),
+        windowed(&samples_fast),
         "summed window deltas must agree between the legs"
     );
     // Jump-emitted samples describe idle stretches: state frozen, so the
     // matching stepped-leg sample (same stamp) shows identical occupancy.
-    for s_on in &samples_on {
-        let s_off = samples_off
+    for s_fast in &samples_fast {
+        let s_stepped = samples_stepped
             .iter()
-            .find(|s| s.cycle == s_on.cycle)
+            .find(|s| s.cycle == s_fast.cycle)
             .expect("every fast-leg stamp exists on the stepped leg");
         assert_eq!(
-            s_off.routers.iter().map(|r| r.occupied_vcs).collect::<Vec<_>>(),
-            s_on.routers.iter().map(|r| r.occupied_vcs).collect::<Vec<_>>(),
-            "occupancy at stamp {} must not depend on the gate",
-            s_on.cycle
+            s_stepped.routers.iter().map(|r| r.occupied_vcs).collect::<Vec<_>>(),
+            s_fast.routers.iter().map(|r| r.occupied_vcs).collect::<Vec<_>>(),
+            "occupancy at stamp {} must not depend on fast-forward",
+            s_fast.cycle
         );
     }
 }

@@ -81,7 +81,7 @@ pub trait Mechanism: Send {
 
     /// The earliest future cycle at which this mechanism could act or
     /// observe anything, assuming the network stays idle meanwhile
-    /// (idle-cycle fast-forward, see [`crate::SimConfig::fast_forward`]).
+    /// (idle-cycle fast-forward, see [`crate::Sim::run`]).
     ///
     /// Returning `t > core.cycle()` promises the mechanism's `control`
     /// calls for every cycle in `(now, t)` would all return

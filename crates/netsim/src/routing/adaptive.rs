@@ -31,7 +31,7 @@ use super::{push_rotated, Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
 /// ```
 #[derive(Clone, Debug)]
 pub struct FullyAdaptive {
-    dmap: DistanceMap,
+    dmap: Arc<DistanceMap>,
     topo: Arc<Topology>,
     deflect_after: Option<u64>,
 }
@@ -53,7 +53,7 @@ impl FullyAdaptive {
     pub fn with_deflection(topo: impl IntoSharedTopology, deflect_after: Option<u64>) -> Self {
         let topo = topo.into_shared();
         FullyAdaptive {
-            dmap: DistanceMap::new(&topo),
+            dmap: Arc::new(DistanceMap::new(&topo)),
             topo,
             deflect_after,
         }
@@ -116,6 +116,10 @@ impl Routing for FullyAdaptive {
                 }
             }
         }
+    }
+
+    fn shared_distance_map(&self) -> Option<Arc<DistanceMap>> {
+        Some(Arc::clone(&self.dmap))
     }
 
     fn wake_profile(&self) -> WakeProfile {

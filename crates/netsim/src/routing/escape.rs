@@ -7,6 +7,8 @@
 //! adaptive ones), which is what makes the scheme deadlock-free by Duato's
 //! theory; the escape VC is sticky.
 
+use std::sync::Arc;
+
 use drain_topology::{distance::DistanceMap, updown::UpDownRouting, IntoSharedTopology};
 
 use super::{push_rotated, Candidate, DorTable, RouteCtx, Routing, TargetVc, WakeProfile};
@@ -24,7 +26,7 @@ pub enum EscapeKind {
 /// Composite adaptive + restricted-escape routing.
 #[derive(Clone, Debug)]
 pub struct EscapeVcRouting {
-    dmap: DistanceMap,
+    dmap: Arc<DistanceMap>,
     escape: EscapeKind,
 }
 
@@ -42,7 +44,7 @@ impl EscapeVcRouting {
             "DoR escape requires a mesh topology"
         );
         EscapeVcRouting {
-            dmap: DistanceMap::new(&topo),
+            dmap: Arc::new(DistanceMap::new(&topo)),
             escape: EscapeKind::Dor(DorTable::new(&topo)),
         }
     }
@@ -52,7 +54,7 @@ impl EscapeVcRouting {
     pub fn with_updown(topo: impl IntoSharedTopology) -> Self {
         let topo = topo.into_shared();
         EscapeVcRouting {
-            dmap: DistanceMap::new(&topo),
+            dmap: Arc::new(DistanceMap::new(&topo)),
             escape: EscapeKind::UpDown(UpDownRouting::new(&topo)),
         }
     }
@@ -116,6 +118,10 @@ impl Routing for EscapeVcRouting {
             );
             self.escape_candidates(ctx, true, out);
         }
+    }
+
+    fn shared_distance_map(&self) -> Option<Arc<DistanceMap>> {
+        Some(Arc::clone(&self.dmap))
     }
 
     fn wake_profile(&self) -> WakeProfile {

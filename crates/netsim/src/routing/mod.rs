@@ -25,7 +25,9 @@ pub use escape::{EscapeKind, EscapeVcRouting};
 pub use turnmodel::{TurnModel, TurnModelKind};
 pub use updown_all::UpDownAll;
 
-use drain_topology::{LinkId, NodeId};
+use std::sync::Arc;
+
+use drain_topology::{distance::DistanceMap, LinkId, NodeId};
 
 /// Which downstream VCs a candidate move may claim.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -109,6 +111,15 @@ pub trait Routing: Send + Sync {
     /// park, re-route every cycle.
     fn wake_profile(&self) -> WakeProfile {
         WakeProfile::Unstable
+    }
+
+    /// The all-pairs distance table of the topology this routing was built
+    /// for, when it holds one. [`crate::SimCore::new`] adopts the handle
+    /// for its misroute accounting instead of running the all-pairs BFS a
+    /// second time; routings without a table return `None` and the core
+    /// builds its own.
+    fn shared_distance_map(&self) -> Option<Arc<DistanceMap>> {
+        None
     }
 }
 

@@ -552,8 +552,8 @@ pub(crate) struct ShardRuntime {
     scratch0: PlanScratch,
     /// Flits that crossed a shard boundary through the fabric so far.
     fabric_flits: u64,
-    /// Cycles allocated by the sharded kernel (the hybrid gate may route
-    /// low-occupancy cycles to the serial allocator).
+    /// Cycles allocated by the sharded kernel (every `Normal` cycle
+    /// since the runtime was built).
     sharded_cycles: u64,
 }
 

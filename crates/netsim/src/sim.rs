@@ -101,10 +101,9 @@ impl Sim {
     }
 
     /// Reconfigures the shard count of an assembled simulation (see
-    /// [`SimConfig::shards`]) and pins
-    /// [`SimConfig::shard_min_active`] to 0 so the sharded path runs at
-    /// any occupancy. Results are bit-identical at every shard count —
-    /// the differential suite in the bench crate holds this to the byte.
+    /// [`SimConfig::shards`]). Results are bit-identical at every shard
+    /// count — the differential suite in the bench crate holds this to
+    /// the byte.
     ///
     /// # Panics
     ///
@@ -120,14 +119,6 @@ impl Sim {
     pub fn stop_on_deadlock(mut self, stop: bool) -> Self {
         self.stop_on_deadlock = stop;
         self
-    }
-
-    /// Forces the idle-cycle fast-forward gate (see
-    /// [`SimConfig::fast_forward`]) on or off for an assembled simulation.
-    /// Results are bit-identical either way; differential tests use this to
-    /// prove it.
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.core.set_fast_forward(enabled);
     }
 
     /// Switches the wake-driven Phase A scheduler (see
@@ -265,16 +256,10 @@ impl Sim {
         self.core.prof_end_cycle();
     }
 
-    /// Dispatches a `Normal` cycle's allocation to the serial or the
-    /// sharded kernel. The hybrid gate is a pure speed knob — both paths
-    /// are bit-identical — so below `shard_min_active` occupied VCs the
-    /// serial allocator runs (parallel planning cannot amortize its
-    /// barrier over a handful of packets).
+    /// Dispatches a `Normal` cycle's allocation to the serial kernel
+    /// (`shards == 1`) or the sharded one; both are bit-identical.
     fn allocate(&mut self) {
-        let cfg = self.core.config();
-        let sharded =
-            cfg.shards > 1 && self.core.packets_in_network() >= cfg.shard_min_active;
-        if sharded {
+        if self.core.config().shards > 1 {
             let rt = self
                 .shard_rt
                 .get_or_insert_with(|| ShardRuntime::new(&self.core));
@@ -350,9 +335,9 @@ impl Sim {
         }
     }
 
-    /// Idle cycles elided by fast-forward so far (see
-    /// [`SimConfig::fast_forward`]). Not part of [`Stats`]: results are
-    /// bit-identical whether cycles were stepped or skipped.
+    /// Idle cycles elided by fast-forward so far (see [`Sim::run`]). Not
+    /// part of [`Stats`]: results are bit-identical whether cycles were
+    /// stepped or skipped.
     pub fn ff_cycles_skipped(&self) -> u64 {
         self.ff_cycles_skipped
     }
@@ -572,11 +557,11 @@ impl Sim {
     /// cycle before `t` would be a pure no-op, jump the clock straight to
     /// `min(t, end)`. Returns whether the clock moved.
     fn maybe_fast_forward(&mut self, end: u64) -> bool {
-        // The network's certificate also encodes the gates: fast-forward
-        // disabled, tracing/per-cycle checks active, queued injections,
-        // ejection backlog, or an allocation-eligible VC all yield
-        // `None`. Telemetry no longer blocks the jump — elided sampling
-        // boundaries collapse into one exact boundary sample below.
+        // The network's certificate also encodes the gates:
+        // tracing/per-cycle checks active, queued injections, ejection
+        // backlog, or an allocation-eligible VC all yield `None`.
+        // Telemetry does not block the jump — elided sampling boundaries
+        // collapse into one exact boundary sample below.
         let Some(net) = self.core.net_idle_until() else {
             return false;
         };
@@ -619,6 +604,18 @@ impl Sim {
     }
 
     /// Runs for up to `cycles` cycles, honouring early-stop conditions.
+    ///
+    /// Idle-cycle fast-forward: when nothing can happen before cycle `T`
+    /// (no VC becomes ready, no queued injection, no ejection backlog, and
+    /// mechanism and endpoints are idle too), the clock jumps straight to
+    /// `T`. The skipped cycles are provably no-ops, so results are
+    /// bit-identical to calling [`Sim::step`] once per cycle — the
+    /// un-jumped reference the differential tests compare against. Event
+    /// tracing and per-cycle invariant checks need every tick and turn
+    /// jumping off; telemetry sampling coexists with it (a jump over one
+    /// or more sampling boundaries emits a single sample stamped at the
+    /// last elided boundary — the network is frozen across the jump, so
+    /// the sample is exact).
     pub fn run(&mut self, cycles: u64) -> RunOutcome {
         let end = self.core.cycle() + cycles;
         while self.core.cycle() < end {

@@ -190,7 +190,9 @@ pub struct SimCore {
     topo: Arc<Topology>,
     config: SimConfig,
     routing: Box<dyn Routing>,
-    dmap: DistanceMap,
+    /// All-pairs distances for misroute accounting — the routing's own
+    /// table when it has one (see [`Routing::shared_distance_map`]).
+    dmap: Arc<DistanceMap>,
     /// VC arena, link-major: index `link * total_vcs + vn * vcs_per_vn +
     /// vc` into each of the struct-of-arrays buffers below. Occupant id,
     /// or [`EMPTY`]. (`pub(crate)` fields below are read-shared with the
@@ -323,7 +325,9 @@ impl SimCore {
     ) -> Self {
         config.validate();
         let topo = topo.into_shared();
-        let dmap = DistanceMap::new(&topo);
+        let dmap = routing
+            .shared_distance_map()
+            .unwrap_or_else(|| Arc::new(DistanceMap::new(&topo)));
         let m = topo.num_unidirectional_links();
         let n = topo.num_nodes();
         let total_vcs = config.total_vcs();
@@ -403,15 +407,7 @@ impl SimCore {
         &self.config
     }
 
-    /// Forces the idle-cycle fast-forward gate on or off (see
-    /// [`SimConfig::fast_forward`]).
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.config.fast_forward = enabled;
-    }
-
-    /// Reconfigures the shard count mid-assembly and forces the sharded
-    /// path at any occupancy (`shard_min_active = 0`) so differential
-    /// tests exercise it even on lightly loaded networks. Results are
+    /// Reconfigures the shard count mid-assembly. Results are
     /// bit-identical at every shard count; tests exist to prove it.
     ///
     /// # Panics
@@ -419,7 +415,6 @@ impl SimCore {
     /// Panics if `shards` is 0 or exceeds [`crate::shard::MAX_SHARDS`].
     pub(crate) fn set_shards(&mut self, shards: usize) {
         self.config.shards = shards;
-        self.config.shard_min_active = 0;
         self.config.validate();
     }
 
@@ -892,30 +887,10 @@ impl SimCore {
         len_flits: u32,
         tag: u64,
     ) -> Option<PacketId> {
-        if src == dest || self.injection_space(src, class) == 0 {
+        if self.injection_space(src, class) == 0 {
             return None;
         }
-        let pid = self.packets.insert(Packet {
-            src,
-            dest,
-            class,
-            len_flits,
-            birth_cycle: self.cycle,
-            inject_cycle: u64::MAX,
-            loc: Location::InjectionQueue(src),
-            hops: 0,
-            misroutes: 0,
-            forced_hops: 0,
-            tag,
-        });
-        let q = self.qidx(src, class);
-        if self.inj[q].is_empty() {
-            self.nonempty_inj += 1;
-            self.inj_head_dest[q] = dest.0;
-        }
-        self.inj[q].push_back(pid);
-        self.stats.generated += 1;
-        Some(pid)
+        self.force_enqueue_packet(src, dest, class, len_flits, tag)
     }
 
     /// Enqueues a packet bypassing the injection-queue capacity bound.
@@ -1106,8 +1081,8 @@ impl SimCore {
     /// cycle in `(now, t)` would be a pure no-op: no RNG draw, no state
     /// change, no stat update. That holds exactly when
     ///
-    /// * every observer needing per-cycle ticks is off (fast-forward gate,
-    ///   tracing, per-cycle invariant checks). Telemetry sampling is *not*
+    /// * every observer needing per-cycle ticks is off (tracing,
+    ///   per-cycle invariant checks). Telemetry sampling is *not*
     ///   on this list: the network is frozen across an idle jump, so the
     ///   driver emits one boundary sample stamped at the last elided
     ///   window boundary instead (see [`SimCore::telemetry_note_jump`]) —
@@ -1128,10 +1103,7 @@ impl SimCore {
     /// shards — no per-shard computation is needed, and fast-forward
     /// composes with the sharded kernel unchanged.
     pub(crate) fn net_idle_until(&self) -> Option<u64> {
-        if !self.config.fast_forward
-            || self.tracer.enabled()
-            || self.config.checks.any_per_cycle()
-        {
+        if self.tracer.enabled() || self.config.checks.any_per_cycle() {
             return None;
         }
         if self.nonempty_inj > 0 || self.ej_backlog > 0 {

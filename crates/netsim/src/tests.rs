@@ -507,3 +507,26 @@ fn telemetry_samples_on_cadence() {
     assert!(total_flits > 0, "uniform traffic moves flits");
     assert!(total_flits <= sim.stats().flit_hops);
 }
+
+/// The all-pairs distance table is built once per simulation: the core
+/// adopts the routing's allocation instead of computing a copy, and still
+/// builds its own for routings that hold none.
+#[test]
+fn core_shares_the_routings_distance_map() {
+    use crate::routing::{DorAll, EscapeVcRouting, Routing};
+
+    let topo = Topology::mesh(4, 4);
+    let routings: [Box<dyn Routing>; 2] = [
+        Box::new(FullyAdaptive::new(&topo)),
+        Box::new(EscapeVcRouting::with_updown(&topo)),
+    ];
+    for routing in routings {
+        let shared = routing
+            .shared_distance_map()
+            .expect("adaptive routings hold a distance table");
+        let core = crate::SimCore::new(&topo, SimConfig::default(), routing);
+        assert!(std::ptr::eq(core.distance_map(), &*shared));
+    }
+    let core = crate::SimCore::new(&topo, SimConfig::default(), Box::new(DorAll::new(&topo)));
+    assert_eq!(core.distance_map().distance(NodeId(0), NodeId(15)), 6);
+}

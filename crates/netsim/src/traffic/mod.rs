@@ -37,7 +37,7 @@ pub trait Endpoints: Send + std::any::Any {
 
     /// The earliest future cycle at which this model could inject or
     /// otherwise act, assuming no deliveries arrive meanwhile (idle-cycle
-    /// fast-forward, see [`crate::SimConfig::fast_forward`]).
+    /// fast-forward, see [`crate::Sim::run`]).
     ///
     /// Returning `t > core.cycle()` promises that `pre_cycle` calls for
     /// every cycle in `(now, t)` would be pure no-ops — including RNG

@@ -75,7 +75,6 @@ fn keyed_run(
         seed: sim_seed,
         watchdog_threshold: 0,
         shards,
-        shard_min_active: 0,
         ..SimConfig::default()
     };
     let mut sim = Sim::new(

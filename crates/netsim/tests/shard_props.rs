@@ -129,7 +129,6 @@ fn conservation_sim(shards: usize) -> Sim {
         seed: 0x5AAD_0004,
         watchdog_threshold: 0,
         shards,
-        shard_min_active: 0,
         ..SimConfig::default()
     };
     Sim::new(

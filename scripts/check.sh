@@ -7,6 +7,8 @@
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -14,8 +16,28 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+echo "==> cargo test --workspace (every suite once)"
+# One run of every suite. On failure the full log is printed; on success
+# one line per non-empty suite, plus one per test of the differential
+# families — sharded kernel (serial vs 2/4/8-shard bit-identity), wake
+# scheduler (wake vs dense), profiler and telemetry (pure observers),
+# golden traces and golden pins (trace-byte and Stats digests of the
+# saturated presets, DESIGN.md "Determinism") — so a regression there is
+# named in CI output, not buried in a 400-test run. Any change to the
+# keyed draws, visit order or candidate ordering fails here, not in a
+# figure regeneration a week later.
+cargo test --workspace > "$tmp/test.log" 2>&1 || { cat "$tmp/test.log"; exit 1; }
+awk '
+    function emit() { if (suite != "") { print suite; suite = "" } print }
+    /^ +(Running|Doc-tests) / {
+        suite = $0
+        named = /tests\/(determinism|golden_trace|golden_pin|metrics|shard_props)\.rs/
+        next
+    }
+    /^test result: ok\. 0 passed; 0 failed; 0 ignored/ { next }
+    /^test result/ { emit(); next }
+    /^test / && (named || /shard/) { emit() }
+' "$tmp/test.log"
 
 echo "==> drain-fuzz smoke (invariants + differential oracle, 2-shard kernel)"
 # --smoke pins the 2-shard allocation kernel, so every smoke point also
@@ -28,14 +50,6 @@ cargo build --release -p drain-bench --bin drain_fuzz --quiet
 ./target/release/drain_fuzz --smoke --seed-fault \
     --json results/drain_fuzz_smoke_fault.json
 
-echo "==> sharded-kernel differentials (serial vs 2/4-shard bit-identity)"
-# Headline schemes at a low and a saturated rate: Stats, final cycle and
-# trace bytes must be identical at every shard count (also run as part of
-# the workspace suite above; repeated here so a sharded-kernel regression
-# is named in CI output, not buried in a 400-test run).
-cargo test -p drain-bench --test determinism -q sharded_kernel
-cargo test -p drain-netsim -q shard
-
 echo "==> drain-trace smoke (event trace + telemetry on a 4x4 mesh)"
 # The binary re-parses every JSONL line it wrote and asserts drain-epoch
 # cadence, so a zero exit is the smoke pass; golden-trace determinism is
@@ -43,40 +57,23 @@ echo "==> drain-trace smoke (event trace + telemetry on a 4x4 mesh)"
 cargo build --release -p drain-bench --bin drain_trace --quiet
 ./target/release/drain_trace --mesh 4x4 --cycles 8192 \
     --out results/trace_smoke
-cargo test -p drain-bench --test golden_trace -q
 
-echo "==> trace overhead benchmark (smoke mode)"
-cargo bench -p drain-bench --bench trace_overhead -- --test
-
-echo "==> repo benchmark (quick mode: every workload once, all output checks)"
-# One short repetition of the seven BENCHMARK.json workloads with every
-# output check on (see benchmark/README.md), plus the golden pins:
-# trace-byte and Stats digests of the saturated presets (see DESIGN.md,
-# "Determinism contract"). Any change to the keyed draws, visit order or
-# candidate ordering fails here, not in a figure regeneration a week
-# later.
+echo "==> repo benchmark (its own tests, then quick mode: every workload once, all output checks)"
+# benchmark/ is a package of its own that imports the crates from outside:
+# its tests hold BENCHMARK.json to the harness, and one short repetition
+# of the seven workloads runs with every output check on (see
+# benchmark/README.md). A change that breaks the benchmark's imports or
+# contract fails here, not in the PR driver.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --quick
-cargo test -p drain-bench --test golden_pin -q
 
 echo "==> drain-metrics smoke (registry + phase profiler + exposition round-trip)"
 # The binary re-parses its merged JSONL stream and its Prometheus file
 # (round-trip must be byte-identical) and asserts the merged phase
-# attribution sums to ~100%; the profiler-is-invisible differentials get
-# a named CI line alongside it.
+# attribution sums to ~100%.
 cargo build --release -p drain-bench --bin drain_metrics --quiet
 ./target/release/drain_metrics --mesh 4x4 --cycles 8192 --points 2 \
     --out results/metrics_smoke
-cargo test -p drain-bench --test metrics -q
-# Golden pins must reproduce with the profiler sampling at the default
-# cadence — metrics are pure observers and this holds them to it.
-DRAIN_PROFILE=64 cargo test -p drain-bench --test golden_pin -q
-
-echo "==> wake-scheduler smoke (wake-vs-dense differentials)"
-# The golden-pin run above already gates the wake-driven Phase A scheduler
-# (it is the config default) and repeats the pins with the dense scan
-# forced in-process; here the wake-vs-dense differentials get a named CI
-# line.
-cargo test -p drain-bench --test determinism -q wake_scheduler
 
 echo "==> results guard (cheap figures must reproduce the committed results/*.txt)"
 # results/*.txt back every number in EXPERIMENTS.md. Re-run the figures
@@ -85,8 +82,8 @@ echo "==> results guard (cheap figures must reproduce the committed results/*.tx
 # change that moves results must regenerate results/ and restate
 # EXPERIMENTS.md in the same PR.
 cargo build --release -p drain-bench --bins --quiet
-guard_dir=$(mktemp -d)
-trap 'rm -rf "$guard_dir"' EXIT
+guard_dir="$tmp/guard"
+mkdir "$guard_dir"
 summary='^[a-z0-9_]+: [0-9]+ points \('
 for fig in fig04 fig06 fig09 fig11 table1 table2; do
     DRAIN_RESULTS_DIR="$guard_dir/results" DRAIN_CACHE_DIR="$guard_dir/cache" \

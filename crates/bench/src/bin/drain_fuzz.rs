@@ -40,7 +40,7 @@ use drain_bench::sweep::plan::TopoSpec;
 use drain_bench::table::banner;
 use drain_bench::Scale;
 use drain_netsim::traffic::SyntheticPattern;
-use drain_netsim::RunOutcome;
+use drain_netsim::{RunOutcome, MAX_SHARDS};
 use drain_topology::NodeId;
 
 /// One fuzz point: a fully determined (topology, traffic, scheme-config)
@@ -185,6 +185,16 @@ struct Args {
     json_path: String,
 }
 
+/// `--shards` value → shard count. `Err` names the accepted set: the
+/// kernel's `1..=MAX_SHARDS`, checked here so a bad value is a usage
+/// error, not a `SimConfig::validate` panic inside a sweep worker.
+fn parse_shards(value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(k) if (1..=MAX_SHARDS).contains(&k) => Ok(k),
+        _ => Err(format!("an integer in 1..={MAX_SHARDS}")),
+    }
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         points: 200,
@@ -207,7 +217,13 @@ fn parse_args() -> Args {
             "--inject" => args.inject = val("--inject").parse().expect("--inject"),
             "--json" => args.json_path = val("--json"),
             "--seed-fault" => args.seed_fault = true,
-            "--shards" => args.shards = val("--shards").parse().expect("--shards"),
+            "--shards" => {
+                let v = val("--shards");
+                args.shards = parse_shards(&v).unwrap_or_else(|accepted| {
+                    eprintln!("error: --shards {v:?}: expected {accepted}");
+                    std::process::exit(2)
+                });
+            }
             "--smoke" => {
                 args.points = 24;
                 args.inject = 1_500;
@@ -346,5 +362,28 @@ fn main() {
     }
     if failing > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_shards;
+
+    #[test]
+    fn shard_counts_in_range_parse() {
+        assert_eq!(parse_shards("1"), Ok(1));
+        assert_eq!(parse_shards("8"), Ok(8));
+    }
+
+    #[test]
+    fn bad_shard_counts_are_rejected() {
+        // Non-numeric shapes, then numbers outside the kernel's range.
+        for v in ["", "two", "2.0", "-1", "2k", "0", "9", "64"] {
+            assert_eq!(
+                parse_shards(v),
+                Err("an integer in 1..=8".to_string()),
+                "{v:?}"
+            );
+        }
     }
 }

@@ -52,3 +52,17 @@ pub mod table;
 
 pub use scale::Scale;
 pub use scheme::{Scheme, Workload};
+
+/// Reads environment variable `name` through the pure parser `parse`,
+/// whose `Err` names the accepted values. `None` when the variable is
+/// unset; a set value that does not parse ends the process with one line
+/// on stderr and exit code 2 — a typo must not silently run something
+/// other than what was asked for.
+pub(crate) fn env_parsed<T>(name: &str, parse: fn(&str) -> Result<T, &'static str>) -> Option<T> {
+    let raw = std::env::var_os(name)?;
+    let value = raw.to_string_lossy();
+    Some(parse(&value).unwrap_or_else(|accepted| {
+        eprintln!("error: {name}={value:?}: expected {accepted}");
+        std::process::exit(2)
+    }))
+}

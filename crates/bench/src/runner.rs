@@ -13,17 +13,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Worker-thread count: `DRAIN_THREADS` when set (≥ 1), otherwise the
-/// machine's available parallelism.
+/// Worker-thread count: `DRAIN_THREADS` when set (0 counts as 1),
+/// otherwise the machine's available parallelism. A value that is not a
+/// whole number is a one-line error and exit code 2.
 pub fn worker_threads() -> usize {
-    if let Ok(v) = std::env::var("DRAIN_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
+    crate::env_parsed("DRAIN_THREADS", parse_threads).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+fn parse_threads(value: &str) -> Result<usize, &'static str> {
+    match value.trim().parse::<usize>() {
+        Ok(n) => Ok(n.max(1)),
+        Err(_) => Err("a whole number of worker threads (0 counts as 1)"),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Per-job timing reported by the pool alongside each result.
@@ -168,6 +173,20 @@ mod tests {
     #[test]
     fn worker_threads_is_positive() {
         assert!(worker_threads() >= 1);
+    }
+
+    #[test]
+    fn thread_counts_parse_and_clamp_to_one() {
+        assert_eq!(parse_threads("4"), Ok(4));
+        assert_eq!(parse_threads(" 2 "), Ok(2));
+        assert_eq!(parse_threads("0"), Ok(1));
+    }
+
+    #[test]
+    fn non_numeric_thread_counts_are_rejected() {
+        for v in ["", "two", "-1", "1.5", "4x", "0x4"] {
+            assert!(parse_threads(v).is_err(), "{v:?}");
+        }
     }
 
     #[test]

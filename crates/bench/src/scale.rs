@@ -11,11 +11,17 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `DRAIN_SCALE` (`quick` | `full`); defaults to `Quick`.
+    /// Reads `DRAIN_SCALE` (`quick` | `full`, any letter case); `Quick`
+    /// when unset. Any other value is a one-line error and exit code 2.
     pub fn from_env() -> Scale {
-        match std::env::var("DRAIN_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
+        crate::env_parsed("DRAIN_SCALE", Scale::parse).unwrap_or(Scale::Quick)
+    }
+
+    fn parse(value: &str) -> Result<Scale, &'static str> {
+        match value.trim().to_ascii_lowercase().as_str() {
+            "quick" => Ok(Scale::Quick),
+            "full" => Ok(Scale::Full),
+            _ => Err("quick or full"),
         }
     }
 
@@ -90,9 +96,17 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing_defaults_to_quick() {
-        // Do not mutate the environment (tests run in parallel); just
-        // check the default path with the variable absent or unexpected.
-        assert_eq!(Scale::from_env().seeds(), Scale::from_env().seeds());
+    fn scale_values_parse_in_any_case() {
+        for v in ["full", "FULL", "Full", " full "] {
+            assert_eq!(Scale::parse(v), Ok(Scale::Full), "{v:?}");
+        }
+        assert_eq!(Scale::parse("quick"), Ok(Scale::Quick));
+    }
+
+    #[test]
+    fn unknown_scale_values_are_rejected() {
+        for v in ["", "ful", "fulll", "paper", "1", "quick,full"] {
+            assert_eq!(Scale::parse(v), Err("quick or full"), "{v:?}");
+        }
     }
 }

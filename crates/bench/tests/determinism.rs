@@ -9,8 +9,10 @@
 //!    jumping off,
 //! 4. the sharded allocation kernel is invisible: the same seeded point
 //!    produces identical [`drain_netsim::Stats`], the same final cycle and
-//!    byte-identical traces at every shard count — and the shard planners
-//!    together draw exactly the serial kernel's per-site sample counts,
+//!    byte-identical traces at every shard count — the shard planners
+//!    together draw exactly the serial kernel's per-site sample counts, and
+//!    the telemetry series (credit stalls travel through the shard plans)
+//!    is identical,
 //! 5. the wake-driven Phase A scheduler is invisible: the same seeded
 //!    point produces identical [`drain_netsim::Stats`], the same final
 //!    cycle and byte-identical traces with blocked-VC parking on and with
@@ -33,7 +35,7 @@ use drain_bench::sweep::plan::{load_sweep_specs, PointSpec, TopoSpec};
 use drain_bench::{Scale, Scheme};
 use drain_netsim::rng::NUM_DRAW_SITES;
 use drain_netsim::traffic::{SyntheticPattern, SyntheticTraffic};
-use drain_netsim::{DrawSite, RunOutcome, Stats, TraceConfig, TraceSink};
+use drain_netsim::{DrawSite, RunOutcome, Stats, TelemetrySample, TraceConfig, TraceSink};
 use drain_topology::Topology;
 
 mod common;
@@ -246,6 +248,57 @@ fn sharded_kernel_keeps_traces_byte_identical() {
                 "{}: trace bytes must not depend on shard count {k}",
                 scheme.label()
             );
+        }
+    }
+}
+
+/// Same differential on telemetry: Phase A's credit-stall notes are the
+/// one output that travels through the shard plans without touching
+/// `Stats` or the trace, so the full sample series (per-router occupancy,
+/// queue depths and credit stalls, per-link flits) and the per-router
+/// stall totals must match the serial kernel's at every shard count, with
+/// the wake scheduler on (parked heads report stalls from the skip path)
+/// and off.
+#[test]
+fn sharded_kernel_keeps_telemetry_identical() {
+    let topo = irregular_topo();
+    for scheme in Scheme::headline() {
+        for wake in [true, false] {
+            let observe = |shards: usize| -> (Vec<TelemetrySample>, Vec<u64>) {
+                let mut sim = scheme.synthetic_sim_traced(
+                    &topo,
+                    false,
+                    SyntheticPattern::UniformRandom,
+                    0.35,
+                    11,
+                    512,
+                    1,
+                    TraceConfig::default().with_telemetry(64),
+                );
+                sim.set_wake_scheduler(wake);
+                sim.set_shards(shards);
+                sim.run(6_000);
+                let telem = sim.core().telemetry();
+                let stalls = (0..topo.num_nodes())
+                    .map(|router| telem.total_credit_stalls(router))
+                    .collect();
+                (telem.samples().cloned().collect(), stalls)
+            };
+            let serial = observe(1);
+            assert!(!serial.0.is_empty(), "{}: no telemetry samples", scheme.label());
+            assert!(
+                serial.1.iter().sum::<u64>() > 0,
+                "{} (wake {wake}): a saturated run must record credit stalls",
+                scheme.label()
+            );
+            for k in [2usize, 4, 8] {
+                assert_eq!(
+                    serial,
+                    observe(k),
+                    "{} (wake {wake}): telemetry must not depend on shard count {k}",
+                    scheme.label()
+                );
+            }
         }
     }
 }

@@ -100,7 +100,7 @@ pub use metrics::{
 };
 pub use packet::{Location, MessageClass, Packet, PacketId, PacketSlab};
 pub use rng::DrawSite;
-pub use shard::{ShardFabric, ShardMap, MAX_SHARDS};
+pub use shard::{ShardMap, MAX_SHARDS};
 pub use sim::{RunOutcome, Sim};
 pub use state::{SimCore, VcRef, VcState};
 pub use stats::{Stats, WakeCounters};

@@ -4,7 +4,7 @@
 //! Before this module the simulator's numbers were scattered:
 //! [`crate::Stats`] counts packets and latency, [`crate::WakeCounters`]
 //! counts scheduler events, fast-forward accounting lives on
-//! [`crate::Sim`], shard fabric traffic on the shard runtime, check-tier
+//! [`crate::Sim`], cross-shard grants on the shard runtime, check-tier
 //! sweeps nowhere at all. [`MetricsSnapshot`] unifies every family under
 //! one stable `drain_` namespace as named counters / gauges / histograms
 //! that can be merged across sweep workers and exported as Prometheus
@@ -737,7 +737,7 @@ fn json_str(s: &str) -> String {
 // ---------------------------------------------------------------------
 
 /// Number of attributed phases (see [`Phase`]).
-pub const NUM_PHASES: usize = 8;
+pub const NUM_PHASES: usize = 7;
 
 /// One phase of the per-cycle engine, for wall-time attribution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -747,20 +747,17 @@ pub enum Phase {
     /// Mechanism control (drain/spin/freeze decisions) plus the
     /// structural deadlock detector and watchdog instrumentation.
     Mechanism = 1,
-    /// Phase A: routing, parking, and wake bookkeeping (serial sweep or
-    /// the sharded planners including their barrier).
+    /// Phase A: routing, parking, and wake bookkeeping (the serial sweep,
+    /// or the shard planners including their barrier and filing).
     PhaseA = 2,
-    /// Phase B: ejection and link grants, commits (serial or the
-    /// sharded barrier merge).
+    /// Phase B: ejection and link grants, commits.
     PhaseB = 3,
-    /// Cross-shard fabric drain at the cycle barrier.
-    Fabric = 4,
     /// Forced permutation cycles (drains, spins).
-    Forced = 5,
+    Forced = 4,
     /// Runtime invariant checks.
-    Checks = 6,
+    Checks = 5,
     /// Telemetry sampling.
-    Telemetry = 7,
+    Telemetry = 6,
 }
 
 impl Phase {
@@ -770,7 +767,6 @@ impl Phase {
         Phase::Mechanism,
         Phase::PhaseA,
         Phase::PhaseB,
-        Phase::Fabric,
         Phase::Forced,
         Phase::Checks,
         Phase::Telemetry,
@@ -784,7 +780,6 @@ impl Phase {
             Phase::Mechanism => "mechanism",
             Phase::PhaseA => "phase_a",
             Phase::PhaseB => "phase_b",
-            Phase::Fabric => "fabric",
             Phase::Forced => "forced",
             Phase::Checks => "checks",
             Phase::Telemetry => "telemetry",

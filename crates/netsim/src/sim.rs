@@ -370,7 +370,7 @@ impl Sim {
     /// [`MetricsSnapshot`] under the stable `drain_` namespace: `Stats`
     /// (packets, latency histograms, mechanism events), wake-scheduler
     /// counters, per-site RNG draw volume, fast-forward accounting,
-    /// shard fabric traffic, check-tier sweeps, telemetry/trace volume,
+    /// cross-shard grants, check-tier sweeps, telemetry/trace volume,
     /// occupancy gauges, and — when enabled — the phase profiler's
     /// attribution.
     ///
@@ -483,7 +483,7 @@ impl Sim {
         if let Some(rt) = &self.shard_rt {
             m.counter(
                 "drain_shard_fabric_flits_total",
-                "Flits that crossed a shard boundary through the fabric",
+                "Grants on links that cross a shard boundary",
                 rt.fabric_flits(),
             );
             m.counter(

@@ -100,25 +100,24 @@ pub struct Delivered {
     pub id: PacketId,
 }
 
-/// Where a granted link request moves its packet *from*. `pub(crate)` so
-/// shard workers (see [`crate::shard`]) can stage requests identical to
-/// the serial sweep's.
+/// Where a granted link request moves its packet *from*.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum MoveSource {
+enum MoveSource {
     /// A VC buffer, by link-major arena index.
     Vc(usize),
     /// The head of a per-(node, class) injection queue.
     Injection { node: NodeId, class: MessageClass },
 }
 
-/// One pending request for an output link.
+/// One pending request for an output link. Opaque outside this module: a
+/// shard planner records it and files it back unchanged.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LinkRequest {
-    pub(crate) source: MoveSource,
-    pub(crate) pid: PacketId,
-    pub(crate) target: TargetVc,
+    source: MoveSource,
+    pid: PacketId,
+    target: TargetVc,
     /// How long the requester has been waiting (age-based arbitration).
-    pub(crate) blocked_for: u64,
+    blocked_for: u64,
 }
 
 /// One wake-list entry: slot `slot` (link-major VC index) subscribed to
@@ -149,20 +148,21 @@ const GATE_MIN_SKIPS_PER_PARK: u64 = 2;
 const GATE_MIN_PARKS: u64 = 64;
 
 /// A parking decision for one blocked head, computed against pre-commit
-/// state by [`SimCore::phase_a_route_or_park`] (`&self`, shared with the
-/// shard planners) and applied by [`SimCore::apply_park`]. `subs` is a
-/// bitmask over the head router's out-link positions to subscribe to.
+/// state by [`SimCore::phase_a_route_or_park`] and applied by
+/// [`SimCore::finish_allocation`]. `subs` is a bitmask over the head
+/// router's out-link positions to subscribe to. Opaque outside this
+/// module, like [`LinkRequest`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ParkNote {
-    pub(crate) idx: u32,
-    pub(crate) wake_at: u64,
-    pub(crate) subs: u32,
+    idx: u32,
+    wake_at: u64,
+    subs: u32,
 }
 
 /// Outcome of one fused Phase A routing + parking decision
 /// ([`SimCore::phase_a_route_or_park`]).
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum PhaseAOutcome {
+enum PhaseAOutcome {
     /// Request this output link (target-VC kind, `blocked_for` age).
     Route(LinkId, TargetVc, u64),
     /// No feasible move; park the head under this note.
@@ -173,16 +173,88 @@ pub(crate) enum PhaseAOutcome {
     Stall,
 }
 
-/// A granted move whose target-VC occupation was deferred because the
-/// target slot belongs to another shard: the flit crosses the shard
-/// boundary through the [`crate::shard::ShardFabric`] queues and is
-/// applied by [`SimCore::apply_remote_occupy`] at the cycle barrier.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PendingOccupy {
-    /// Link-major arena index of the resolved target VC.
-    pub(crate) tidx: u32,
-    /// The moving packet.
-    pub(crate) pid: PacketId,
+/// Where one Phase A sweep ([`SimCore::phase_a_sweep`]) puts its
+/// decisions. The sweep runs on `&SimCore`, so it mutates nothing itself:
+/// the serial kernel's sink is the allocation scratch ([`AllocScratch`]),
+/// a shard planner's is a plan buffer that is filed into that scratch at
+/// the cycle barrier (see [`crate::shard`]).
+pub(crate) trait PhaseASink {
+    /// The ready head in slot `idx` sits at its destination router and
+    /// contends for ejection queue `q`.
+    fn eject(&mut self, q: usize, idx: usize, pid: PacketId);
+    /// A head (VC or injection queue) requests output link `link`.
+    fn request(&mut self, link: LinkId, req: LinkRequest);
+    /// A blocked head parks under `note`.
+    fn park(&mut self, note: ParkNote);
+    /// A resident head at `router` could not request any move (reported
+    /// only while telemetry is active).
+    fn credit_stall(&mut self, router: usize);
+}
+
+/// What one Phase A sweep counted: parked heads skipped, blocked heads
+/// that neither routed nor parked, and tie-break samples per
+/// [`DrawSite`]. Additive, so per-shard tallies sum to the serial one.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PhaseATally {
+    skips: u64,
+    stalls: u64,
+    draws: [u64; NUM_DRAW_SITES],
+}
+
+impl std::ops::AddAssign for PhaseATally {
+    fn add_assign(&mut self, o: PhaseATally) {
+        self.skips += o.skips;
+        self.stalls += o.stalls;
+        for (acc, d) in self.draws.iter_mut().zip(o.draws) {
+            *acc += d;
+        }
+    }
+}
+
+/// The allocation scratch, reused across cycles: everything Phase A filed
+/// for [`SimCore::finish_allocation`]. Boxed in the core so a cycle moves
+/// one pointer out and back, never the vectors.
+pub(crate) struct AllocScratch {
+    /// Ejection requests `(queue, arena idx, pid)`.
+    ejects: Vec<(usize, usize, PacketId)>,
+    /// Per output link: this cycle's requests, in sweep order (which
+    /// fixes the arbitration winner, see [`SimCore::link_winner`]).
+    reqs: Vec<Vec<LinkRequest>>,
+    /// Bitmap over links with at least one request; ascending set-bit
+    /// order replaces sorting a link list.
+    req_bits: Vec<u64>,
+    parks: Vec<ParkNote>,
+    /// Routers charged one Phase A credit stall each.
+    stalls: Vec<u32>,
+}
+
+impl AllocScratch {
+    /// Requested links among the bitmap `links` — each is granted exactly
+    /// once by Phase B, so this is also the grant count on those links.
+    pub(crate) fn requests_on(&self, links: &[u64]) -> u64 {
+        let both = self.req_bits.iter().zip(links).map(|(&r, &l)| r & l);
+        both.map(|w| u64::from(w.count_ones())).sum()
+    }
+}
+
+impl PhaseASink for AllocScratch {
+    fn eject(&mut self, q: usize, idx: usize, pid: PacketId) {
+        self.ejects.push((q, idx, pid));
+    }
+
+    fn request(&mut self, link: LinkId, req: LinkRequest) {
+        let li = link.index();
+        self.req_bits[li / 64] |= 1u64 << (li % 64);
+        self.reqs[li].push(req);
+    }
+
+    fn park(&mut self, note: ParkNote) {
+        self.parks.push(note);
+    }
+
+    fn credit_stall(&mut self, router: usize) {
+        self.stalls.push(router as u32);
+    }
 }
 
 /// The simulator state plus allocation engine.
@@ -195,31 +267,27 @@ pub struct SimCore {
     dmap: Arc<DistanceMap>,
     /// VC arena, link-major: index `link * total_vcs + vn * vcs_per_vn +
     /// vc` into each of the struct-of-arrays buffers below. Occupant id,
-    /// or [`EMPTY`]. (`pub(crate)` fields below are read-shared with the
-    /// shard workers of [`crate::shard`] during the planning phase.)
-    pub(crate) vc_occ: Vec<u32>,
+    /// or [`EMPTY`].
+    vc_occ: Vec<u32>,
     /// Cycle from which the occupant may be allocated onward.
-    pub(crate) vc_ready_at: Vec<u64>,
+    vc_ready_at: Vec<u64>,
     /// Cycle from which an empty buffer may accept a new packet.
     vc_free_at: Vec<u64>,
     /// Cycle the current occupant arrived.
     vc_entered_at: Vec<u64>,
     /// Hot mirror of the occupant's destination (valid while occupied).
-    pub(crate) vc_dest: Vec<u16>,
+    vc_dest: Vec<u16>,
     /// Hot mirror of the occupant's message class (valid while occupied).
-    pub(crate) vc_class: Vec<u8>,
+    vc_class: Vec<u8>,
     /// Hot mirror of the occupant's length in flits (valid while occupied).
     vc_len: Vec<u32>,
-    /// Per unidirectional link: number of occupied VCs at its input port
-    /// (lets the allocation sweep skip whole links).
-    link_occ: Vec<u32>,
     /// Occupancy bitmap over link-major VC indices: bit `i % 64` of word
     /// `i / 64` is set iff index `i` is occupied.
-    pub(crate) occ_bits: Vec<u64>,
+    occ_bits: Vec<u64>,
     /// Per unidirectional link: busy (serializing) until this cycle.
     link_busy: Vec<u64>,
     /// Per (node, class) injection queues.
-    pub(crate) inj: Vec<VecDeque<PacketId>>,
+    inj: Vec<VecDeque<PacketId>>,
     /// Per (node, class) ejection queues.
     ej: Vec<VecDeque<PacketId>>,
     /// Live packets.
@@ -232,14 +300,14 @@ pub struct SimCore {
     /// counter).
     in_network: usize,
     /// Cached `config.total_vcs()` (the link-major stride).
-    pub(crate) stride: usize,
+    stride: usize,
     /// Number of non-empty injection queues (skips the Phase A injection
     /// sweep and gates fast-forward).
-    pub(crate) nonempty_inj: usize,
+    nonempty_inj: usize,
     /// Hot mirror of each injection queue head's destination (valid while
     /// the queue is non-empty) — the Phase A injection sweep reads this
     /// instead of dereferencing the packet slab.
-    pub(crate) inj_head_dest: Vec<u16>,
+    inj_head_dest: Vec<u16>,
     /// Packets parked in ejection queues (counter form of
     /// [`SimCore::ejection_backlog`]).
     ej_backlog: usize,
@@ -252,26 +320,21 @@ pub struct SimCore {
     ej_bits: Vec<u64>,
     /// Decode table: owning link of each link-major VC index (avoids a
     /// runtime division in the Phase A sweep).
-    pub(crate) idx_link: Vec<u32>,
+    idx_link: Vec<u32>,
     /// Decode table: VC-within-VN of each link-major VC index.
-    pub(crate) idx_vc: Vec<u8>,
+    idx_vc: Vec<u8>,
     /// Decode table: router at which each link-major VC index sits (the
-    /// dst node of its link). Read by the shard planners; the serial hot
-    /// path keeps decoding through `idx_link` + the topology.
-    pub(crate) idx_here: Vec<u16>,
-    /// Scratch buffers reused across cycles.
+    /// dst node of its link).
+    idx_here: Vec<u16>,
+    /// Routing-candidate scratch of the serial Phase A sweep.
     cand_buf: Vec<Candidate>,
-    req_buf: Vec<Vec<LinkRequest>>,
-    /// Bitmap over links with at least one pending request this cycle;
-    /// ascending set-bit order replaces sorting a link list.
-    req_bits: Vec<u64>,
-    /// Ejection-request scratch.
-    eject_buf: Vec<(usize, usize, PacketId)>,
+    /// The allocation scratch (`None` only while a cycle's allocation has
+    /// it checked out, see [`SimCore::take_alloc_scratch`]).
+    alloc: Option<Box<AllocScratch>>,
     /// Wake scheduler: per-VC wake deadline. `0` = fresh/active (route on
     /// visit); `> now` = parked (Phase A skips routing and draws
     /// nothing); `0 < v <= now` = woken, routes on the next visit.
-    /// `pub(crate)` read-only for the shard planners.
-    pub(crate) vc_wake_at: Vec<u64>,
+    vc_wake_at: Vec<u64>,
     /// Wake scheduler: per-output-link subscriber lists, fired (drained)
     /// by [`SimCore::vacate_slot`] on that link's input buffers.
     wake_subs: Vec<Vec<WakeSub>>,
@@ -344,7 +407,6 @@ impl SimCore {
             vc_dest: vec![0; slots],
             vc_class: vec![0; slots],
             vc_len: vec![0; slots],
-            link_occ: vec![0; m],
             occ_bits: vec![0; slots.div_ceil(64)],
             link_busy: vec![0; m],
             inj: (0..n * classes).map(|_| VecDeque::new()).collect(),
@@ -367,9 +429,13 @@ impl SimCore {
                 .map(|i| topo.link(LinkId((i / total_vcs) as u32)).dst.0)
                 .collect(),
             cand_buf: Vec::new(),
-            req_buf: (0..m).map(|_| Vec::new()).collect(),
-            req_bits: vec![0; m.div_ceil(64)],
-            eject_buf: Vec::new(),
+            alloc: Some(Box::new(AllocScratch {
+                ejects: Vec::new(),
+                reqs: (0..m).map(|_| Vec::new()).collect(),
+                req_bits: vec![0; m.div_ceil(64)],
+                parks: Vec::new(),
+                stalls: Vec::new(),
+            })),
             vc_wake_at: vec![0; slots],
             wake_subs: (0..m).map(|_| Vec::new()).collect(),
             sub_mask: vec![0; slots],
@@ -520,17 +586,10 @@ impl SimCore {
     }
 
     /// Credits `nanos` of planning wall time to `shard` (reported by the
-    /// sharded kernel's merge for sampled cycles).
+    /// sharded kernel as it files the plans, for sampled cycles).
     #[inline]
     pub(crate) fn prof_note_shard(&mut self, shard: usize, nanos: u64) {
         self.prof.note_shard(shard, nanos);
-    }
-
-    /// Credits `n` credit-stall observations to `router` (the shard merge
-    /// applies the workers' Phase A stall notes through this; counters
-    /// are additive so apply order is immaterial).
-    pub(crate) fn note_credit_stalls(&mut self, router: usize, n: u64) {
-        self.telem.note_credit_stalls(router, n);
     }
 
     #[inline]
@@ -570,8 +629,8 @@ impl SimCore {
     }
 
     /// Cross-validates the occupancy indexes against the dense VC arena:
-    /// the occupied-VC counter, the per-link occupancy counts and the
-    /// occupancy bitmap must agree with the arena, and the hot mirrors
+    /// the occupied-VC counter and the occupancy bitmap must agree with
+    /// the arena, and the hot mirrors
     /// (`dest`, `class`, `len_flits`) must match the occupant in the
     /// packet slab. Used by the deep invariant sweep.
     ///
@@ -617,24 +676,11 @@ impl SimCore {
                 }
             }
         }
-        for li in 0..self.link_occ.len() {
-            let base = li * self.stride;
-            let count = self.vc_occ[base..base + self.stride]
-                .iter()
-                .filter(|&&o| o != EMPTY)
-                .count() as u32;
-            if count != self.link_occ[li] {
-                return Err(format!(
-                    "link {li} occupancy count {} but {count} VCs are occupied",
-                    self.link_occ[li]
-                ));
-            }
-        }
         Ok(())
     }
 
-    /// Registers `idx` as occupied in every occupancy index (counter,
-    /// per-link count, bitmap).
+    /// Registers `idx` as occupied in both occupancy indexes (counter,
+    /// bitmap).
     #[inline]
     fn activate(&mut self, idx: usize) {
         debug_assert_eq!(
@@ -643,11 +689,10 @@ impl SimCore {
             "VC already indexed"
         );
         self.in_network += 1;
-        self.link_occ[idx / self.stride] += 1;
         self.occ_bits[idx / 64] |= 1 << (idx % 64);
     }
 
-    /// Removes `idx` from every occupancy index.
+    /// Removes `idx` from both occupancy indexes.
     #[inline]
     fn deactivate(&mut self, idx: usize) {
         debug_assert_eq!(
@@ -656,7 +701,6 @@ impl SimCore {
             "VC not indexed"
         );
         self.in_network -= 1;
-        self.link_occ[idx / self.stride] -= 1;
         self.occ_bits[idx / 64] &= !(1 << (idx % 64));
     }
 
@@ -706,9 +750,8 @@ impl SimCore {
     /// has committed by flush time and `link_busy` only moves forward, so
     /// no subscriber can use the link any earlier. Must run before the
     /// per-cycle validators (`validate_wake_parking` assumes no fire is
-    /// in flight). Sorting makes the fire order — and thus the exact
-    /// internal wake state — independent of commit order, which is what
-    /// keeps the serial and sharded kernels bit-identical here.
+    /// in flight). Sorting puts each link's slots in one run (the arena is
+    /// link-major) and makes the fire order independent of commit order.
     pub(crate) fn flush_wakes(&mut self) {
         if self.pending_fires.is_empty() {
             return;
@@ -792,30 +835,14 @@ impl SimCore {
     }
 
     #[inline]
-    pub(crate) fn qidx(&self, node: NodeId, class: MessageClass) -> usize {
+    fn qidx(&self, node: NodeId, class: MessageClass) -> usize {
         node.index() * self.config.num_classes + class.index()
-    }
-
-    /// One tie-break sample for `site`, identity `id`: the pure
-    /// `mix(seed, cycle, site, id)` of [`crate::rng`], counted per site.
-    #[inline]
-    fn draw_sample(&mut self, site: DrawSite, id: u64) -> u64 {
-        self.rng_draws[site.index()] += 1;
-        mix(self.config.seed, self.cycle, site, id)
     }
 
     /// Per-[`DrawSite`] tie-break samples produced so far, in
     /// [`DrawSite::ALL`] order (identical at every shard count).
     pub fn rng_draw_counts(&self) -> [u64; NUM_DRAW_SITES] {
         self.rng_draws
-    }
-
-    /// Credits `draws` per-site samples computed outside the core (the
-    /// shard planners work against a frozen `&SimCore`).
-    pub(crate) fn note_rng_draws(&mut self, draws: [u64; NUM_DRAW_SITES]) {
-        for (acc, d) in self.rng_draws.iter_mut().zip(draws) {
-            *acc += d;
-        }
     }
 
     /// Free slots in a node's per-class injection queue.
@@ -1097,11 +1124,9 @@ impl SimCore {
     /// An empty network returns `Some(u64::MAX)`; mechanism and endpoint
     /// horizons bound the actual jump (see [`crate::sim::Sim::run`]).
     ///
-    /// Sharding note: because every shard's plan is merged into this one
-    /// global state at the cycle barrier before the driver asks, the
-    /// minimum below already *is* the minimum idle horizon across all
-    /// shards — no per-shard computation is needed, and fast-forward
-    /// composes with the sharded kernel unchanged.
+    /// Sharding note: shards exist only inside a cycle's Phase A; by the
+    /// time the driver asks, every commit has landed in this one global
+    /// state, so fast-forward composes with the sharded kernel unchanged.
     pub(crate) fn net_idle_until(&self) -> Option<u64> {
         if self.tracer.enabled() || self.config.checks.any_per_cycle() {
             return None;
@@ -1189,53 +1214,131 @@ impl SimCore {
         self.telem.push_sample(stamp, routers);
     }
 
-    /// Normal allocation: gathers requests, arbitrates one grant per output
-    /// link and one ejection per (node, class), and commits the moves.
+    /// Normal allocation on the serial kernel: one Phase A sweep over
+    /// every slot and node, filed straight into the allocation scratch,
+    /// then [`SimCore::finish_allocation`].
     pub(crate) fn allocate_and_move(&mut self) {
-        // Phase A: VC requests, visiting occupied buffers in ascending
-        // link-major index order — the order of the `link, vn, vc` loop
-        // nest, which fixes each output link's request-list order (and so
-        // its arbitration winner). Ascending set-bit iteration over the
-        // occupancy bitmap IS that order, and visits
-        // exactly the occupied slots: a half-empty stride (baseline
-        // configs idle 2 of 3 VNs under single-class traffic) costs
-        // nothing. Phase A only registers requests — occupancy, and
-        // therefore the bitmap, cannot change mid-sweep. The idx → (link,
-        // vc) decode reads two precomputed tables instead of dividing by
-        // the runtime stride.
-        let mut eject_reqs = std::mem::take(&mut self.eject_buf);
-        eject_reqs.clear();
-        for wi in 0..self.occ_bits.len() {
-            let mut w = self.occ_bits[wi];
+        let mut scratch = self.take_alloc_scratch();
+        let mut cands = std::mem::take(&mut self.cand_buf);
+        let tally = self.phase_a_sweep(None, |_| true, &mut cands, &mut *scratch);
+        self.cand_buf = cands;
+        self.finish_allocation(scratch, tally);
+    }
+
+    /// Checks the allocation scratch out of the core for one cycle;
+    /// [`SimCore::finish_allocation`] returns it.
+    pub(crate) fn take_alloc_scratch(&mut self) -> Box<AllocScratch> {
+        self.alloc.take().expect("allocation scratch checked in")
+    }
+
+    /// Phase A: every ready head among `slots` (a bitmap over link-major
+    /// VC indices; `None` = every slot) and every injection-queue head at
+    /// a node `owns_node` accepts reports its decision to `sink` — an
+    /// ejection request, a link request, a park, a credit stall. Takes
+    /// `&self`: the serial kernel and each shard planner run *this*
+    /// function against the same frozen cycle-start state, so sharded
+    /// decisions cannot drift from serial ones. `cands` is routing
+    /// scratch.
+    ///
+    /// Occupied slots are visited in ascending link-major index order —
+    /// the order of the `link, vn, vc` loop nest — then injection queues
+    /// in ascending `(node, class)` order; that order fixes each output
+    /// link's request list and so its arbitration winner. Ascending
+    /// set-bit iteration over the occupancy bitmap IS that order and
+    /// visits exactly the occupied slots (nothing here changes occupancy,
+    /// so the bitmap is stable mid-sweep). Each routed head draws the pure
+    /// `mix(seed, cycle, site, id)` of [`crate::rng`]; parked heads draw
+    /// nothing. Only the VC arena and its hot mirrors are read, never the
+    /// packet slab.
+    pub(crate) fn phase_a_sweep<S: PhaseASink>(
+        &self,
+        slots: Option<&[u64]>,
+        owns_node: impl Fn(NodeId) -> bool,
+        cands: &mut Vec<Candidate>,
+        sink: &mut S,
+    ) -> PhaseATally {
+        let now = self.cycle;
+        let seed = self.config.seed;
+        let telem_on = self.telem.active();
+        let mut tally = PhaseATally::default();
+        for (wi, &occ) in self.occ_bits.iter().enumerate() {
+            let mut w = slots.map_or(occ, |mask| occ & mask[wi]);
             while w != 0 {
                 let idx = wi * 64 + w.trailing_zeros() as usize;
                 w &= w - 1;
-                let link = LinkId(self.idx_link[idx]);
-                let vc = self.idx_vc[idx];
-                self.phase_a_vc(idx, link, vc, &mut eject_reqs);
+                if self.vc_ready_at[idx] > now {
+                    continue;
+                }
+                let pid = PacketId(self.vc_occ[idx]);
+                let here = self.idx_here[idx];
+                if self.vc_dest[idx] == here {
+                    let class = MessageClass(self.vc_class[idx]);
+                    sink.eject(self.qidx(NodeId(here), class), idx, pid);
+                    continue;
+                }
+                // Parked fast path: a head whose last routing pass proved
+                // no feasible move, with a wake deadline still in the
+                // future, routes the same `None` the dense scan would
+                // recompute — skip the ctx build, the routing call and the
+                // feasibility walk entirely.
+                if self.vc_wake_at[idx] > now {
+                    tally.skips += 1;
+                    if telem_on {
+                        sink.credit_stall(here as usize);
+                    }
+                    continue;
+                }
+                tally.draws[DrawSite::PhaseA.index()] += 1;
+                let sample = mix(seed, now, DrawSite::PhaseA, idx as u64);
+                let (link, vc) = (LinkId(self.idx_link[idx]), self.idx_vc[idx]);
+                match self.phase_a_route_or_park(idx, link, vc, sample, cands) {
+                    PhaseAOutcome::Route(out_link, target, blocked_for) => sink.request(
+                        out_link,
+                        LinkRequest {
+                            source: MoveSource::Vc(idx),
+                            pid,
+                            target,
+                            blocked_for,
+                        },
+                    ),
+                    // A resident packet that cannot even request a move is
+                    // credit-stalled at its current router; the fused walk
+                    // may have decided to park it until its answer can
+                    // change.
+                    outcome => {
+                        if telem_on {
+                            sink.credit_stall(here as usize);
+                        }
+                        match outcome {
+                            PhaseAOutcome::Park(note) => sink.park(note),
+                            _ => tally.stalls += 1,
+                        }
+                    }
+                }
             }
         }
-        // Phase A: injection requests (head of each per-class queue);
-        // skipped wholesale when every queue is empty. Ascending queue
-        // index IS ascending (node, class) order.
+        // Injection requests (head of each per-class queue); skipped
+        // wholesale when every queue is empty.
         if self.nonempty_inj > 0 {
-            for q in 0..self.inj.len() {
-                let Some(&pid) = self.inj[q].front() else {
+            let classes = self.config.num_classes;
+            for (q, queue) in self.inj.iter().enumerate() {
+                let Some(&pid) = queue.front() else {
                     continue;
                 };
-                let node = NodeId((q / self.config.num_classes) as u16);
-                let class = MessageClass((q % self.config.num_classes) as u8);
+                let node = NodeId((q / classes) as u16);
+                if !owns_node(node) {
+                    continue;
+                }
+                let class = MessageClass((q % classes) as u8);
                 debug_assert_eq!(
                     NodeId(self.inj_head_dest[q]),
                     self.packets.get(pid).dest,
                     "stale head mirror"
                 );
-                let sample = self.draw_sample(DrawSite::Injection, q as u64);
-                let mut cands = std::mem::take(&mut self.cand_buf);
-                let routed = self.injection_route(node, class, sample, &mut cands);
-                self.cand_buf = cands;
-                if let Some((link, target)) = routed {
-                    self.register_request(
+                tally.draws[DrawSite::Injection.index()] += 1;
+                let sample = mix(seed, now, DrawSite::Injection, q as u64);
+                if let Some((link, target)) = self.injection_route(node, class, sample, cands) {
+                    sink.request(
                         link,
                         LinkRequest {
                             source: MoveSource::Injection { node, class },
@@ -1247,21 +1350,49 @@ impl SimCore {
                 }
             }
         }
+        tally
+    }
+
+    /// Everything after the Phase A sweep(s), on the one thread that owns
+    /// `&mut SimCore`: the filed park notes, the sweep's counters and
+    /// telemetry notes, then Phase B — ejection grants and link grants,
+    /// each committed as it is decided.
+    ///
+    /// Parks go first, in ascending slot order. Deferring them past the
+    /// sweep is exact: the sweep reads `vc_wake_at` only for the slot it
+    /// is visiting and [`SimCore::phase_a_route_or_park`] reads no wake
+    /// state, while Phase B's vacates must fire against the new
+    /// deadlines. Ascending order is the order a serial sweep produces by
+    /// itself; sorting restores it when several shards filed, so the
+    /// subscription lists are bit-identical at every shard count.
+    pub(crate) fn finish_allocation(&mut self, mut scratch: Box<AllocScratch>, tally: PhaseATally) {
+        scratch.parks.sort_unstable_by_key(|n| n.idx);
+        for note in scratch.parks.drain(..) {
+            self.apply_park(note);
+        }
+        self.wake.skips += tally.skips;
+        self.wake.stalls += tally.stalls;
+        for (acc, d) in self.rng_draws.iter_mut().zip(tally.draws) {
+            *acc += d;
+        }
+        for router in scratch.stalls.drain(..) {
+            self.telem.note_credit_stalls(router as usize, 1);
+        }
         self.prof.mark(Phase::PhaseA);
 
         // Phase B: ejection grants — one per (node, class) queue with space.
-        eject_reqs.sort_unstable_by_key(|&(q, idx, _)| (q, idx));
+        let ejects = &mut scratch.ejects;
+        ejects.sort_unstable_by_key(|&(q, idx, _)| (q, idx));
         let mut gi = 0;
-        while gi < eject_reqs.len() {
-            let q = eject_reqs[gi].0;
+        while gi < ejects.len() {
+            let q = ejects[gi].0;
             let mut ge = gi;
-            while ge < eject_reqs.len() && eject_reqs[ge].0 == q {
+            while ge < ejects.len() && ejects[ge].0 == q {
                 ge += 1;
             }
-            let group = &eject_reqs[gi..ge];
+            let group = &ejects[gi..ge];
             // Oldest-first ejection grant.
-            let ej_len = self.ej[q].len();
-            if ej_len >= self.config.ej_queue_capacity {
+            if self.ej[q].len() >= self.config.ej_queue_capacity {
                 // Deliverable packets blocked on a full ejection queue are
                 // credit-stalled at the destination router.
                 if self.telem.active() {
@@ -1274,104 +1405,35 @@ impl SimCore {
             }
             gi = ge;
         }
-        self.eject_buf = eject_reqs;
+        ejects.clear();
 
         // Phase B: link grants — one per output link, oldest requester
         // first (age-based arbitration bounds worst-case blocking, as in
         // real NoC allocators); rotation breaks ties. Only links that
-        // received a request are visited, in ascending id order (the
-        // former dense sweep's order: ascending set-bit iteration needs
-        // no sort).
-        for wi in 0..self.req_bits.len() {
-            let mut w = self.req_bits[wi];
-            self.req_bits[wi] = 0;
+        // received a request are visited, in ascending id order
+        // (ascending set-bit iteration needs no sort).
+        for wi in 0..scratch.req_bits.len() {
+            let mut w = std::mem::take(&mut scratch.req_bits[wi]);
             while w != 0 {
                 let li = wi * 64 + w.trailing_zeros() as usize;
                 w &= w - 1;
-                let reqs = std::mem::take(&mut self.req_buf[li]);
-                let req = reqs[self.link_winner(li, &reqs)];
-                self.commit_move(&req, LinkId(li as u32));
-                let mut reqs = reqs;
+                let reqs = &mut scratch.reqs[li];
+                let req = reqs[self.link_winner(li, reqs)];
                 reqs.clear();
-                self.req_buf[li] = reqs;
+                self.commit_move(&req, LinkId(li as u32));
             }
         }
         self.prof.mark(Phase::PhaseB);
-    }
-
-    /// Phase A body for one occupied VC buffer: eject request, or a routed
-    /// move request. Draws `mix(seed, cycle, PhaseA, idx)` only for heads
-    /// that actually route. Reads only the VC arena and its hot mirrors;
-    /// the packet slab is never touched here.
-    #[inline]
-    fn phase_a_vc(
-        &mut self,
-        idx: usize,
-        link: LinkId,
-        vc: u8,
-        eject_reqs: &mut Vec<(usize, usize, PacketId)>,
-    ) {
-        let now = self.cycle;
-        let pid = PacketId(self.vc_occ[idx]);
-        if self.vc_ready_at[idx] > now {
-            return;
-        }
-        let here = self.topo.link(link).dst;
-        if NodeId(self.vc_dest[idx]) == here {
-            let class = MessageClass(self.vc_class[idx]);
-            eject_reqs.push((self.qidx(here, class), idx, pid));
-            return;
-        }
-        // Parked fast path: a head whose last routing pass proved no
-        // feasible move, with a wake deadline still in the future, routes
-        // the same `None` the dense scan would recompute — skip the ctx
-        // build, the routing call and the feasibility walk entirely. This
-        // is the saturated-regime cost the wake scheduler removes. Draws
-        // are position-free, so a parked head's sample is never computed.
-        if self.vc_wake_at[idx] > now {
-            self.wake.skips += 1;
-            if self.telem.active() {
-                self.telem.note_credit_stalls(here.index(), 1);
-            }
-            return;
-        }
-        let sample = self.draw_sample(DrawSite::PhaseA, idx as u64);
-        let mut cands = std::mem::take(&mut self.cand_buf);
-        match self.phase_a_route_or_park(idx, link, vc, sample, &mut cands) {
-            PhaseAOutcome::Route(out_link, target, blocked_for) => self.register_request(
-                out_link,
-                LinkRequest {
-                    source: MoveSource::Vc(idx),
-                    pid,
-                    target,
-                    blocked_for,
-                },
-            ),
-            // A resident packet that cannot even request a move is
-            // credit-stalled at its current router; the fused walk may
-            // have decided to park it until its answer can change.
-            outcome => {
-                if self.telem.active() {
-                    self.telem.note_credit_stalls(here.index(), 1);
-                }
-                match outcome {
-                    PhaseAOutcome::Park(note) => self.apply_park(note),
-                    _ => self.wake.stalls += 1,
-                }
-            }
-        }
-        self.cand_buf = cands;
+        self.alloc = Some(scratch);
     }
 
     /// Pure Phase A routing decision for the ready, non-ejecting head at
     /// arena index `idx`, given its tie-break `sample`: which output link
     /// it requests, with what target-VC kind and age — or `None` when
     /// every feasible next hop lacks buffer or link credit this cycle.
-    ///
-    /// Takes `&self` so both the serial sweep and the shard planners (see
-    /// [`crate::shard`]) make *the same call*: sharded decisions cannot
-    /// drift from serial ones.
-    pub(crate) fn phase_a_route(
+    /// The independent reference [`SimCore::validate_wake_parking`] holds
+    /// [`SimCore::phase_a_route_or_park`] to.
+    fn phase_a_route(
         &self,
         idx: usize,
         link: LinkId,
@@ -1415,9 +1477,7 @@ impl SimCore {
     }
 
     /// Pure Phase A routing decision for the head of the `(node, class)`
-    /// injection queue, given its tie-break `sample`. Shared between the
-    /// serial sweep and the shard planners, like
-    /// [`SimCore::phase_a_route`].
+    /// injection queue, given its tie-break `sample`.
     ///
     /// Source-queue waiting is ordinary queueing, not deadlock pressure:
     /// a waiting injection holds no network resource, so it neither
@@ -1425,7 +1485,7 @@ impl SimCore {
     /// a non-escape buffer). The head's destination comes from the hot
     /// mirror, not the slab: under backpressure every queue is non-empty
     /// and the slab spans megabytes.
-    pub(crate) fn injection_route(
+    fn injection_route(
         &self,
         node: NodeId,
         class: MessageClass,
@@ -1528,11 +1588,10 @@ impl SimCore {
     /// shows up as a missed-wake violation in the deep sweeps and
     /// proptests, not as silent divergence.
     ///
-    /// Takes `&self` against pre-commit state and is shared with the
-    /// shard planners (like [`SimCore::phase_a_route`]); the merge must
-    /// apply all park notes before any Phase B commit, mirroring the
-    /// serial Phase A → Phase B order.
-    pub(crate) fn phase_a_route_or_park(
+    /// Takes `&self` against pre-commit state; the notes it returns are
+    /// applied by [`SimCore::finish_allocation`] before any Phase B
+    /// commit.
+    fn phase_a_route_or_park(
         &self,
         idx: usize,
         link: LinkId,
@@ -1670,7 +1729,7 @@ impl SimCore {
     /// `sub_mask` invariant makes the dedup exact, so entry counts stay
     /// bounded by the router degree no matter how often the slot
     /// re-parks).
-    pub(crate) fn apply_park(&mut self, note: ParkNote) {
+    fn apply_park(&mut self, note: ParkNote) {
         let idx = note.idx as usize;
         if self.vc_wake_at[idx] != 0 {
             // The head had parked before and this visit's wake failed to
@@ -1715,15 +1774,6 @@ impl SimCore {
     /// [`SimCore::set_wake_scheduler`] toggle).
     pub fn wake_counters(&self) -> WakeCounters {
         self.wake
-    }
-
-    /// Credits `skips` parked-head skips and `stalls` unparked blocked
-    /// visits (the shard merge applies the workers' per-plan counts
-    /// through this; the counters are additive so apply order is
-    /// immaterial).
-    pub(crate) fn note_wake_skips(&mut self, skips: u64, stalls: u64) {
-        self.wake.skips += skips;
-        self.wake.stalls += stalls;
     }
 
     /// Switches the wake-driven Phase A scheduler on or off mid-assembly
@@ -1816,19 +1866,10 @@ impl SimCore {
         Ok(())
     }
 
-    /// Registers a pending request on `link` for this cycle's Phase B
-    /// arbitration.
-    pub(crate) fn register_request(&mut self, link: LinkId, req: LinkRequest) {
-        let li = link.index();
-        self.req_bits[li / 64] |= 1u64 << (li % 64);
-        self.req_buf[li].push(req);
-    }
-
     /// Oldest-first ejection arbitration for the non-empty request
     /// `group` of ejection queue `q` (each entry `(q, arena idx, pid)`):
-    /// index of the winning entry. Rotation breaks ties. `&self` so shard
-    /// planners pick the identical winner (see [`crate::shard`]).
-    pub(crate) fn eject_winner(&self, q: usize, group: &[(usize, usize, PacketId)]) -> usize {
+    /// index of the winning entry. Rotation breaks ties.
+    fn eject_winner(&self, q: usize, group: &[(usize, usize, PacketId)]) -> usize {
         let now = self.cycle;
         let rot = (now as usize + q) % group.len();
         (0..group.len())
@@ -1844,9 +1885,9 @@ impl SimCore {
     /// Oldest-first link arbitration for the non-empty request list of
     /// output link `li`: index of the winning request. Rotation breaks
     /// ties; ties on `(age, rotation)` fall to the *last* maximum, so the
-    /// winner depends on list order — shard planners build their lists in
-    /// the serial sweep's order exactly so this picks the same request.
-    pub(crate) fn link_winner(&self, li: usize, reqs: &[LinkRequest]) -> usize {
+    /// winner depends on list order — which is why shard plans are filed
+    /// in the serial sweep's order (see [`crate::shard`]).
+    fn link_winner(&self, li: usize, reqs: &[LinkRequest]) -> usize {
         let rot = (self.cycle as usize + li) % reqs.len();
         (0..reqs.len())
             .max_by_key(|&i| (reqs[i].blocked_for, usize::from(i == rot)))
@@ -1871,31 +1912,11 @@ impl SimCore {
         }
     }
 
+    /// Commits a granted link request: vacates the source, occupies the
+    /// first free target VC of the requested kind on `out_link`, starts
+    /// the link's serialization, and books stats, telemetry and trace
+    /// events.
     fn commit_move(&mut self, req: &LinkRequest, out_link: LinkId) {
-        let deferred = self.commit_move_deferring(req, out_link, |_| false);
-        debug_assert!(deferred.is_none());
-    }
-
-    /// Commits a granted link request. `defer` inspects the resolved
-    /// target's arena index: when it returns `true` the target-VC
-    /// occupation (and the packet's location update) is *not* applied
-    /// here but returned as a [`PendingOccupy`] for the caller to apply
-    /// later via [`SimCore::apply_remote_occupy`] — the sharded kernel's
-    /// cross-shard handoff. Everything else (source vacation, link
-    /// serialization, stats, telemetry, trace events) commits
-    /// immediately either way, so the two paths are bit-identical.
-    ///
-    /// Deferral is sound within a cycle because nothing else inspects the
-    /// target slot before the barrier: each output link receives exactly
-    /// one grant and every grant's target VC sits on its own output link,
-    /// so no later commit's `resolve_target_vc` can observe the deferred
-    /// slot.
-    pub(crate) fn commit_move_deferring(
-        &mut self,
-        req: &LinkRequest,
-        out_link: LinkId,
-        defer: impl Fn(usize) -> bool,
-    ) -> Option<PendingOccupy> {
         let now = self.cycle;
         // Free the source.
         match req.source {
@@ -1929,12 +1950,8 @@ impl SimCore {
         let target = self
             .resolve_target_vc(cand, vn)
             .expect("target was free at request time and only one grant per link");
-        let tidx = self.vc_index(target);
-        let deferred = defer(tidx);
-        if !deferred {
-            let arrive = now + self.config.link_latency as u64 + self.config.router_latency as u64;
-            self.occupy_slot(tidx, req.pid, arrive, now);
-        }
+        let arrive = now + self.config.link_latency as u64 + self.config.router_latency as u64;
+        self.occupy_slot(self.vc_index(target), req.pid, arrive, now);
         self.link_busy[out_link.index()] = now + p_len;
         // Packet bookkeeping.
         let to_node = self.topo.link(out_link).dst;
@@ -1942,13 +1959,11 @@ impl SimCore {
         let new_d = self.dmap.distance(to_node, p.dest);
         let misroute = new_d >= old_d;
         let pm = self.packets.get_mut(req.pid);
-        if !deferred {
-            pm.loc = Location::Vc {
-                link: out_link,
-                vn: target.vn,
-                vc: target.vc,
-            };
-        }
+        pm.loc = Location::Vc {
+            link: out_link,
+            vn: target.vn,
+            vc: target.vc,
+        };
         pm.hops += 1;
         if misroute {
             pm.misroutes += 1;
@@ -1986,30 +2001,9 @@ impl SimCore {
                 misroute,
             });
         }
-        deferred.then_some(PendingOccupy {
-            tidx: tidx as u32,
-            pid: req.pid,
-        })
     }
 
-    /// Applies a deferred cross-shard occupation (see
-    /// [`SimCore::commit_move_deferring`]): the packet lands in its
-    /// resolved target VC with the same arrival time it would have
-    /// received at commit time (both run within the same cycle).
-    pub(crate) fn apply_remote_occupy(&mut self, pending: PendingOccupy) {
-        let now = self.cycle;
-        let tidx = pending.tidx as usize;
-        let arrive = now + self.config.link_latency as u64 + self.config.router_latency as u64;
-        self.occupy_slot(tidx, pending.pid, arrive, now);
-        let r = self.vc_ref_of_index(tidx);
-        self.packets.get_mut(pending.pid).loc = Location::Vc {
-            link: r.link,
-            vn: r.vn,
-            vc: r.vc,
-        };
-    }
-
-    pub(crate) fn commit_eject(&mut self, vc_idx: usize, pid: PacketId) {
+    fn commit_eject(&mut self, vc_idx: usize, pid: PacketId) {
         let now = self.cycle;
         debug_assert_eq!(self.vc_occ[vc_idx], pid.0);
         let len = self.vc_len[vc_idx] as u64;

@@ -7,9 +7,7 @@
 //! * the balanced partitioner assigns every router to exactly one shard,
 //!   with sizes differing by at most one;
 //! * cross-shard link classification agrees from both endpoints of a
-//!   bidirectional pair;
-//! * flits round-trip through the [`ShardFabric`] queues without loss or
-//!   duplication, in canonical order;
+//!   bidirectional pair, and with the kernel's cut-link bitmap;
 //! * a sharded simulation conserves packets and produces bit-identical
 //!   statistics to the serial kernel.
 
@@ -19,7 +17,7 @@ use rand_chacha::ChaCha8Rng;
 use drain_netsim::mechanism::NoMechanism;
 use drain_netsim::routing::FullyAdaptive;
 use drain_netsim::traffic::{SyntheticPattern, SyntheticTraffic};
-use drain_netsim::{ShardFabric, ShardMap, Sim, SimConfig};
+use drain_netsim::{ShardMap, Sim, SimConfig};
 use drain_topology::chiplet::random_connected;
 use drain_topology::partition::Partition;
 use drain_topology::{NodeId, Topology};
@@ -73,50 +71,9 @@ fn cross_link_classification_is_endpoint_symmetric() {
             // The ownership tables agree with the partition's view.
             let cross = map.shard_of_node(topo.link(l).src) != map.shard_of_node(topo.link(l).dst);
             assert_eq!(part.is_cross(&topo, l), cross);
+            assert_eq!(part.is_cross(&topo, l), map.is_cut(l), "cut bitmap wrong at {l:?}");
         }
-    }
-}
-
-/// Random flit batches survive the fabric intact: nothing lost, nothing
-/// duplicated, delivery in ascending (from, to, dense index) order — and
-/// the fabric is reusable after draining.
-#[test]
-fn fabric_round_trip_is_lossless_and_canonical() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5AAD_0003);
-    for _ in 0..200 {
-        let k = rng.gen_range(1..=8usize);
-        let mut fab = ShardFabric::new(k);
-        for round in 0..2 {
-            let count = rng.gen_range(0..64usize);
-            let mut sent: Vec<(u16, u16, u32, u32)> = (0..count)
-                .map(|i| {
-                    (
-                        rng.gen_range(0..k as u16),
-                        rng.gen_range(0..k as u16),
-                        rng.gen_range(0..10_000u32),
-                        (round * 100_000 + i) as u32,
-                    )
-                })
-                .collect();
-            assert_eq!(fab.len(), 0, "fabric must start each round empty");
-            for &(f, t, tidx, pid) in &sent {
-                fab.push(f, t, tidx, pid);
-            }
-            assert_eq!(fab.len(), count);
-            assert_eq!(fab.is_empty(), count == 0);
-            let mut got: Vec<(u16, u16, u32, u32)> = Vec::new();
-            fab.drain_in_order(|f, t, tidx, pid| got.push((f, t, tidx, pid)));
-            assert!(fab.is_empty());
-            // Canonical order: ascending (from, to), then dense index.
-            let order: Vec<(u16, u16, u32)> = got.iter().map(|&(f, t, x, _)| (f, t, x)).collect();
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            assert_eq!(order, sorted, "delivery order not canonical");
-            // Lossless: same multiset, matched by unique pid.
-            sent.sort_unstable_by_key(|&(.., pid)| pid);
-            got.sort_unstable_by_key(|&(.., pid)| pid);
-            assert_eq!(sent, got, "flits lost or duplicated");
-        }
+        assert_eq!(map.cut_links(), part.cut_links(&topo));
     }
 }
 

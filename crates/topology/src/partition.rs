@@ -1,13 +1,13 @@
 //! Deterministic edge-cut partitioning of a topology into router shards.
 //!
 //! The sharded simulation kernel (`drain-netsim`) assigns every router to
-//! exactly one of `K` shards; each shard is owned by one worker thread and
-//! packets crossing a *cut* link are handed over through the kernel's
-//! shard-to-shard queue fabric at the cycle barrier. The partitioner here
-//! only decides the node → shard map; it is a locality heuristic, not an
-//! optimal min-cut: nodes are laid out in breadth-first order (so
-//! neighbourhoods stay together) and the BFS sequence is split into `K`
-//! contiguous, balanced blocks.
+//! exactly one of `K` shards; one worker thread per shard runs Phase A for
+//! the shard's routers, and a grant on a *cut* link (endpoints in
+//! different shards) is what the kernel counts as cross-shard traffic. The
+//! partitioner here only decides the node → shard map; it is a locality
+//! heuristic, not an optimal min-cut: nodes are laid out in breadth-first
+//! order (so neighbourhoods stay together) and the BFS sequence is split
+//! into `K` contiguous, balanced blocks.
 //!
 //! Everything is deterministic: the BFS starts from the lowest unvisited
 //! node id and expands neighbours in the topology's stable out-link order,
@@ -111,8 +111,8 @@ impl Partition {
     }
 
     /// Whether `link` crosses a shard boundary (its endpoints live in
-    /// different shards). Cross-shard links are the ones whose packet
-    /// hand-overs go through the sharded kernel's queue fabric.
+    /// different shards). Grants on these links are the sharded kernel's
+    /// cross-shard traffic count.
     pub fn is_cross(&self, topo: &Topology, link: LinkId) -> bool {
         let l = topo.link(link);
         self.shard_of[l.src.index()] != self.shard_of[l.dst.index()]

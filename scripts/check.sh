@@ -19,8 +19,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test --workspace (every suite once)"
 # One run of every suite. On failure the full log is printed; on success
 # one line per non-empty suite, plus one per test of the differential
-# families — sharded kernel (serial vs 2/4/8-shard bit-identity), wake
-# scheduler (wake vs dense), profiler and telemetry (pure observers),
+# families — sharded kernel (serial vs 2/4/8-shard bit-identity of
+# Stats, traces and telemetry), wake scheduler (wake vs dense), profiler
+# and telemetry (pure observers),
 # golden traces and golden pins (trace-byte and Stats digests of the
 # saturated presets, DESIGN.md "Determinism") — so a regression there is
 # named in CI output, not buried in a 400-test run. Any change to the
@@ -63,9 +64,14 @@ echo "==> repo benchmark (its own tests, then quick mode: every workload once, a
 # its tests hold BENCHMARK.json to the harness, and one short repetition
 # of the seven workloads runs with every output check on (see
 # benchmark/README.md). A change that breaks the benchmark's imports or
-# contract fails here, not in the PR driver.
+# contract fails here, not in the PR driver — including a change to any
+# crate's dependency list, which makes cargo rewrite benchmark/Cargo.lock
+# without saying so.
+cp benchmark/Cargo.lock "$tmp/benchmark.lock"
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --quick
+cmp -s benchmark/Cargo.lock "$tmp/benchmark.lock" \
+    || { echo "benchmark/Cargo.lock was rewritten by building or running the benchmark: a dependency list changed"; exit 1; }
 
 echo "==> drain-metrics smoke (registry + phase profiler + exposition round-trip)"
 # The binary re-parses its merged JSONL stream and its Prometheus file

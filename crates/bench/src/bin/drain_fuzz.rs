@@ -38,9 +38,9 @@ use drain_bench::json::{num, Json};
 use drain_bench::oracle::{run_oracle, FaultSeed, OracleReport, OracleSpec};
 use drain_bench::sweep::plan::TopoSpec;
 use drain_bench::table::banner;
-use drain_bench::Scale;
+use drain_bench::{parse_shards, Flags, Scale};
 use drain_netsim::traffic::SyntheticPattern;
-use drain_netsim::{RunOutcome, MAX_SHARDS};
+use drain_netsim::RunOutcome;
 use drain_topology::NodeId;
 
 /// One fuzz point: a fully determined (topology, traffic, scheme-config)
@@ -185,14 +185,14 @@ struct Args {
     json_path: String,
 }
 
-/// `--shards` value → shard count. `Err` names the accepted set: the
-/// kernel's `1..=MAX_SHARDS`, checked here so a bad value is a usage
-/// error, not a `SimConfig::validate` panic inside a sweep worker.
-fn parse_shards(value: &str) -> Result<usize, String> {
-    match value.parse::<usize>() {
-        Ok(k) if (1..=MAX_SHARDS).contains(&k) => Ok(k),
-        _ => Err(format!("an integer in 1..={MAX_SHARDS}")),
-    }
+fn parse_baseline(name: &str) -> Result<Baseline, &'static str> {
+    Ok(match name {
+        "escape-vc" => Baseline::EscapeVc,
+        "spin" => Baseline::Spin,
+        "updown" => Baseline::UpDown,
+        "ideal" => Baseline::Ideal,
+        _ => return Err("escape-vc, spin, updown or ideal"),
+    })
 }
 
 fn parse_args() -> Args {
@@ -205,25 +205,16 @@ fn parse_args() -> Args {
         shards: 1,
         json_path: "results/drain_fuzz.json".to_string(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--points" => args.points = val("--points").parse().expect("--points"),
-            "--seed" => args.seed = val("--seed").parse().expect("--seed"),
-            "--inject" => args.inject = val("--inject").parse().expect("--inject"),
-            "--json" => args.json_path = val("--json"),
+    let mut flags = Flags::from_env();
+    while let Some(flag) = flags.next_flag() {
+        let f = flag.as_str();
+        match f {
+            "--points" => args.points = flags.parsed(f),
+            "--seed" => args.seed = flags.parsed(f),
+            "--inject" => args.inject = flags.parsed(f),
+            "--json" => args.json_path = flags.parsed(f),
             "--seed-fault" => args.seed_fault = true,
-            "--shards" => {
-                let v = val("--shards");
-                args.shards = parse_shards(&v).unwrap_or_else(|accepted| {
-                    eprintln!("error: --shards {v:?}: expected {accepted}");
-                    std::process::exit(2)
-                });
-            }
+            "--shards" => args.shards = flags.value(f, parse_shards),
             "--smoke" => {
                 args.points = 24;
                 args.inject = 1_500;
@@ -236,16 +227,8 @@ fn parse_args() -> Args {
                 // injection (`--seed-fault`) covers the wake path too.
                 args.shards = 2;
             }
-            "--baseline" => {
-                args.baseline = match val("--baseline").as_str() {
-                    "escape-vc" => Baseline::EscapeVc,
-                    "spin" => Baseline::Spin,
-                    "updown" => Baseline::UpDown,
-                    "ideal" => Baseline::Ideal,
-                    other => panic!("unknown baseline {other:?}"),
-                }
-            }
-            other => panic!("unknown argument {other:?}"),
+            "--baseline" => args.baseline = flags.value(f, parse_baseline),
+            _ => Flags::unknown(f),
         }
     }
     args
@@ -362,28 +345,5 @@ fn main() {
     }
     if failing > 0 {
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_shards;
-
-    #[test]
-    fn shard_counts_in_range_parse() {
-        assert_eq!(parse_shards("1"), Ok(1));
-        assert_eq!(parse_shards("8"), Ok(8));
-    }
-
-    #[test]
-    fn bad_shard_counts_are_rejected() {
-        // Non-numeric shapes, then numbers outside the kernel's range.
-        for v in ["", "two", "2.0", "-1", "2k", "0", "9", "64"] {
-            assert_eq!(
-                parse_shards(v),
-                Err("an integer in 1..=8".to_string()),
-                "{v:?}"
-            );
-        }
     }
 }

@@ -7,9 +7,7 @@
 //!    kernel phase profiler enabled; every `--snapshot-period` cycles a
 //!    registry snapshot is appended (as a `{"kind":"metrics",...}` line)
 //!    to `<out>/stream.jsonl`, merged in cycle order with the telemetry
-//!    samples (`{"kind":"telemetry",...}`) taken in the same window. With
-//!    `--listen ADDR` the latest snapshot is also served over HTTP in
-//!    Prometheus text format (see [`drain_bench::serve`]).
+//!    samples (`{"kind":"telemetry",...}`) taken in the same window.
 //! 2. **Sweep**: a small multi-point sweep runs through the
 //!    [`SweepEngine`]; every per-point snapshot plus the engine's own
 //!    `drain_sweep_*` job metrics merge into one registry written to
@@ -25,7 +23,7 @@
 //! drain_metrics [--mesh WxH] [--rate R] [--cycles N] [--points K]
 //!               [--profile-period P] [--telemetry-period T]
 //!               [--snapshot-period S] [--shards K] [--seed S]
-//!               [--listen ADDR] [--out DIR]
+//!               [--out DIR]
 //! ```
 
 use std::path::PathBuf;
@@ -34,9 +32,8 @@ use drain_bench::engine::SweepEngine;
 use drain_bench::json::{num, Json};
 use drain_bench::report::results_dir;
 use drain_bench::scheme::DrainVariant;
-use drain_bench::serve::MetricsServer;
 use drain_bench::table::{banner, print_table};
-use drain_bench::{Scale, Scheme};
+use drain_bench::{parse_mesh, parse_positive, parse_shards, Flags, Scale, Scheme};
 use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{MetricsSnapshot, Phase, TelemetrySample, TraceConfig};
 use drain_topology::Topology;
@@ -51,7 +48,6 @@ struct Args {
     snapshot_period: u64,
     shards: usize,
     seed: u64,
-    listen: Option<String>,
     out: PathBuf,
 }
 
@@ -66,39 +62,23 @@ fn parse_args() -> Args {
         snapshot_period: 4_096,
         shards: 1,
         seed: 1,
-        listen: None,
         out: results_dir().join("metrics"),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--mesh" => {
-                let v = val("--mesh");
-                let (w, h) = v.split_once('x').expect("--mesh WxH");
-                args.mesh = (w.parse().expect("--mesh"), h.parse().expect("--mesh"));
-            }
-            "--rate" => args.rate = val("--rate").parse().expect("--rate"),
-            "--cycles" => args.cycles = val("--cycles").parse().expect("--cycles"),
-            "--points" => args.points = val("--points").parse().expect("--points"),
-            "--profile-period" => {
-                args.profile_period = val("--profile-period").parse().expect("--profile-period")
-            }
-            "--telemetry-period" => {
-                args.telemetry_period =
-                    val("--telemetry-period").parse().expect("--telemetry-period")
-            }
-            "--snapshot-period" => {
-                args.snapshot_period = val("--snapshot-period").parse().expect("--snapshot-period")
-            }
-            "--shards" => args.shards = val("--shards").parse().expect("--shards"),
-            "--seed" => args.seed = val("--seed").parse().expect("--seed"),
-            "--listen" => args.listen = Some(val("--listen")),
-            "--out" => args.out = PathBuf::from(val("--out")),
-            other => panic!("unknown argument {other:?}"),
+    let mut flags = Flags::from_env();
+    while let Some(flag) = flags.next_flag() {
+        let f = flag.as_str();
+        match f {
+            "--mesh" => args.mesh = flags.value(f, parse_mesh),
+            "--rate" => args.rate = flags.parsed(f),
+            "--cycles" => args.cycles = flags.parsed(f),
+            "--points" => args.points = flags.parsed(f),
+            "--profile-period" => args.profile_period = flags.value(f, parse_positive),
+            "--telemetry-period" => args.telemetry_period = flags.parsed(f),
+            "--snapshot-period" => args.snapshot_period = flags.value(f, parse_positive),
+            "--shards" => args.shards = flags.value(f, parse_shards),
+            "--seed" => args.seed = flags.parsed(f),
+            "--out" => args.out = flags.parsed(f),
+            _ => Flags::unknown(f),
         }
     }
     args
@@ -127,8 +107,8 @@ fn telemetry_line(s: &TelemetrySample, period: u64) -> String {
     .to_string()
 }
 
-/// Phase 1: one streaming simulation emitting merged JSONL + HTTP body.
-fn streaming_phase(args: &Args, topo: &Topology, server: Option<&MetricsServer>) -> MetricsSnapshot {
+/// Phase 1: one streaming simulation emitting merged JSONL.
+fn streaming_phase(args: &Args, topo: &Topology) -> MetricsSnapshot {
     let trace_cfg = TraceConfig::default().with_telemetry(args.telemetry_period);
     let mut sim = Scheme::Drain(DrainVariant::Vn1Vc2).synthetic_sim_traced(
         topo,
@@ -158,12 +138,8 @@ fn streaming_phase(args: &Args, topo: &Topology, server: Option<&MetricsServer>)
             stream.push_str(&telemetry_line(&s, args.telemetry_period));
             stream.push('\n');
         }
-        let snap = sim.metrics_snapshot();
-        stream.push_str(&snap.to_jsonl(sim.core().cycle()));
+        stream.push_str(&sim.metrics_snapshot().to_jsonl(sim.core().cycle()));
         stream.push('\n');
-        if let Some(server) = server {
-            server.set_body(snap.to_prometheus());
-        }
     }
 
     let stream_path = args.out.join("stream.jsonl");
@@ -271,18 +247,10 @@ fn main() {
         "unified metrics registry + phase profiler smoke",
         scale,
     );
-    assert!(args.profile_period > 0, "--profile-period must be > 0 here");
-    assert!(args.snapshot_period > 0, "--snapshot-period must be > 0");
     std::fs::create_dir_all(&args.out).expect("create metrics output dir");
 
     let topo = Topology::mesh(args.mesh.0, args.mesh.1);
-    let server = args.listen.as_deref().map(|addr| {
-        let s = MetricsServer::serve(addr).expect("bind metrics listener");
-        println!("serving metrics on http://{}/metrics", s.local_addr());
-        s
-    });
-
-    let stream_snap = streaming_phase(&args, &topo, server.as_ref());
+    let stream_snap = streaming_phase(&args, &topo);
     let mut merged = sweep_phase(&args, &topo, scale);
     merged.merge(&stream_snap);
 
@@ -306,10 +274,5 @@ fn main() {
     );
 
     phase_table(&merged);
-
-    if let Some(server) = &server {
-        server.set_body(prom);
-    }
-    drop(server);
     println!("drain_metrics: OK");
 }

@@ -35,7 +35,7 @@ use drain_bench::report::{results_dir, write_csv_in};
 use drain_bench::scheme::DrainVariant;
 use drain_bench::sweep::plan::TopoSpec;
 use drain_bench::table::{banner, f3, print_table};
-use drain_bench::{Scale, Scheme};
+use drain_bench::{parse_mesh, Flags, Scale, Scheme};
 use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{
     DrawSite, RunOutcome, TelemetrySample, TraceConfig, TraceEvent, TraceSink,
@@ -57,16 +57,25 @@ struct Args {
     out: PathBuf,
 }
 
-fn parse_pattern(name: &str) -> SyntheticPattern {
-    match name {
+fn parse_pattern(name: &str) -> Result<SyntheticPattern, &'static str> {
+    Ok(match name {
         "uniform" => SyntheticPattern::UniformRandom,
         "transpose" => SyntheticPattern::Transpose,
         "bitcomp" => SyntheticPattern::BitComplement,
         "shuffle" => SyntheticPattern::Shuffle,
         "neighbor" => SyntheticPattern::Neighbor,
         "hotspot" => SyntheticPattern::Hotspot(vec![NodeId(0)]),
-        other => panic!("unknown pattern {other:?}"),
-    }
+        _ => return Err("uniform, transpose, bitcomp, shuffle, neighbor or hotspot"),
+    })
+}
+
+fn parse_scheme(name: &str) -> Result<Scheme, &'static str> {
+    Ok(match name {
+        "drain" => Scheme::Drain(DrainVariant::Vn1Vc2),
+        "escape-vc" => Scheme::EscapeVc,
+        "spin" => Scheme::Spin,
+        _ => return Err("drain, escape-vc or spin"),
+    })
 }
 
 fn parse_args() -> Args {
@@ -83,38 +92,22 @@ fn parse_args() -> Args {
         telemetry_period: 256,
         out: results_dir().join("trace"),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--mesh" => {
-                let v = val("--mesh");
-                let (w, h) = v.split_once('x').expect("--mesh WxH");
-                args.mesh = (w.parse().expect("--mesh"), h.parse().expect("--mesh"));
-            }
-            "--faults" => args.faults = val("--faults").parse().expect("--faults"),
-            "--fault-seed" => args.fault_seed = val("--fault-seed").parse().expect("--fault-seed"),
-            "--scheme" => {
-                args.scheme = match val("--scheme").as_str() {
-                    "drain" => Scheme::Drain(DrainVariant::Vn1Vc2),
-                    "escape-vc" => Scheme::EscapeVc,
-                    "spin" => Scheme::Spin,
-                    other => panic!("unknown scheme {other:?}"),
-                }
-            }
-            "--pattern" => args.pattern = parse_pattern(&val("--pattern")),
-            "--rate" => args.rate = val("--rate").parse().expect("--rate"),
-            "--seed" => args.seed = val("--seed").parse().expect("--seed"),
-            "--epoch" => args.epoch = val("--epoch").parse().expect("--epoch"),
-            "--cycles" => args.cycles = val("--cycles").parse().expect("--cycles"),
-            "--telemetry-period" => {
-                args.telemetry_period = val("--telemetry-period").parse().expect("--telemetry-period")
-            }
-            "--out" => args.out = PathBuf::from(val("--out")),
-            other => panic!("unknown argument {other:?}"),
+    let mut flags = Flags::from_env();
+    while let Some(flag) = flags.next_flag() {
+        let f = flag.as_str();
+        match f {
+            "--mesh" => args.mesh = flags.value(f, parse_mesh),
+            "--faults" => args.faults = flags.parsed(f),
+            "--fault-seed" => args.fault_seed = flags.parsed(f),
+            "--scheme" => args.scheme = flags.value(f, parse_scheme),
+            "--pattern" => args.pattern = flags.value(f, parse_pattern),
+            "--rate" => args.rate = flags.parsed(f),
+            "--seed" => args.seed = flags.parsed(f),
+            "--epoch" => args.epoch = flags.parsed(f),
+            "--cycles" => args.cycles = flags.parsed(f),
+            "--telemetry-period" => args.telemetry_period = flags.parsed(f),
+            "--out" => args.out = flags.parsed(f),
+            _ => Flags::unknown(f),
         }
     }
     args

@@ -29,10 +29,11 @@
 //! * [`report`] — the experiment/metrics contract ([`report::RunReport`],
 //!   CSV emission).
 //! * [`json`] — dependency-free JSON used by cache and reports.
-//! * [`serve`] — a tiny blocking HTTP listener exposing Prometheus-format
-//!   metric snapshots (see the `drain_metrics` binary).
 //! * [`apps`] — closed-loop application workload runs.
+//! * [`oracle`] — the differential oracle `drain_fuzz` sweeps (DRAIN vs a
+//!   trusted baseline on identical traffic).
 //! * [`table`] — markdown row printing.
+//! * [`Flags`] — the one reader of the tool binaries' command lines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,23 +47,167 @@ pub mod report;
 pub mod runner;
 pub mod scale;
 pub mod scheme;
-pub mod serve;
 pub mod sweep;
 pub mod table;
 
 pub use scale::Scale;
 pub use scheme::{Scheme, Workload};
 
+/// Ends the process the way every tool reports bad input: one `error: …`
+/// line on stderr, exit code 2 — a typo must not silently run something
+/// other than what was asked for, nor end in a backtrace.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
 /// Reads environment variable `name` through the pure parser `parse`,
 /// whose `Err` names the accepted values. `None` when the variable is
-/// unset; a set value that does not parse ends the process with one line
-/// on stderr and exit code 2 — a typo must not silently run something
-/// other than what was asked for.
+/// unset; a set value that does not parse is a [`usage_error`].
 pub(crate) fn env_parsed<T>(name: &str, parse: fn(&str) -> Result<T, &'static str>) -> Option<T> {
     let raw = std::env::var_os(name)?;
     let value = raw.to_string_lossy();
-    Some(parse(&value).unwrap_or_else(|accepted| {
-        eprintln!("error: {name}={value:?}: expected {accepted}");
-        std::process::exit(2)
-    }))
+    Some(
+        parse(&value).unwrap_or_else(|accepted| {
+            usage_error(&format!("{name}={value:?}: expected {accepted}"))
+        }),
+    )
+}
+
+/// The `--flag value` command line of the tool binaries (`drain_trace`,
+/// `drain_metrics`, `drain_fuzz`), read one flag at a time. A flag without
+/// its value, a value its parser rejects and a flag nobody matches each end
+/// in one `error: …` line and exit code 2, like a bad `DRAIN_*` variable.
+pub struct Flags(std::vec::IntoIter<String>);
+
+impl Flags {
+    /// The process's own arguments.
+    pub fn from_env() -> Self {
+        Flags::new(std::env::args().skip(1).collect())
+    }
+
+    /// An explicit argument list.
+    pub fn new(args: Vec<String>) -> Self {
+        Flags(args.into_iter())
+    }
+
+    /// The next flag; `None` at the end of the line.
+    pub fn next_flag(&mut self) -> Option<String> {
+        self.0.next()
+    }
+
+    /// The pure half of [`Flags::value`]: `Err` is the message.
+    pub fn try_value<T, E: std::fmt::Display>(
+        &mut self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<T, String> {
+        let value = self
+            .0
+            .next()
+            .ok_or_else(|| format!("{flag} needs a value"))?;
+        parse(&value).map_err(|accepted| format!("{flag} {value:?}: expected {accepted}"))
+    }
+
+    /// The value after `flag`, through the pure parser `parse`, whose `Err`
+    /// names the accepted values.
+    pub fn value<T, E: std::fmt::Display>(
+        &mut self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> T {
+        self.try_value(flag, parse)
+            .unwrap_or_else(|msg| usage_error(&msg))
+    }
+
+    /// [`Flags::value`] through the type's own `FromStr` (numbers, paths).
+    pub fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> T {
+        self.value(flag, |v| {
+            v.parse()
+                .map_err(|_| format!("a value of type {}", std::any::type_name::<T>()))
+        })
+    }
+
+    /// No arm matched `flag`.
+    pub fn unknown(flag: &str) -> ! {
+        usage_error(&format!("unknown flag {flag:?}"))
+    }
+}
+
+/// `WxH` → mesh dimensions.
+pub fn parse_mesh(value: &str) -> Result<(u16, u16), &'static str> {
+    value
+        .split_once('x')
+        .and_then(|(w, h)| Some((w.parse().ok()?, h.parse().ok()?)))
+        .ok_or("WxH, e.g. 8x8")
+}
+
+/// A period or count that must not be 0.
+pub fn parse_positive(value: &str) -> Result<u64, &'static str> {
+    value
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or("a whole number above 0")
+}
+
+/// `--shards` value → shard count: the kernel's `1..=MAX_SHARDS`, checked
+/// here so a bad value is a usage error, not a `SimConfig::validate` panic
+/// inside a sweep worker.
+pub fn parse_shards(value: &str) -> Result<usize, String> {
+    use drain_netsim::MAX_SHARDS;
+    match value.parse::<usize>() {
+        Ok(k) if (1..=MAX_SHARDS).contains(&k) => Ok(k),
+        _ => Err(format!("an integer in 1..={MAX_SHARDS}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(args: &[&str]) -> Flags {
+        Flags::new(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn flag_values_parse_in_order() {
+        let mut f = flags(&["--mesh", "4x6", "--smoke", "--shards", "8"]);
+        assert_eq!(f.next_flag().as_deref(), Some("--mesh"));
+        assert_eq!(f.try_value("--mesh", parse_mesh), Ok((4, 6)));
+        assert_eq!(f.next_flag().as_deref(), Some("--smoke"));
+        assert_eq!(f.next_flag().as_deref(), Some("--shards"));
+        assert_eq!(f.try_value("--shards", parse_shards), Ok(8));
+        assert_eq!(f.next_flag(), None);
+    }
+
+    #[test]
+    fn missing_and_malformed_values_are_one_line_messages() {
+        assert_eq!(
+            flags(&[]).try_value("--rate", str::parse::<f64>),
+            Err("--rate needs a value".to_string())
+        );
+        assert_eq!(
+            flags(&["4by4"]).try_value("--mesh", parse_mesh),
+            Err("--mesh \"4by4\": expected WxH, e.g. 8x8".to_string())
+        );
+        assert_eq!(
+            flags(&["0"]).try_value("--profile-period", parse_positive),
+            Err("--profile-period \"0\": expected a whole number above 0".to_string())
+        );
+    }
+
+    #[test]
+    fn shard_counts_outside_the_kernel_range_are_rejected() {
+        assert_eq!(parse_shards("1"), Ok(1));
+        assert_eq!(parse_shards("8"), Ok(8));
+        // Non-numeric shapes, then numbers outside the kernel's range.
+        for v in ["", "two", "2.0", "-1", "2k", "0", "9", "64"] {
+            assert_eq!(
+                parse_shards(v),
+                Err("an integer in 1..=8".to_string()),
+                "{v:?}"
+            );
+        }
+    }
 }

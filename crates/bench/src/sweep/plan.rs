@@ -188,12 +188,6 @@ impl PointSpec {
         self
     }
 
-    /// Overrides hops per drain window.
-    pub fn with_hops(mut self, hops: u32) -> PointSpec {
-        self.hops_per_drain = hops;
-        self
-    }
-
     /// Simulated cycles this spec will run (warmup + measurement window).
     pub fn sim_cycles(&self) -> u64 {
         self.scale.warmup() + self.scale.measure()

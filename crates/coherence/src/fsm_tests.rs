@@ -157,141 +157,3 @@ fn many_addresses_home_distribution() {
     }
     e.check_single_writer();
 }
-
-// ---------------------------------------------------------------------
-// MOESI (dirty sharing) variants
-// ---------------------------------------------------------------------
-
-fn scripted_moesi_sim(script: ScriptedTrace) -> Sim {
-    let topo = Topology::mesh(2, 2);
-    let engine = CoherenceEngine::new(
-        &topo,
-        CoherenceConfig {
-            protocol: crate::Protocol::Moesi,
-            ..CoherenceConfig::default()
-        },
-        Box::new(script),
-    );
-    Sim::new(
-        topo.clone(),
-        SimConfig {
-            inj_queue_capacity: 64,
-            escape_sticky: true,
-            watchdog_threshold: 10_000,
-            ..SimConfig::escape_vc_baseline()
-        },
-        Box::new(EscapeVcRouting::with_dor(&topo)),
-        Box::new(NoMechanism),
-        Box::new(engine),
-    )
-}
-
-#[test]
-fn moesi_read_after_write_leaves_owner_owned() {
-    let mut sim = scripted_moesi_sim(
-        ScriptedTrace::new(4)
-            .op(2, 0, A, true)
-            .op(3, 300, A, false),
-    );
-    sim.run(1_000);
-    let e = engine(&sim);
-    assert_eq!(
-        e.line_state(NodeId(2), A),
-        Some(LineState::O),
-        "writer keeps dirty ownership"
-    );
-    assert_eq!(e.line_state(NodeId(3), A), Some(LineState::S));
-    assert_eq!(e.dir_state(A), DirState::EM(NodeId(2)), "directory keeps the owner");
-    e.check_single_writer();
-}
-
-#[test]
-fn moesi_owner_answers_second_reader() {
-    let mut sim = scripted_moesi_sim(
-        ScriptedTrace::new(4)
-            .op(2, 0, A, true)
-            .op(3, 300, A, false)
-            .op(0, 600, A, false),
-    );
-    sim.run(2_000);
-    let e = engine(&sim);
-    assert_eq!(e.line_state(NodeId(2), A), Some(LineState::O));
-    assert_eq!(e.line_state(NodeId(3), A), Some(LineState::S));
-    assert_eq!(e.line_state(NodeId(0), A), Some(LineState::S));
-    assert_eq!(e.stats().completed, 3);
-}
-
-#[test]
-fn moesi_owner_upgrade_invalidates_dirty_sharers() {
-    // Owner in O with two sharers writes again: O -> M, sharers gone.
-    let mut sim = scripted_moesi_sim(
-        ScriptedTrace::new(4)
-            .op(2, 0, A, true)
-            .op(3, 300, A, false)
-            .op(0, 600, A, false)
-            .op(2, 900, A, true),
-    );
-    sim.run(3_000);
-    let e = engine(&sim);
-    assert_eq!(e.line_state(NodeId(2), A), Some(LineState::M));
-    assert_eq!(e.line_state(NodeId(3), A), None);
-    assert_eq!(e.line_state(NodeId(0), A), None);
-    assert_eq!(e.dir_state(A), DirState::EM(NodeId(2)));
-    e.check_single_writer();
-}
-
-#[test]
-fn moesi_foreign_write_collects_owner_and_sharer_acks() {
-    // Owner in O + one sharer; a third core writes: FwdGetM to the owner
-    // carries the ack count, Inv goes to the sharer.
-    let mut sim = scripted_moesi_sim(
-        ScriptedTrace::new(4)
-            .op(2, 0, A, true)
-            .op(3, 300, A, false)
-            .op(0, 600, A, true),
-    );
-    sim.run(3_000);
-    let e = engine(&sim);
-    assert_eq!(e.line_state(NodeId(0), A), Some(LineState::M));
-    assert_eq!(e.line_state(NodeId(2), A), None, "old owner invalidated");
-    assert_eq!(e.line_state(NodeId(3), A), None, "sharer invalidated");
-    assert_eq!(e.dir_state(A), DirState::EM(NodeId(0)));
-    e.check_single_writer();
-    assert_eq!(e.stats().completed, 3);
-}
-
-#[test]
-fn moesi_random_load_stays_coherent() {
-    // Randomized torture on the deadlock-free network: invariant holds
-    // throughout and the system stays live.
-    let topo = Topology::mesh(2, 2);
-    let engine = CoherenceEngine::new(
-        &topo,
-        CoherenceConfig {
-            protocol: crate::Protocol::Moesi,
-            l1_capacity: 16,
-            ..CoherenceConfig::default()
-        },
-        Box::new(crate::SyntheticMemTrace::uniform(0.3, 0.5, 24, 9)),
-    );
-    let mut sim = Sim::new(
-        topo.clone(),
-        SimConfig {
-            inj_queue_capacity: 64,
-            escape_sticky: true,
-            watchdog_threshold: 10_000,
-            ..SimConfig::escape_vc_baseline()
-        },
-        Box::new(EscapeVcRouting::with_dor(&topo)),
-        Box::new(NoMechanism),
-        Box::new(engine),
-    );
-    for _ in 0..40 {
-        sim.run(500);
-        sim.endpoints_as::<CoherenceEngine>()
-            .unwrap()
-            .check_single_writer();
-    }
-    assert!(!sim.stats().deadlocked());
-    assert!(sim.stats().ejected > 1_000);
-}

@@ -57,7 +57,7 @@ mod msg;
 pub mod node;
 mod trace;
 
-pub use engine::{CoherenceConfig, CoherenceEngine, CoherenceStats, Protocol};
+pub use engine::{CoherenceConfig, CoherenceEngine, CoherenceStats};
 pub use node::{DirState, LineState, MissKind};
 pub use msg::{Addr, CohMsg, MsgType};
 pub use trace::{MemOp, MemoryTrace, ScriptedTrace, SyntheticMemTrace};

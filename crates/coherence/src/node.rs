@@ -15,20 +15,13 @@ pub enum LineState {
     E,
     /// Modified, dirty.
     M,
-    /// Owned (MOESI only): dirty but shared; this copy answers forwards.
-    O,
 }
 
 impl LineState {
-    /// Whether the line may be written without a request.
+    /// Whether the line may be written without a request — the copy that
+    /// supplies data on a forward and writes back on eviction.
     pub fn writable(self) -> bool {
         matches!(self, LineState::E | LineState::M)
-    }
-
-    /// Whether this copy is responsible for supplying data (and for the
-    /// writeback on eviction).
-    pub fn owns_data(self) -> bool {
-        matches!(self, LineState::E | LineState::M | LineState::O)
     }
 }
 
@@ -112,9 +105,8 @@ pub enum DirCommit {
     ExclusiveTo(NodeId),
     /// A read grant from S: the requester joins the sharer set.
     AddSharer(NodeId),
-    /// A read transfer from an owner. MESI: owner and requester end up
-    /// sharing (state S); MOESI: the owner keeps the line in O and the
-    /// requester joins the sharers.
+    /// A read transfer from an owner: owner and requester end up sharing
+    /// (state S).
     TransferRead {
         /// The owner the forward was sent to.
         old: NodeId,

@@ -19,9 +19,6 @@
 //!   simulation.
 //! * [`reconfigure`] — the fault-event flow: drain traffic, recompute the
 //!   drain path offline, resume on the degraded topology.
-//! * [`truncation`] — the paper's §III-C3 packet-truncation mechanism for
-//!   flit-based (wormhole) flow control, implemented and tested at the
-//!   flit level.
 //!
 //! # Examples
 //!
@@ -46,7 +43,6 @@
 
 pub mod builder;
 pub mod reconfigure;
-pub mod truncation;
 
 use drain_netsim::mechanism::{ControlAction, ForcedKind, ForcedMove, Mechanism};
 use drain_netsim::{SimCore, TraceEvent, VcRef};

@@ -14,12 +14,8 @@
 //! covering cycle on every Eulerian input, while the search remains a
 //! faithful backtracking enumeration (it would still explore alternatives
 //! if a prefix dead-ended).
-//!
-//! [`enumerate_circuits`] additionally exposes a bounded version of the
-//! plain Hawick–James enumeration (no covering requirement) that tests use
-//! on small graphs to cross-check circuit counts.
 
-use drain_topology::{depgraph::DependencyGraph, LinkId, Topology};
+use drain_topology::{LinkId, Topology};
 
 use crate::DrainPathError;
 
@@ -172,86 +168,10 @@ impl CoveringSearch<'_> {
     }
 }
 
-/// Enumerates elementary circuits of the dependency graph (each circuit is
-/// returned in canonical rotation: smallest link id first), stopping at
-/// `max_circuits` circuits or `max_len` links per circuit.
-///
-/// This is the bounded form of the Hawick–James enumeration used for
-/// cross-checks on small graphs; it is exponential in general — do not call
-/// it on large topologies with large bounds.
-pub fn enumerate_circuits(
-    topo: &Topology,
-    max_circuits: usize,
-    max_len: usize,
-) -> Vec<Vec<LinkId>> {
-    let dep = DependencyGraph::new(topo);
-    let m = topo.num_unidirectional_links();
-    let mut results = Vec::new();
-    let mut on_path = vec![false; m];
-    let mut path = Vec::new();
-    // Johnson/Hawick–James style: only circuits whose smallest link is the
-    // root are emitted at that root, so each circuit is found once.
-    for root in 0..m as u32 {
-        if results.len() >= max_circuits {
-            break;
-        }
-        let root = LinkId(root);
-        path.push(root);
-        on_path[root.index()] = true;
-        dfs_circuits(
-            &dep,
-            root,
-            root,
-            &mut path,
-            &mut on_path,
-            &mut results,
-            max_circuits,
-            max_len,
-        );
-        on_path[root.index()] = false;
-        path.pop();
-    }
-    results
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs_circuits(
-    dep: &DependencyGraph,
-    root: LinkId,
-    cur: LinkId,
-    path: &mut Vec<LinkId>,
-    on_path: &mut [bool],
-    results: &mut Vec<Vec<LinkId>>,
-    max_circuits: usize,
-    max_len: usize,
-) {
-    if results.len() >= max_circuits {
-        return;
-    }
-    for &next in dep.successors(cur) {
-        if results.len() >= max_circuits {
-            return;
-        }
-        if next == root {
-            results.push(path.clone());
-            continue;
-        }
-        // Canonicality: only links greater than the root may appear.
-        if next.0 < root.0 || on_path[next.index()] || path.len() >= max_len {
-            continue;
-        }
-        on_path[next.index()] = true;
-        path.push(next);
-        dfs_circuits(dep, root, next, path, on_path, results, max_circuits, max_len);
-        path.pop();
-        on_path[next.index()] = false;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drain_topology::faults::FaultInjector;
+    use drain_topology::{depgraph::DependencyGraph, faults::FaultInjector};
 
     #[test]
     fn covering_cycle_on_meshes() {
@@ -285,44 +205,5 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "both algorithms must cover the same link set");
-    }
-
-    #[test]
-    fn enumerate_small_graph_circuits() {
-        // Two nodes, one bidirectional link: the only elementary circuits in
-        // the dependency graph are the 1-hop U-turn pairs and the 2-cycle.
-        let t = Topology::from_edges("pair", 2, &[(0, 1)]).unwrap();
-        let circuits = enumerate_circuits(&t, 100, 10);
-        // Circuits: [l0, l1] (the covering one) plus... l0 -> l1 is a turn,
-        // l1 -> l0 is a turn, so [l0, l1] is the only elementary circuit
-        // through both; no self-loop turns exist.
-        assert_eq!(circuits.len(), 1);
-        assert_eq!(circuits[0].len(), 2);
-    }
-
-    #[test]
-    fn enumerate_respects_bounds() {
-        let t = Topology::mesh(3, 3);
-        let circuits = enumerate_circuits(&t, 50, 6);
-        assert!(circuits.len() <= 50);
-        assert!(circuits.iter().all(|c| c.len() <= 6));
-        // Every returned circuit is a genuine closed walk.
-        let dep = DependencyGraph::new(&t);
-        for c in &circuits {
-            assert!(dep.is_closed_walk(c));
-        }
-    }
-
-    #[test]
-    fn enumeration_finds_covering_cycle_on_tiny_graph() {
-        // On a 3-ring (6 unidirectional links), ask for long circuits and
-        // check at least one covers all links — cross-validating the
-        // covering search.
-        let t = Topology::ring(3);
-        let m = t.num_unidirectional_links();
-        let circuits = enumerate_circuits(&t, 100_000, m);
-        assert!(circuits.iter().any(|c| c.len() == m));
-        let cover = find_covering_cycle(&t).unwrap();
-        assert_eq!(cover.len(), m);
     }
 }

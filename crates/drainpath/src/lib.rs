@@ -22,8 +22,7 @@
 //!   the dependency graph, augmented (a) to terminate as soon as one
 //!   covering cycle is found and (b) with Fleury's bridge-avoidance rule as
 //!   successor ordering so the search completes without exponential
-//!   backtracking. A bounded full circuit enumerator is also provided for
-//!   fidelity tests on small graphs.
+//!   backtracking.
 //!
 //! The result is wrapped in a [`DrainPath`], which also carries the
 //! [`TurnTable`] each router consults while draining (paper Fig 7; the

@@ -11,18 +11,15 @@
 //! | [`EscapeVcRouting`] | escape-VC baseline: adaptive VCs + restricted escape VC (DoR or up*/down*) |
 //! | [`UpDownAll`] | pure up*/down* network (Fig 5) |
 //! | [`DorAll`] | dimension-order reference on fault-free meshes |
-//! | [`TurnModel`] | west-first / negative-first turn models (Table I row 1) |
 
 mod adaptive;
 mod dor;
 mod escape;
-mod turnmodel;
 mod updown_all;
 
 pub use adaptive::{FullyAdaptive, DEFAULT_DEFLECT_AFTER};
 pub use dor::{dor_next_hop, DorAll, DorTable};
 pub use escape::{EscapeKind, EscapeVcRouting};
-pub use turnmodel::{TurnModel, TurnModelKind};
 pub use updown_all::UpDownAll;
 
 use std::sync::Arc;

@@ -20,11 +20,6 @@ impl UpDownAll {
         }
     }
 
-    /// Wraps precomputed tables.
-    pub fn from_tables(ud: UpDownRouting) -> Self {
-        UpDownAll { ud }
-    }
-
     /// The underlying tables.
     pub fn tables(&self) -> &UpDownRouting {
         &self.ud

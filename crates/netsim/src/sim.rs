@@ -149,11 +149,6 @@ impl Sim {
         self.mechanism.name()
     }
 
-    /// The endpoint model's name.
-    pub fn endpoints_name(&self) -> &str {
-        self.endpoints.name()
-    }
-
     /// Downcasts the endpoint model to its concrete type (e.g. to read the
     /// coherence engine's protocol statistics mid-run).
     pub fn endpoints_as<T: 'static>(&self) -> Option<&T> {

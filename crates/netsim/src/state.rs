@@ -461,13 +461,6 @@ impl SimCore {
         &self.topo
     }
 
-    /// Shared handle to the topology (components that keep their own
-    /// reference — routing functions, drain paths — clone this instead of
-    /// deep-copying the graph).
-    pub fn shared_topology(&self) -> &Arc<Topology> {
-        &self.topo
-    }
-
     /// The configuration.
     pub fn config(&self) -> &SimConfig {
         &self.config
@@ -1046,26 +1039,6 @@ impl SimCore {
     #[inline]
     pub fn link_is_free(&self, l: LinkId) -> bool {
         self.link_busy[l.index()] <= self.cycle
-    }
-
-    /// The routing context for the packet occupying `vcref` (None if the VC
-    /// is empty).
-    pub fn ctx_for_vc(&self, r: VcRef, sample: u64) -> Option<RouteCtx> {
-        let idx = self.vc_index(r);
-        if self.vc_occ[idx] == EMPTY {
-            return None;
-        }
-        let cur = self.topo.link(r.link).dst;
-        Some(RouteCtx {
-            cur,
-            dest: NodeId(self.vc_dest[idx]),
-            arrived_via: Some(r.link),
-            in_escape: self.config.escape_sticky && r.vc == 0,
-            blocked_for: self
-                .cycle
-                .saturating_sub(self.vc_entered_at[idx].max(self.vc_ready_at[idx])),
-            sample,
-        })
     }
 
     // ------------------------------------------------------------------

@@ -41,7 +41,6 @@ pub struct Turn {
 pub struct DependencyGraph {
     /// `succ[l]` = links reachable from link `l` via one turn.
     succ: Vec<Vec<LinkId>>,
-    allow_u_turns: bool,
 }
 
 impl DependencyGraph {
@@ -63,7 +62,7 @@ impl DependencyGraph {
                 succ[l.index()].push(out);
             }
         }
-        DependencyGraph { succ, allow_u_turns }
+        DependencyGraph { succ }
     }
 
     /// Number of unidirectional links (nodes of this graph).
@@ -74,11 +73,6 @@ impl DependencyGraph {
     /// Number of turns (edges of this graph).
     pub fn num_turns(&self) -> usize {
         self.succ.iter().map(Vec::len).sum()
-    }
-
-    /// Whether U-turns were included.
-    pub fn u_turns_allowed(&self) -> bool {
-        self.allow_u_turns
     }
 
     /// Links reachable from `l` via a single turn.

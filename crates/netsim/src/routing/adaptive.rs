@@ -12,7 +12,8 @@ use drain_topology::{distance::DistanceMap, IntoSharedTopology, Topology};
 
 use super::{push_rotated, Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
 
-/// Fully adaptive random minimal routing over a [`DistanceMap`].
+/// Fully adaptive random minimal routing over a [`DistanceMap`], whose
+/// port masks it reads against the topology's `out_links`.
 ///
 /// # Examples
 ///
@@ -76,45 +77,28 @@ impl Routing for FullyAdaptive {
     }
 
     fn candidates(&self, ctx: &RouteCtx, out: &mut Vec<Candidate>) {
-        let links = self.dmap.productive_links(ctx.cur, ctx.dest);
+        let out_links = self.topo.out_links(ctx.cur);
+        let productive = self.dmap.productive_ports(ctx.cur, ctx.dest);
         let target = if ctx.in_escape {
             TargetVc::EscapeOnly
         } else {
             TargetVc::Any
         };
-        push_rotated(links, ctx.sample, target, out);
+        push_rotated(out_links, productive, ctx.sample, target, out);
         // Under sustained pressure, offer the remaining (non-minimal)
         // output links as last-resort deflections — the "random" part of
         // the paper's fully adaptive random routing. All turns including
         // U-turns are architecturally permitted (§III-A).
-        if let Some(after) = self.deflect_after {
-            if ctx.blocked_for >= after {
-                // Never deflect straight back where the packet came from —
-                // that swaps packets endlessly instead of making progress.
-                // Deflection is the common case at saturation (every
-                // blocked head reaches the threshold), so the filtered
-                // list lives on the stack: no heap allocation per call.
-                // Routers of degree > 32 (none of the paper's topologies)
-                // fall back to a heap collect.
-                let back = ctx.arrived_via.map(|l| l.reverse());
-                let out_links = self.topo.out_links(ctx.cur);
-                let keep = |l: &drain_topology::LinkId| !links.contains(l) && Some(*l) != back;
-                if out_links.len() <= 32 {
-                    let mut rest = [drain_topology::LinkId(0); 32];
-                    let mut n = 0;
-                    for &l in out_links {
-                        if keep(&l) {
-                            rest[n] = l;
-                            n += 1;
-                        }
-                    }
-                    push_rotated(&rest[..n], ctx.sample ^ 0x5A, target, out);
-                } else {
-                    let rest: Vec<drain_topology::LinkId> =
-                        out_links.iter().copied().filter(keep).collect();
-                    push_rotated(&rest, ctx.sample ^ 0x5A, target, out);
-                }
-            }
+        let deflect = self.deflect_after;
+        if deflect.is_some_and(|after| ctx.blocked_for >= after) {
+            // Never deflect straight back where the packet came from —
+            // that swaps packets endlessly instead of making progress.
+            let back = ctx.arrived_via.map(|l| l.reverse());
+            let back_port = out_links.iter().position(|&l| Some(l) == back);
+            let back_bit = back_port.map_or(0, |j| 1u32 << j);
+            let all_ports = ((1u64 << out_links.len()) - 1) as u32;
+            let rest = all_ports & !productive & !back_bit;
+            push_rotated(out_links, rest, ctx.sample ^ 0x5A, target, out);
         }
     }
 

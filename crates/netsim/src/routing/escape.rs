@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use drain_topology::{distance::DistanceMap, updown::UpDownRouting, IntoSharedTopology};
+use drain_topology::{distance::DistanceMap, updown::UpDownRouting, IntoSharedTopology, Topology};
 
 use super::{push_rotated, Candidate, DorTable, RouteCtx, Routing, TargetVc, WakeProfile};
 
@@ -26,6 +26,8 @@ pub enum EscapeKind {
 /// Composite adaptive + restricted-escape routing.
 #[derive(Clone, Debug)]
 pub struct EscapeVcRouting {
+    /// Names the ports of the two tables' masks.
+    topo: Arc<Topology>,
     dmap: Arc<DistanceMap>,
     escape: EscapeKind,
 }
@@ -46,6 +48,7 @@ impl EscapeVcRouting {
         EscapeVcRouting {
             dmap: Arc::new(DistanceMap::new(&topo)),
             escape: EscapeKind::Dor(DorTable::new(&topo)),
+            topo,
         }
     }
 
@@ -56,6 +59,7 @@ impl EscapeVcRouting {
         EscapeVcRouting {
             dmap: Arc::new(DistanceMap::new(&topo)),
             escape: EscapeKind::UpDown(UpDownRouting::new(&topo)),
+            topo,
         }
     }
 
@@ -89,8 +93,13 @@ impl EscapeVcRouting {
                 } else {
                     ud.phase_after(ctx.arrived_via)
                 };
-                let links = ud.next_hops(ctx.cur, ctx.dest, phase);
-                push_rotated(links, ctx.sample, TargetVc::EscapeOnly, out);
+                push_rotated(
+                    self.topo.out_links(ctx.cur),
+                    ud.next_hop_ports(ctx.cur, ctx.dest, phase),
+                    ctx.sample,
+                    TargetVc::EscapeOnly,
+                    out,
+                );
             }
         }
     }
@@ -111,7 +120,8 @@ impl Routing for EscapeVcRouting {
         } else {
             // Adaptive VCs first, escape fallback last.
             push_rotated(
-                self.dmap.productive_links(ctx.cur, ctx.dest),
+                self.topo.out_links(ctx.cur),
+                self.dmap.productive_ports(ctx.cur, ctx.dest),
                 ctx.sample,
                 TargetVc::NonEscapeOnly,
                 out,

@@ -5,6 +5,11 @@
 //! kind of downstream VC may be targeted. The allocation engine takes the
 //! first candidate whose link and VC are free.
 //!
+//! The table-driven implementations read a `u32` out-port mask per
+//! (cur, dest) from `drain_topology` (bit `j` = `out_links(cur)[j]`) and
+//! list its ports through `push_rotated`, against the `Arc<Topology>`
+//! the simulation shares.
+//!
 //! | Implementation | Paper usage |
 //! |---|---|
 //! | [`FullyAdaptive`] | DRAIN and SPIN ("fully adaptive random"), Fig 3's non-deadlock-free network |
@@ -72,8 +77,9 @@ pub struct RouteCtx {
 /// it only if the set cannot silently change under it.
 ///
 /// `sample` must only *reorder* candidates (the standard `push_rotated`
-/// idiom); a routing whose set membership depends on `sample` must report
-/// [`WakeProfile::Unstable`].
+/// idiom: the set ports of a next-hop mask, `sample` choosing only where
+/// the list starts); a routing whose set membership depends on `sample`
+/// must report [`WakeProfile::Unstable`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WakeProfile {
     /// The candidate set is independent of `blocked_for`: once computed
@@ -120,23 +126,227 @@ pub trait Routing: Send + Sync {
     }
 }
 
-/// Rotates `links` by `sample` into `out` as candidates with `target` —
-/// the standard way implementations randomize tie-breaks.
+/// Appends the out-links whose port is set in `ports` (bit `j` stands for
+/// `out_links[j]`, as in the `drain_topology` next-hop tables) to `out` as
+/// candidates with `target` — the standard way implementations randomize
+/// tie-breaks. `sample` only rotates: the links come in port order,
+/// starting at set bit number `sample % ports.count_ones()` and wrapping
+/// around, so the set offered never depends on it.
+#[inline]
 pub(crate) fn push_rotated(
-    links: &[LinkId],
+    out_links: &[LinkId],
+    ports: u32,
     sample: u64,
     target: TargetVc,
     out: &mut Vec<Candidate>,
 ) {
-    if links.is_empty() {
+    let candidate = |port: u32| Candidate {
+        link: out_links[port as usize],
+        target,
+    };
+    // One or two ports are all a mesh's minimal sets ever hold, and the
+    // whole of low-load traffic: no count, no division, no loop.
+    if ports == 0 {
         return;
     }
-    let n = links.len();
-    let start = (sample % n as u64) as usize;
-    for i in 0..n {
-        out.push(Candidate {
-            link: links[(start + i) % n],
-            target,
-        });
+    let low = ports.trailing_zeros();
+    let above_low = ports & (ports - 1);
+    if above_low == 0 {
+        out.push(candidate(low));
+        return;
+    }
+    if above_low & (above_low - 1) == 0 {
+        let pair = [low, above_low.trailing_zeros()];
+        let start = (sample % 2) as usize;
+        out.push(candidate(pair[start]));
+        out.push(candidate(pair[1 - start]));
+        return;
+    }
+    let count = ports.count_ones();
+    let start = (sample % u64::from(count)) as u32;
+    // The port of set bit number `start`: drop the lowest set bit `start`
+    // times. Both loops run `count` times whatever `sample` is — a draw
+    // that steered a branch would be a misprediction every other call.
+    let mut from_start = ports;
+    for dropped in 0..count - 1 {
+        if dropped < start {
+            from_start &= from_start - 1;
+        }
+    }
+    let first = from_start.trailing_zeros();
+    let mut turned = ports.rotate_right(first);
+    while turned != 0 {
+        out.push(candidate((first + turned.trailing_zeros()) % u32::BITS));
+        turned &= turned - 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use drain_topology::faults::FaultInjector;
+    use drain_topology::updown::{LinkDirection, Phase, UpDownRouting};
+    use drain_topology::Topology;
+
+    /// The order every table-driven routing promises, spelled out: filter
+    /// `out_links(cur)`, rotate left by `sample % len`.
+    fn rotated(
+        topo: &Topology,
+        cur: NodeId,
+        keep: impl Fn(LinkId) -> bool,
+        sample: u64,
+        target: TargetVc,
+    ) -> Vec<Candidate> {
+        let mut links = topo.out_links(cur).to_vec();
+        links.retain(|&l| keep(l));
+        let len = links.len() as u64;
+        if len != 0 {
+            links.rotate_left((sample % len) as usize);
+        }
+        let candidate = |link| Candidate { link, target };
+        links.into_iter().map(candidate).collect()
+    }
+
+    /// Runs `check(ctx)` for every (cur, dest) — `cur == dest` included,
+    /// the empty-mask case — every arrival link (and injection), both
+    /// escape states, calm and past the deflection threshold, and every
+    /// `sample` in `0..8`.
+    fn for_every_ctx(topo: &Topology, mut check: impl FnMut(&RouteCtx)) {
+        for cur in topo.nodes() {
+            let arrivals = topo.in_links(cur).iter().map(|&l| Some(l));
+            for arrived_via in arrivals.chain([None]) {
+                for dest in topo.nodes() {
+                    for (in_escape, blocked_for) in [(false, 0), (true, 15), (false, 16)] {
+                        for sample in 0..8 {
+                            check(&RouteCtx {
+                                cur,
+                                dest,
+                                arrived_via,
+                                in_escape,
+                                blocked_for,
+                                sample,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The two fixtures, each with whether it is a full mesh (DoR escape
+    /// is defined only there).
+    fn topologies() -> [(Topology, bool); 2] {
+        let faulty = FaultInjector::new(3).remove_links(&Topology::mesh(6, 6), 6);
+        [(Topology::mesh(5, 5), true), (faulty.unwrap(), false)]
+    }
+
+    fn emitted(routing: &dyn Routing, ctx: &RouteCtx) -> Vec<Candidate> {
+        let mut out = Vec::new();
+        routing.candidates(ctx, &mut out);
+        out
+    }
+
+    #[test]
+    fn candidates_are_the_filtered_out_links_rotated_by_sample() {
+        for (topo, full_mesh) in topologies() {
+            let dmap = DistanceMap::new(&topo);
+            let ud = UpDownRouting::new(&topo);
+            let adaptive = FullyAdaptive::new(&topo);
+            let escape_updown = EscapeVcRouting::with_updown(&topo);
+            let escape_dor = full_mesh.then(|| EscapeVcRouting::with_dor(&topo));
+            let updown_all = UpDownAll::new(&topo);
+            for_every_ctx(&topo, |ctx| {
+                let minimal = |l: LinkId| {
+                    dmap.distance(topo.link(l).dst, ctx.dest) + 1
+                        == dmap.distance(ctx.cur, ctx.dest)
+                };
+                let legal_in = |phase: Phase| {
+                    let ud = &ud;
+                    let topo = &topo;
+                    move |l: LinkId| {
+                        let after = match (phase, ud.direction(l)) {
+                            (Phase::CanUp, LinkDirection::Up) => Phase::CanUp,
+                            (_, LinkDirection::Down) => Phase::DownOnly,
+                            (Phase::DownOnly, LinkDirection::Up) => return false,
+                        };
+                        // `u16::MAX` (no legal path in this phase) is one
+                        // more than no distance.
+                        u32::from(ud.legal_distance(topo.link(l).dst, ctx.dest, after)) + 1
+                            == u32::from(ud.legal_distance(ctx.cur, ctx.dest, phase))
+                    }
+                };
+                let arrival_phase = ud.phase_after(ctx.arrived_via);
+                let here = |keep: &dyn Fn(LinkId) -> bool, sample, target| {
+                    rotated(&topo, ctx.cur, keep, sample, target)
+                };
+
+                let target = if ctx.in_escape {
+                    TargetVc::EscapeOnly
+                } else {
+                    TargetVc::Any
+                };
+                let mut expected = here(&minimal, ctx.sample, target);
+                if ctx.blocked_for >= DEFAULT_DEFLECT_AFTER {
+                    let back = ctx.arrived_via.map(|l| l.reverse());
+                    let deflects = |l: LinkId| !minimal(l) && Some(l) != back;
+                    expected.extend(here(&deflects, ctx.sample ^ 0x5A, target));
+                }
+                assert_eq!(emitted(&adaptive, ctx), expected, "adaptive {ctx:?}");
+
+                let expected = here(&legal_in(arrival_phase), ctx.sample, target);
+                assert_eq!(emitted(&updown_all, ctx), expected, "updown {ctx:?}");
+
+                let escape_list = |escape_hops: Vec<Candidate>| {
+                    if ctx.in_escape {
+                        return escape_hops;
+                    }
+                    let mut list = here(&minimal, ctx.sample, TargetVc::NonEscapeOnly);
+                    list.extend(escape_hops);
+                    list
+                };
+                // In the escape VC the phase follows the arrival link; a
+                // packet entering it starts in `CanUp`.
+                let phase = if ctx.in_escape {
+                    arrival_phase
+                } else {
+                    Phase::CanUp
+                };
+                let hops = here(&legal_in(phase), ctx.sample, TargetVc::EscapeOnly);
+                let got = emitted(&escape_updown, ctx);
+                assert_eq!(got, escape_list(hops), "escape-vc(updown) {ctx:?}");
+
+                if let Some(escape_dor) = &escape_dor {
+                    let xy = dor_next_hop(&topo, ctx.cur, ctx.dest);
+                    let hops = here(&|l| Some(l) == xy, 0, TargetVc::EscapeOnly);
+                    let got = emitted(escape_dor, ctx);
+                    assert_eq!(got, escape_list(hops), "escape-vc(dor) {ctx:?}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn push_rotated_with_no_port_one_port_and_every_port() {
+        let links: Vec<LinkId> = (100..132).map(LinkId).collect();
+        let pushed = |ports: u32, sample: u64| {
+            let mut out = Vec::new();
+            push_rotated(&links, ports, sample, TargetVc::Any, &mut out);
+            out.iter()
+                .map(|c: &Candidate| c.link.0)
+                .collect::<Vec<u32>>()
+        };
+        for sample in [0, 1, 7, u64::MAX] {
+            assert_eq!(pushed(0, sample), [0u32; 0], "an empty mask offers nothing");
+            assert_eq!(pushed(1 << 5, sample), [105], "one port has one order");
+            assert_eq!(pushed(1 << 31, sample), [131]);
+        }
+        assert_eq!(pushed(0b1011, 0), [100, 101, 103]);
+        assert_eq!(pushed(0b1011, 1), [101, 103, 100]);
+        assert_eq!(pushed(0b1011, 5), [103, 100, 101]);
+        let all: Vec<u32> = (100..132).collect();
+        let mut from_seven = all.clone();
+        from_seven.rotate_left(7);
+        assert_eq!(pushed(u32::MAX, 32), all);
+        assert_eq!(pushed(u32::MAX, 39), from_seven);
     }
 }

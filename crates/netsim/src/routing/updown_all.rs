@@ -1,6 +1,8 @@
 //! Pure up*/down* routing on every VC (Fig 5 baseline).
 
-use drain_topology::{updown::UpDownRouting, Topology};
+use std::sync::Arc;
+
+use drain_topology::{updown::UpDownRouting, IntoSharedTopology, Topology};
 
 use super::{push_rotated, Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
 
@@ -9,14 +11,19 @@ use super::{push_rotated, Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
 /// diversity — the performance gap Fig 5 quantifies.
 #[derive(Clone, Debug)]
 pub struct UpDownAll {
+    /// Names the ports of the table's masks.
+    topo: Arc<Topology>,
     ud: UpDownRouting,
 }
 
 impl UpDownAll {
-    /// Builds up*/down* tables for `topo`.
-    pub fn new(topo: &Topology) -> Self {
+    /// Builds up*/down* tables for `topo`. Accepts an owned or borrowed
+    /// topology, or an `Arc` to share one without cloning.
+    pub fn new(topo: impl IntoSharedTopology) -> Self {
+        let topo = topo.into_shared();
         UpDownAll {
-            ud: UpDownRouting::new(topo),
+            ud: UpDownRouting::new(&topo),
+            topo,
         }
     }
 
@@ -33,13 +40,13 @@ impl Routing for UpDownAll {
 
     fn candidates(&self, ctx: &RouteCtx, out: &mut Vec<Candidate>) {
         let phase = self.ud.phase_after(ctx.arrived_via);
-        let links = self.ud.next_hops(ctx.cur, ctx.dest, phase);
+        let ports = self.ud.next_hop_ports(ctx.cur, ctx.dest, phase);
         let target = if ctx.in_escape {
             TargetVc::EscapeOnly
         } else {
             TargetVc::Any
         };
-        push_rotated(links, ctx.sample, target, out);
+        push_rotated(self.topo.out_links(ctx.cur), ports, ctx.sample, target, out);
     }
 
     fn wake_profile(&self) -> WakeProfile {

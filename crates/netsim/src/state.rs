@@ -1529,8 +1529,9 @@ impl SimCore {
     /// the wake decision needs).
     ///
     /// Parking is declined (`Stall`) when unsound — an
-    /// [`WakeProfile::Unstable`] routing, or a router too wide for the
-    /// 32-bit subscription mask — and when it is sound but *worthless*: a
+    /// [`WakeProfile::Unstable`] routing (every router fits the 32-bit
+    /// subscription mask: `drain_topology::MAX_DEGREE`) — and when it is
+    /// sound but *worthless*: a
     /// wake deadline of `now + 1` fires before the next visit could skip
     /// anything, so the park would be pure bookkeeping. That last rule
     /// carries the saturated-regime win: with single-cycle link
@@ -1606,8 +1607,7 @@ impl SimCore {
         let out_links = self.topo.out_links(here);
         let mut parkable = self.config.wake_scheduler
             && self.park_gate
-            && !matches!(self.wake_profile, WakeProfile::Unstable)
-            && out_links.len() <= 32;
+            && !matches!(self.wake_profile, WakeProfile::Unstable);
         let mut wake_at = u64::MAX;
         if parkable {
             if let WakeProfile::WidensAt(t) = self.wake_profile {

@@ -1,16 +1,102 @@
 //! All-pairs shortest-path machinery for minimal adaptive routing.
 //!
 //! The simulator's fully-adaptive router consults a [`DistanceMap`] to find
-//! the set of *productive* output links (those on some minimal path to the
+//! the set of *productive* output ports (those on some minimal path to the
 //! destination). Distances are hop counts from BFS over the unidirectional
 //! link graph, recomputed whenever the topology changes (fault events).
+//!
+//! A next-hop set is stored the way a hardware forwarding table stores it:
+//! as output *ports*, one `u32` mask per (cur, dest) pair whose bit `j`
+//! stands for `topo.out_links(cur)[j]` ([`crate::MAX_DEGREE`] is the mask
+//! width). Together with the `u16` distance that is 6 bytes per pair.
+//! [`Topology::port_links`] turns a mask back into links.
+//!
+//! The distances under the masks come from `all_pairs_bfs`, which
+//! [`crate::updown::UpDownRouting`] runs too, on its phase-expanded graph.
 
-use std::collections::VecDeque;
+use crate::{NodeId, Topology};
 
-use crate::{LinkId, NodeId, Topology};
+/// Hop counts to every destination from every state of a graph, by a
+/// breadth-first search that walks the edges backwards from 64
+/// destinations at once.
+///
+/// The graph has `states` states, a multiple of the `n` destinations;
+/// state `s` stands for node `s % n` and is at distance 0 from that
+/// destination. `preds(v)` yields the states with an edge into `v`.
+/// Returns `dist[s * n + dest]`, `u16::MAX` where `dest` is unreachable.
+///
+/// One pass keeps three words per state — the destinations that have
+/// `seen` it, the ones that reached it in the last level (`frontier`) and
+/// in this one (`next`) — so a level is `next[u] |= frontier[v]` over the
+/// edges, and the bits of `next[u] & !seen[u]` are written, as the level
+/// number, into the 64 consecutive entries of row `u` the pass owns.
+pub(crate) fn all_pairs_bfs<I: Iterator<Item = usize>>(
+    n: usize,
+    states: usize,
+    preds: impl Fn(usize) -> I,
+) -> Vec<u16> {
+    let mut dist = vec![u16::MAX; states * n];
+    let mut seen = vec![0u64; states];
+    let mut frontier = vec![0u64; states];
+    let mut next = vec![0u64; states];
+    for base in (0..n).step_by(64) {
+        let width = (n - base).min(64);
+        seen.fill(0);
+        for dest in base..base + width {
+            for s in (dest..states).step_by(n) {
+                seen[s] = 1 << (dest - base);
+                frontier[s] = seen[s];
+                dist[s * n + dest] = 0;
+            }
+        }
+        let mut level = 0u16;
+        loop {
+            level += 1;
+            for (v, &reached) in frontier.iter().enumerate() {
+                if reached != 0 {
+                    for u in preds(v) {
+                        next[u] |= reached;
+                    }
+                }
+            }
+            let mut any = 0;
+            for u in 0..states {
+                let mut fresh = std::mem::take(&mut next[u]) & !seen[u];
+                seen[u] |= fresh;
+                frontier[u] = fresh;
+                any |= fresh;
+                while fresh != 0 {
+                    dist[u * n + base + fresh.trailing_zeros() as usize] = level;
+                    fresh &= fresh - 1;
+                }
+            }
+            // The last level found nothing new, so `frontier` and `next`
+            // are all zero again for the next pass.
+            if any == 0 {
+                break;
+            }
+        }
+    }
+    dist
+}
 
-/// Dense all-pairs hop-count table plus per-(node, dest) productive-link
-/// sets.
+/// Sets bit `port` of `ports[dest]` for every `dest` that is one hop
+/// closer from the neighbour behind that port (`there[dest]`) than from
+/// here (`here[dest]`). Unreachable destinations and `here` itself — the
+/// zero of its own row — get no bit.
+pub(crate) fn mark_closer(ports: &mut [u32], here: &[u16], there: &[u16], port: usize) {
+    let bit = 1u32 << port;
+    for ((mask, &d), &via) in ports.iter_mut().zip(here).zip(there) {
+        // All in `u16`, which is what lets the loop vectorise: `d - 1`
+        // wraps the two distances that get no bit (0 and `u16::MAX`) to
+        // the top of the range.
+        let closer = via.wrapping_add(1) == d && d.wrapping_sub(1) < u16::MAX - 1;
+        *mask |= if closer { bit } else { 0 };
+    }
+}
+
+/// Dense all-pairs hop-count table plus per-(node, dest) productive-port
+/// masks.
 ///
 /// # Examples
 ///
@@ -23,85 +109,62 @@ use crate::{LinkId, NodeId, Topology};
 /// assert_eq!(d.diameter(), 6);
 /// // From a corner toward the opposite corner, both mesh directions are
 /// // productive.
-/// assert_eq!(d.productive_links(NodeId(0), NodeId(15)).len(), 2);
+/// let ports = d.productive_ports(NodeId(0), NodeId(15));
+/// assert_eq!(ports, 0b11);
+/// assert_eq!(t.port_links(NodeId(0), ports).count(), 2);
 /// ```
 #[derive(Clone, Debug)]
 pub struct DistanceMap {
     num_nodes: usize,
     /// `dist[src * n + dst]`, `u16::MAX` = unreachable.
     dist: Vec<u16>,
-    /// Productive-link sets in CSR form: the links for pair `(cur, dst)`
-    /// are `prod_links[prod_off[cur * n + dst] .. prod_off[cur * n + dst + 1]]`.
-    /// One lookup is two loads into contiguous arrays — the per-packet
-    /// routing query in the simulator's hot loop — instead of chasing a
-    /// per-pair heap `Vec`.
-    prod_off: Vec<u32>,
-    prod_links: Vec<LinkId>,
+    /// `ports[cur * n + dst]`: bit `j` set iff `out_links(cur)[j]` lies on
+    /// a minimal path to `dst`. One lookup is one load — the per-packet
+    /// routing query in the simulator's hot loop.
+    ports: Vec<u32>,
     diameter: u16,
     avg_distance: f64,
 }
 
 impl DistanceMap {
-    /// Computes BFS distances and productive-link sets for `topo`.
+    /// Computes BFS distances and productive-port masks for `topo`.
     pub fn new(topo: &Topology) -> Self {
         let n = topo.num_nodes();
-        let mut dist = vec![u16::MAX; n * n];
-        // BFS from every destination over reversed edges gives
-        // dist(x, dest) for all x in one pass.
-        for dest in topo.nodes() {
-            let base = |x: usize| x * n + dest.index();
-            dist[base(dest.index())] = 0;
-            let mut q = VecDeque::new();
-            q.push_back(dest);
-            while let Some(v) = q.pop_front() {
-                let dv = dist[base(v.index())];
-                for &l in topo.in_links(v) {
-                    let u = topo.link(l).src;
-                    if dist[base(u.index())] == u16::MAX {
-                        dist[base(u.index())] = dv + 1;
-                        q.push_back(u);
-                    }
-                }
-            }
-        }
-        // Build the CSR directly: the (cur, dest) row-major visit order is
-        // exactly the offset order, so links append to one flat buffer.
-        let mut prod_off = Vec::with_capacity(n * n + 1);
-        let mut prod_links = Vec::new();
-        prod_off.push(0u32);
+        let dist = all_pairs_bfs(n, n, |v| {
+            let into_v = topo.in_links(NodeId(v as u16)).iter();
+            into_v.map(|&l| topo.link(l).src.index())
+        });
+        let mut ports = vec![0u32; n * n];
         for cur in topo.nodes() {
-            for dest in topo.nodes() {
-                let d = dist[cur.index() * n + dest.index()];
-                if cur != dest && d != u16::MAX {
-                    prod_links.extend(topo.out_links(cur).iter().copied().filter(|&l| {
-                        let next = topo.link(l).dst;
-                        dist[next.index() * n + dest.index()] == d - 1
-                    }));
-                }
-                prod_off.push(prod_links.len() as u32);
+            let row = cur.index() * n..(cur.index() + 1) * n;
+            for (port, &l) in topo.out_links(cur).iter().enumerate() {
+                let next = topo.link(l).dst.index();
+                mark_closer(
+                    &mut ports[row.clone()],
+                    &dist[row.clone()],
+                    &dist[next * n..(next + 1) * n],
+                    port,
+                );
             }
         }
-        let mut diameter = 0u16;
-        let mut sum = 0u64;
-        let mut pairs = 0u64;
-        for s in 0..n {
-            for t in 0..n {
-                if s == t {
-                    continue;
-                }
-                let d = dist[s * n + t];
-                if d != u16::MAX {
-                    diameter = diameter.max(d);
-                    sum += d as u64;
-                    pairs += 1;
-                }
-            }
+        // The diagonal is all zeros: it adds nothing to the sum or the
+        // maximum, and `n` to the count of reachable entries.
+        let (mut diameter, mut sum, mut unreachable) = (0u16, 0u64, 0usize);
+        for &d in &dist {
+            let d = if d == u16::MAX {
+                unreachable += 1;
+                0
+            } else {
+                d
+            };
+            diameter = diameter.max(d);
+            sum += u64::from(d);
         }
+        let pairs = dist.len() - unreachable - n;
         DistanceMap {
             num_nodes: n,
             dist,
-            prod_off,
-            prod_links,
+            ports,
             diameter,
             avg_distance: if pairs == 0 {
                 0.0
@@ -117,11 +180,12 @@ impl DistanceMap {
         self.dist[src.index() * self.num_nodes + dst.index()]
     }
 
-    /// Outgoing links of `cur` that lie on a minimal path to `dest`.
+    /// Out-ports of `cur` that lie on a minimal path to `dest`: bit `j`
+    /// stands for `topo.out_links(cur)[j]` ([`Topology::port_links`] lists
+    /// the links). 0 when `cur == dest` or `dest` is unreachable.
     #[inline]
-    pub fn productive_links(&self, cur: NodeId, dest: NodeId) -> &[LinkId] {
-        let p = cur.index() * self.num_nodes + dest.index();
-        &self.prod_links[self.prod_off[p] as usize..self.prod_off[p + 1] as usize]
+    pub fn productive_ports(&self, cur: NodeId, dest: NodeId) -> u32 {
+        self.ports[cur.index() * self.num_nodes + dest.index()]
     }
 
     /// Longest shortest path between any reachable pair.
@@ -138,22 +202,12 @@ impl DistanceMap {
     /// `cur != dest` — a simple path-diversity metric.
     pub fn path_diversity(&self) -> f64 {
         let n = self.num_nodes;
-        let mut sum = 0usize;
-        let mut count = 0usize;
-        for s in 0..n {
-            for t in 0..n {
-                if s == t {
-                    continue;
-                }
-                sum += (self.prod_off[s * n + t + 1] - self.prod_off[s * n + t]) as usize;
-                count += 1;
-            }
+        if n < 2 {
+            return 0.0;
         }
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 / count as f64
-        }
+        // Diagonal masks are empty.
+        let hops: u64 = self.ports.iter().map(|m| u64::from(m.count_ones())).sum();
+        hops as f64 / (n * (n - 1)) as f64
     }
 }
 
@@ -177,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn productive_links_decrease_distance() {
+    fn productive_ports_decrease_distance() {
         let t = FaultInjector::new(11)
             .remove_links(&Topology::mesh(6, 6), 8)
             .unwrap();
@@ -187,9 +241,9 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                let links = d.productive_links(a, b);
-                assert!(!links.is_empty(), "connected graph must have a next hop");
-                for &l in links {
+                let ports = d.productive_ports(a, b);
+                assert_ne!(ports, 0, "connected graph must have a next hop");
+                for l in t.port_links(a, ports) {
                     let next = t.link(l).dst;
                     assert_eq!(d.distance(next, b) + 1, d.distance(a, b));
                 }

@@ -119,9 +119,23 @@ pub enum TopologyError {
         /// Faults that could be injected.
         achievable: usize,
     },
+    /// A router has more out-links than a next-hop port mask has bits
+    /// ([`MAX_DEGREE`]).
+    DegreeTooHigh {
+        /// The first router over the limit.
+        node: u16,
+        /// Its number of out-links.
+        degree: usize,
+    },
     /// A topology must have at least one node.
     Empty,
 }
+
+/// Most out-links a router may have: the routing tables
+/// ([`crate::distance::DistanceMap`], [`crate::updown::UpDownRouting`]) and
+/// the simulator's wake subscriptions name an out-link by its position in
+/// [`Topology::out_links`], one bit of a `u32` per position.
+pub const MAX_DEGREE: usize = 32;
 
 impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -143,6 +157,10 @@ impl fmt::Display for TopologyError {
                 f,
                 "cannot inject {requested} faults while keeping the network connected \
                  (at most {achievable} possible)"
+            ),
+            TopologyError::DegreeTooHigh { node, degree } => write!(
+                f,
+                "node {node} has {degree} out-links, more than the {MAX_DEGREE} a port mask holds"
             ),
             TopologyError::Empty => write!(f, "topology must have at least one node"),
         }
@@ -210,8 +228,14 @@ pub struct Topology {
     name: String,
     num_nodes: usize,
     links: Vec<UniLink>,
-    out_adj: Vec<Vec<LinkId>>,
-    in_adj: Vec<Vec<LinkId>>,
+    /// Adjacency in CSR form: node `n`'s out-links are
+    /// `out_adj[adj_off[n] .. adj_off[n + 1]]` and its in-links the same
+    /// range of `in_adj` (every link has its opposing twin, so in- and
+    /// out-degree agree). A link's position in its source's range is its
+    /// *port* — the bit the routing tables' masks give it.
+    adj_off: Vec<u32>,
+    out_adj: Vec<LinkId>,
+    in_adj: Vec<LinkId>,
     /// Mesh coordinates when the topology derives from a grid (used by
     /// dimension-order routing and visualization).
     coords: Option<Vec<(u16, u16)>>,
@@ -225,8 +249,9 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns an error for out-of-range nodes, duplicate edges, self loops
-    /// or an empty node set.
+    /// Returns an error for out-of-range nodes, duplicate edges, self loops,
+    /// an empty node set or a router with more than [`MAX_DEGREE`]
+    /// out-links.
     pub fn from_edges(
         name: impl Into<String>,
         num_nodes: usize,
@@ -237,8 +262,7 @@ impl Topology {
         }
         let mut seen = std::collections::HashSet::new();
         let mut links = Vec::with_capacity(edges.len() * 2);
-        let mut out_adj = vec![Vec::new(); num_nodes];
-        let mut in_adj = vec![Vec::new(); num_nodes];
+        let mut adj_off = vec![0u32; num_nodes + 1];
         for &(a, b) in edges {
             if a as usize >= num_nodes {
                 return Err(TopologyError::NodeOutOfRange {
@@ -259,25 +283,43 @@ impl Topology {
             if !seen.insert(key) {
                 return Err(TopologyError::DuplicateEdge { a, b });
             }
-            let fwd = LinkId(links.len() as u32);
             links.push(UniLink {
                 src: NodeId(a),
                 dst: NodeId(b),
             });
-            let bwd = LinkId(links.len() as u32);
             links.push(UniLink {
                 src: NodeId(b),
                 dst: NodeId(a),
             });
-            out_adj[a as usize].push(fwd);
-            in_adj[b as usize].push(fwd);
-            out_adj[b as usize].push(bwd);
-            in_adj[a as usize].push(bwd);
+            adj_off[a as usize + 1] += 1;
+            adj_off[b as usize + 1] += 1;
+        }
+        if let Some(node) = (0..num_nodes).find(|&n| adj_off[n + 1] as usize > MAX_DEGREE) {
+            return Err(TopologyError::DegreeTooHigh {
+                node: node as u16,
+                degree: adj_off[node + 1] as usize,
+            });
+        }
+        for n in 0..num_nodes {
+            adj_off[n + 1] += adj_off[n];
+        }
+        // Ports follow edge order: a node's k-th incident edge is its
+        // k-th out-link, and that link's twin its k-th in-link.
+        let mut next_port = adj_off.clone();
+        let mut out_adj = vec![LinkId(0); links.len()];
+        let mut in_adj = vec![LinkId(0); links.len()];
+        for (i, e) in links.iter().enumerate() {
+            let l = LinkId(i as u32);
+            let at = &mut next_port[e.src.index()];
+            out_adj[*at as usize] = l;
+            in_adj[*at as usize] = l.reverse();
+            *at += 1;
         }
         Ok(Topology {
             name: name.into(),
             num_nodes,
             links,
+            adj_off,
             out_adj,
             in_adj,
             coords: None,
@@ -397,13 +439,28 @@ impl Topology {
     /// Outgoing unidirectional links of node `n`.
     #[inline]
     pub fn out_links(&self, n: NodeId) -> &[LinkId] {
-        &self.out_adj[n.index()]
+        &self.out_adj[self.adj_range(n)]
+    }
+
+    /// The out-links of `n` whose port — position in
+    /// [`Topology::out_links`] — has its bit set in `ports`, in port
+    /// order: the link form of a routing-table mask.
+    pub fn port_links(&self, n: NodeId, ports: u32) -> impl Iterator<Item = LinkId> + '_ {
+        let outs = self.out_links(n);
+        (0..outs.len())
+            .filter(move |&j| ports >> j & 1 != 0)
+            .map(move |j| outs[j])
     }
 
     /// Incoming unidirectional links of node `n`.
     #[inline]
     pub fn in_links(&self, n: NodeId) -> &[LinkId] {
-        &self.in_adj[n.index()]
+        &self.in_adj[self.adj_range(n)]
+    }
+
+    #[inline]
+    fn adj_range(&self, n: NodeId) -> std::ops::Range<usize> {
+        self.adj_off[n.index()] as usize..self.adj_off[n.index() + 1] as usize
     }
 
     /// Iterator over all node ids.
@@ -418,20 +475,17 @@ impl Topology {
 
     /// Degree (number of neighbors) of node `n`.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.out_adj[n.index()].len()
+        self.adj_range(n).len()
     }
 
     /// Maximum degree over all nodes.
     pub fn max_degree(&self) -> usize {
-        (0..self.num_nodes)
-            .map(|i| self.out_adj[i].len())
-            .max()
-            .unwrap_or(0)
+        self.nodes().map(|n| self.degree(n)).max().unwrap_or(0)
     }
 
     /// Finds the unidirectional link `a -> b`, if the nodes are adjacent.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.out_adj[a.index()]
+        self.out_links(a)
             .iter()
             .copied()
             .find(|&l| self.links[l.index()].dst == b)
@@ -613,6 +667,31 @@ mod tests {
             Topology::from_edges("t", 0, &[]),
             Err(TopologyError::Empty)
         );
+    }
+
+    #[test]
+    fn a_router_with_more_ports_than_a_mask_has_bits_is_rejected() {
+        let star = |leaves: u16| -> Vec<(u16, u16)> { (1..=leaves).map(|l| (0, l)).collect() };
+        assert!(Topology::from_edges("star", 33, &star(32)).is_ok());
+        let err = Topology::from_edges("star", 35, &star(34)).unwrap_err();
+        assert_eq!(
+            err,
+            TopologyError::DegreeTooHigh {
+                node: 0,
+                degree: 34
+            }
+        );
+        assert!(err.to_string().contains("34 out-links"));
+    }
+
+    #[test]
+    fn port_links_follow_out_link_order() {
+        let t = Topology::mesh(3, 3);
+        let outs = t.out_links(NodeId(4));
+        assert_eq!(outs.len(), 4);
+        let picked: Vec<LinkId> = t.port_links(NodeId(4), 0b1010).collect();
+        assert_eq!(picked, [outs[1], outs[3]]);
+        assert_eq!(t.port_links(NodeId(4), 0).count(), 0);
     }
 
     #[test]

@@ -49,4 +49,4 @@ mod graph;
 pub mod partition;
 pub mod updown;
 
-pub use graph::{IntoSharedTopology, LinkId, NodeId, Topology, TopologyError, UniLink};
+pub use graph::{IntoSharedTopology, LinkId, NodeId, Topology, TopologyError, UniLink, MAX_DEGREE};

@@ -8,13 +8,16 @@
 //! links, i.e. the down→up turn is forbidden, which breaks every cycle.
 //!
 //! [`UpDownRouting`] precomputes, for every (current node, destination,
-//! phase), the set of next-hop links on a *minimal legal* path. The phase —
-//! whether the packet has already traversed a down link — is derivable at a
-//! router from the direction of the input link, exactly as in hardware
-//! implementations.
+//! phase), the set of next hops on a *minimal legal* path, as a mask of
+//! output ports like [`crate::distance::DistanceMap`]'s (bit `j` stands for
+//! `topo.out_links(cur)[j]`; with the `u16` legal distance, 12 bytes per
+//! (cur, dest) pair over both phases). The phase — whether the packet has
+//! already traversed a down link — is derivable at a router from the
+//! direction of the input link, exactly as in hardware implementations.
 
 use std::collections::VecDeque;
 
+use crate::distance::{all_pairs_bfs, mark_closer};
 use crate::{LinkId, NodeId, Topology};
 
 /// Direction of a unidirectional link relative to the spanning-tree root.
@@ -44,8 +47,8 @@ pub enum Phase {
 ///
 /// let t = Topology::mesh(4, 4);
 /// let ud = UpDownRouting::new(&t);
-/// let hops = ud.next_hops(NodeId(0), NodeId(15), Phase::CanUp);
-/// assert!(!hops.is_empty());
+/// let ports = ud.next_hop_ports(NodeId(0), NodeId(15), Phase::CanUp);
+/// assert!(t.port_links(NodeId(0), ports).next().is_some());
 /// // All routes terminate: distances are finite from the CanUp phase.
 /// assert!(ud.legal_distance(NodeId(3), NodeId(12), Phase::CanUp) < u16::MAX);
 /// ```
@@ -56,14 +59,13 @@ pub struct UpDownRouting {
     num_nodes: usize,
     /// Direction per unidirectional link.
     dir: Vec<LinkDirection>,
-    /// `dist[phase][u * n + dest]`: minimal legal hop count, `u16::MAX` if
-    /// unreachable in that phase.
-    dist: [Vec<u16>; 2],
-    /// Minimal legal next-hop links in CSR form, like `DistanceMap`'s
-    /// productive links: the set for `p = u * n + dest` is
-    /// `hop_links[phase][hop_off[phase][p] .. hop_off[phase][p + 1]]`.
-    hop_off: [Vec<u32>; 2],
-    hop_links: [Vec<LinkId>; 2],
+    /// `dist[(phase * n + u) * n + dest]`: minimal legal hop count,
+    /// `u16::MAX` if unreachable in that phase.
+    dist: Vec<u16>,
+    /// `ports[(phase * n + u) * n + dest]`: bit `j` set iff
+    /// `out_links(u)[j]` is legal in `phase` and starts a minimal legal
+    /// path to `dest`.
+    ports: Vec<u32>,
 }
 
 impl UpDownRouting {
@@ -117,63 +119,47 @@ impl UpDownRouting {
             })
             .collect();
 
-        // Per-destination BFS over the phase-expanded graph, reversed.
-        // Forward transitions: (u, CanUp) --up--> (v, CanUp)
-        //                      (u, CanUp) --down--> (v, DownOnly)
-        //                      (u, DownOnly) --down--> (v, DownOnly)
-        let mut dist = [vec![u16::MAX; n * n], vec![u16::MAX; n * n]];
-        const CAN_UP: usize = 0;
-        const DOWN_ONLY: usize = 1;
-        for dest in topo.nodes() {
-            let di = dest.index();
-            dist[CAN_UP][di * n + di] = 0;
-            dist[DOWN_ONLY][di * n + di] = 0;
-            // BFS on reversed edges from both destination states.
-            let mut q: VecDeque<(NodeId, usize)> = VecDeque::new();
-            q.push_back((dest, CAN_UP));
-            q.push_back((dest, DOWN_ONLY));
-            while let Some((v, phase)) = q.pop_front() {
-                let dv = dist[phase][v.index() * n + di];
-                for &l in topo.in_links(v) {
-                    let u = topo.link(l).src;
-                    // Which forward transitions produce (v, phase)?
-                    let preds: &[usize] = match (dir[l.index()], phase) {
-                        (LinkDirection::Up, CAN_UP) => &[CAN_UP],
-                        (LinkDirection::Down, DOWN_ONLY) => &[CAN_UP, DOWN_ONLY],
-                        _ => &[],
-                    };
-                    for &p in preds {
-                        let slot = &mut dist[p][u.index() * n + di];
-                        if *slot == u16::MAX {
-                            *slot = dv + 1;
-                            q.push_back((u, p));
-                        }
-                    }
-                }
-            }
-        }
-        // Next-hop sets from the distance tables: the (u, dest) row-major
-        // visit order is the offset order, so each phase's links append
-        // to one flat buffer.
-        let mut hop_off = [vec![0u32], vec![0u32]];
-        let mut hop_links = [Vec::new(), Vec::new()];
+        // The phase-expanded graph: state `phase * n + u`, with the legal
+        // transitions (u, CanUp) --up--> (v, CanUp)
+        //             (u, CanUp) --down--> (v, DownOnly)
+        //             (u, DownOnly) --down--> (v, DownOnly)
+        // and both states of a destination at distance 0.
+        let down_only = |u: usize| n + u;
+        let dir_of = |l: LinkId| dir[l.index()];
+        let dist = all_pairs_bfs(n, 2 * n, |state| {
+            let (v, arrives_down_only) = (state % n, state >= n);
+            let into_v = topo.in_links(NodeId(v as u16)).iter();
+            into_v.flat_map(move |&l| {
+                let u = topo.link(l).src.index();
+                let (first, second) = match (dir_of(l), arrives_down_only) {
+                    (LinkDirection::Up, false) => (Some(u), None),
+                    (LinkDirection::Down, true) => (Some(u), Some(down_only(u))),
+                    _ => (None, None),
+                };
+                first.into_iter().chain(second)
+            })
+        });
+        let mut ports = vec![0u32; 2 * n * n];
+        let row = |state: usize| state * n..(state + 1) * n;
         for u in topo.nodes() {
-            for dest in topo.nodes() {
-                for phase in [CAN_UP, DOWN_ONLY] {
-                    let du = dist[phase][u.index() * n + dest.index()];
-                    if u != dest && du != u16::MAX {
-                        hop_links[phase].extend(topo.out_links(u).iter().copied().filter(|&l| {
-                            let v = topo.link(l).dst;
-                            let next_phase = match (phase, dir[l.index()]) {
-                                (CAN_UP, LinkDirection::Up) => CAN_UP,
-                                (_, LinkDirection::Down) => DOWN_ONLY,
-                                // Down→up turn is forbidden.
-                                (_, LinkDirection::Up) => return false,
-                            };
-                            dist[next_phase][v.index() * n + dest.index()] == du - 1
-                        }));
-                    }
-                    hop_off[phase].push(hop_links[phase].len() as u32);
+            for (port, &l) in topo.out_links(u).iter().enumerate() {
+                let v = topo.link(l).dst.index();
+                // (state here, state after the hop) pairs this link serves;
+                // the down->up turn is forbidden.
+                let hops: &[(usize, usize)] = match dir_of(l) {
+                    LinkDirection::Up => &[(u.index(), v)],
+                    LinkDirection::Down => &[
+                        (u.index(), down_only(v)),
+                        (down_only(u.index()), down_only(v)),
+                    ],
+                };
+                for &(here, there) in hops {
+                    mark_closer(
+                        &mut ports[row(here)],
+                        &dist[row(here)],
+                        &dist[row(there)],
+                        port,
+                    );
                 }
             }
         }
@@ -183,8 +169,7 @@ impl UpDownRouting {
             num_nodes: n,
             dir,
             dist,
-            hop_off,
-            hop_links,
+            ports,
         }
     }
 
@@ -222,16 +207,20 @@ impl UpDownRouting {
     /// Minimal legal hop count from `cur` (in `phase`) to `dest`
     /// (`u16::MAX` if unreachable in that phase).
     pub fn legal_distance(&self, cur: NodeId, dest: NodeId, phase: Phase) -> u16 {
-        self.dist[phase as usize][cur.index() * self.num_nodes + dest.index()]
+        self.dist[self.entry(cur, dest, phase)]
     }
 
-    /// Next-hop links on a minimal legal path from `cur` to `dest` given the
-    /// packet's `phase`.
+    /// Out-ports of `cur` on a minimal legal path to `dest` given the
+    /// packet's `phase`: bit `j` stands for `topo.out_links(cur)[j]`
+    /// ([`Topology::port_links`] lists the links).
     #[inline]
-    pub fn next_hops(&self, cur: NodeId, dest: NodeId, phase: Phase) -> &[LinkId] {
-        let off = &self.hop_off[phase as usize];
-        let p = cur.index() * self.num_nodes + dest.index();
-        &self.hop_links[phase as usize][off[p] as usize..off[p + 1] as usize]
+    pub fn next_hop_ports(&self, cur: NodeId, dest: NodeId, phase: Phase) -> u32 {
+        self.ports[self.entry(cur, dest, phase)]
+    }
+
+    #[inline]
+    fn entry(&self, cur: NodeId, dest: NodeId, phase: Phase) -> usize {
+        (phase as usize * self.num_nodes + cur.index()) * self.num_nodes + dest.index()
     }
 }
 
@@ -241,7 +230,7 @@ mod tests {
     use crate::faults::FaultInjector;
 
     fn check_all_pairs_route(topo: &Topology, ud: &UpDownRouting) {
-        // Follow next_hops greedily from every (src, dest): must terminate.
+        // Follow the first next hop from every (src, dest): must terminate.
         for src in topo.nodes() {
             for dest in topo.nodes() {
                 if src == dest {
@@ -251,12 +240,10 @@ mod tests {
                 let mut phase = Phase::CanUp;
                 let mut hops = 0;
                 while cur != dest {
-                    let nh = ud.next_hops(cur, dest, phase);
-                    assert!(
-                        !nh.is_empty(),
-                        "no legal next hop from {cur:?} to {dest:?} in {phase:?}"
-                    );
-                    let l = nh[0];
+                    let ports = ud.next_hop_ports(cur, dest, phase);
+                    let l = topo.port_links(cur, ports).next().unwrap_or_else(|| {
+                        panic!("no legal next hop from {cur:?} to {dest:?} in {phase:?}")
+                    });
                     phase = match (phase, ud.direction(l)) {
                         (Phase::CanUp, LinkDirection::Up) => Phase::CanUp,
                         _ => Phase::DownOnly,

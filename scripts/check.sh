@@ -24,7 +24,8 @@ echo "==> cargo test --workspace (every suite once)"
 # and telemetry (pure observers),
 # golden traces and golden pins (trace-byte and Stats digests of the
 # saturated presets, DESIGN.md "Determinism"), the frozen Fig 12 wedge
-# (ROADMAP item 1a) — so a regression there is
+# (ROADMAP item 1a), the tier-1 structure properties (routing tables
+# against a queue BFS and their definitions) — so a regression there is
 # named in CI output, not buried in a 400-test run. Any change to the
 # keyed draws, visit order or candidate ordering fails here, not in a
 # figure regeneration a week later.
@@ -33,7 +34,7 @@ awk '
     function emit() { if (suite != "") { print suite; suite = "" } print }
     /^ +(Running|Doc-tests) / {
         suite = $0
-        named = /tests\/(determinism|golden_trace|golden_pin|metrics|shard_props|wedge)\.rs/
+        named = /tests\/(determinism|golden_trace|golden_pin|metrics|shard_props|wedge|proptest_invariants)\.rs/
         next
     }
     /^test result: ok\. 0 passed; 0 failed; 0 ignored/ { next }

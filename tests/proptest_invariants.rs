@@ -29,6 +29,129 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
     ]
 }
 
+/// Hop counts to one destination by a plain queue BFS over reversed edges
+/// — the routine the tables were built with before the bit-parallel one.
+/// `seeds` are the states at distance 0, `preds(v)` the states with an
+/// edge into `v`.
+fn queue_bfs(states: usize, seeds: &[usize], preds: impl Fn(usize) -> Vec<usize>) -> Vec<u16> {
+    let mut dist = vec![u16::MAX; states];
+    let mut queue = std::collections::VecDeque::new();
+    for &s in seeds {
+        dist[s] = 0;
+        queue.push_back(s);
+    }
+    while let Some(v) = queue.pop_front() {
+        for u in preds(v) {
+            if dist[u] == u16::MAX {
+                dist[u] = dist[v] + 1;
+                queue.push_back(u);
+            }
+        }
+    }
+    dist
+}
+
+/// `DistanceMap` against its definition: distances are BFS hop counts, and
+/// the productive set is, in `out_links` order, the links whose far end is
+/// one hop closer (empty on the diagonal and toward unreachable nodes).
+fn assert_distance_map_matches_bfs(topo: &Topology) {
+    let d = DistanceMap::new(topo);
+    for dest in topo.nodes() {
+        let bfs = queue_bfs(topo.num_nodes(), &[dest.index()], |v| {
+            let into_v = topo.in_links(NodeId(v as u16)).iter();
+            into_v.map(|&l| topo.link(l).src.index()).collect()
+        });
+        for cur in topo.nodes() {
+            let here = bfs[cur.index()];
+            assert_eq!(d.distance(cur, dest), here, "distance {cur:?}->{dest:?}");
+            let closer = |l: &LinkId| {
+                here != u16::MAX && here != 0 && bfs[topo.link(*l).dst.index()] == here - 1
+            };
+            let expected: Vec<LinkId> =
+                topo.out_links(cur).iter().copied().filter(closer).collect();
+            let ports = d.productive_ports(cur, dest);
+            let got: Vec<LinkId> = topo.port_links(cur, ports).collect();
+            assert_eq!(got, expected, "productive set {cur:?}->{dest:?}");
+            assert_eq!(
+                ports.count_ones() as usize,
+                expected.len(),
+                "stray bit in {ports:#b}"
+            );
+        }
+    }
+}
+
+/// `UpDownRouting::legal_distance` against a queue BFS over the
+/// phase-expanded graph (state `phase * n + node`, both states of the
+/// destination at 0, the three legal transitions).
+fn assert_updown_distances_match_bfs(topo: &Topology) {
+    let ud = UpDownRouting::new(topo);
+    let n = topo.num_nodes();
+    for dest in topo.nodes() {
+        let bfs = queue_bfs(2 * n, &[dest.index(), n + dest.index()], |state| {
+            let mut preds = Vec::new();
+            for &l in topo.in_links(NodeId((state % n) as u16)) {
+                let u = topo.link(l).src.index();
+                match (ud.direction(l), state >= n) {
+                    (LinkDirection::Up, false) => preds.push(u),
+                    (LinkDirection::Down, true) => preds.extend([u, n + u]),
+                    _ => {}
+                }
+            }
+            preds
+        });
+        for cur in topo.nodes() {
+            for phase in [Phase::CanUp, Phase::DownOnly] {
+                assert_eq!(
+                    ud.legal_distance(cur, dest, phase),
+                    bfs[phase as usize * n + cur.index()],
+                    "legal distance {cur:?}->{dest:?} in {phase:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The bit-parallel BFS handles 64 destinations per pass; `arb_topology()`
+/// tops out at 36 nodes, so these sizes are what reaches the second and
+/// third pass and a last pass of every width class (63, 64, 1, 17 wide).
+#[test]
+fn tables_match_queue_bfs_across_the_64_destination_batch_edge() {
+    let mut topos: Vec<Topology> = [63, 64, 65, 129]
+        .iter()
+        .map(|&n| random_connected(n, 3.0, u64::from(n)))
+        .collect();
+    topos.push(
+        FaultInjector::new(5)
+            .remove_links(&Topology::mesh(9, 9), 6)
+            .unwrap(),
+    );
+    for topo in &topos {
+        assert_distance_map_matches_bfs(topo);
+        assert_updown_distances_match_bfs(topo);
+    }
+}
+
+#[test]
+fn distance_map_of_two_components_marks_the_unreachable() {
+    // A 66-node path and a triangle: the first pass of the BFS holds
+    // destinations of the path only, the second of both components.
+    let mut edges: Vec<(u16, u16)> = (0..65).map(|i| (i, i + 1)).collect();
+    edges.extend([(66, 67), (67, 68), (68, 66)]);
+    let topo = Topology::from_edges("two-components", 69, &edges).unwrap();
+    assert_distance_map_matches_bfs(&topo);
+    let d = DistanceMap::new(&topo);
+    for (a, b) in [(0, 66), (68, 65), (67, 0)] {
+        assert_eq!(d.distance(NodeId(a), NodeId(b)), u16::MAX);
+        assert_eq!(d.productive_ports(NodeId(a), NodeId(b)), 0);
+    }
+    for node in topo.nodes() {
+        assert_eq!(d.distance(node, node), 0);
+        assert_eq!(d.productive_ports(node, node), 0);
+    }
+    assert_eq!(d.diameter(), 65);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -98,6 +221,16 @@ proptest! {
     }
 
     #[test]
+    fn distance_map_matches_queue_bfs(topo in arb_topology()) {
+        assert_distance_map_matches_bfs(&topo);
+    }
+
+    #[test]
+    fn updown_legal_distances_match_queue_bfs(topo in arb_topology()) {
+        assert_updown_distances_match_bfs(&topo);
+    }
+
+    #[test]
     fn updown_routes_all_pairs(topo in arb_topology()) {
         let ud = UpDownRouting::new(&topo);
         for s in topo.nodes() {
@@ -136,8 +269,10 @@ proptest! {
                                 && ud.legal_distance(topo.link(l).dst, dest, next) == d - 1
                         })
                         .collect();
+                    let ports = ud.next_hop_ports(cur, dest, phase);
                     prop_assert!(
-                        ud.next_hops(cur, dest, phase) == &expected[..],
+                        topo.port_links(cur, ports).eq(expected.iter().copied())
+                            && ports.count_ones() as usize == expected.len(),
                         "next hops {cur:?}->{dest:?} in {phase:?}"
                     );
                 }

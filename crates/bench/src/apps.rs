@@ -49,7 +49,7 @@ pub fn run_app(
     let finished = outcome == RunOutcome::WorkloadFinished;
     let cycles = sim.core().cycle() as f64;
     // When the budget ran out, scale by progress — in practice by 1, so a
-    // wedged run reads as the budget, not an extrapolation (Fig 12's 2.52x):
+    // wedged run reads as the budget, not an extrapolation:
     let runtime = if finished {
         cycles
     } else {

@@ -30,7 +30,7 @@ use crate::sweep::Point;
 /// Version tag mixed into every cache key. **Bump on any change that
 /// alters simulation results** (simulator behaviour, scheme assembly,
 /// RNG streams, scale parameters).
-pub const HARNESS_VERSION: u32 = 2;
+pub const HARNESS_VERSION: u32 = 3;
 
 /// 64-bit FNV-1a.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

@@ -1,7 +1,11 @@
-//! Shared by the differential suites `determinism.rs` and `metrics.rs`.
+//! Shared by the differential suites `determinism.rs` and `metrics.rs`,
+//! and by `wedge.rs` (each uses its own subset).
+
+#![allow(dead_code)]
 
 use std::sync::Arc;
 
+use drain_bench::{Scale, Scheme};
 use drain_core::{DrainConfig, DrainMechanism};
 use drain_netsim::routing::FullyAdaptive;
 use drain_netsim::traffic::{Endpoints, InjectionEvent, TraceTraffic};
@@ -15,6 +19,24 @@ pub fn irregular_topo() -> Topology {
     FaultInjector::new(9)
         .remove_links(&Topology::mesh(4, 4), 2)
         .expect("mesh(4,4) tolerates two removals")
+}
+
+/// `app_jobs`' seed for Fig 12's 8 faults, pattern 1.
+pub const WEDGE_CELL_SEED: u64 = (8 * 7919 + 1) ^ 0xA44;
+const _: () = assert!(WEDGE_CELL_SEED == 64_829);
+
+/// The Fig 12 cell that used to wedge (see `wedge.rs`): pagerank on
+/// mesh(8,8) minus 8 links, fault pattern 1, at the quick-scale quota —
+/// built exactly as `AppJob::run` builds it, so the numbers are the ones
+/// behind `results/fig12.txt`. It is the one pinned workload that mixes
+/// 5-flit data with 1-flit control packets.
+pub fn wedge_cell_sim(scheme: Scheme, epoch: u64) -> Sim {
+    let topo = FaultInjector::new(WEDGE_CELL_SEED)
+        .remove_links(&Topology::mesh(8, 8), 8)
+        .expect("mesh(8,8) tolerates eight removals");
+    let app = drain_workloads::app_by_name("pagerank").expect("pagerank model");
+    let quota = Some(Scale::Quick.app_quota());
+    scheme.coherence_sim(&topo, false, &app, quota, WEDGE_CELL_SEED, epoch)
 }
 
 /// A workload where fast-forward provably engages: three scripted bursts

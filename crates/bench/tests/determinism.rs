@@ -39,7 +39,7 @@ use drain_netsim::{DrawSite, RunOutcome, Stats, TelemetrySample, TraceConfig, Tr
 use drain_topology::Topology;
 
 mod common;
-use common::{bursty_sim, irregular_topo, run_stepped};
+use common::{bursty_sim, irregular_topo, run_stepped, wedge_cell_sim};
 
 /// The fig10-style grid this test sweeps: one scheme on a 4×4 mesh with
 /// two different fault patterns.
@@ -334,7 +334,8 @@ fn point_stats_wake(
 /// same final cycle whether blocked VCs park on wake subscriptions or the
 /// dense Phase A scan re-routes them every cycle. A parked head's draw is
 /// never computed: at the saturated rate the wake-scheduled run performs
-/// strictly fewer Phase A draws than the dense scan.
+/// strictly fewer Phase A draws than the dense scan. The same holds for
+/// the closed-loop Fig 12 cell of `wedge.rs` under mixed packet lengths.
 #[test]
 fn wake_scheduler_is_bit_identical_to_dense_scan() {
     for scheme in Scheme::headline() {
@@ -385,6 +386,25 @@ fn wake_scheduler_is_bit_identical_to_dense_scan() {
                 }
             }
         }
+    }
+    // Coherence leg: synthetic traffic has one packet length, MESI-lite
+    // mixes 5-flit data with 1-flit control — the only regime where two
+    // slots of one link vacate with different `free_at`s inside one tail.
+    for scheme in Scheme::headline() {
+        let cell = |wake: bool| {
+            let mut sim = wedge_cell_sim(scheme, Scheme::DEFAULT_EPOCH);
+            sim.set_wake_scheduler(wake);
+            let outcome = sim.run(Scale::Quick.app_budget());
+            (outcome, sim.stats().clone(), sim.core().cycle())
+        };
+        let (dense, wake) = (cell(false), cell(true));
+        assert_eq!(dense.0, RunOutcome::WorkloadFinished, "{}", scheme.label());
+        assert_eq!(
+            dense,
+            wake,
+            "{} on the Fig 12 cell: a coherence run must not depend on the wake scheduler",
+            scheme.label()
+        );
     }
 }
 

@@ -8,8 +8,9 @@
 //! identities), the allocation order, or the trace stream fails here even
 //! though it would still be self-consistent.
 //!
-//! The pinned digests were captured on the serial kernel when the keyed
-//! counter-based RNG was introduced (PR 10). The sharded kernel, the wake
+//! The pinned digests were captured on the serial kernel when the
+//! open-loop traffic source moved onto the keyed draws (PR 24; the kernel's
+//! own draws have been keyed since PR 10). The sharded kernel, the wake
 //! scheduler and the phase profiler (sampling in-process through
 //! `Sim::set_profile_period`) are held to the same constants: every cell
 //! must reproduce the digests bit for bit.
@@ -109,15 +110,15 @@ fn saturated_stats_digest(scheme: Scheme, shards: usize, wake: bool, profile_per
 
 /// Expected per-scheme digests (see module docs).
 const PINNED_TRACE: [(&str, u64); 3] = [
-    ("escapevc", 0xce49_ab86_21d3_29ed),
-    ("spin", 0x5e02_858b_8c95_b6b9),
-    ("drain", 0x0737_66c1_e779_2f5c),
+    ("escapevc", 0x9d8b_c366_c228_068c),
+    ("spin", 0xa023_0ba7_e9fb_3465),
+    ("drain", 0x8d0e_754d_e8db_4207),
 ];
 
 const PINNED_STATS: [(&str, u64); 3] = [
-    ("escapevc", 0xcf86_eb2f_2f37_335f),
-    ("spin", 0x14b4_d9c7_ac8a_89dc),
-    ("drain", 0x3784_8be9_cc04_e6fe),
+    ("escapevc", 0xaa9a_a906_08f6_7c0a),
+    ("spin", 0xf997_ab0e_87d5_d93c),
+    ("drain", 0xa0b1_0522_dad9_cec3),
 ];
 
 #[test]

@@ -1,39 +1,32 @@
-//! The one `results/` cell where DRAIN does not drain, frozen as it is
-//! today (ROADMAP item 1a): Fig 12 pagerank, 8 faults, fault pattern 1.
-//! Under the paper's 64K epoch DRAIN VN-1,VC-2 forms a protocol-level
-//! knot about a third of the way in and spends the rest of the budget in
-//! it; the same point finishes at epoch 4 096, and so do both baselines.
+//! The `results/` cell that used to wedge: Fig 12 pagerank, 8 faults,
+//! fault pattern 1. Until the wake scheduler's missed wake under mixed
+//! packet lengths was fixed, DRAIN VN-1,VC-2 spent the 64K-epoch budget
+//! here in what read as a protocol-level knot (`BudgetExhausted` at
+//! 150 000 with 33 872 deliveries) — a head sleeping past a feasible
+//! move, not a property of the model. The numbers below are the ones the
+//! dense Phase A scan (`set_wake_scheduler(false)`) produced before the
+//! fix and both schedulers produce now.
 //!
-//! Built exactly as `AppJob::run` builds it, so the numbers are the ones
-//! behind `results/fig12.txt`. A change that moves them either fixed the
-//! wedge (restate EXPERIMENTS.md's Fig 12 verdict) or moved every
-//! coherence figure (regenerate `results/`).
+//! A change that moves them moved every coherence figure (regenerate
+//! `results/`); `determinism.rs` holds wake and dense to each other on
+//! this cell.
 
 use drain_bench::scheme::DrainVariant;
 use drain_bench::{Scale, Scheme};
-use drain_netsim::{RunOutcome, Sim};
-use drain_topology::faults::FaultInjector;
-use drain_topology::Topology;
+use drain_netsim::{CheckConfig, RunOutcome, Sim};
 
-const FAULTS: usize = 8;
-/// `app_jobs`' seed for 8 faults, pattern 1.
-const SEED: u64 = (FAULTS * 7919 + 1) as u64 ^ 0xA44;
-const _: () = assert!(SEED == 64_829);
+mod common;
+use common::wedge_cell_sim;
 
 /// Runs the cell under `scheme` to the quick-scale budget.
 fn run(scheme: Scheme, epoch: u64) -> (RunOutcome, Sim) {
-    let topo = FaultInjector::new(SEED)
-        .remove_links(&Topology::mesh(8, 8), FAULTS)
-        .unwrap();
-    let app = drain_workloads::app_by_name("pagerank").unwrap();
-    let quota = Some(Scale::Quick.app_quota());
-    let mut sim = scheme.coherence_sim(&topo, false, &app, quota, SEED, epoch);
+    let mut sim = wedge_cell_sim(scheme, epoch);
     (sim.run(Scale::Quick.app_budget()), sim)
 }
 
 #[test]
-fn baselines_finish_the_wedge_point() {
-    for (scheme, finish) in [(Scheme::EscapeVc, 27_068), (Scheme::Spin, 29_605)] {
+fn baselines_finish_the_former_wedge_point() {
+    for (scheme, finish) in [(Scheme::EscapeVc, 26_858), (Scheme::Spin, 27_634)] {
         let (outcome, sim) = run(scheme, Scheme::DEFAULT_EPOCH);
         assert_eq!(outcome, RunOutcome::WorkloadFinished, "{}", scheme.label());
         assert_eq!(sim.core().cycle(), finish, "{}", scheme.label());
@@ -44,15 +37,32 @@ fn baselines_finish_the_wedge_point() {
 fn drain_finishes_at_a_short_epoch() {
     let (outcome, sim) = run(Scheme::Drain(DrainVariant::Vn1Vc2), 4_096);
     assert_eq!(outcome, RunOutcome::WorkloadFinished);
-    assert_eq!(sim.core().cycle(), 28_930);
-    assert_eq!(sim.stats().drains, 7);
+    assert_eq!(sim.core().cycle(), 26_615);
+    assert_eq!(sim.stats().drains, 6);
 }
 
 #[test]
-fn drain_wedges_under_the_paper_epoch() {
+fn drain_finishes_under_the_paper_epoch_without_a_drain() {
     let (outcome, sim) = run(Scheme::Drain(DrainVariant::Vn1Vc2), Scheme::DEFAULT_EPOCH);
-    assert_eq!(outcome, RunOutcome::BudgetExhausted);
-    assert_eq!(sim.core().cycle(), 150_000);
-    let s = sim.stats();
-    assert_eq!((s.ejected, s.drains, s.full_drains), (33_872, 2, 0));
+    assert_eq!(outcome, RunOutcome::WorkloadFinished);
+    assert_eq!(sim.core().cycle(), 26_487);
+    assert_eq!((sim.stats().drains, sim.stats().full_drains), (0, 0));
+}
+
+/// Every cycle of the cell under the full invariant checker with the
+/// deep sweep — the missed-wake oracle `validate_wake_parking` included —
+/// on every cycle. Before the fix this panicked at cycle 1 553 ("missed
+/// wake: parked VC … (wake_at 1556) has a feasible move via l94").
+#[test]
+fn the_cell_is_clean_under_the_deep_check_every_cycle() {
+    for scheme in Scheme::headline() {
+        let mut sim = wedge_cell_sim(scheme, Scheme::DEFAULT_EPOCH);
+        sim.set_checks(CheckConfig {
+            deep_interval: 1,
+            ..CheckConfig::full()
+        });
+        let outcome = sim.run(Scale::Quick.app_budget());
+        assert_eq!(outcome, RunOutcome::WorkloadFinished, "{}", scheme.label());
+        assert!(sim.violation().is_none(), "{}", scheme.label());
+    }
 }

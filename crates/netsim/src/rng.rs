@@ -1,18 +1,25 @@
-//! Keyed counter-based RNG: the simulator's only source of tie-break
-//! samples.
+//! Keyed counter-based RNG: the source of every sample the kernel and
+//! the open-loop traffic source draw.
 //!
 //! Every stochastic choice in the core (adaptive-routing tie-breaks for
-//! in-network heads and for injection-queue heads) is the pure function
-//! [`mix`]`(seed, cycle, site, id)`, where `site` names the draw class
-//! ([`DrawSite`]) and `id` is the draw's dense identity within the site
-//! (arena slot index for Phase A, (node, class) queue index for
-//! injection). Draws are therefore order- and position-independent:
+//! in-network heads and for injection-queue heads) and in
+//! [`crate::traffic::SyntheticTraffic`] (each node's per-cycle Bernoulli
+//! injection draw and the destination of the packet it creates) is the
+//! pure function [`mix`]`(seed, cycle, site, id)`, where `site` names the
+//! draw class ([`DrawSite`]) and `id` is the draw's dense identity within
+//! the site (arena slot index for Phase A, (node, class) queue index for
+//! injection, node for both traffic sites). Draws are therefore order-
+//! and position-independent:
 //!
 //! * parked heads draw **nothing** — skipping a head skips its draw,
 //! * shard planners compute draws **only for owned slots**,
 //! * shard-count, wake-scheduler and fast-forward invariance hold *by
 //!   construction*: the sample a head receives depends only on its
-//!   identity and the cycle, never on who computed it or in what order.
+//!   identity and the cycle, never on who computed it or in what order,
+//! * the traffic two schemes are offered under one seed is identical *by
+//!   construction*: whether node `n` creates a packet in cycle `c`, and
+//!   for whom, does not depend on what either network did with the
+//!   packets before it (the differential oracle's premise).
 //!
 //! The mixer is a dependency-free splitmix64-style permutation chain
 //! (Steele et al., "Fast splittable pseudorandom number generators",
@@ -20,7 +27,8 @@
 //! 64-bit finalizer, giving full avalanche between any two distinct
 //! `(seed, cycle, site, id)` tuples. It is a statistical-quality mixer,
 //! not a cryptographic one — the paper's fully-adaptive routing (Table
-//! II) asks only for a uniform pick among productive outputs.
+//! II) asks only for a uniform pick among productive outputs, and an
+//! open-loop Bernoulli source only for independent uniform samples.
 
 /// Which keyed draw family a sample belongs to. The site is part of the
 /// key, so e.g. Phase A slot 7 and injection queue 7 can never receive
@@ -34,10 +42,16 @@ pub enum DrawSite {
     /// Injection routing tie-break for a source-queue head
     /// (`id` = (node, class) queue index).
     Injection = 1,
+    /// Open-loop source: does this node create a packet this cycle
+    /// (`id` = node). Counts nodes × injecting cycles.
+    Traffic = 2,
+    /// Open-loop source: destination of the packet a node creates
+    /// (`id` = node). Counts generation attempts.
+    TrafficDest = 3,
 }
 
 /// Number of [`DrawSite`] variants (sizes the per-site draw counters).
-pub const NUM_DRAW_SITES: usize = 2;
+pub const NUM_DRAW_SITES: usize = 4;
 
 impl DrawSite {
     /// Stable label used by the `drain_rng_draws_total{site}` metrics.
@@ -45,6 +59,8 @@ impl DrawSite {
         match self {
             DrawSite::PhaseA => "phase_a",
             DrawSite::Injection => "injection",
+            DrawSite::Traffic => "traffic",
+            DrawSite::TrafficDest => "traffic_dest",
         }
     }
 
@@ -55,7 +71,12 @@ impl DrawSite {
     }
 
     /// All sites, in counter-array order.
-    pub const ALL: [DrawSite; NUM_DRAW_SITES] = [DrawSite::PhaseA, DrawSite::Injection];
+    pub const ALL: [DrawSite; NUM_DRAW_SITES] = [
+        DrawSite::PhaseA,
+        DrawSite::Injection,
+        DrawSite::Traffic,
+        DrawSite::TrafficDest,
+    ];
 }
 
 /// One round of the splitmix64 output permutation: a bijection on `u64`

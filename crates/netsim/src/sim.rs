@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::check::{self, Violation};
+use crate::check::{self, CheckConfig, Violation};
 use crate::deadlock;
 use crate::mechanism::{ControlAction, Mechanism};
 use crate::metrics::{MetricsSnapshot, Phase};
@@ -127,6 +127,13 @@ impl Sim {
     /// either way; the wake-vs-dense differential tests prove it.
     pub fn set_wake_scheduler(&mut self, enabled: bool) {
         self.core.set_wake_scheduler(enabled);
+    }
+
+    /// Replaces the runtime invariant checks (see
+    /// [`SimConfig::checks`]) of an assembled simulation — for harnesses
+    /// that take a simulation from a builder and want it validated.
+    pub fn set_checks(&mut self, checks: CheckConfig) {
+        self.core.set_checks(checks);
     }
 
     /// The simulation state.
@@ -460,7 +467,7 @@ impl Sim {
         {
             m.counter_labeled(
                 "drain_rng_draws_total",
-                "Tie-break RNG samples produced, by draw site",
+                "Keyed RNG samples produced, by draw site",
                 &[("site", site.label())],
                 v,
             );

@@ -36,6 +36,7 @@ use std::sync::Arc;
 
 use drain_topology::{distance::DistanceMap, IntoSharedTopology, LinkId, NodeId, Topology};
 
+use crate::check::CheckConfig;
 use crate::config::SimConfig;
 use crate::mechanism::{ForcedKind, ForcedMove};
 use crate::metrics::{Phase, PhaseProfiler};
@@ -311,7 +312,7 @@ pub struct SimCore {
     /// Packets parked in ejection queues (counter form of
     /// [`SimCore::ejection_backlog`]).
     ej_backlog: usize,
-    /// Per-[`DrawSite`] tie-break samples produced so far (surfaced as
+    /// Per-[`DrawSite`] samples produced so far (surfaced as
     /// `drain_rng_draws_total{site}`).
     rng_draws: [u64; NUM_DRAW_SITES],
     /// Bitmap over (node, class) ejection-queue indices with at least one
@@ -475,6 +476,11 @@ impl SimCore {
     pub(crate) fn set_shards(&mut self, shards: usize) {
         self.config.shards = shards;
         self.config.validate();
+    }
+
+    /// Replaces the runtime invariant checks mid-assembly.
+    pub(crate) fn set_checks(&mut self, checks: CheckConfig) {
+        self.config.checks = checks;
     }
 
     /// The routing function's name.
@@ -738,13 +744,11 @@ impl SimCore {
     /// that had a slot vacate this cycle *and still holds it empty now*.
     /// A slot re-occupied by a later commit in the same cycle never
     /// presents a free buffer to any Phase A sweep, so skipping its fire
-    /// is exact — its own eventual vacate re-queues the link. The
-    /// delivered deadline is `max(min free_at, link_busy)`: every grant
-    /// has committed by flush time and `link_busy` only moves forward, so
-    /// no subscriber can use the link any earlier. Must run before the
-    /// per-cycle validators (`validate_wake_parking` assumes no fire is
-    /// in flight). Sorting puts each link's slots in one run (the arena is
-    /// link-major) and makes the fire order independent of commit order.
+    /// is exact — its own eventual vacate re-queues the link. Must run
+    /// before the per-cycle validators (`validate_wake_parking` assumes no
+    /// fire is in flight). Sorting puts each link's slots in one run (the
+    /// arena is link-major) and makes the fire order independent of commit
+    /// order.
     pub(crate) fn flush_wakes(&mut self) {
         if self.pending_fires.is_empty() {
             return;
@@ -756,34 +760,36 @@ impl SimCore {
             let li = self.idx_link[pending[i] as usize] as usize;
             // Same-link slots are index-adjacent (link-major arena), so
             // one sorted run = one link.
-            let mut free_at = u64::MAX;
+            let mut still_empty = false;
             while i < pending.len() && self.idx_link[pending[i] as usize] as usize == li {
-                let idx = pending[i] as usize;
-                if self.vc_occ[idx] == EMPTY {
-                    free_at = free_at.min(self.vc_free_at[idx]);
-                }
+                still_empty |= self.vc_occ[pending[i] as usize] == EMPTY;
                 i += 1;
             }
-            if free_at != u64::MAX {
-                self.fire_wakes(li, free_at.max(self.link_busy[li]));
+            if still_empty {
+                self.fire_wakes(li);
             }
         }
         pending.clear();
         self.pending_fires = pending;
     }
 
-    /// Fires every subscription on output link `li`: the freed slot
-    /// accepts new packets from `wake_at`, so each subscriber's wake
-    /// deadline drops to at most that cycle (`min` — events only ever
-    /// *advance* wakes; a fresh/active slot stays at 0). Entries are
-    /// consumed: a wake is one-shot, re-parking re-subscribes.
-    fn fire_wakes(&mut self, li: usize, wake_at: u64) {
+    /// Fires every subscription on output link `li`. A fire delivers the
+    /// *event*, not a deadline: each subscriber's wake drops to `now` (as
+    /// in [`SimCore::wake_all`]; a fresh/active slot stays at 0), so its
+    /// next Phase A visit re-routes it, recomputes its own timed deadline
+    /// from the freed slot's `free_at` and the link's `link_busy`, and
+    /// re-subscribes. Handing out the freed slot's deadline instead would
+    /// let a second slot of the link vacate inside that gap with an
+    /// earlier `free_at` (mixed packet lengths) and find the consumed
+    /// list empty. Entries are consumed: a wake is one-shot.
+    fn fire_wakes(&mut self, li: usize) {
+        let now = self.cycle;
         let mut subs = std::mem::take(&mut self.wake_subs[li]);
         self.wake.wakes += subs.len() as u64;
         for s in subs.drain(..) {
             self.sub_mask[s.slot as usize] &= !(1u32 << s.j);
             let w = &mut self.vc_wake_at[s.slot as usize];
-            *w = (*w).min(wake_at);
+            *w = (*w).min(now);
         }
         // Hand the (empty) allocation back for reuse.
         self.wake_subs[li] = subs;
@@ -832,10 +838,18 @@ impl SimCore {
         node.index() * self.config.num_classes + class.index()
     }
 
-    /// Per-[`DrawSite`] tie-break samples produced so far, in
-    /// [`DrawSite::ALL`] order (identical at every shard count).
+    /// Per-[`DrawSite`] samples produced so far, in [`DrawSite::ALL`]
+    /// order (identical at every shard count).
     pub fn rng_draw_counts(&self) -> [u64; NUM_DRAW_SITES] {
         self.rng_draws
+    }
+
+    /// Counts `n` keyed draws made at `site` — the one door into the
+    /// per-site counters for draws made outside the Phase A sweep (an
+    /// endpoint model's own [`mix`] calls).
+    #[inline]
+    pub fn note_draws(&mut self, site: DrawSite, n: u64) {
+        self.rng_draws[site.index()] += n;
     }
 
     /// Free slots in a node's per-class injection queue.

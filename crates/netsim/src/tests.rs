@@ -352,6 +352,56 @@ fn ejection_queue_capacity_backpressures() {
     assert_eq!(live, 6, "undelivered packets remain live in the network");
 }
 
+/// Mixed packet lengths, two vacates of one link inside one tail: a head
+/// parked behind both VCs of `1 -> 2` sees the 5-flit tenant leave first
+/// (its slot accepts packets five cycles later) and the 1-flit tenant a
+/// cycle after (two cycles later). The first fire consumes the head's
+/// one-shot subscription; it must wake the head to re-route and
+/// re-subscribe, not hand it the first slot's deadline — or the second,
+/// earlier slot is slept through.
+#[test]
+fn second_vacate_inside_a_long_tail_still_wakes_the_parked_head() {
+    let topo = Topology::mesh(4, 1);
+    let config = SimConfig {
+        vns: 1,
+        vcs_per_vn: 2,
+        num_classes: 1,
+        watchdog_threshold: 0,
+        ..SimConfig::default()
+    };
+    let mut sim = quiet_sim(&topo, config);
+    // Off cycle 0, where a delivered wake and "never parked" coincide.
+    sim.run(10);
+    let upstream = topo.link_between(NodeId(0), NodeId(1)).unwrap();
+    let contested = topo.link_between(NodeId(1), NodeId(2)).unwrap();
+    let slot = |link, vc| VcRef { link, vn: 0, vc };
+    let mut place = |at: VcRef, src, dest, len_flits| {
+        let (src, dest) = (NodeId(src), NodeId(dest));
+        sim.core_mut()
+            .place_packet(at, src, dest, MessageClass::REQUEST, len_flits)
+    };
+    // Both tenants eject at node 2, one per cycle; the tie goes to VC 0.
+    place(slot(contested, 0), 1, 2, 5);
+    place(slot(contested, 1), 1, 2, 1);
+    let head = place(slot(upstream, 0), 0, 3, 1);
+    sim.step();
+    let parks = sim.core().wake_counters().parks;
+    assert_eq!(parks, 1, "the head parks behind two full VCs");
+    while sim.stats().ejected < 3 {
+        sim.step();
+        sim.core()
+            .validate_wake_parking()
+            .unwrap_or_else(|e| panic!("cycle {}: {e}", sim.core().cycle()));
+        // VC 1 accepts packets from cycle 12 (ejected at 11, one flit);
+        // the dense scan moves the head in that cycle.
+        if sim.core().cycle() == 13 {
+            assert_eq!(sim.core().vc(slot(contested, 1)).occ, Some(head));
+        }
+    }
+    let wakes = sim.core().wake_counters().wakes;
+    assert_eq!(wakes, 2, "each vacate wakes the head");
+}
+
 // ---------------------------------------------------------------------
 // Observability: event bus wiring and the flight recorder
 // ---------------------------------------------------------------------

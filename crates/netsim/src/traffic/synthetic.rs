@@ -1,18 +1,16 @@
 //! Open-loop synthetic traffic patterns.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
 use drain_topology::{NodeId, Topology};
 
 use super::Endpoints;
 use crate::packet::MessageClass;
+use crate::rng::{mix, DrawSite};
 use crate::state::SimCore;
 
 /// Destination-selection pattern for synthetic traffic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SyntheticPattern {
-    /// Uniformly random destination (≠ source).
+    /// Every other node equally likely (≠ source).
     UniformRandom,
     /// Matrix transpose: `(x, y) → (y, x)` on square meshes; falls back to
     /// id reversal on other topologies.
@@ -30,19 +28,18 @@ pub enum SyntheticPattern {
 
 impl SyntheticPattern {
     /// Destination for a packet from `src`, or `None` if the pattern maps
-    /// the node to itself.
-    pub fn dest(&self, topo: &Topology, src: NodeId, rng: &mut impl Rng) -> Option<NodeId> {
+    /// the node to itself. Pure: the sampled patterns pick from `sample`
+    /// (a uniform 64-bit draw), the deterministic ones ignore it.
+    pub fn dest(&self, topo: &Topology, src: NodeId, sample: u64) -> Option<NodeId> {
         let n = topo.num_nodes() as u16;
         let d = match self {
             SyntheticPattern::UniformRandom => {
                 if n < 2 {
                     return None;
                 }
-                let mut d = NodeId(rng.gen_range(0..n));
-                while d == src {
-                    d = NodeId(rng.gen_range(0..n));
-                }
-                d
+                // Uniform over the other n-1 nodes: step over `src`.
+                let d = (sample % u64::from(n - 1)) as u16;
+                NodeId(d + u16::from(d >= src.0))
             }
             SyntheticPattern::Transpose => match (topo.coord(src), topo.mesh_dims()) {
                 (Some((x, y)), Some((w, h))) if w == h => NodeId(x * w + y),
@@ -68,7 +65,7 @@ impl SyntheticPattern {
                 if targets.is_empty() {
                     return None;
                 }
-                targets[rng.gen_range(0..targets.len())]
+                targets[(sample % targets.len() as u64) as usize]
             }
             SyntheticPattern::Neighbor => NodeId((src.0 + 1) % n),
         };
@@ -90,12 +87,22 @@ impl SyntheticPattern {
 
 /// Open-loop Bernoulli injection: each node creates a packet with
 /// probability `rate` per cycle; ejection queues are consumed immediately.
+///
+/// Both of a node's draws are keyed ([`crate::rng`]): node `n` injects in
+/// cycle `c` iff `mix(seed, c, Traffic, n)` falls below `rate`, and takes
+/// its destination from `mix(seed, c, TrafficDest, n)`. The offered
+/// traffic is a pure function of `(seed, cycle, node)` — it cannot depend
+/// on what the network did with earlier packets, so two schemes under one
+/// seed are offered the same packets.
 #[derive(Clone, Debug)]
 pub struct SyntheticTraffic {
     pattern: SyntheticPattern,
     rate: f64,
+    /// `rate` as a threshold on the top 53 bits of a draw: `rate · 2⁵³`
+    /// (0 never injects, 2⁵³ always does).
+    threshold: u64,
     len_flits: u32,
-    rng: ChaCha8Rng,
+    seed: u64,
     /// Injection stops after this cycle (drain-out phase); `u64::MAX` =
     /// never.
     stop_at: u64,
@@ -111,8 +118,9 @@ impl SyntheticTraffic {
         SyntheticTraffic {
             pattern,
             rate,
+            threshold: (rate * (1u64 << 53) as f64) as u64,
             len_flits,
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            seed,
             stop_at: u64::MAX,
             seq: 0,
         }
@@ -129,6 +137,18 @@ impl SyntheticTraffic {
     pub fn rate(&self) -> f64 {
         self.rate
     }
+
+    /// Whether `node` creates a packet in `cycle`.
+    pub fn injects(&self, cycle: u64, node: NodeId) -> bool {
+        cycle < self.stop_at && bernoulli(self.seed, self.threshold, cycle, u64::from(node.0))
+    }
+}
+
+/// The injection draw of `node` in `cycle`: its sample's top 53 bits
+/// against `threshold`.
+#[inline]
+fn bernoulli(seed: u64, threshold: u64, cycle: u64, node: u64) -> bool {
+    mix(seed, cycle, DrawSite::Traffic, node) >> 11 < threshold
 }
 
 impl Endpoints for SyntheticTraffic {
@@ -138,20 +158,25 @@ impl Endpoints for SyntheticTraffic {
 
     fn pre_cycle(&mut self, core: &mut SimCore) {
         // Consume everything delivered (no-op — and skipped — when no
-        // ejection queue holds anything; consuming draws no randomness, so
-        // the gate cannot shift the RNG stream).
+        // ejection queue holds anything).
         let n = core.topology().num_nodes();
         while core.pop_next_ejection().is_some() {}
-        if core.cycle() >= self.stop_at {
+        let now = core.cycle();
+        if now >= self.stop_at || self.threshold == 0 {
             return;
         }
-        // Bernoulli injection per node.
+        // Bernoulli injection per node. Seed and threshold in locals: the
+        // (seed, cycle) rounds of the mixer then hoist out of the loop.
+        let (seed, threshold) = (self.seed, self.threshold);
+        let mut attempts = 0;
         for ni in 0..n {
-            let node = NodeId(ni as u16);
-            if self.rng.gen::<f64>() >= self.rate {
+            if !bernoulli(seed, threshold, now, ni as u64) {
                 continue;
             }
-            if let Some(dest) = self.pattern.dest(core.topology(), node, &mut self.rng) {
+            attempts += 1;
+            let node = NodeId(ni as u16);
+            let sample = mix(seed, now, DrawSite::TrafficDest, ni as u64);
+            if let Some(dest) = self.pattern.dest(core.topology(), node, sample) {
                 self.seq += 1;
                 core.try_enqueue_packet(
                     node,
@@ -162,6 +187,8 @@ impl Endpoints for SyntheticTraffic {
                 );
             }
         }
+        core.note_draws(DrawSite::Traffic, n as u64);
+        core.note_draws(DrawSite::TrafficDest, attempts);
     }
 
     fn finished(&self, core: &SimCore) -> bool {
@@ -171,16 +198,15 @@ impl Endpoints for SyntheticTraffic {
     fn idle_until(&self, core: &SimCore) -> u64 {
         // Past `stop_at` (or with a zero rate) `pre_cycle` only consumes
         // deliveries, and the driver never fast-forwards over an ejection
-        // backlog. The per-node Bernoulli draws an active source makes
-        // every cycle are observable (they move the RNG stream), so it
-        // pins the clock to per-cycle stepping; a *stopped* source makes
-        // no draws at all, and skipping its no-op cycles is exact. A
-        // zero-rate source with a finite `stop_at` still anchors the
-        // horizon there so `finished` flips on the same cycle as
-        // per-cycle stepping.
+        // backlog, so skipping those cycles is exact. An active source may
+        // create a packet in any cycle — finding the next one costs the
+        // draws it would skip — so it pins the clock to per-cycle
+        // stepping. A zero-rate source with a finite `stop_at` still
+        // anchors the horizon there so `finished` flips on the same cycle
+        // as per-cycle stepping.
         if core.cycle() >= self.stop_at {
             u64::MAX
-        } else if self.rate <= 0.0 {
+        } else if self.threshold == 0 {
             self.stop_at
         } else {
             core.cycle()
@@ -199,29 +225,24 @@ mod tests {
     #[test]
     fn transpose_on_square_mesh() {
         let t = Topology::mesh(4, 4);
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
         // (1, 2) = node 9 → (2, 1) = node 6.
         assert_eq!(
-            SyntheticPattern::Transpose.dest(&t, NodeId(9), &mut rng),
+            SyntheticPattern::Transpose.dest(&t, NodeId(9), 0),
             Some(NodeId(6))
         );
         // Diagonal maps to itself → None.
-        assert_eq!(
-            SyntheticPattern::Transpose.dest(&t, NodeId(5), &mut rng),
-            None
-        );
+        assert_eq!(SyntheticPattern::Transpose.dest(&t, NodeId(5), 0), None);
     }
 
     #[test]
     fn bitcomp_power_of_two() {
         let t = Topology::mesh(4, 4);
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert_eq!(
-            SyntheticPattern::BitComplement.dest(&t, NodeId(0), &mut rng),
+            SyntheticPattern::BitComplement.dest(&t, NodeId(0), 0),
             Some(NodeId(15))
         );
         assert_eq!(
-            SyntheticPattern::BitComplement.dest(&t, NodeId(5), &mut rng),
+            SyntheticPattern::BitComplement.dest(&t, NodeId(5), 0),
             Some(NodeId(10))
         );
     }
@@ -229,27 +250,28 @@ mod tests {
     #[test]
     fn uniform_never_self() {
         let t = Topology::mesh(3, 3);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        for _ in 0..100 {
-            let d = SyntheticPattern::UniformRandom
-                .dest(&t, NodeId(4), &mut rng)
-                .unwrap();
-            assert_ne!(d, NodeId(4));
-        }
+        // Eight consecutive samples reach each of the eight other nodes
+        // exactly once, in id order.
+        let dests: Vec<u16> = (16..24)
+            .map(|sample| {
+                let d = SyntheticPattern::UniformRandom.dest(&t, NodeId(4), sample);
+                d.expect("a 9-node network has other nodes").0
+            })
+            .collect();
+        assert_eq!(dests, [0, 1, 2, 3, 5, 6, 7, 8]);
     }
 
     #[test]
     fn shuffle_rotates_bits() {
         let t = Topology::mesh(4, 4);
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
         // 0b0101 (5) -> 0b1010 (10)
         assert_eq!(
-            SyntheticPattern::Shuffle.dest(&t, NodeId(5), &mut rng),
+            SyntheticPattern::Shuffle.dest(&t, NodeId(5), 0),
             Some(NodeId(10))
         );
         // 0b1000 (8) -> 0b0001 (1)
         assert_eq!(
-            SyntheticPattern::Shuffle.dest(&t, NodeId(8), &mut rng),
+            SyntheticPattern::Shuffle.dest(&t, NodeId(8), 0),
             Some(NodeId(1))
         );
     }
@@ -257,11 +279,10 @@ mod tests {
     #[test]
     fn hotspot_targets_only() {
         let t = Topology::mesh(3, 3);
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
         let pat = SyntheticPattern::Hotspot(vec![NodeId(0), NodeId(8)]);
-        for _ in 0..50 {
-            let d = pat.dest(&t, NodeId(4), &mut rng).unwrap();
-            assert!(d == NodeId(0) || d == NodeId(8));
+        for sample in 0..50 {
+            let d = pat.dest(&t, NodeId(4), sample).unwrap();
+            assert_eq!(d, [NodeId(0), NodeId(8)][(sample % 2) as usize]);
         }
     }
 }

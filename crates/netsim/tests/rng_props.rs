@@ -11,6 +11,11 @@
 //!   arbitrary shard partition of an arbitrary connected topology
 //!   changes neither the results nor the number of draws performed —
 //!   shard planners compute draws only for the slots they own.
+//!
+//! The open-loop source draws from the same function, so its statistical
+//! contract is checked here too: per-node Bernoulli frequency, uniform
+//! destinations, and an offered sequence that does not depend on the
+//! network it is offered to.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -19,9 +24,10 @@ use rand_chacha::ChaCha8Rng;
 use drain_netsim::mechanism::NoMechanism;
 use drain_netsim::rng::{mix, NUM_DRAW_SITES};
 use drain_netsim::routing::FullyAdaptive;
-use drain_netsim::traffic::{SyntheticPattern, SyntheticTraffic};
-use drain_netsim::{DrawSite, Sim, SimConfig};
+use drain_netsim::traffic::{Endpoints, SyntheticPattern, SyntheticTraffic};
+use drain_netsim::{DrawSite, Sim, SimConfig, SimCore};
 use drain_topology::chiplet::random_connected;
+use drain_topology::{NodeId, Topology};
 
 proptest! {
     /// Every key maps to the same value no matter where in the visit
@@ -115,5 +121,148 @@ proptest! {
         let serial = keyed_run(&topo, sim_seed, 1);
         let sharded = keyed_run(&topo, sim_seed, k);
         prop_assert_eq!(serial, sharded);
+    }
+}
+
+/// Per-node injection frequency is Bernoulli(`rate`): within 4σ over 10⁵
+/// cycles at a low, a saturating and the always-on rate; a zero rate never
+/// injects, and `stop_injection_at(t)` cuts at cycle `t` exactly.
+#[test]
+fn injection_frequency_matches_the_rate_per_node() {
+    const CYCLES: u64 = 100_000;
+    for rate in [0.005, 0.25, 1.0, 0.0] {
+        let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, rate, 1, 0x5EED);
+        let sigma = (CYCLES as f64 * rate * (1.0 - rate)).sqrt();
+        for node in [0u16, 1, 17, 63] {
+            let hits = (0..CYCLES)
+                .filter(|&c| traffic.injects(c, NodeId(node)))
+                .count() as f64;
+            assert!(
+                (hits - CYCLES as f64 * rate).abs() <= 4.0 * sigma,
+                "node {node} at rate {rate}: {hits} injections in {CYCLES} cycles"
+            );
+        }
+    }
+    let stopped =
+        SyntheticTraffic::new(SyntheticPattern::Neighbor, 1.0, 1, 3).stop_injection_at(40);
+    assert!(stopped.injects(39, NodeId(2)));
+    assert!(!stopped.injects(40, NodeId(2)));
+}
+
+/// Uniform-random destinations never name the source and spread evenly
+/// over the other 63 nodes of a mesh(8,8) (χ², 62 degrees of freedom:
+/// 130 is past the 10⁻⁶ tail).
+#[test]
+fn uniform_destinations_skip_the_source_and_are_uniform() {
+    let topo = Topology::mesh(8, 8);
+    let draws = 63_000u64;
+    for src in [0u16, 31, 63] {
+        let mut counts = [0u64; 64];
+        for cycle in 0..draws {
+            let sample = mix(0xD357, cycle, DrawSite::TrafficDest, u64::from(src));
+            let dest = SyntheticPattern::UniformRandom
+                .dest(&topo, NodeId(src), sample)
+                .expect("63 other nodes");
+            counts[dest.index()] += 1;
+        }
+        assert_eq!(counts[src as usize], 0, "node {src} addressed itself");
+        let expect = draws as f64 / 63.0;
+        let chi2: f64 = counts
+            .iter()
+            .enumerate()
+            .filter(|&(d, _)| d != src as usize)
+            .map(|(_, &c)| (c as f64 - expect).powi(2) / expect)
+            .sum();
+        assert!(
+            chi2 < 130.0,
+            "destinations of node {src} are not uniform: χ² = {chi2:.1}"
+        );
+    }
+}
+
+/// Records what the wrapped source managed to enqueue: every packet born
+/// this cycle, as `(cycle, src, dest, tag)`.
+struct BirthLog {
+    inner: SyntheticTraffic,
+    births: Vec<(u64, u16, u16, u64)>,
+}
+
+impl Endpoints for BirthLog {
+    fn name(&self) -> &str {
+        "birth-log"
+    }
+    fn pre_cycle(&mut self, core: &mut SimCore) {
+        self.inner.pre_cycle(core);
+        let now = core.cycle();
+        let born = core
+            .live_packet_iter()
+            .filter(|(_, p)| p.birth_cycle == now)
+            .map(|(_, p)| (now, p.src.0, p.dest.0, p.tag));
+        self.births.extend(born);
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// The offered traffic is a function of `(seed, cycle, node)` alone: a
+/// network that refuses most packets (one-entry injection queues) is
+/// offered exactly what a network that takes them all is. The `tag` is
+/// the attempt's sequence number, stamped whether or not the queue had
+/// room, so equal tags are the same attempt.
+#[test]
+fn offered_traffic_does_not_depend_on_congestion() {
+    let topo = Topology::mesh(4, 4);
+    let births = |inj_queue_capacity: usize| {
+        let config = SimConfig {
+            vns: 1,
+            vcs_per_vn: 2,
+            num_classes: 1,
+            watchdog_threshold: 0,
+            inj_queue_capacity,
+            ..SimConfig::default()
+        };
+        let mut sim = Sim::new(
+            topo.clone(),
+            config,
+            Box::new(FullyAdaptive::new(&topo)),
+            Box::new(NoMechanism),
+            Box::new(BirthLog {
+                inner: SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.6, 1, 77),
+                births: Vec::new(),
+            }),
+        );
+        sim.run(600);
+        let mut births = sim
+            .endpoints_as::<BirthLog>()
+            .expect("birth log")
+            .births
+            .clone();
+        births.sort_unstable_by_key(|b| b.3);
+        (births, sim.core().rng_draw_counts())
+    };
+    let (roomy, roomy_draws) = births(1 << 20);
+    let (cramped, cramped_draws) = births(1);
+    // The roomy network took every attempt: tags 1..=N with no gap.
+    assert!(roomy.iter().map(|b| b.3).eq(1..=roomy.len() as u64));
+    // One injection draw per node per cycle, one destination draw per
+    // attempt — whatever became of the attempt.
+    for draws in [roomy_draws, cramped_draws] {
+        assert_eq!(draws[DrawSite::Traffic.index()], 16 * 600);
+        assert_eq!(draws[DrawSite::TrafficDest.index()], roomy.len() as u64);
+    }
+    assert!(
+        cramped.len() * 10 < roomy.len() * 9,
+        "one-entry queues must refuse a good share ({} of {})",
+        cramped.len(),
+        roomy.len()
+    );
+    for b in &cramped {
+        assert_eq!(
+            roomy[b.3 as usize - 1],
+            *b,
+            "attempt {} differs under congestion",
+            b.3
+        );
     }
 }

@@ -20,12 +20,14 @@ echo "==> cargo test --workspace (every suite once)"
 # One run of every suite. On failure the full log is printed; on success
 # one line per non-empty suite, plus one per test of the differential
 # families — sharded kernel (serial vs 2/4/8-shard bit-identity of
-# Stats, traces and telemetry), wake scheduler (wake vs dense), profiler
-# and telemetry (pure observers),
+# Stats, traces and telemetry), wake scheduler (wake vs dense, on the
+# synthetic points and on the closed-loop Fig 12 cell with its mixed
+# packet lengths), profiler and telemetry (pure observers),
 # golden traces and golden pins (trace-byte and Stats digests of the
-# saturated presets, DESIGN.md "Determinism"), the frozen Fig 12 wedge
-# (ROADMAP item 1a), the tier-1 structure properties (routing tables
-# against a queue BFS and their definitions) — so a regression there is
+# saturated presets, DESIGN.md "Determinism"), the Fig 12 cell that used
+# to wedge (finish cycles per scheme, deep check on every cycle), the
+# tier-1 structure properties (routing tables against a queue BFS and
+# their definitions) — so a regression there is
 # named in CI output, not buried in a 400-test run. Any change to the
 # keyed draws, visit order or candidate ordering fails here, not in a
 # figure regeneration a week later.

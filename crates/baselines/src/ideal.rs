@@ -50,19 +50,6 @@ impl Mechanism for IdealMechanism {
         }
         ControlAction::Normal
     }
-
-    fn idle_until(&self, core: &SimCore) -> u64 {
-        // On an empty network the oracle's sweeps find nothing and mutate
-        // nothing, so any stretch of cycles may be skipped; its schedule is
-        // keyed to the absolute clock (`cycle % interval`), not a
-        // countdown, so no rebasing is needed either. With packets in
-        // flight every sweep boundary matters.
-        if core.packets_in_network() == 0 {
-            u64::MAX
-        } else {
-            core.cycle()
-        }
-    }
 }
 
 #[cfg(test)]

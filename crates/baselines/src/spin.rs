@@ -228,27 +228,6 @@ impl Mechanism for SpinMechanism {
         "spin"
     }
 
-    fn idle_until(&self, core: &SimCore) -> u64 {
-        // With no probe in flight and no post-spin freeze, an idle-network
-        // control call only advances the fairness rotation — and the
-        // network's own certificate (every occupied VC still in pipeline
-        // delay) guarantees no suspect can mature mid-jump: a timeout
-        // needs `blocked_for >= timeout`, which requires a VC ready in the
-        // past, and such a VC pins the clock anyway. The elided rotation
-        // increments are rebased in `on_cycles_skipped`.
-        if self.probe.is_none() && self.freeze_left == 0 {
-            u64::MAX
-        } else {
-            core.cycle()
-        }
-    }
-
-    fn on_cycles_skipped(&mut self, cycles: u64) {
-        // One elided control call per skipped cycle; each would have
-        // incremented the rotation exactly once.
-        self.rotation = self.rotation.wrapping_add(cycles);
-    }
-
     fn control(&mut self, core: &mut SimCore) -> ControlAction {
         self.rotation = self.rotation.wrapping_add(1);
         if self.freeze_left > 0 {

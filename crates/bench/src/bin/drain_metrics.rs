@@ -33,7 +33,7 @@ use drain_bench::json::{num, Json};
 use drain_bench::report::results_dir;
 use drain_bench::scheme::DrainVariant;
 use drain_bench::table::{banner, print_table};
-use drain_bench::{parse_mesh, parse_positive, parse_shards, Flags, Scale, Scheme};
+use drain_bench::{parse_mesh, parse_positive, parse_rate, parse_shards, Flags, Scale, Scheme};
 use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{MetricsSnapshot, Phase, TelemetrySample, TraceConfig};
 use drain_topology::Topology;
@@ -69,8 +69,8 @@ fn parse_args() -> Args {
         let f = flag.as_str();
         match f {
             "--mesh" => args.mesh = flags.value(f, parse_mesh),
-            "--rate" => args.rate = flags.parsed(f),
-            "--cycles" => args.cycles = flags.parsed(f),
+            "--rate" => args.rate = flags.value(f, parse_rate),
+            "--cycles" => args.cycles = flags.value(f, parse_positive),
             "--points" => args.points = flags.parsed(f),
             "--profile-period" => args.profile_period = flags.value(f, parse_positive),
             "--telemetry-period" => args.telemetry_period = flags.parsed(f),

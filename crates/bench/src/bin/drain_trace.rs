@@ -9,9 +9,9 @@
 //!   stalls, per-link utilization) go to `<out>/telemetry.jsonl`;
 //! * a per-router utilization & misroute table is printed and written to
 //!   `<out>/drain_trace_routers.csv`;
-//! * a scheduler/fast-forward summary (wake-driven Phase A counters plus
-//!   elided-cycle accounting, read from the unified metrics registry) is
-//!   printed and written to `<out>/drain_trace_scheduler.csv`;
+//! * a scheduler summary (wake-driven Phase A counters and per-site RNG
+//!   draws, read from the unified metrics registry) is printed and
+//!   written to `<out>/drain_trace_scheduler.csv`;
 //! * the flight recorder is armed at `<out>/flightrec/`, so a failing
 //!   point leaves a replayable dump.
 //!
@@ -35,7 +35,9 @@ use drain_bench::report::{results_dir, write_csv_in};
 use drain_bench::scheme::DrainVariant;
 use drain_bench::sweep::plan::TopoSpec;
 use drain_bench::table::{banner, f3, print_table};
-use drain_bench::{parse_mesh, Flags, Scale, Scheme};
+use drain_bench::{
+    check_mesh_faults, parse_mesh, parse_positive, parse_rate, usage_error, Flags, Scale, Scheme,
+};
 use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{
     DrawSite, RunOutcome, TelemetrySample, TraceConfig, TraceEvent, TraceSink,
@@ -101,14 +103,18 @@ fn parse_args() -> Args {
             "--fault-seed" => args.fault_seed = flags.parsed(f),
             "--scheme" => args.scheme = flags.value(f, parse_scheme),
             "--pattern" => args.pattern = flags.value(f, parse_pattern),
-            "--rate" => args.rate = flags.parsed(f),
+            "--rate" => args.rate = flags.value(f, parse_rate),
             "--seed" => args.seed = flags.parsed(f),
-            "--epoch" => args.epoch = flags.parsed(f),
-            "--cycles" => args.cycles = flags.parsed(f),
+            "--epoch" => args.epoch = flags.value(f, parse_positive),
+            "--cycles" => args.cycles = flags.value(f, parse_positive),
             "--telemetry-period" => args.telemetry_period = flags.parsed(f),
             "--out" => args.out = flags.parsed(f),
             _ => Flags::unknown(f),
         }
+    }
+    // The one check that spans two flags.
+    if let Err(msg) = check_mesh_faults(args.mesh, args.faults) {
+        usage_error(&msg);
     }
     args
 }
@@ -275,7 +281,8 @@ fn main() {
         }
     }
 
-    // DRAIN runs must show epoch events at the configured cadence.
+    // DRAIN runs must show epoch events at the configured cadence (the
+    // first window opens on cycle `epoch`).
     let epoch_starts: Vec<u64> = events
         .iter()
         .filter_map(|e| match e {
@@ -283,7 +290,7 @@ fn main() {
             _ => None,
         })
         .collect();
-    if matches!(args.scheme, Scheme::Drain(_)) {
+    if matches!(args.scheme, Scheme::Drain(_)) && args.cycles > args.epoch {
         assert!(
             !epoch_starts.is_empty(),
             "a DRAIN run of {} cycles with epoch {} must start at least one drain window",
@@ -362,10 +369,10 @@ fn main() {
     print_table("per-router activity (from trace)", &header, &rows);
     write_csv_in(&args.out, "drain_trace_routers", &header, &rows);
 
-    // Scheduler + fast-forward accounting, straight from the unified
-    // metrics registry. Wake/park counters are network-global (the wake
-    // scheduler tracks VCs, not routers), so they print as a summary
-    // block beside the per-router table rather than extra columns.
+    // Scheduler accounting, straight from the unified metrics registry.
+    // Wake/park counters are network-global (the wake scheduler tracks
+    // VCs, not routers), so they print as a summary block beside the
+    // per-router table rather than extra columns.
     let m = &run.metrics;
     let wake = |event: &str| {
         m.counter_value_labeled("drain_wake_events_total", &[("event", event)])
@@ -382,11 +389,6 @@ fn main() {
         ("spurious_wakes", wake("spurious_wakes")),
         ("wake_alls", wake("wake_alls")),
         ("wake_stalls", wake("stalls")),
-        (
-            "ff_cycles_skipped",
-            m.counter_value("drain_ff_cycles_skipped_total").unwrap_or(0),
-        ),
-        ("ff_jumps", m.counter_value("drain_ff_jumps_total").unwrap_or(0)),
     ]
     .into_iter()
     .map(|(name, v)| vec![name.to_string(), v.to_string()])
@@ -398,7 +400,7 @@ fn main() {
     .collect();
     let sched_header = ["counter", "total"];
     print_table(
-        "scheduler & fast-forward (from metrics registry)",
+        "scheduler (from metrics registry)",
         &sched_header,
         &sched_rows,
     );

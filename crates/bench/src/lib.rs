@@ -56,7 +56,7 @@ pub use scheme::{Scheme, Workload};
 /// Ends the process the way every tool reports bad input: one `error: …`
 /// line on stderr, exit code 2 — a typo must not silently run something
 /// other than what was asked for, nor end in a backtrace.
-fn usage_error(msg: &str) -> ! {
+pub fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
 }
@@ -134,12 +134,37 @@ impl Flags {
     }
 }
 
-/// `WxH` → mesh dimensions.
+/// `WxH` → mesh dimensions: 2 to 65 536 routers (one router has no link
+/// to drain along; node ids are 16-bit).
 pub fn parse_mesh(value: &str) -> Result<(u16, u16), &'static str> {
     value
         .split_once('x')
         .and_then(|(w, h)| Some((w.parse().ok()?, h.parse().ok()?)))
-        .ok_or("WxH, e.g. 8x8")
+        .filter(|&(w, h): &(u16, u16)| (2..=1 << 16).contains(&(u32::from(w) * u32::from(h))))
+        .ok_or("WxH with 2 to 65536 routers, e.g. 8x8")
+}
+
+/// An injection rate in packets per node per cycle: a number in `[0, 1]`
+/// (NaN is not).
+pub fn parse_rate(value: &str) -> Result<f64, &'static str> {
+    value
+        .parse()
+        .ok()
+        .filter(|r| (0.0..=1.0).contains(r))
+        .ok_or("a number in [0, 1]")
+}
+
+/// `faults` links removed from a `w`×`h` mesh must leave it connected: a
+/// mesh has `(w−1)(h−1)` links beyond a spanning tree, and
+/// [`drain_topology::faults::FaultInjector`] can remove exactly that many.
+pub fn check_mesh_faults((w, h): (u16, u16), faults: usize) -> Result<(), String> {
+    let max = usize::from(w.saturating_sub(1)) * usize::from(h.saturating_sub(1));
+    if faults > max {
+        return Err(format!(
+            "--faults {faults}: a {w}x{h} mesh can lose at most {max} of its links and stay connected"
+        ));
+    }
+    Ok(())
 }
 
 /// A period or count that must not be 0.
@@ -189,12 +214,74 @@ mod tests {
         );
         assert_eq!(
             flags(&["4by4"]).try_value("--mesh", parse_mesh),
-            Err("--mesh \"4by4\": expected WxH, e.g. 8x8".to_string())
+            Err("--mesh \"4by4\": expected WxH with 2 to 65536 routers, e.g. 8x8".to_string())
         );
         assert_eq!(
             flags(&["0"]).try_value("--profile-period", parse_positive),
             Err("--profile-period \"0\": expected a whole number above 0".to_string())
         );
+    }
+
+    #[test]
+    fn rates_outside_the_unit_interval_are_rejected() {
+        assert_eq!(parse_rate("0"), Ok(0.0));
+        assert_eq!(parse_rate("1.0"), Ok(1.0));
+        for v in ["NaN", "-0.1", "1.5", "inf", "fast"] {
+            assert_eq!(
+                flags(&[v]).try_value("--rate", parse_rate),
+                Err(format!("--rate {v:?}: expected a number in [0, 1]")),
+            );
+        }
+    }
+
+    #[test]
+    fn a_zero_epoch_is_rejected() {
+        assert_eq!(
+            flags(&["0"]).try_value("--epoch", parse_positive),
+            Err("--epoch \"0\": expected a whole number above 0".to_string())
+        );
+    }
+
+    #[test]
+    fn zero_cycles_are_rejected() {
+        assert_eq!(
+            flags(&["0"]).try_value("--cycles", parse_positive),
+            Err("--cycles \"0\": expected a whole number above 0".to_string())
+        );
+    }
+
+    #[test]
+    fn meshes_without_a_link_or_past_16_bit_ids_are_rejected() {
+        assert_eq!(parse_mesh("1x2"), Ok((1, 2)));
+        assert_eq!(parse_mesh("256x256"), Ok((256, 256)));
+        for v in ["1x1", "0x4", "4x0", "257x256"] {
+            assert_eq!(
+                parse_mesh(v),
+                Err("WxH with 2 to 65536 routers, e.g. 8x8"),
+                "{v:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn more_faults_than_a_mesh_can_lose_are_rejected() {
+        use drain_topology::{faults::FaultInjector, Topology};
+        // The bound is the fault injector's own: 9 removals fit a 4x4
+        // mesh, 10 do not.
+        let mesh = Topology::mesh(4, 4);
+        assert!(FaultInjector::new(1).remove_links(&mesh, 9).is_ok());
+        assert!(FaultInjector::new(1).remove_links(&mesh, 10).is_err());
+        assert_eq!(check_mesh_faults((4, 4), 9), Ok(()));
+        assert_eq!(check_mesh_faults((1, 2), 0), Ok(()));
+        assert_eq!(
+            check_mesh_faults((4, 4), 500),
+            Err(
+                "--faults 500: a 4x4 mesh can lose at most 9 of its links and stay connected"
+                    .to_string()
+            )
+        );
+        assert!(check_mesh_faults((4, 4), 10).is_err());
+        assert!(check_mesh_faults((1, 2), 1).is_err());
     }
 
     #[test]

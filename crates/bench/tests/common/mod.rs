@@ -8,8 +8,8 @@ use std::sync::Arc;
 use drain_bench::{Scale, Scheme};
 use drain_core::{DrainConfig, DrainMechanism};
 use drain_netsim::routing::FullyAdaptive;
-use drain_netsim::traffic::{Endpoints, InjectionEvent, TraceTraffic};
-use drain_netsim::{MessageClass, RunOutcome, Sim, SimConfig, TraceConfig};
+use drain_netsim::traffic::{InjectionEvent, TraceTraffic};
+use drain_netsim::{MessageClass, Sim, SimConfig, TraceConfig};
 use drain_path::DrainPath;
 use drain_topology::faults::FaultInjector;
 use drain_topology::{NodeId, Topology};
@@ -39,9 +39,10 @@ pub fn wedge_cell_sim(scheme: Scheme, epoch: u64) -> Sim {
     scheme.coherence_sim(&topo, false, &app, quota, WEDGE_CELL_SEED, epoch)
 }
 
-/// A workload where fast-forward provably engages: three scripted bursts
-/// separated by thousands of idle cycles, under DRAIN with a short epoch.
-/// Returns the simulation and the number of scripted packets.
+/// A mostly idle workload: three scripted bursts separated by thousands
+/// of idle cycles, under DRAIN with a short epoch, so drain windows fire
+/// on an empty network. Returns the simulation and the number of scripted
+/// packets.
 pub fn bursty_sim(trace: TraceConfig) -> (Sim, u64) {
     let topo = Arc::new(irregular_topo());
     let n = topo.num_nodes() as u16;
@@ -81,26 +82,4 @@ pub fn bursty_sim(trace: TraceConfig) -> (Sim, u64) {
         Box::new(TraceTraffic::new(events)),
     );
     (sim, packets)
-}
-
-/// The un-jumped reference: [`Sim::run`]'s loop without the fast-forward
-/// attempt — one [`Sim::step`] per cycle under the same stop conditions.
-/// `E` is the simulation's endpoint model, whose `finished` ends the run
-/// (the differentials never ask for stop-on-deadlock, so that condition
-/// has no counterpart here).
-pub fn run_stepped<E: Endpoints>(sim: &mut Sim, cycles: u64) -> RunOutcome {
-    let end = sim.core().cycle() + cycles;
-    while sim.core().cycle() < end {
-        sim.step();
-        if sim.violation().is_some() {
-            return RunOutcome::InvariantViolation;
-        }
-        let endpoints = sim
-            .endpoints_as::<E>()
-            .expect("run_stepped called with the simulation's endpoint type");
-        if endpoints.finished(sim.core()) {
-            return RunOutcome::WorkloadFinished;
-        }
-    }
-    RunOutcome::BudgetExhausted
 }

@@ -2,27 +2,21 @@
 //!
 //! 1. parallel sweep execution is bit-identical to serial execution,
 //! 2. a warm cache rerun simulates nothing and returns identical points,
-//! 3. the occupancy-driven kernel's idle-cycle fast-forward is invisible:
-//!    the same seeded point produces identical [`drain_netsim::Stats`] and
-//!    the same final cycle through `Sim::run` (which jumps) and through a
-//!    loop over `Sim::step` (which cannot), and event capture turns
-//!    jumping off,
-//! 4. the sharded allocation kernel is invisible: the same seeded point
+//! 3. the sharded allocation kernel is invisible: the same seeded point
 //!    produces identical [`drain_netsim::Stats`], the same final cycle and
 //!    byte-identical traces at every shard count — the shard planners
 //!    together draw exactly the serial kernel's per-site sample counts, and
 //!    the telemetry series (credit stalls travel through the shard plans)
 //!    is identical,
-//! 5. the wake-driven Phase A scheduler is invisible: the same seeded
+//! 4. the wake-driven Phase A scheduler is invisible: the same seeded
 //!    point produces identical [`drain_netsim::Stats`], the same final
 //!    cycle and byte-identical traces with blocked-VC parking on and with
 //!    the dense re-route-every-cycle scan forced, at every shard count —
-//!    and parked heads draw nothing.
-//!
-//! 6. a closed-loop coherence point that evicts repeats exactly (the
+//!    and parked heads draw nothing,
+//! 5. a closed-loop coherence point that evicts repeats exactly (the
 //!    victim draw indexes a sorted candidate list, not `HashMap` order).
 //!
-//! Items 3–5 hold by construction under the keyed RNG (each draw is
+//! Items 3–4 hold by construction under the keyed RNG (each draw is
 //! `mix(seed, cycle, site, id)`, see `drain_netsim::rng`); the tests are
 //! what keeps it so. The profiler-cadence differential lives in
 //! `metrics.rs`.
@@ -34,12 +28,12 @@ use drain_bench::scheme::DrainVariant;
 use drain_bench::sweep::plan::{load_sweep_specs, PointSpec, TopoSpec};
 use drain_bench::{Scale, Scheme};
 use drain_netsim::rng::NUM_DRAW_SITES;
-use drain_netsim::traffic::{SyntheticPattern, SyntheticTraffic};
+use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{DrawSite, RunOutcome, Stats, TelemetrySample, TraceConfig, TraceSink};
 use drain_topology::Topology;
 
 mod common;
-use common::{bursty_sim, irregular_topo, run_stepped, wedge_cell_sim};
+use common::{bursty_sim, irregular_topo, wedge_cell_sim};
 
 /// The fig10-style grid this test sweeps: one scheme on a 4×4 mesh with
 /// two different fault patterns.
@@ -128,48 +122,6 @@ fn warm_cache_rerun_runs_zero_simulations() {
     assert_eq!(first, second, "cached points must round-trip bit-identically");
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// One seeded point, run through `Sim::run` (fast-forward available) or —
-/// `stepped` — through the un-jumped reference loop.
-fn point_stats(scheme: Scheme, rate: f64, stepped: bool) -> (Stats, u64) {
-    let topo = irregular_topo();
-    // A short drain epoch so DRAIN's windows (and their fast-forward
-    // horizon/rebase accounting) are exercised inside the run.
-    let mut sim =
-        scheme.synthetic_sim(&topo, false, SyntheticPattern::UniformRandom, rate, 11, 512);
-    if stepped {
-        run_stepped::<SyntheticTraffic>(&mut sim, 6_000);
-    } else {
-        sim.run(6_000);
-    }
-    (sim.stats().clone(), sim.core().cycle())
-}
-
-/// Kernel differential: every headline scheme at a low and a saturated
-/// rate must produce identical `Stats` (every counter and full latency
-/// histograms) whether idle cycles are stepped or fast-forwarded.
-#[test]
-fn fast_forward_is_bit_identical_to_stepping_across_schemes() {
-    for scheme in Scheme::headline() {
-        for rate in [0.01, 0.35] {
-            let (stepped, cycle_stepped) = point_stats(scheme, rate, true);
-            let (run, cycle_run) = point_stats(scheme, rate, false);
-            assert_eq!(
-                stepped,
-                run,
-                "{} at rate {rate}: stats must not depend on fast-forward",
-                scheme.label()
-            );
-            assert_eq!(
-                cycle_stepped,
-                cycle_run,
-                "{} at rate {rate}: final cycle must not depend on fast-forward",
-                scheme.label()
-            );
-            assert!(stepped.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
-        }
-    }
 }
 
 /// Sharded-kernel differential: every headline scheme at a low and a
@@ -335,7 +287,9 @@ fn point_stats_wake(
 /// dense Phase A scan re-routes them every cycle. A parked head's draw is
 /// never computed: at the saturated rate the wake-scheduled run performs
 /// strictly fewer Phase A draws than the dense scan. The same holds for
-/// the closed-loop Fig 12 cell of `wedge.rs` under mixed packet lengths.
+/// the closed-loop Fig 12 cell of `wedge.rs` under mixed packet lengths,
+/// and for a bursty scripted DRAIN run that must deliver every packet and
+/// drain across its idle gaps.
 #[test]
 fn wake_scheduler_is_bit_identical_to_dense_scan() {
     for scheme in Scheme::headline() {
@@ -406,11 +360,31 @@ fn wake_scheduler_is_bit_identical_to_dense_scan() {
             scheme.label()
         );
     }
+    // Idle-gap leg: scripted bursts thousands of cycles apart, so DRAIN's
+    // short-epoch windows fire on an empty network between them.
+    let bursty = |wake: bool| {
+        let (mut sim, packets) = bursty_sim(TraceConfig::default());
+        sim.set_wake_scheduler(wake);
+        let outcome = sim.run(30_000);
+        (outcome, sim.stats().clone(), sim.core().cycle(), packets)
+    };
+    let (dense, wake) = (bursty(false), bursty(true));
+    assert_eq!(
+        dense, wake,
+        "the bursty run must not depend on the wake scheduler"
+    );
+    let (outcome, stats, _, packets) = wake;
+    assert_eq!(outcome, RunOutcome::WorkloadFinished);
+    assert_eq!((stats.injected, stats.ejected), (packets, packets));
+    assert!(
+        stats.drains > 0,
+        "short-epoch run must execute drain windows across the gaps"
+    );
 }
 
 /// Same differential on the trace stream: with event capture on, the
 /// wake-driven and dense Phase A schedulers must yield byte-identical
-/// JSONL at every shard count.
+/// JSONL at every shard count, and on the bursty scripted run.
 #[test]
 fn wake_scheduler_keeps_traces_byte_identical() {
     let topo = irregular_topo();
@@ -450,60 +424,27 @@ fn wake_scheduler_keeps_traces_byte_identical() {
             );
         }
     }
-}
-
-/// On the bursty workload `Sim::run` must skip a large share of the clock
-/// yet reproduce the stepped reference's stats, final cycle, and
-/// drain-window count exactly.
-#[test]
-fn fast_forward_engages_on_idle_gaps_and_stays_exact() {
-    use drain_netsim::traffic::TraceTraffic;
-
-    let (mut stepped, packets) = bursty_sim(TraceConfig::default());
-    let outcome_stepped = run_stepped::<TraceTraffic>(&mut stepped, 30_000);
-    let (mut fast, _) = bursty_sim(TraceConfig::default());
-    let outcome_fast = fast.run(30_000);
-
-    assert_eq!(stepped.ff_cycles_skipped(), 0, "Sim::step never jumps");
-    assert!(
-        fast.ff_cycles_skipped() > 5_000,
-        "bursty idle gaps must fast-forward thousands of cycles, got {}",
-        fast.ff_cycles_skipped()
-    );
-    assert!(fast.ff_jumps() > 0);
-    assert_eq!(outcome_stepped, outcome_fast, "fast-forward changed the outcome");
-    assert_eq!(stepped.stats(), fast.stats(), "fast-forward changed the stats");
+    // The bursty DRAIN run: events captured across the idle gaps, every
+    // scripted packet delivered.
+    let bursty = |wake: bool| -> String {
+        let (mut sim, packets) = bursty_sim(TraceConfig::events_on());
+        sim.set_wake_scheduler(wake);
+        sim.set_trace_sink(TraceSink::Memory(Vec::new()));
+        sim.run(30_000);
+        assert_eq!(sim.stats().ejected, packets);
+        let events = sim
+            .core_mut()
+            .tracer_mut()
+            .take_memory()
+            .expect("memory sink installed");
+        assert!(!events.is_empty());
+        events.iter().map(|e| e.to_jsonl() + "\n").collect()
+    };
     assert_eq!(
-        stepped.core().cycle(),
-        fast.core().cycle(),
-        "fast-forward changed the final cycle"
+        bursty(false),
+        bursty(true),
+        "bursty trace bytes must not depend on the wake scheduler"
     );
-    assert_eq!(fast.stats().injected, packets);
-    assert_eq!(fast.stats().ejected, packets);
-    assert!(
-        fast.stats().drains > 0,
-        "short-epoch run must execute drain windows across the gaps"
-    );
-}
-
-/// Event capture needs every tick: the same bursty run with tracing on
-/// must not skip a single cycle, so its trace bytes cannot depend on
-/// fast-forward.
-#[test]
-fn traced_run_never_fast_forwards() {
-    let (mut traced, packets) = bursty_sim(TraceConfig::events_on());
-    traced.set_trace_sink(TraceSink::Memory(Vec::new()));
-    traced.run(30_000);
-
-    assert_eq!(traced.ff_cycles_skipped(), 0, "a traced run must step every cycle");
-    assert_eq!(traced.ff_jumps(), 0);
-    assert_eq!(traced.stats().ejected, packets);
-    let events = traced
-        .core_mut()
-        .tracer_mut()
-        .take_memory()
-        .expect("memory sink installed");
-    assert!(!events.is_empty());
 }
 
 /// Coherence runs that fill the L1 must repeat: canneal on mesh(8,8) at

@@ -5,14 +5,11 @@
 //!    identical [`drain_netsim::Stats`], the same final cycle and
 //!    byte-identical traces with profiling off and on, at every shard
 //!    count;
-//! 2. telemetry sampling coexists with idle fast-forward — stats and
-//!    final cycle are bit-identical between `Sim::run` and a stepped
-//!    loop over `Sim::step`, sample stamps always sit on window
-//!    boundaries, and cumulative link-flit accounting agrees to the flit;
-//! 3. a real simulation's Prometheus exposition parses back and
+//! 2. a real simulation's Prometheus exposition parses back and
 //!    re-encodes byte-identically, with registry counters agreeing with
-//!    [`drain_netsim::Stats`];
-//! 4. `MetricsSnapshot::merge` is associative (property-based), so
+//!    [`drain_netsim::Stats`], and its telemetry samples sit on window
+//!    boundaries and sum to the cumulative link-flit totals;
+//! 3. `MetricsSnapshot::merge` is associative (property-based), so
 //!    fan-in order across sweep workers never changes the exposition.
 
 use drain_bench::Scheme;
@@ -20,7 +17,7 @@ use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{MetricsSnapshot, Stats, TraceConfig, TraceSink};
 
 mod common;
-use common::{bursty_sim, irregular_topo, run_stepped};
+use common::irregular_topo;
 
 /// One seeded point with the phase profiler at `period` (0 = off) on the
 /// `shards`-way kernel. Returns stats, final cycle, and trace bytes.
@@ -85,104 +82,13 @@ fn profiler_is_bit_identical_off_and_on() {
     }
 }
 
-/// Telemetry × fast-forward differential, on a workload where jumps
-/// provably happen: scripted bursts separated by long idle gaps, with
-/// telemetry sampling every 64 cycles. The fast leg (`Sim::run`) must
-/// skip thousands of cycles yet reproduce the stepped leg's (a loop over
-/// `Sim::step`) stats, final cycle, and cumulative per-link flit
-/// accounting exactly; every sample stamp (on both legs) must sit on a
-/// window boundary.
-#[test]
-fn telemetry_sampling_coexists_with_fast_forward() {
-    use drain_netsim::traffic::TraceTraffic;
-    use drain_netsim::TelemetrySample;
-
-    const PERIOD: u64 = 64;
-
-    let run = |stepped: bool| -> (Stats, u64, u64, Vec<TelemetrySample>, Vec<u64>) {
-        let (mut sim, _) = bursty_sim(TraceConfig::default().with_telemetry(PERIOD));
-        if stepped {
-            run_stepped::<TraceTraffic>(&mut sim, 30_000);
-        } else {
-            sim.run(30_000);
-        }
-        let num_links = sim.core().topology().num_unidirectional_links();
-        let cumulative: Vec<u64> = (0..num_links)
-            .map(|l| sim.core().telemetry().total_link_flits(l))
-            .collect();
-        (
-            sim.stats().clone(),
-            sim.core().cycle(),
-            sim.ff_cycles_skipped(),
-            sim.core_mut().telemetry_mut().take_samples(),
-            cumulative,
-        )
-    };
-
-    let (stats_stepped, cycle_stepped, skipped_stepped, samples_stepped, links_stepped) =
-        run(true);
-    let (stats_fast, cycle_fast, skipped_fast, samples_fast, links_fast) = run(false);
-
-    assert_eq!(skipped_stepped, 0, "Sim::step never jumps");
-    assert!(
-        skipped_fast > 5_000,
-        "bursty idle gaps must fast-forward thousands of cycles, got {skipped_fast}"
-    );
-    assert_eq!(stats_stepped, stats_fast, "fast-forward changed the stats");
-    assert_eq!(cycle_stepped, cycle_fast, "fast-forward changed the final cycle");
-    assert_eq!(
-        links_stepped, links_fast,
-        "cumulative per-link flit accounting must not depend on fast-forward"
-    );
-
-    // Every sample stamp — stepped or jump-emitted — sits on a window
-    // boundary (the window's last cycle).
-    for s in samples_stepped.iter().chain(&samples_fast) {
-        assert_eq!(
-            (s.cycle + 1) % PERIOD,
-            0,
-            "sample at cycle {} is not on a boundary",
-            s.cycle
-        );
-    }
-    // The fast leg collapses each idle stretch into one jump-emitted
-    // sample, so it takes strictly fewer samples — but both legs must
-    // account for the same total traffic.
-    assert!(!samples_fast.is_empty());
-    assert!(
-        samples_fast.len() < samples_stepped.len(),
-        "fast leg must elide idle sample boundaries ({} vs {})",
-        samples_fast.len(),
-        samples_stepped.len()
-    );
-    let windowed = |samples: &[TelemetrySample]| -> u64 {
-        samples.iter().map(|s| s.total_flits()).sum()
-    };
-    assert_eq!(
-        windowed(&samples_stepped),
-        windowed(&samples_fast),
-        "summed window deltas must agree between the legs"
-    );
-    // Jump-emitted samples describe idle stretches: state frozen, so the
-    // matching stepped-leg sample (same stamp) shows identical occupancy.
-    for s_fast in &samples_fast {
-        let s_stepped = samples_stepped
-            .iter()
-            .find(|s| s.cycle == s_fast.cycle)
-            .expect("every fast-leg stamp exists on the stepped leg");
-        assert_eq!(
-            s_stepped.routers.iter().map(|r| r.occupied_vcs).collect::<Vec<_>>(),
-            s_fast.routers.iter().map(|r| r.occupied_vcs).collect::<Vec<_>>(),
-            "occupancy at stamp {} must not depend on fast-forward",
-            s_fast.cycle
-        );
-    }
-}
-
 /// A real simulation's exposition must round-trip through the text
 /// format byte-identically, and the registry must agree with `Stats`.
+/// The telemetry series it sampled sits on window boundaries and accounts
+/// for every flit the per-link totals saw.
 #[test]
 fn prometheus_round_trips_on_a_real_snapshot() {
+    const PERIOD: u64 = 64;
     let topo = irregular_topo();
     let mut sim = Scheme::headline()[0].synthetic_sim_traced(
         &topo,
@@ -192,11 +98,33 @@ fn prometheus_round_trips_on_a_real_snapshot() {
         11,
         512,
         1,
-        TraceConfig::default().with_telemetry(64),
+        TraceConfig::default().with_telemetry(PERIOD),
     );
     sim.set_profile_period(32);
     sim.set_shards(2);
-    sim.run(3_000);
+    // A whole number of windows, so the last sample closes the run.
+    sim.run(47 * PERIOD);
+
+    let telem = sim.core().telemetry();
+    let samples: Vec<_> = telem.samples().collect();
+    assert_eq!(samples.len(), 47);
+    for s in &samples {
+        assert_eq!(
+            (s.cycle + 1) % PERIOD,
+            0,
+            "sample at cycle {} is off a boundary",
+            s.cycle
+        );
+    }
+    let windowed: u64 = samples.iter().map(|s| s.total_flits()).sum();
+    let cumulative: u64 = (0..topo.num_unidirectional_links())
+        .map(|l| telem.total_link_flits(l))
+        .sum();
+    assert!(windowed > 0);
+    assert_eq!(
+        windowed, cumulative,
+        "summed window flits must equal the per-link totals"
+    );
 
     let snap = sim.metrics_snapshot();
     let stats = sim.stats();

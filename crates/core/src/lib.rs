@@ -267,41 +267,6 @@ impl Mechanism for DrainMechanism {
             }
         }
     }
-
-    fn idle_until(&self, core: &SimCore) -> u64 {
-        match self.phase {
-            // With `epoch_left = k` at clock `c`, the control calls at
-            // cycles `c .. c+k-1` each just decrement the register and
-            // return `Normal`; the call at `c+k` opens the pre-drain
-            // freeze. Every cycle strictly before `c+k` is therefore a
-            // mechanism no-op (the elided decrements are rebased in
-            // [`Mechanism::on_cycles_skipped`]), so the freeze lands on
-            // exactly the same cycle as per-cycle stepping.
-            Phase::Running { epoch_left } => core.cycle() + epoch_left,
-            // Pre-drain and drain windows freeze or force moves every
-            // cycle: nothing may be skipped.
-            Phase::PreDrain { .. } | Phase::Draining { .. } => core.cycle(),
-        }
-    }
-
-    fn on_cycles_skipped(&mut self, cycles: u64) {
-        match self.phase {
-            Phase::Running { ref mut epoch_left } => {
-                debug_assert!(
-                    cycles <= *epoch_left,
-                    "fast-forward skipped {cycles} cycles past the epoch \
-                     boundary ({} left)",
-                    *epoch_left
-                );
-                *epoch_left -= cycles.min(*epoch_left);
-            }
-            // `idle_until` pins the horizon to the current cycle in these
-            // phases, so the driver never skips while in them.
-            Phase::PreDrain { .. } | Phase::Draining { .. } => {
-                debug_assert!(false, "fast-forward during a drain window");
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -719,14 +719,6 @@ impl Endpoints for RecordingEndpoints {
         self.inner.finished(core)
     }
 
-    fn idle_until(&self, core: &SimCore) -> u64 {
-        // The recorder's own pre_cycle work (draining ejection queues) is
-        // a no-op whenever the backlog is empty, and the driver never
-        // fast-forwards over a non-empty backlog — so the wrapped model's
-        // idle promise holds for the composite.
-        self.inner.idle_until(core)
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

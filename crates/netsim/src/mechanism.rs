@@ -78,27 +78,6 @@ pub trait Mechanism: Send {
     /// mutate mechanism-internal state (epoch counters, probes) and core
     /// statistics.
     fn control(&mut self, core: &mut SimCore) -> ControlAction;
-
-    /// The earliest future cycle at which this mechanism could act or
-    /// observe anything, assuming the network stays idle meanwhile
-    /// (idle-cycle fast-forward, see [`crate::Sim::run`]).
-    ///
-    /// Returning `t > core.cycle()` promises the mechanism's `control`
-    /// calls for every cycle in `(now, t)` would all return
-    /// [`ControlAction::Normal`] without mutating any per-call state; the
-    /// driver compensates the skipped calls via
-    /// [`Mechanism::on_cycles_skipped`]. The conservative default — the
-    /// current cycle — disables fast-forward for mechanisms that did not
-    /// opt in (e.g. SPIN's per-call rotation counter).
-    fn idle_until(&self, core: &SimCore) -> u64 {
-        core.cycle()
-    }
-
-    /// Informs the mechanism that the driver fast-forwarded over `cycles`
-    /// cycles, i.e. that many `control` calls were elided. Mechanisms
-    /// whose [`Mechanism::idle_until`] horizon is derived from a per-call
-    /// countdown (DRAIN's epoch counter) rebase it here.
-    fn on_cycles_skipped(&mut self, _cycles: u64) {}
 }
 
 /// The do-nothing mechanism: always [`ControlAction::Normal`].
@@ -122,9 +101,5 @@ impl Mechanism for NoMechanism {
 
     fn control(&mut self, _core: &mut SimCore) -> ControlAction {
         ControlAction::Normal
-    }
-
-    fn idle_until(&self, _core: &SimCore) -> u64 {
-        u64::MAX
     }
 }

@@ -3,13 +3,12 @@
 //!
 //! Before this module the simulator's numbers were scattered:
 //! [`crate::Stats`] counts packets and latency, [`crate::WakeCounters`]
-//! counts scheduler events, fast-forward accounting lives on
-//! [`crate::Sim`], cross-shard grants on the shard runtime, check-tier
-//! sweeps nowhere at all. [`MetricsSnapshot`] unifies every family under
-//! one stable `drain_` namespace as named counters / gauges / histograms
-//! that can be merged across sweep workers and exported as Prometheus
-//! text exposition or flat JSONL (the same hand-written, dependency-free
-//! discipline as [`crate::trace`]).
+//! counts scheduler events, check-tier sweeps live on [`crate::Sim`],
+//! cross-shard grants on the shard runtime. [`MetricsSnapshot`] unifies
+//! every family under one stable `drain_` namespace as named counters /
+//! gauges / histograms that can be merged across sweep workers and
+//! exported as Prometheus text exposition or flat JSONL (the same
+//! hand-written, dependency-free discipline as [`crate::trace`]).
 //!
 //! Two cost regimes, mirroring [`crate::telemetry`]:
 //!

@@ -46,14 +46,9 @@ pub struct Sim {
     stop_on_deadlock: bool,
     violation: Option<Violation>,
     flight_record: Option<PathBuf>,
-    /// Idle cycles elided by fast-forward (simulator-speed accounting
-    /// only — deliberately *not* part of [`Stats`], which must be
-    /// bit-identical with fast-forward on or off).
-    ff_cycles_skipped: u64,
-    /// Number of fast-forward jumps taken.
-    ff_jumps: u64,
-    /// Cycles on which the cheap per-cycle invariant tier ran (outside
-    /// [`Stats`] for the same reason as the fast-forward counters).
+    /// Cycles on which the cheap per-cycle invariant tier ran
+    /// (simulator accounting only — deliberately *not* part of [`Stats`],
+    /// which must be bit-identical with checks on or off).
     check_sweeps: u64,
     /// Cycles on which the deep invariant tier additionally ran.
     check_deep_sweeps: u64,
@@ -92,8 +87,6 @@ impl Sim {
             stop_on_deadlock: false,
             violation: None,
             flight_record: None,
-            ff_cycles_skipped: 0,
-            ff_jumps: 0,
             check_sweeps: 0,
             check_deep_sweeps: 0,
             shard_rt: None,
@@ -337,16 +330,14 @@ impl Sim {
         }
     }
 
-    /// Idle cycles elided by fast-forward so far (see [`Sim::run`]). Not
-    /// part of [`Stats`]: results are bit-identical whether cycles were
-    /// stepped or skipped.
+    /// Always 0: idle fast-forward is gone; kept for `benchmark/`'s reader.
     pub fn ff_cycles_skipped(&self) -> u64 {
-        self.ff_cycles_skipped
+        0
     }
 
-    /// Number of fast-forward jumps taken so far.
+    /// Always 0: idle fast-forward is gone; kept for `benchmark/`'s reader.
     pub fn ff_jumps(&self) -> u64 {
-        self.ff_jumps
+        0
     }
 
     /// Cycles on which the cheap per-cycle invariant tier ran.
@@ -371,10 +362,9 @@ impl Sim {
     /// Collects every counter family the simulation maintains into one
     /// [`MetricsSnapshot`] under the stable `drain_` namespace: `Stats`
     /// (packets, latency histograms, mechanism events), wake-scheduler
-    /// counters, per-site RNG draw volume, fast-forward accounting,
-    /// cross-shard grants, check-tier sweeps, telemetry/trace volume,
-    /// occupancy gauges, and — when enabled — the phase profiler's
-    /// attribution.
+    /// counters, per-site RNG draw volume, cross-shard grants, check-tier
+    /// sweeps, telemetry/trace volume, occupancy gauges, and — when
+    /// enabled — the phase profiler's attribution.
     ///
     /// Collection is pull-based: the counters are maintained anyway, so
     /// taking a snapshot costs nothing between scrapes and cannot
@@ -472,16 +462,6 @@ impl Sim {
                 v,
             );
         }
-        m.counter(
-            "drain_ff_cycles_skipped_total",
-            "Idle cycles elided by fast-forward",
-            self.ff_cycles_skipped,
-        );
-        m.counter(
-            "drain_ff_jumps_total",
-            "Fast-forward jumps taken",
-            self.ff_jumps,
-        );
         if let Some(rt) = &self.shard_rt {
             m.counter(
                 "drain_shard_fabric_flits_total",
@@ -554,70 +534,9 @@ impl Sim {
         m
     }
 
-    /// Attempts an idle-cycle fast-forward after a completed step: when
-    /// the network, the mechanism and the endpoints all certify that every
-    /// cycle before `t` would be a pure no-op, jump the clock straight to
-    /// `min(t, end)`. Returns whether the clock moved.
-    fn maybe_fast_forward(&mut self, end: u64) -> bool {
-        // The network's certificate also encodes the gates:
-        // tracing/per-cycle checks active, queued injections, ejection
-        // backlog, or an allocation-eligible VC all yield `None`.
-        // Telemetry does not block the jump — elided sampling boundaries
-        // collapse into one exact boundary sample below.
-        let Some(net) = self.core.net_idle_until() else {
-            return false;
-        };
-        let now = self.core.cycle();
-        let mut t = net
-            .min(self.mechanism.idle_until(&self.core))
-            .min(self.endpoints.idle_until(&self.core))
-            .min(end);
-        // Instrumentation that is not idempotent pins its own horizon
-        // while packets are in flight: the structural detector convicts
-        // on *every* sweep boundary (`deadlocks_detected` grows), and the
-        // watchdog's first trip must land on its exact cycle. An empty
-        // network triggers neither.
-        if self.core.packets_in_network() > 0 {
-            let interval = self.core.config().deadlock_check_interval;
-            if interval > 0 {
-                t = t.min(now + (interval - 1 - now % interval));
-            }
-            let wd = self.core.config().watchdog_threshold;
-            if wd > 0 && !self.core.stats.watchdog_deadlock {
-                t = t.min(self.core.stats.last_progress_cycle.saturating_add(wd + 1));
-            }
-        }
-        if t <= now {
-            return false;
-        }
-        let skipped = t - now;
-        // The jump elides cycles `[now, t)`; if a telemetry sampling
-        // boundary falls in there, emit one sample stamped at the last
-        // such boundary before the clock moves (the state is frozen
-        // across the jump, so the sample is exact).
-        self.core.telemetry_note_jump(t);
-        self.core.fast_forward_to(t);
-        // `skipped` mechanism control calls (each of which would have
-        // returned `Normal`) were elided; let it rebase countdowns.
-        self.mechanism.on_cycles_skipped(skipped);
-        self.ff_cycles_skipped += skipped;
-        self.ff_jumps += 1;
-        true
-    }
-
-    /// Runs for up to `cycles` cycles, honouring early-stop conditions.
-    ///
-    /// Idle-cycle fast-forward: when nothing can happen before cycle `T`
-    /// (no VC becomes ready, no queued injection, no ejection backlog, and
-    /// mechanism and endpoints are idle too), the clock jumps straight to
-    /// `T`. The skipped cycles are provably no-ops, so results are
-    /// bit-identical to calling [`Sim::step`] once per cycle — the
-    /// un-jumped reference the differential tests compare against. Event
-    /// tracing and per-cycle invariant checks need every tick and turn
-    /// jumping off; telemetry sampling coexists with it (a jump over one
-    /// or more sampling boundaries emits a single sample stamped at the
-    /// last elided boundary — the network is frozen across the jump, so
-    /// the sample is exact).
+    /// Runs for up to `cycles` cycles — one [`Sim::step`] each — stopping
+    /// early on an invariant violation, a deadlock (when
+    /// [`Sim::stop_on_deadlock`] is set) or a finished workload.
     pub fn run(&mut self, cycles: u64) -> RunOutcome {
         let end = self.core.cycle() + cycles;
         while self.core.cycle() < end {
@@ -629,16 +548,6 @@ impl Sim {
                 return RunOutcome::Deadlocked;
             }
             if self.endpoints.finished(&self.core) {
-                return RunOutcome::WorkloadFinished;
-            }
-            // Skip provably idle stretches. A jump cannot create work, but
-            // it can reach the cycle at which a quiesced workload reports
-            // completion — re-check so the outcome (and the cycle it is
-            // reported at) matches per-cycle stepping exactly.
-            if self.core.cycle() < end
-                && self.maybe_fast_forward(end)
-                && self.endpoints.finished(&self.core)
-            {
                 return RunOutcome::WorkloadFinished;
             }
         }

@@ -303,7 +303,7 @@ pub struct SimCore {
     /// Cached `config.total_vcs()` (the link-major stride).
     stride: usize,
     /// Number of non-empty injection queues (skips the Phase A injection
-    /// sweep and gates fast-forward).
+    /// sweep when 0).
     nonempty_inj: usize,
     /// Hot mirror of each injection queue head's destination (valid while
     /// the queue is non-empty) — the Phase A injection sweep reads this
@@ -1069,10 +1069,7 @@ impl SimCore {
 
     /// Park-profitability gate boundary (see [`GATE_WINDOW`]). Runs on
     /// the core in both the serial and the sharded drivers, on committed
-    /// counters only, so the gate trajectory is identical everywhere the
-    /// stepped cycles are. Idle fast-forward may skip boundaries — the
-    /// `>=` catch-up in [`SimCore::advance_cycle`] re-evaluates on the
-    /// next stepped cycle; an idle window has no parks to judge anyway.
+    /// counters only, so the gate trajectory is identical everywhere.
     #[cold]
     fn gate_tick(&mut self) {
         let w = self.cycle / GATE_WINDOW;
@@ -1088,61 +1085,13 @@ impl SimCore {
         self.gate_next = (w + 1) * GATE_WINDOW;
     }
 
-    /// The earliest future cycle at which the *network* could act, or
-    /// `None` when the current cycle cannot be skipped.
-    ///
-    /// `Some(t)` promises that running the per-cycle engine for every
-    /// cycle in `(now, t)` would be a pure no-op: no RNG draw, no state
-    /// change, no stat update. That holds exactly when
-    ///
-    /// * every observer needing per-cycle ticks is off (tracing,
-    ///   per-cycle invariant checks). Telemetry sampling is *not*
-    ///   on this list: the network is frozen across an idle jump, so the
-    ///   driver emits one boundary sample stamped at the last elided
-    ///   window boundary instead (see [`SimCore::telemetry_note_jump`]) —
-    ///   exact, and without giving up the jump,
-    /// * all injection queues are empty (a queued head re-routes every
-    ///   cycle) and no ejection backlog remains (endpoint models consume
-    ///   deliveries on per-cycle ticks),
-    /// * no occupied VC is allocation-eligible before `t` (an eligible
-    ///   but blocked VC has `ready_at <= now`, which yields `None` — so
-    ///   congested cycles are never skipped).
-    ///
-    /// An empty network returns `Some(u64::MAX)`; mechanism and endpoint
-    /// horizons bound the actual jump (see [`crate::sim::Sim::run`]).
-    ///
-    /// Sharding note: shards exist only inside a cycle's Phase A; by the
-    /// time the driver asks, every commit has landed in this one global
-    /// state, so fast-forward composes with the sharded kernel unchanged.
-    pub(crate) fn net_idle_until(&self) -> Option<u64> {
-        if self.tracer.enabled() || self.config.checks.any_per_cycle() {
-            return None;
-        }
-        if self.nonempty_inj > 0 || self.ej_backlog > 0 {
-            return None;
-        }
-        let mut t = u64::MAX;
-        for idx in set_bits(&self.occ_bits) {
-            let ready_at = self.vc_ready_at[idx];
-            if ready_at <= self.cycle {
-                return None;
-            }
-            t = t.min(ready_at);
-        }
-        Some(t)
-    }
-
-    /// Jumps the clock forward to `t` (idle-cycle fast-forward). Only
-    /// legal when [`SimCore::net_idle_until`] proved the skipped cycles
-    /// are no-ops.
-    pub(crate) fn fast_forward_to(&mut self, t: u64) {
-        debug_assert!(t > self.cycle);
-        self.cycle = t;
-    }
-
-    /// Takes a telemetry sample when the current cycle closes a sampling
-    /// window. Called by the driver once per cycle; the O(VCs + routers)
-    /// sweep runs only on window boundaries.
+    /// Takes a telemetry sample — occupancy and queue depths — when the
+    /// current cycle closes a sampling window. Called by the driver once
+    /// per cycle; the O(VCs + routers) sweep runs only on window
+    /// boundaries.
+    // Inlined into `Sim::step`: out of line, the per-cycle call cost
+    // `coherence_app` 3–5 % of its wall time.
+    #[inline]
     pub(crate) fn telemetry_tick(&mut self) {
         if !self.telem.active() {
             return;
@@ -1150,39 +1099,6 @@ impl SimCore {
         if !(self.cycle + 1).is_multiple_of(self.telem.period()) {
             return;
         }
-        self.telemetry_sample_at(self.cycle);
-    }
-
-    /// Emits the telemetry sample an idle fast-forward jump to `t` would
-    /// otherwise elide. The jump skips cycles `(now, t)`; any sampling
-    /// boundary inside that stretch would have sampled *this exact
-    /// state* (the jump is only legal because nothing changes), so one
-    /// sample stamped at the last elided boundary is exact — the delta
-    /// counters compress the idle stretch into a single flat window.
-    /// Called by the driver *before* the clock jumps.
-    pub(crate) fn telemetry_note_jump(&mut self, t: u64) {
-        if !self.telem.active() {
-            return;
-        }
-        let period = self.telem.period();
-        // Boundaries are cycles s with (s + 1) % period == 0. Cycle t
-        // itself is stepped normally, so the elided range is [cycle, t).
-        // The last boundary below t:
-        let last = (t / period) * period;
-        if last == 0 {
-            return;
-        }
-        let s = last - 1;
-        if s >= self.cycle && s < t {
-            self.telemetry_sample_at(s);
-        }
-    }
-
-    /// Sweeps occupancy and queue depths into one telemetry sample
-    /// stamped `stamp` (the state sweep reads the *current* state; the
-    /// stamp may predate `self.cycle` only when the state is provably
-    /// unchanged since, as in [`SimCore::telemetry_note_jump`]).
-    fn telemetry_sample_at(&mut self, stamp: u64) {
         let n = self.topo.num_nodes();
         // A recycled scratch vector — sampling allocates nothing in steady
         // state (see [`Telemetry::checkout_routers`]).
@@ -1198,7 +1114,7 @@ impl SimCore {
         for (q, queue) in self.ej.iter().enumerate() {
             routers[q / self.config.num_classes].ej_depth += queue.len() as u32;
         }
-        self.telem.push_sample(stamp, routers);
+        self.telem.push_sample(self.cycle, routers);
     }
 
     /// Normal allocation on the serial kernel: one Phase A sweep over

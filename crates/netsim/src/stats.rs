@@ -160,7 +160,7 @@ impl LatencyHistogram {
 /// §9). Deliberately *not* part of [`Stats`]: `Stats` is compared exactly
 /// in the wake-on-vs-dense differential tests, and these counters are the
 /// one thing that legitimately differs between the two schedulers (the
-/// `ff_cycles_skipped` precedent in `Sim`).
+/// `check_sweeps` precedent in `Sim`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WakeCounters {
     /// Heads parked after a routing pass produced no feasible move.
@@ -186,7 +186,8 @@ pub struct WakeCounters {
 /// Aggregated statistics for one simulation.
 ///
 /// `PartialEq` compares every counter and histogram exactly — the
-/// fast-forward differential tests rely on it to prove bit-identity.
+/// wake-scheduler and shard differential tests rely on it to prove
+/// bit-identity.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Packets created by endpoints.

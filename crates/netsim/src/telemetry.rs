@@ -10,15 +10,8 @@
 //! Cost model: the only per-event work while sampling is active is two
 //! counter increments in the allocation hot path (link flits, credit
 //! stalls), both behind an `active()` flag that is false by default; the
-//! O(VCs + routers) sweep happens only on sample boundaries.
-//!
-//! Sampling coexists with idle fast-forward: a jump that elides one or
-//! more sample boundaries emits a *single* sample stamped at the last
-//! elided boundary (the network is frozen across the jump, so that one
-//! sample describes every skipped window exactly — the delta counters
-//! are all zero for the idle stretch). Successive sample stamps are
-//! therefore always boundary cycles, but may skip windows; consumers
-//! should key on [`TelemetrySample::cycle`], not assume a fixed stride.
+//! O(VCs + routers) sweep happens only on sample boundaries, so sample
+//! stamps are exactly the cycles `s` with `(s + 1) % period == 0`.
 
 use std::collections::VecDeque;
 

@@ -35,21 +35,6 @@ pub trait Endpoints: Send + std::any::Any {
         false
     }
 
-    /// The earliest future cycle at which this model could inject or
-    /// otherwise act, assuming no deliveries arrive meanwhile (idle-cycle
-    /// fast-forward, see [`crate::Sim::run`]).
-    ///
-    /// Returning `t > core.cycle()` promises that `pre_cycle` calls for
-    /// every cycle in `(now, t)` would be pure no-ops — including RNG
-    /// draws whose values are observable in later behaviour. The
-    /// conservative default — the current cycle — disables fast-forward
-    /// for models that did not opt in. The driver never skips cycles
-    /// while ejection queues hold undelivered packets, so consumption is
-    /// not a concern here.
-    fn idle_until(&self, core: &SimCore) -> u64 {
-        core.cycle()
-    }
-
     /// Downcast support so tests and reports can reach the concrete model
     /// behind a running simulation (e.g. the coherence engine's protocol
     /// statistics).

@@ -195,24 +195,6 @@ impl Endpoints for SyntheticTraffic {
         core.cycle() >= self.stop_at && core.live_packets() == 0
     }
 
-    fn idle_until(&self, core: &SimCore) -> u64 {
-        // Past `stop_at` (or with a zero rate) `pre_cycle` only consumes
-        // deliveries, and the driver never fast-forwards over an ejection
-        // backlog, so skipping those cycles is exact. An active source may
-        // create a packet in any cycle — finding the next one costs the
-        // draws it would skip — so it pins the clock to per-cycle
-        // stepping. A zero-rate source with a finite `stop_at` still
-        // anchors the horizon there so `finished` flips on the same cycle
-        // as per-cycle stepping.
-        if core.cycle() >= self.stop_at {
-            u64::MAX
-        } else if self.threshold == 0 {
-            self.stop_at
-        } else {
-            core.cycle()
-        }
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

@@ -72,16 +72,6 @@ impl Endpoints for TraceTraffic {
         self.next == self.events.len() && core.live_packets() == 0
     }
 
-    fn idle_until(&self, _core: &SimCore) -> u64 {
-        // Nothing happens between scripted events; the next event's cycle
-        // is an exact horizon (delivery consumption is covered by the
-        // driver's no-backlog rule).
-        match self.events.get(self.next) {
-            Some(e) => e.cycle,
-            None => u64::MAX,
-        }
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

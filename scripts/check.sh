@@ -84,16 +84,20 @@ echo "==> drain-metrics smoke (registry + phase profiler + exposition round-trip
 cargo build --release -p drain-bench --bin drain_metrics --quiet
 ./target/release/drain_metrics --mesh 4x4 --cycles 8192 --points 2 \
     --out results/metrics_smoke
-# Bad input is one `error:` line and exit code 2, never a backtrace.
-rc=0
-./target/release/drain_metrics --listen x 2> "$tmp/flag.err" || rc=$?
-[ "$rc" = 2 ] && grep -q '^error: unknown flag' "$tmp/flag.err" \
-    || { echo "an unknown flag must end in one error line and exit 2 (got exit $rc)"; cat "$tmp/flag.err"; exit 1; }
+# Bad input is one `error:` line and exit code 2, never a backtrace: an
+# unknown flag, and a value outside its range that once ran silently.
+for bad in "drain_metrics --listen x" "drain_trace --rate NaN"; do
+    rc=0
+    ./target/release/$bad > /dev/null 2> "$tmp/flag.err" || rc=$?
+    [ "$rc" = 2 ] && [ "$(wc -l < "$tmp/flag.err")" = 1 ] && grep -q '^error: ' "$tmp/flag.err" \
+        || { echo "$bad must end in one error line and exit 2 (got exit $rc)"; cat "$tmp/flag.err"; exit 1; }
+done
 
 echo "==> results guard (cheap figures must reproduce the committed results/*.txt)"
 # results/*.txt back every number in EXPERIMENTS.md. Re-run the figures
 # that take seconds — fig12/13/15 are the coherence runs, nothing else
-# here pins the MESI engine end to end — and diff their stdout against
+# here pins the MESI engine end to end; fig08's walk-through is the one
+# figure with an idle (zero-rate) source — and diff their stdout against
 # the committed files, ignoring the engine summary line (wall time, thread
 # count). A simulator change that moves results must regenerate results/
 # and restate EXPERIMENTS.md in the same PR.
@@ -101,7 +105,7 @@ cargo build --release -p drain-bench --bins --quiet
 guard_dir="$tmp/guard"
 mkdir "$guard_dir"
 summary='^[a-z0-9_]+: [0-9]+ points \('
-for fig in fig04 fig06 fig09 fig11 fig12 fig13 fig15 table1 table2; do
+for fig in fig04 fig06 fig08 fig09 fig11 fig12 fig13 fig15 table1 table2; do
     DRAIN_RESULTS_DIR="$guard_dir/results" DRAIN_CACHE_DIR="$guard_dir/cache" \
         "./target/release/$fig" | grep -vE "$summary" > "$guard_dir/$fig.txt"
     diff <(grep -vE "$summary" "results/$fig.txt") "$guard_dir/$fig.txt" \

@@ -14,7 +14,9 @@
 //!    `<out>/drain_metrics.prom`, which is immediately re-parsed and
 //!    round-tripped (`encode(parse(encode)) == encode` — any mismatch is
 //!    fatal). The merged phase-profile attribution prints as a table and
-//!    its shares must sum to ~100%.
+//!    its shares must sum to ~100%; the merged wake-scheduler counters
+//!    print after it, with the injection-queue heads' parks and skips
+//!    broken out.
 //!
 //! Everything asserted here is also covered by unit/integration tests;
 //! this binary is the end-to-end smoke run wired into `scripts/check.sh`.
@@ -239,6 +241,43 @@ fn phase_table(merged: &MetricsSnapshot) {
     );
 }
 
+/// Prints the merged wake-scheduler counters: every event, and the
+/// injection-queue heads' share of parks and skips.
+fn wake_table(merged: &MetricsSnapshot) {
+    let count = |family: &str, event: &str| {
+        merged
+            .counter_value_labeled(family, &[("event", event)])
+            .unwrap_or(0)
+    };
+    let events = [
+        "parks",
+        "skips",
+        "wakes",
+        "spurious_wakes",
+        "wake_alls",
+        "stalls",
+    ];
+    let rows: Vec<Vec<String>> = events
+        .iter()
+        .map(|&event| {
+            let injection = match event {
+                "parks" | "skips" => count("drain_wake_injection_events_total", event).to_string(),
+                _ => "-".to_string(),
+            };
+            vec![
+                event.to_string(),
+                count("drain_wake_events_total", event).to_string(),
+                injection,
+            ]
+        })
+        .collect();
+    print_table(
+        "wake scheduler (merged over all points)",
+        &["event", "total", "injection heads"],
+        &rows,
+    );
+}
+
 fn main() {
     let args = parse_args();
     let scale = Scale::from_env();
@@ -274,5 +313,6 @@ fn main() {
     );
 
     phase_table(&merged);
+    wake_table(&merged);
     println!("drain_metrics: OK");
 }

@@ -371,11 +371,15 @@ fn main() {
 
     // Scheduler accounting, straight from the unified metrics registry.
     // Wake/park counters are network-global (the wake scheduler tracks
-    // VCs, not routers), so they print as a summary block beside the
-    // per-router table rather than extra columns.
+    // VC and injection-queue heads, not routers), so they print as a
+    // summary block beside the per-router table rather than extra columns.
     let m = &run.metrics;
     let wake = |event: &str| {
         m.counter_value_labeled("drain_wake_events_total", &[("event", event)])
+            .unwrap_or(0)
+    };
+    let injection = |event: &str| {
+        m.counter_value_labeled("drain_wake_injection_events_total", &[("event", event)])
             .unwrap_or(0)
     };
     let draws = |site: &str| {
@@ -383,9 +387,11 @@ fn main() {
             .unwrap_or(0)
     };
     let sched_rows: Vec<Vec<String>> = [
-        ("vc_parks", wake("parks")),
-        ("vc_skips", wake("skips")),
-        ("vc_wakes", wake("wakes")),
+        ("parks", wake("parks")),
+        ("skips", wake("skips")),
+        ("injection_parks", injection("parks")),
+        ("injection_skips", injection("skips")),
+        ("wakes", wake("wakes")),
         ("spurious_wakes", wake("spurious_wakes")),
         ("wake_alls", wake("wake_alls")),
         ("wake_stalls", wake("stalls")),

@@ -285,8 +285,10 @@ fn point_stats_wake(
 /// identical `Stats` (every counter and full latency histograms) and the
 /// same final cycle whether blocked VCs park on wake subscriptions or the
 /// dense Phase A scan re-routes them every cycle. A parked head's draw is
-/// never computed: at the saturated rate the wake-scheduled run performs
-/// strictly fewer Phase A draws than the dense scan. The same holds for
+/// never computed: the wake-scheduled run never draws more than the
+/// dense scan, and at the saturated rate it performs strictly fewer
+/// Phase A draws and strictly fewer injection draws (parked source-queue
+/// heads). The same holds for
 /// the closed-loop Fig 12 cell of `wedge.rs` under mixed packet lengths,
 /// and for a bursty scripted DRAIN run that must deliver every packet and
 /// drain across its idle gaps.
@@ -317,12 +319,23 @@ fn wake_scheduler_is_bit_identical_to_dense_scan() {
                     "dense scan must never park ({})",
                     scheme.label()
                 );
-                assert_eq!(
-                    dense_draws[DrawSite::Injection.index()],
-                    wake_draws[DrawSite::Injection.index()],
-                    "wake scheduling must not change injection draws"
+                let injection_draws =
+                    |draws: [u64; NUM_DRAW_SITES]| draws[DrawSite::Injection.index()];
+                assert!(
+                    injection_draws(wake_draws) <= injection_draws(dense_draws),
+                    "{} at rate {rate}, {k} shards: a parked queue head must draw nothing, \
+                     and an unparked one draws as the dense scan does",
+                    scheme.label()
                 );
                 if rate > 0.1 {
+                    assert!(
+                        injection_draws(wake_draws) < injection_draws(dense_draws),
+                        "{} saturated at {k} shards: parked injection heads must skip their \
+                         draws (wake {} vs dense {})",
+                        scheme.label(),
+                        injection_draws(wake_draws),
+                        injection_draws(dense_draws)
+                    );
                     assert!(
                         wake_ctrs.parks > 0 && wake_ctrs.skips > 0,
                         "{} saturated at {k} shards: wake scheduler never engaged ({wake_ctrs:?})",

@@ -22,7 +22,7 @@
 //!
 //! Checks are off by default and cost nothing when disabled.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 use drain_topology::NodeId;
@@ -298,14 +298,19 @@ fn occupancy_deep(core: &SimCore) -> Result<(), String> {
     // [`SimCore::validate_wake_parking`]). Cheap when nothing is parked.
     core.validate_wake_parking()?;
     let cfg = core.config();
-    let live: HashMap<PacketId, &Packet> = core.live_packet_iter().collect();
-    let mut holder: HashMap<PacketId, Location> = HashMap::new();
-    fn note(
-        holder: &mut HashMap<PacketId, Location>,
-        pid: PacketId,
-        loc: Location,
-    ) -> Result<(), String> {
-        match holder.insert(pid, loc) {
+    // Holders by packet id (ids are slab indices): a vector, not a hash
+    // map — with source queues backed up this sweep visits every live
+    // packet, every cycle under `deep_interval: 1`.
+    let ids = core
+        .live_packet_iter()
+        .map(|(pid, _)| pid.0 as usize + 1)
+        .max();
+    let mut holder: Vec<Option<Location>> = vec![None; ids.unwrap_or(0)];
+    fn note(holder: &mut [Option<Location>], pid: PacketId, loc: Location) -> Result<(), String> {
+        let Some(slot) = holder.get_mut(pid.0 as usize) else {
+            return Err(format!("{loc:?} holds retired {pid:?}"));
+        };
+        match slot.replace(loc) {
             Some(prev) => Err(format!("{pid:?} held twice: {prev:?} and {loc:?}")),
             None => Ok(()),
         }
@@ -328,7 +333,7 @@ fn occupancy_deep(core: &SimCore) -> Result<(), String> {
         for c in 0..cfg.num_classes {
             let class = MessageClass(c as u8);
             for pid in core.injection_queue(node, class) {
-                let Some(p) = live.get(&pid) else {
+                let Some(p) = core.try_packet(pid) else {
                     return Err(format!(
                         "injection queue ({}, {class}) holds retired {pid:?}",
                         node.index()
@@ -343,7 +348,7 @@ fn occupancy_deep(core: &SimCore) -> Result<(), String> {
                 note(&mut holder, pid, Location::InjectionQueue(node))?;
             }
             for pid in core.ejection_queue(node, class) {
-                let Some(p) = live.get(&pid) else {
+                let Some(p) = core.try_packet(pid) else {
                     return Err(format!(
                         "ejection queue ({}, {class}) holds retired {pid:?}",
                         node.index()
@@ -362,8 +367,8 @@ fn occupancy_deep(core: &SimCore) -> Result<(), String> {
         }
     }
 
-    for (&pid, p) in &live {
-        match holder.get(&pid) {
+    for (pid, p) in core.live_packet_iter() {
+        match holder[pid.0 as usize] {
             None => {
                 return Err(format!(
                     "live {pid:?} ({} -> {}) is held by no container (loc says {:?})",
@@ -372,7 +377,7 @@ fn occupancy_deep(core: &SimCore) -> Result<(), String> {
                     p.loc
                 ));
             }
-            Some(&loc) if loc != p.loc => {
+            Some(loc) if loc != p.loc => {
                 return Err(format!(
                     "{pid:?} location mismatch: packet says {:?}, container is {loc:?}",
                     p.loc

@@ -91,6 +91,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod trace;
 pub mod traffic;
+mod wake;
 
 pub use check::{CheckConfig, PacketFingerprint, RecordingEndpoints, Violation, ViolationKind};
 pub use config::SimConfig;

@@ -49,7 +49,8 @@ use drain_topology::{partition::Partition, LinkId, NodeId, Topology};
 
 use crate::packet::PacketId;
 use crate::routing::Candidate;
-use crate::state::{LinkRequest, ParkNote, PhaseASink, PhaseATally, SimCore};
+use crate::state::{LinkRequest, PhaseASink, PhaseATally, SimCore};
+use crate::wake::ParkNote;
 
 /// Maximum shard count (the phase profiler keeps this many per-shard
 /// accumulators).

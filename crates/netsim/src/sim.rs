@@ -451,6 +451,16 @@ impl Sim {
                 v,
             );
         }
+        // A family of its own: a label added to `drain_wake_events_total`
+        // would break readers that match its label set exactly.
+        for (event, v) in [("parks", w.injection_parks), ("skips", w.injection_skips)] {
+            m.counter_labeled(
+                "drain_wake_injection_events_total",
+                "Wake scheduler events of injection-queue heads (included in drain_wake_events_total)",
+                &[("event", event)],
+                v,
+            );
+        }
         for (site, v) in crate::rng::DrawSite::ALL
             .iter()
             .zip(self.core.rng_draw_counts())

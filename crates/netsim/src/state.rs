@@ -46,6 +46,7 @@ use crate::routing::{Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
 use crate::stats::{Stats, WakeCounters};
 use crate::telemetry::Telemetry;
 use crate::trace::{TraceEvent, Tracer};
+use crate::wake::{list_of_bit, list_of_slot, ParkNote, WakeState};
 
 /// Reference to one VC buffer: the input port of `link`'s head router,
 /// virtual network `vn`, VC `vc` (0 = escape).
@@ -121,47 +122,21 @@ pub(crate) struct LinkRequest {
     blocked_for: u64,
 }
 
-/// One wake-list entry: slot `slot` (link-major VC index) subscribed to
-/// vacates on an output link, `j` being that link's position among the
-/// slot's router's out-links (the bit it holds in `sub_mask[slot]`).
+/// One head as routing sees it: a VC occupant ([`SimCore::vc_head`]) or
+/// an injection-queue head ([`SimCore::injection_head`]).
 #[derive(Clone, Copy, Debug)]
-struct WakeSub {
-    slot: u32,
-    j: u8,
-}
-
-/// Park-profitability gate window (cycles). At each boundary the core
-/// compares the window's parks against the visits they saved (skips) and
-/// stops parking when a park buys fewer than [`GATE_MIN_SKIPS_PER_PARK`]
-/// skips — on workloads whose blocked episodes last only a cycle or two
-/// (a healthy mesh past saturation) the park/wake bookkeeping costs more
-/// than the routing it skips. Parking choice never affects results (a
-/// `Stall` is exactly the dense scan's behaviour), so the gate is purely
-/// a speed knob; it re-probes every [`GATE_PROBE_PERIOD`]-th window.
-const GATE_WINDOW: u64 = 2_048;
-/// A gated-off scheduler re-enables parking every this many windows to
-/// re-measure profitability (workload phases change).
-const GATE_PROBE_PERIOD: u64 = 8;
-/// Minimum skips a park must earn in a window to keep parking on.
-const GATE_MIN_SKIPS_PER_PARK: u64 = 2;
-/// Windows with fewer parks than this are too quiet to judge (and cost
-/// nothing): the gate stays on.
-const GATE_MIN_PARKS: u64 = 64;
-
-/// A parking decision for one blocked head, computed against pre-commit
-/// state by [`SimCore::phase_a_route_or_park`] and applied by
-/// [`SimCore::finish_allocation`]. `subs` is a bitmask over the head
-/// router's out-link positions to subscribe to. Opaque outside this
-/// module, like [`LinkRequest`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ParkNote {
-    idx: u32,
-    wake_at: u64,
-    subs: u32,
+struct Head {
+    ctx: RouteCtx,
+    vn: u8,
+    /// Whether escape-VC targets are open to it (entry patience).
+    allow_escape: bool,
+    /// Earliest cycle at which its candidate set or `allow_escape` can
+    /// change while it stays put (`u64::MAX` = never).
+    changes_at: u64,
 }
 
 /// Outcome of one fused Phase A routing + parking decision
-/// ([`SimCore::phase_a_route_or_park`]).
+/// ([`SimCore::route_or_park`]).
 #[derive(Clone, Copy, Debug)]
 enum PhaseAOutcome {
     /// Request this output link (target-VC kind, `blocked_for` age).
@@ -192,12 +167,14 @@ pub(crate) trait PhaseASink {
     fn credit_stall(&mut self, router: usize);
 }
 
-/// What one Phase A sweep counted: parked heads skipped, blocked heads
-/// that neither routed nor parked, and tie-break samples per
-/// [`DrawSite`]. Additive, so per-shard tallies sum to the serial one.
+/// What one Phase A sweep counted: parked heads skipped (injection-queue
+/// heads among them), blocked VC heads that neither routed nor parked,
+/// and tie-break samples per [`DrawSite`]. Additive, so per-shard tallies
+/// sum to the serial one.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct PhaseATally {
     skips: u64,
+    injection_skips: u64,
     stalls: u64,
     draws: [u64; NUM_DRAW_SITES],
 }
@@ -205,6 +182,7 @@ pub(crate) struct PhaseATally {
 impl std::ops::AddAssign for PhaseATally {
     fn add_assign(&mut self, o: PhaseATally) {
         self.skips += o.skips;
+        self.injection_skips += o.injection_skips;
         self.stalls += o.stalls;
         for (acc, d) in self.draws.iter_mut().zip(o.draws) {
             *acc += d;
@@ -332,41 +310,12 @@ pub struct SimCore {
     /// The allocation scratch (`None` only while a cycle's allocation has
     /// it checked out, see [`SimCore::take_alloc_scratch`]).
     alloc: Option<Box<AllocScratch>>,
-    /// Wake scheduler: per-VC wake deadline. `0` = fresh/active (route on
-    /// visit); `> now` = parked (Phase A skips routing and draws
-    /// nothing); `0 < v <= now` = woken, routes on the next visit.
-    vc_wake_at: Vec<u64>,
-    /// Wake scheduler: per-output-link subscriber lists, fired (drained)
-    /// by [`SimCore::vacate_slot`] on that link's input buffers.
-    wake_subs: Vec<Vec<WakeSub>>,
-    /// Wake scheduler: per-slot bitmask over the slot's router's out-link
-    /// positions `j` with a live entry in that link's `wake_subs` list.
-    /// Invariant: bit `j` set ⟺ exactly one `(slot, j)` entry exists —
-    /// a *slot* property that survives occupant turnover, so stale
-    /// entries never accumulate and re-parking never duplicates them.
-    sub_mask: Vec<u32>,
-    /// Wake scheduler: slots vacated this cycle whose link has
-    /// subscribers, awaiting the end-of-cycle [`SimCore::flush_wakes`].
-    /// Deferring the fire past the commit phase suppresses wakes for
-    /// slots re-occupied in the same cycle: a transient free interval
-    /// inside one cycle is invisible to Phase A, so never firing for it
-    /// is exact and saves the whole spurious wake→route→re-park round
-    /// trip.
-    pending_fires: Vec<u32>,
-    /// Park-profitability gate (see [`GATE_WINDOW`]): `false` suspends
-    /// *new* parks (already-parked heads still wake normally).
-    park_gate: bool,
-    /// Next cycle at which the gate re-evaluates.
-    gate_next: u64,
-    /// `wake.parks` at the last gate evaluation.
-    gate_parks: u64,
-    /// `wake.skips` at the last gate evaluation.
-    gate_skips: u64,
-    /// Routing wake profile, cached at construction (the routing function
-    /// never changes afterwards).
-    wake_profile: WakeProfile,
-    /// Wake scheduler accounting (outside `Stats`: see [`WakeCounters`]).
-    wake: WakeCounters,
+    /// Per message class: its virtual network (`class % vns`, tabulated
+    /// off the hot path).
+    class_vn: [u8; 8],
+    /// The wake scheduler's deadlines, subscription lists and gate (see
+    /// [`crate::wake`]).
+    wake: WakeState,
     /// Structured event bus (see [`crate::trace`]).
     tracer: Tracer,
     /// Telemetry sampler (see [`crate::telemetry`]).
@@ -400,6 +349,24 @@ impl SimCore {
         let telem = Telemetry::new(&config.trace, m, n);
         let prof = PhaseProfiler::new(config.metrics.profile_period);
         let slots = m * total_vcs;
+        // Every slot decode table in one link-major pass, no division.
+        let mut idx_link = Vec::with_capacity(slots);
+        let mut idx_vc = Vec::with_capacity(slots);
+        let mut idx_here = Vec::with_capacity(slots);
+        for link in topo.link_ids() {
+            let here = topo.link(link).dst.0;
+            for _ in 0..config.vns {
+                for vc in 0..config.vcs_per_vn as u8 {
+                    idx_link.push(link.0);
+                    idx_vc.push(vc);
+                    idx_here.push(here);
+                }
+            }
+        }
+        let mut class_vn = [0u8; 8];
+        for (class, vn) in class_vn.iter_mut().enumerate() {
+            *vn = (class % config.vns) as u8;
+        }
         SimCore {
             vc_occ: vec![EMPTY; slots],
             vc_ready_at: vec![0; slots],
@@ -422,13 +389,9 @@ impl SimCore {
             ej_backlog: 0,
             rng_draws: [0; NUM_DRAW_SITES],
             ej_bits: vec![0; (n * classes).div_ceil(64)],
-            idx_link: (0..slots).map(|i| (i / total_vcs) as u32).collect(),
-            idx_vc: (0..slots)
-                .map(|i| ((i % total_vcs) % config.vcs_per_vn) as u8)
-                .collect(),
-            idx_here: (0..slots)
-                .map(|i| topo.link(LinkId((i / total_vcs) as u32)).dst.0)
-                .collect(),
+            idx_link,
+            idx_vc,
+            idx_here,
             cand_buf: Vec::new(),
             alloc: Some(Box::new(AllocScratch {
                 ejects: Vec::new(),
@@ -437,16 +400,8 @@ impl SimCore {
                 parks: Vec::new(),
                 stalls: Vec::new(),
             })),
-            vc_wake_at: vec![0; slots],
-            wake_subs: (0..m).map(|_| Vec::new()).collect(),
-            sub_mask: vec![0; slots],
-            pending_fires: Vec::new(),
-            park_gate: true,
-            gate_next: GATE_WINDOW,
-            gate_parks: 0,
-            gate_skips: 0,
-            wake_profile: routing.wake_profile(),
-            wake: WakeCounters::default(),
+            class_vn,
+            wake: WakeState::new(slots, n * classes, routing.wake_profile()),
             tracer,
             telem,
             prof,
@@ -717,11 +672,7 @@ impl SimCore {
         self.vc_dest[idx] = dest;
         self.vc_class[idx] = class;
         self.vc_len[idx] = len;
-        // A new tenant starts fresh: any previous tenant's park deadline is
-        // meaningless for it. Its subscription *entries* (sub_mask bits)
-        // deliberately survive — they are slot properties; a stale one
-        // fires at most one spurious wake and removes itself.
-        self.vc_wake_at[idx] = 0;
+        self.wake.new_head(idx);
         self.activate(idx);
     }
 
@@ -734,65 +685,21 @@ impl SimCore {
         self.vc_occ[idx] = EMPTY;
         self.vc_free_at[idx] = free_at;
         self.deactivate(idx);
-        let li = self.idx_link[idx] as usize;
-        if !self.wake_subs[li].is_empty() {
-            self.pending_fires.push(idx as u32);
-        }
+        self.wake
+            .note_vacate(idx, list_of_slot(idx, self.idx_vc[idx]));
     }
 
-    /// End-of-cycle wake flush: fires the subscriber list of every link
-    /// that had a slot vacate this cycle *and still holds it empty now*.
-    /// A slot re-occupied by a later commit in the same cycle never
-    /// presents a free buffer to any Phase A sweep, so skipping its fire
-    /// is exact — its own eventual vacate re-queues the link. Must run
-    /// before the per-cycle validators (`validate_wake_parking` assumes no
-    /// fire is in flight). Sorting puts each link's slots in one run (the
-    /// arena is link-major) and makes the fire order independent of commit
-    /// order.
+    /// End-of-cycle wake flush (see [`WakeState::flush`]): fires the
+    /// (link, VN, kind) list of every slot vacated this cycle that is
+    /// still empty. Must run before the per-cycle validators
+    /// (`validate_wake_parking` assumes no fire is in flight).
     pub(crate) fn flush_wakes(&mut self) {
-        if self.pending_fires.is_empty() {
-            return;
-        }
-        let mut pending = std::mem::take(&mut self.pending_fires);
-        pending.sort_unstable();
-        let mut i = 0;
-        while i < pending.len() {
-            let li = self.idx_link[pending[i] as usize] as usize;
-            // Same-link slots are index-adjacent (link-major arena), so
-            // one sorted run = one link.
-            let mut still_empty = false;
-            while i < pending.len() && self.idx_link[pending[i] as usize] as usize == li {
-                still_empty |= self.vc_occ[pending[i] as usize] == EMPTY;
-                i += 1;
-            }
-            if still_empty {
-                self.fire_wakes(li);
-            }
-        }
-        pending.clear();
-        self.pending_fires = pending;
-    }
-
-    /// Fires every subscription on output link `li`. A fire delivers the
-    /// *event*, not a deadline: each subscriber's wake drops to `now` (as
-    /// in [`SimCore::wake_all`]; a fresh/active slot stays at 0), so its
-    /// next Phase A visit re-routes it, recomputes its own timed deadline
-    /// from the freed slot's `free_at` and the link's `link_busy`, and
-    /// re-subscribes. Handing out the freed slot's deadline instead would
-    /// let a second slot of the link vacate inside that gap with an
-    /// earlier `free_at` (mixed packet lengths) and find the consumed
-    /// list empty. Entries are consumed: a wake is one-shot.
-    fn fire_wakes(&mut self, li: usize) {
-        let now = self.cycle;
-        let mut subs = std::mem::take(&mut self.wake_subs[li]);
-        self.wake.wakes += subs.len() as u64;
-        for s in subs.drain(..) {
-            self.sub_mask[s.slot as usize] &= !(1u32 << s.j);
-            let w = &mut self.vc_wake_at[s.slot as usize];
-            *w = (*w).min(now);
-        }
-        // Hand the (empty) allocation back for reuse.
-        self.wake_subs[li] = subs;
+        let (idx_vc, occ) = (&self.idx_vc, &self.vc_occ);
+        self.wake.flush(
+            self.cycle,
+            |slot| list_of_slot(slot, idx_vc[slot]),
+            |slot| occ[slot] == EMPTY,
+        );
     }
 
     /// Snapshot of one VC buffer's state (see [`VcState`]).
@@ -961,6 +868,7 @@ impl SimCore {
         if self.inj[q].is_empty() {
             self.nonempty_inj += 1;
             self.inj_head_dest[q] = dest.0;
+            self.wake.new_head(self.wake.first_queue() + q);
         }
         self.inj[q].push_back(pid);
         self.stats.generated += 1;
@@ -1059,30 +967,13 @@ impl SimCore {
     // Per-cycle engine
     // ------------------------------------------------------------------
 
-    /// Advances the cycle counter (called by the driver after all phases).
+    /// Advances the cycle counter (called by `Sim::step` after all phases)
+    /// and runs the park-profitability gate on window boundaries.
     pub(crate) fn advance_cycle(&mut self) {
         self.cycle += 1;
-        if self.config.wake_scheduler && self.cycle >= self.gate_next {
-            self.gate_tick();
+        if self.config.wake_scheduler {
+            self.wake.tick(self.cycle);
         }
-    }
-
-    /// Park-profitability gate boundary (see [`GATE_WINDOW`]). Runs on
-    /// the core in both the serial and the sharded drivers, on committed
-    /// counters only, so the gate trajectory is identical everywhere.
-    #[cold]
-    fn gate_tick(&mut self) {
-        let w = self.cycle / GATE_WINDOW;
-        if self.park_gate {
-            let dp = self.wake.parks - self.gate_parks;
-            let ds = self.wake.skips - self.gate_skips;
-            self.park_gate = dp < GATE_MIN_PARKS || ds >= GATE_MIN_SKIPS_PER_PARK * dp;
-        } else {
-            self.park_gate = w.is_multiple_of(GATE_PROBE_PERIOD);
-        }
-        self.gate_parks = self.wake.parks;
-        self.gate_skips = self.wake.skips;
-        self.gate_next = (w + 1) * GATE_WINDOW;
     }
 
     /// Takes a telemetry sample — occupancy and queue depths — when the
@@ -1184,7 +1075,7 @@ impl SimCore {
                 // future, routes the same `None` the dense scan would
                 // recompute — skip the ctx build, the routing call and the
                 // feasibility walk entirely.
-                if self.vc_wake_at[idx] > now {
+                if self.wake.at[idx] > now {
                     tally.skips += 1;
                     if telem_on {
                         sink.credit_stall(here as usize);
@@ -1193,8 +1084,7 @@ impl SimCore {
                 }
                 tally.draws[DrawSite::PhaseA.index()] += 1;
                 let sample = mix(seed, now, DrawSite::PhaseA, idx as u64);
-                let (link, vc) = (LinkId(self.idx_link[idx]), self.idx_vc[idx]);
-                match self.phase_a_route_or_park(idx, link, vc, sample, cands) {
+                match self.route_or_park(idx, &self.vc_head(idx, sample), cands) {
                     PhaseAOutcome::Route(out_link, target, blocked_for) => sink.request(
                         out_link,
                         LinkRequest {
@@ -1221,9 +1111,11 @@ impl SimCore {
             }
         }
         // Injection requests (head of each per-class queue); skipped
-        // wholesale when every queue is empty.
+        // wholesale when every queue is empty. A queue head parks and
+        // skips exactly like a VC head, under subscriber id `slots + q`.
         if self.nonempty_inj > 0 {
             let classes = self.config.num_classes;
+            let first_queue = self.wake.first_queue();
             for (q, queue) in self.inj.iter().enumerate() {
                 let Some(&pid) = queue.front() else {
                     continue;
@@ -1232,7 +1124,11 @@ impl SimCore {
                 if !owns_node(node) {
                     continue;
                 }
-                let class = MessageClass((q % classes) as u8);
+                if self.wake.at[first_queue + q] > now {
+                    tally.skips += 1;
+                    tally.injection_skips += 1;
+                    continue;
+                }
                 debug_assert_eq!(
                     NodeId(self.inj_head_dest[q]),
                     self.packets.get(pid).dest,
@@ -1240,16 +1136,22 @@ impl SimCore {
                 );
                 tally.draws[DrawSite::Injection.index()] += 1;
                 let sample = mix(seed, now, DrawSite::Injection, q as u64);
-                if let Some((link, target)) = self.injection_route(node, class, sample, cands) {
-                    sink.request(
-                        link,
-                        LinkRequest {
-                            source: MoveSource::Injection { node, class },
-                            pid,
-                            target,
-                            blocked_for: 0,
-                        },
-                    );
+                let head = self.injection_head(q, sample);
+                match self.route_or_park(first_queue + q, &head, cands) {
+                    PhaseAOutcome::Route(link, target, _) => {
+                        let class = MessageClass((q % classes) as u8);
+                        sink.request(
+                            link,
+                            LinkRequest {
+                                source: MoveSource::Injection { node, class },
+                                pid,
+                                target,
+                                blocked_for: 0,
+                            },
+                        );
+                    }
+                    PhaseAOutcome::Park(note) => sink.park(note),
+                    PhaseAOutcome::Stall => {}
                 }
             }
         }
@@ -1261,20 +1163,27 @@ impl SimCore {
     /// telemetry notes, then Phase B — ejection grants and link grants,
     /// each committed as it is decided.
     ///
-    /// Parks go first, in ascending slot order. Deferring them past the
-    /// sweep is exact: the sweep reads `vc_wake_at` only for the slot it
-    /// is visiting and [`SimCore::phase_a_route_or_park`] reads no wake
-    /// state, while Phase B's vacates must fire against the new
-    /// deadlines. Ascending order is the order a serial sweep produces by
-    /// itself; sorting restores it when several shards filed, so the
-    /// subscription lists are bit-identical at every shard count.
+    /// Parks go first, in ascending subscriber order (slots, then
+    /// queues). Deferring them past the sweep is exact: the sweep reads a
+    /// deadline only for the head it is visiting and
+    /// [`SimCore::route_or_park`] reads no wake state, while Phase B's
+    /// vacates must fire against the new deadlines. Ascending order is
+    /// the order a serial sweep produces by itself; sorting restores it
+    /// when several shards filed, so the subscription lists are
+    /// bit-identical at every shard count.
     pub(crate) fn finish_allocation(&mut self, mut scratch: Box<AllocScratch>, tally: PhaseATally) {
-        scratch.parks.sort_unstable_by_key(|n| n.idx);
+        scratch.parks.sort_unstable_by_key(|n| n.id);
         for note in scratch.parks.drain(..) {
-            self.apply_park(note);
+            let out_links = self.topo.out_links(NodeId(note.here));
+            let vn_base = usize::from(note.vn) * self.config.vcs_per_vn;
+            let stride = self.stride;
+            self.wake
+                .apply_park(note, |bit| list_of_bit(out_links, stride, vn_base, bit));
         }
-        self.wake.skips += tally.skips;
-        self.wake.stalls += tally.stalls;
+        let w = &mut self.wake.counters;
+        w.skips += tally.skips;
+        w.injection_skips += tally.injection_skips;
+        w.stalls += tally.stalls;
         for (acc, d) in self.rng_draws.iter_mut().zip(tally.draws) {
             *acc += d;
         }
@@ -1330,83 +1239,85 @@ impl SimCore {
         self.alloc = Some(scratch);
     }
 
-    /// Pure Phase A routing decision for the ready, non-ejecting head at
-    /// arena index `idx`, given its tie-break `sample`: which output link
-    /// it requests, with what target-VC kind and age — or `None` when
-    /// every feasible next hop lacks buffer or link credit this cycle.
-    /// The independent reference [`SimCore::validate_wake_parking`] holds
-    /// [`SimCore::phase_a_route_or_park`] to.
-    fn phase_a_route(
-        &self,
-        idx: usize,
-        link: LinkId,
-        vc: u8,
-        sample: u64,
-        cands: &mut Vec<Candidate>,
-    ) -> Option<(LinkId, TargetVc, u64)> {
-        let now = self.cycle;
+    /// The ready, non-ejecting head at arena index `idx` as routing sees
+    /// it, given its tie-break `sample`. `blocked_for`'s base is frozen
+    /// while the slot stays occupied, so every threshold it has not yet
+    /// crossed (routing widening, escape-entry patience) is an exact
+    /// cycle: `changes_at`.
+    #[inline(always)]
+    fn vc_head(&self, idx: usize, sample: u64) -> Head {
         let dest = NodeId(self.vc_dest[idx]);
         debug_assert_eq!(
             dest,
             self.packets.get(PacketId(self.vc_occ[idx])).dest,
             "stale dest mirror"
         );
-        let here = self.topo.link(link).dst;
-        let in_escape = self.config.escape_sticky && vc == 0;
-        let blocked_for = now.saturating_sub(self.vc_entered_at[idx].max(self.vc_ready_at[idx]));
-        let ctx = RouteCtx {
-            cur: here,
-            dest,
-            arrived_via: Some(link),
-            in_escape,
-            blocked_for,
-            sample,
-        };
-        let class = MessageClass(self.vc_class[idx]);
-        let vn = self.config.vn_of_class(class) as u8;
+        let in_escape = self.config.escape_sticky && self.idx_vc[idx] == 0;
+        let base = self.vc_entered_at[idx].max(self.vc_ready_at[idx]);
+        let blocked_for = self.cycle.saturating_sub(base);
+        let vn = self.class_vn[usize::from(self.vc_class[idx])];
         debug_assert_eq!(
             vn,
             ((idx % self.stride) / self.config.vcs_per_vn) as u8,
             "packet must sit in its class VN"
         );
-        // Escape VCs are a last resort: only packets blocked for
-        // the configured patience may fall back into one
-        // (packets already in an escape VC must continue there).
-        let allow_escape = in_escape
-            || self.escape_always_allowed()
-            || blocked_for >= self.config.escape_entry_patience;
-        self.choose_feasible(&ctx, vn, allow_escape, cands)
-            .map(|(l, t)| (l, t, blocked_for))
+        // Escape VCs are a last resort: only packets blocked for the
+        // configured patience may fall back into one (packets already in
+        // an escape VC must continue there).
+        let patience = self.config.escape_entry_patience;
+        let allow_escape = in_escape || self.escape_always_allowed() || blocked_for >= patience;
+        let mut changes_at = match self.wake.profile {
+            WakeProfile::WidensAt(t) if blocked_for < t => base + t,
+            _ => u64::MAX,
+        };
+        if !allow_escape {
+            // Escape targets unlock when `blocked_for` reaches the
+            // patience threshold (both the skipped `EscapeOnly`
+            // candidates and the `Any` → `NonEscapeOnly` downgrade).
+            changes_at = changes_at.min(base + patience);
+        }
+        Head {
+            ctx: RouteCtx {
+                cur: NodeId(self.idx_here[idx]),
+                dest,
+                arrived_via: Some(LinkId(self.idx_link[idx])),
+                in_escape,
+                blocked_for,
+                sample,
+            },
+            vn,
+            allow_escape,
+            changes_at,
+        }
     }
 
-    /// Pure Phase A routing decision for the head of the `(node, class)`
-    /// injection queue, given its tie-break `sample`.
+    /// The head of injection queue `q` as routing sees it, given its
+    /// tie-break `sample`.
     ///
     /// Source-queue waiting is ordinary queueing, not deadlock pressure:
     /// a waiting injection holds no network resource, so it neither
     /// deflects nor claims the escape VC (it can always keep waiting for
-    /// a non-escape buffer). The head's destination comes from the hot
-    /// mirror, not the slab: under backpressure every queue is non-empty
-    /// and the slab spans megabytes.
-    fn injection_route(
-        &self,
-        node: NodeId,
-        class: MessageClass,
-        sample: u64,
-        cands: &mut Vec<Candidate>,
-    ) -> Option<(LinkId, TargetVc)> {
-        let q = self.qidx(node, class);
-        let ctx = RouteCtx {
-            cur: node,
-            dest: NodeId(self.inj_head_dest[q]),
-            arrived_via: None,
-            in_escape: false,
-            blocked_for: 0,
-            sample,
-        };
-        let vn = self.config.vn_of_class(class) as u8;
-        let allow_escape = self.escape_always_allowed();
-        self.choose_feasible(&ctx, vn, allow_escape, cands)
+    /// a non-escape buffer). Its `blocked_for` is always 0 and its escape
+    /// entry fixed, so its candidate set is frozen for as long as it is
+    /// the head (`changes_at` = never). The destination comes from the
+    /// hot mirror, not the slab: under backpressure every queue is
+    /// non-empty and the slab spans megabytes.
+    #[inline(always)]
+    fn injection_head(&self, q: usize, sample: u64) -> Head {
+        let classes = self.config.num_classes;
+        Head {
+            ctx: RouteCtx {
+                cur: NodeId((q / classes) as u16),
+                dest: NodeId(self.inj_head_dest[q]),
+                arrived_via: None,
+                in_escape: false,
+                blocked_for: 0,
+                sample,
+            },
+            vn: self.class_vn[q % classes],
+            allow_escape: self.escape_always_allowed(),
+            changes_at: u64::MAX,
+        }
     }
 
     /// Whether escape-VC entry needs no patience: non-sticky configs have
@@ -1418,20 +1329,21 @@ impl SimCore {
             || self.config.escape_entry_patience == 0
     }
 
-    /// Finds the first routing candidate with a free link and a free
-    /// target VC. `allow_escape` gates fallback into escape VCs (entry
-    /// patience). `cands` is caller-provided scratch (cleared here).
+    /// Pure routing decision for `head`: the first routing candidate with
+    /// a free link and a free target VC, or `None` when every next hop
+    /// lacks buffer or link credit this cycle. `cands` is caller-provided
+    /// scratch (cleared here). The independent reference
+    /// [`SimCore::validate_wake_parking`] holds [`SimCore::route_or_park`]
+    /// to.
     fn choose_feasible(
         &self,
-        ctx: &RouteCtx,
-        vn: u8,
-        allow_escape: bool,
+        head: &Head,
         cands: &mut Vec<Candidate>,
     ) -> Option<(LinkId, TargetVc)> {
         cands.clear();
-        self.routing.candidates(ctx, cands);
+        self.routing.candidates(&head.ctx, cands);
         for cand in cands.iter() {
-            let target = match (cand.target, allow_escape) {
+            let target = match (cand.target, head.allow_escape) {
                 (TargetVc::Any, false) => TargetVc::NonEscapeOnly,
                 (TargetVc::EscapeOnly, false) => continue,
                 (t, _) => t,
@@ -1443,50 +1355,47 @@ impl SimCore {
                 link: cand.link,
                 target,
             };
-            if self.resolve_target_vc(downgraded, vn).is_some() {
+            if self.resolve_target_vc(downgraded, head.vn).is_some() {
                 return Some((cand.link, target));
             }
         }
         None
     }
 
-    /// Fused Phase A routing + parking decision for the ready,
-    /// non-ejecting head at `idx`: the first feasible candidate in
-    /// rotated order — exactly [`SimCore::phase_a_route`]'s answer — or,
-    /// when every candidate is infeasible, a parking decision folded out
-    /// of the *same* walk (no second pass over the candidate set: the
-    /// failure walk has already touched every link clock and target slot
-    /// the wake decision needs).
+    /// Fused Phase A routing + parking decision for subscriber `id` (a
+    /// VC slot or `slots + q` for an injection queue) with head `head`:
+    /// the first feasible candidate in rotated order — exactly
+    /// [`SimCore::choose_feasible`]'s answer — or, when every candidate is
+    /// infeasible, a parking decision folded out of the *same* walk (no
+    /// second pass over the candidate set: the failure walk has already
+    /// touched every link clock and target slot the wake decision needs).
     ///
     /// Parking is declined (`Stall`) when unsound — an
-    /// [`WakeProfile::Unstable`] routing (every router fits the 32-bit
-    /// subscription mask: `drain_topology::MAX_DEGREE`) — and when it is
-    /// sound but *worthless*: a
-    /// wake deadline of `now + 1` fires before the next visit could skip
-    /// anything, so the park would be pure bookkeeping. That last rule
-    /// carries the saturated-regime win: with single-cycle link
-    /// serialization, any candidate with an empty-but-infeasible slot
-    /// yields a `now + 1` deadline, so heads only ever park when every
-    /// eligible candidate slot is occupied — the parks that sleep until a
-    /// vacate actually fires.
+    /// [`WakeProfile::Unstable`] routing (every router fits the 64-bit
+    /// subscription mask: `drain_topology::MAX_DEGREE` is 32) — and when
+    /// it is sound but *worthless*: a wake deadline of `now + 1` fires
+    /// before the next visit could skip anything, so the park would be
+    /// pure bookkeeping. With single-cycle link serialization any
+    /// candidate with an empty-but-infeasible slot yields a `now + 1`
+    /// deadline, so heads only ever park when every eligible candidate
+    /// slot is occupied — the parks that sleep until a vacate fires.
     ///
     /// Soundness argument (missed wakes are impossible):
     ///
-    /// * The candidate *set* is frozen while the packet stays put except
-    ///   at known `blocked_for` thresholds (routing widening, escape-entry
-    ///   patience); `blocked_for`'s base is frozen while occupied, so each
-    ///   uncrossed threshold converts to an exact timed wake.
+    /// * The candidate *set* is frozen while the head stays put except at
+    ///   the known thresholds folded into `head.changes_at`.
     /// * Per candidate, feasibility needs a free link and a free target
     ///   VC. `link_busy`/`vc_free_at` only ever move a *known* deadline
     ///   (timed wake at the max of both for empty slots); occupied slots
-    ///   can free only through [`SimCore::vacate_slot`], which fires this
-    ///   link's subscriptions. State changes in the other direction
-    ///   (occupations, busier links) only delay feasibility and are
-    ///   re-checked on wake.
+    ///   can free only through [`SimCore::vacate_slot`], which fires the
+    ///   list of exactly that slot's (link, VN, kind). The head subscribes
+    ///   to every kind in which a target slot is occupied. State changes
+    ///   in the other direction (occupations, busier links) only delay
+    ///   feasibility and are re-checked on wake.
     ///
     /// The feasibility half must stay behaviourally identical to
-    /// [`SimCore::phase_a_route`] (same downgrade, same link/slot checks,
-    /// same first-match order). That duplication is deliberate:
+    /// `choose_feasible` (same downgrade, same link/slot checks, same
+    /// first-match order). That duplication is deliberate:
     /// `validate_wake_parking` re-routes parked heads through the
     /// *independent* `choose_feasible` walk, so any drift between the two
     /// shows up as a missed-wake violation in the deep sweeps and
@@ -1495,67 +1404,22 @@ impl SimCore {
     /// Takes `&self` against pre-commit state; the notes it returns are
     /// applied by [`SimCore::finish_allocation`] before any Phase B
     /// commit.
-    fn phase_a_route_or_park(
-        &self,
-        idx: usize,
-        link: LinkId,
-        vc: u8,
-        sample: u64,
-        cands: &mut Vec<Candidate>,
-    ) -> PhaseAOutcome {
+    // Forced inline, with the two head builders: at two call sites the
+    // compiler kept it out of line, and the call cost `sat_mesh8` ~5 %
+    // of its wall time.
+    #[inline(always)]
+    fn route_or_park(&self, id: usize, head: &Head, cands: &mut Vec<Candidate>) -> PhaseAOutcome {
         let now = self.cycle;
-        let dest = NodeId(self.vc_dest[idx]);
-        debug_assert_eq!(
-            dest,
-            self.packets.get(PacketId(self.vc_occ[idx])).dest,
-            "stale dest mirror"
-        );
-        let here = self.topo.link(link).dst;
-        let in_escape = self.config.escape_sticky && vc == 0;
-        let base = self.vc_entered_at[idx].max(self.vc_ready_at[idx]);
-        let blocked_for = now.saturating_sub(base);
-        let ctx = RouteCtx {
-            cur: here,
-            dest,
-            arrived_via: Some(link),
-            in_escape,
-            blocked_for,
-            sample,
-        };
-        let class = MessageClass(self.vc_class[idx]);
-        let vn = self.config.vn_of_class(class) as u8;
-        debug_assert_eq!(
-            vn,
-            ((idx % self.stride) / self.config.vcs_per_vn) as u8,
-            "packet must sit in its class VN"
-        );
-        let patience = self.config.escape_entry_patience;
-        let allow_escape = in_escape || self.escape_always_allowed() || blocked_for >= patience;
+        let vn = head.vn;
         cands.clear();
-        self.routing.candidates(&ctx, cands);
+        self.routing.candidates(&head.ctx, cands);
 
-        let out_links = self.topo.out_links(here);
-        let mut parkable = self.config.wake_scheduler
-            && self.park_gate
-            && !matches!(self.wake_profile, WakeProfile::Unstable);
-        let mut wake_at = u64::MAX;
-        if parkable {
-            if let WakeProfile::WidensAt(t) = self.wake_profile {
-                if blocked_for < t {
-                    wake_at = base + t;
-                }
-            }
-            if !allow_escape {
-                // Escape targets unlock when `blocked_for` reaches the
-                // patience threshold (both the skipped `EscapeOnly`
-                // candidates and the `Any` → `NonEscapeOnly` downgrade).
-                wake_at = wake_at.min(base + patience);
-            }
-        }
+        let mut parkable = self.config.wake_scheduler && self.wake.may_park();
+        let mut wake_at = head.changes_at;
         let vcs = self.config.vcs_per_vn as u8;
-        let mut subs: u32 = 0;
+        let mut subs: u64 = 0;
         for cand in cands.iter() {
-            let target = match (cand.target, allow_escape) {
+            let target = match (cand.target, head.allow_escape) {
                 (TargetVc::Any, false) => TargetVc::NonEscapeOnly,
                 (TargetVc::EscapeOnly, false) => continue,
                 (t, _) => t,
@@ -1573,7 +1437,7 @@ impl SimCore {
                     )
                     .is_some()
             {
-                return PhaseAOutcome::Route(cand.link, target, blocked_for);
+                return PhaseAOutcome::Route(cand.link, target, head.ctx.blocked_for);
             }
             if !parkable {
                 continue;
@@ -1585,20 +1449,26 @@ impl SimCore {
                 TargetVc::Any => (0, vcs),
             };
             let slot0 = li * self.stride + vn as usize * self.config.vcs_per_vn;
-            let mut any_occupied = false;
+            // Bit `kind` set: a target slot of that kind is occupied.
+            let mut kinds = 0u64;
             for tvc in lo..hi {
                 let s = slot0 + tvc as usize;
                 if self.vc_occ[s] != EMPTY {
-                    any_occupied = true;
+                    kinds |= 1 << u32::from(tvc != 0);
                 } else {
                     // Empty but infeasible: claimable no earlier than
                     // when both the link and the buffer tail free up.
                     wake_at = wake_at.min(link_busy.max(self.vc_free_at[s]));
                 }
             }
-            if any_occupied {
-                match out_links.iter().position(|&l| l == cand.link) {
-                    Some(j) => subs |= 1u32 << j,
+            if kinds != 0 {
+                match self
+                    .topo
+                    .out_links(head.ctx.cur)
+                    .iter()
+                    .position(|&l| l == cand.link)
+                {
+                    Some(j) => subs |= kinds << (2 * j),
                     // A candidate that is not an out-link of `here` would
                     // break the subscription invariant; never park on it.
                     None => {
@@ -1621,62 +1491,28 @@ impl SimCore {
             return PhaseAOutcome::Stall;
         }
         PhaseAOutcome::Park(ParkNote {
-            idx: idx as u32,
+            id: id as u32,
+            here: head.ctx.cur.0,
+            vn,
             wake_at,
             subs,
         })
     }
 
-    /// Applies a park note: records the wake deadline and inserts the
-    /// subscription entries this slot does not already hold (the
-    /// `sub_mask` invariant makes the dedup exact, so entry counts stay
-    /// bounded by the router degree no matter how often the slot
-    /// re-parks).
-    fn apply_park(&mut self, note: ParkNote) {
-        let idx = note.idx as usize;
-        if self.vc_wake_at[idx] != 0 {
-            // The head had parked before and this visit's wake failed to
-            // unblock it.
-            self.wake.spurious_wakes += 1;
-        }
-        self.vc_wake_at[idx] = note.wake_at;
-        let mut fresh = note.subs & !self.sub_mask[idx];
-        self.sub_mask[idx] |= note.subs;
-        if fresh != 0 {
-            let out_links = self.topo.out_links(NodeId(self.idx_here[idx]));
-            while fresh != 0 {
-                let j = fresh.trailing_zeros() as u8;
-                fresh &= fresh - 1;
-                let li = out_links[j as usize].index();
-                self.wake_subs[li].push(WakeSub {
-                    slot: note.idx,
-                    j,
-                });
-            }
-        }
-        self.wake.parks += 1;
-    }
-
-    /// Conservative wake-all: every parked head's deadline drops to `now`
-    /// so the next Phase A sweep re-routes it. Used around events the
-    /// subscription graph does not model (mechanism-forced permutations).
-    /// Subscription entries stay in place — the `sub_mask` invariant is a
-    /// slot property, and a later fire on a woken slot is a no-op `min`.
+    /// Conservative wake-all: every parked head's deadline — VC and
+    /// injection-queue heads alike — drops to `now` so the next Phase A
+    /// sweep re-routes it. Used around events the subscription graph does
+    /// not model (mechanism-forced permutations).
     pub(crate) fn wake_all(&mut self) {
-        if !self.config.wake_scheduler {
-            return;
+        if self.config.wake_scheduler {
+            self.wake.wake_all(self.cycle, set_bits(&self.occ_bits));
         }
-        let now = self.cycle;
-        for idx in set_bits(&self.occ_bits) {
-            self.vc_wake_at[idx] = self.vc_wake_at[idx].min(now);
-        }
-        self.wake.wake_alls += 1;
     }
 
     /// Wake-scheduler accounting since construction (or the last
     /// [`SimCore::set_wake_scheduler`] toggle).
     pub fn wake_counters(&self) -> WakeCounters {
-        self.wake
+        self.wake.counters
     }
 
     /// Switches the wake-driven Phase A scheduler on or off mid-assembly
@@ -1687,86 +1523,73 @@ impl SimCore {
     /// (differential tests exist to prove it).
     pub fn set_wake_scheduler(&mut self, enabled: bool) {
         self.config.wake_scheduler = enabled;
-        self.vc_wake_at.iter_mut().for_each(|w| *w = 0);
-        self.sub_mask.iter_mut().for_each(|m| *m = 0);
-        self.wake_subs.iter_mut().for_each(Vec::clear);
-        self.pending_fires.clear();
-        self.wake = WakeCounters::default();
-        self.park_gate = true;
-        self.gate_parks = 0;
-        self.gate_skips = 0;
-        self.gate_next = (self.cycle / GATE_WINDOW + 1) * GATE_WINDOW;
+        self.wake.reset(self.cycle);
     }
 
     /// Deep-sweep validation of the wake scheduler (paired with
     /// [`SimCore::validate_active_index`]):
     ///
-    /// * *No missed wake*: every parked head (`wake_at > now`) must still
-    ///   route `None` — re-deciding Phase A for it right now (sample 0;
-    ///   `None`-ness is sample-independent, see [`WakeProfile`]) must not
-    ///   find a feasible move the scheduler would have skipped.
-    /// * *Subscription bookkeeping*: every `sub_mask` bit corresponds to
-    ///   exactly one `(slot, j)` entry in the right link's wake list, and
-    ///   no list holds an entry without its mask bit.
+    /// * *No missed wake*: every parked head (`wake_at > now`) — VC slot
+    ///   or injection queue — must still route `None`: re-deciding
+    ///   Phase A for it right now through the independent
+    ///   `choose_feasible` walk (sample 0; `None`-ness is
+    ///   sample-independent, see [`WakeProfile`]) must not find a
+    ///   feasible move the scheduler would have skipped.
+    /// * *Subscription bookkeeping*: every mask bit corresponds to exactly
+    ///   one entry in the (link, VN, kind) list it names, and no list
+    ///   holds an entry without its mask bit.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violation found.
     pub fn validate_wake_parking(&self) -> Result<(), String> {
         let now = self.cycle;
+        let first_queue = self.wake.first_queue();
         let mut cands = Vec::new();
-        for idx in self.occupied_vc_indices() {
-            if self.vc_wake_at[idx] <= now {
-                continue;
-            }
-            let link = LinkId(self.idx_link[idx]);
-            let vc = self.idx_vc[idx];
-            if self.vc_ready_at[idx] > now {
-                return Err(format!(
-                    "parked VC {:?} is not allocation-eligible (ready_at {} > {now})",
-                    self.vc_ref_of_index(idx),
-                    self.vc_ready_at[idx]
-                ));
-            }
-            if let Some((l, _, _)) = self.phase_a_route(idx, link, vc, 0, &mut cands) {
-                return Err(format!(
-                    "missed wake: parked VC {:?} (wake_at {}) has a feasible move via {l:?}",
-                    self.vc_ref_of_index(idx),
-                    self.vc_wake_at[idx]
-                ));
-            }
-        }
-        let mut entry_counts = vec![0u32; self.sub_mask.len()];
-        for (li, list) in self.wake_subs.iter().enumerate() {
-            for s in list {
-                let slot = s.slot as usize;
-                if self.sub_mask[slot] & (1u32 << s.j) == 0 {
+        for id in self.wake.parked(now) {
+            let (head, what) = if id < first_queue {
+                // A vacated slot keeps its stale deadline until its next
+                // tenant resets it.
+                if self.vc_occ[id] == EMPTY {
+                    continue;
+                }
+                let what = format!("VC {:?}", self.vc_ref_of_index(id));
+                if self.vc_ready_at[id] > now {
                     return Err(format!(
-                        "wake entry (slot {slot}, j {}) on link {li} has no mask bit",
-                        s.j
+                        "parked {what} is not allocation-eligible (ready_at {} > {now})",
+                        self.vc_ready_at[id]
                     ));
                 }
-                let here = NodeId(self.idx_here[slot]);
-                let expect = self.topo.out_links(here).get(s.j as usize).copied();
-                if expect != Some(LinkId(li as u32)) {
-                    return Err(format!(
-                        "wake entry (slot {slot}, j {}) sits on link {li}, expected {expect:?}",
-                        s.j
-                    ));
+                (self.vc_head(id, 0), what)
+            } else {
+                let q = id - first_queue;
+                if self.inj[q].is_empty() {
+                    return Err(format!("injection queue {q} is parked but empty"));
                 }
-                entry_counts[slot] += 1;
-            }
-        }
-        for (slot, &mask) in self.sub_mask.iter().enumerate() {
-            if mask.count_ones() != entry_counts[slot] {
+                (self.injection_head(q, 0), format!("injection queue {q}"))
+            };
+            if let Some((l, _)) = self.choose_feasible(&head, &mut cands) {
                 return Err(format!(
-                    "slot {slot} mask has {} bits but {} wake entries exist",
-                    mask.count_ones(),
-                    entry_counts[slot]
+                    "missed wake: parked {what} (wake_at {}) has a feasible move via {l:?}",
+                    self.wake.at[id]
                 ));
             }
         }
-        Ok(())
+        let classes = self.config.num_classes;
+        let vcs = self.config.vcs_per_vn;
+        self.wake.validate_lists(|id, bit| {
+            let (here, vn) = if id < first_queue {
+                (NodeId(self.idx_here[id]), self.vc_ref_of_index(id).vn)
+            } else {
+                let q = id - first_queue;
+                (NodeId((q / classes) as u16), self.class_vn[q % classes])
+            };
+            let out_links = self.topo.out_links(here);
+            if usize::from(bit >> 1) >= out_links.len() {
+                return usize::MAX;
+            }
+            list_of_bit(out_links, self.stride, usize::from(vn) * vcs, bit)
+        })
     }
 
     /// Oldest-first ejection arbitration for the non-empty request
@@ -1836,6 +1659,7 @@ impl SimCore {
                     Some(&head) => self.inj_head_dest[q] = self.packets.get(head).dest.0,
                     None => self.nonempty_inj -= 1,
                 }
+                self.wake.new_head(self.wake.first_queue() + q);
                 self.packets.get_mut(req.pid).inject_cycle = now;
                 self.stats.injected += 1;
             }
@@ -1845,7 +1669,7 @@ impl SimCore {
         let p_len = p.len_flits as u64;
         let from_node = self.topo.link(out_link).src;
         // Occupy the target VC.
-        let vn = self.config.vn_of_class(p.class) as u8;
+        let vn = self.class_vn[p.class.index()];
         let cand = Candidate {
             link: out_link,
             target: req.target,

@@ -163,23 +163,29 @@ impl LatencyHistogram {
 /// `check_sweeps` precedent in `Sim`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WakeCounters {
-    /// Heads parked after a routing pass produced no feasible move.
+    /// Heads parked after a routing pass produced no feasible move (VC
+    /// and injection-queue heads).
     pub parks: u64,
     /// Parked-head visits skipped (no ctx build / routing / feasibility).
     pub skips: u64,
+    /// The injection-queue heads among `parks`.
+    pub injection_parks: u64,
+    /// The injection-queue visits among `skips`.
+    pub injection_skips: u64,
     /// Subscription wake deliveries: entries consumed by slot-vacate
-    /// fires (the thundering-herd volume — every subscriber of the freed
-    /// slot's link wakes, exactness demands it).
+    /// fires (every subscriber of the freed slot's (link, VN, escape /
+    /// non-escape) list wakes, exactness demands it).
     pub wakes: u64,
     /// Wakes whose next routing pass immediately re-parked the head
     /// (spurious: the wake event did not actually unblock it).
     pub spurious_wakes: u64,
     /// Conservative wake-alls (mechanism-forced cycles etc.).
     pub wake_alls: u64,
-    /// Blocked visits that routed to nothing but did not park (unstable
-    /// routing profile, wide radix, or a wake deadline of `now + 1` that
-    /// could not skip anything). In dense mode every blocked visit lands
-    /// here, so `stalls` doubles as the blocked-population gauge.
+    /// Blocked VC-head visits that routed to nothing but did not park
+    /// (unstable routing profile, a closed gate, or a wake deadline of
+    /// `now + 1` that could not skip anything). In dense mode every
+    /// blocked VC visit lands here, so `stalls` doubles as the in-network
+    /// blocked-population gauge.
     pub stalls: u64,
 }
 

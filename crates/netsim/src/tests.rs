@@ -402,6 +402,221 @@ fn second_vacate_inside_a_long_tail_still_wakes_the_parked_head() {
     assert_eq!(wakes, 2, "each vacate wakes the head");
 }
 
+/// Steps once, then holds the wake scheduler to its soundness oracle.
+fn step_checked(sim: &mut Sim) {
+    sim.step();
+    sim.core()
+        .validate_wake_parking()
+        .unwrap_or_else(|e| panic!("cycle {}: {e}", sim.core().cycle()));
+}
+
+/// Injection draws so far (one per routed, unparked queue head).
+fn injection_draws(sim: &Sim) -> u64 {
+    sim.core().rng_draw_counts()[crate::DrawSite::Injection.index()]
+}
+
+/// A source-queue head whose only out-buffer is held parks on that
+/// buffer, draws nothing while it sleeps, and wakes on the buffer's
+/// vacate: `1 -> 2` holds a packet queued behind a 5-flit tenant of
+/// `2 -> 3`, which ejects at once and leaves its buffer cooling for five
+/// cycles.
+#[test]
+fn injection_head_parks_on_its_occupied_out_buffer_and_wakes_on_its_vacate() {
+    let topo = Topology::mesh(4, 1);
+    let mut sim = quiet_sim(&topo, single_vc_config());
+    sim.run(10);
+    let slot = |a, b| VcRef {
+        link: topo.link_between(NodeId(a), NodeId(b)).unwrap(),
+        vn: 0,
+        vc: 0,
+    };
+    let core = sim.core_mut();
+    core.place_packet(slot(2, 3), NodeId(2), NodeId(3), MessageClass::REQUEST, 5);
+    core.place_packet(slot(1, 2), NodeId(1), NodeId(3), MessageClass::REQUEST, 1);
+    let queued = core
+        .try_enqueue_packet(NodeId(1), NodeId(2), MessageClass::REQUEST, 1, 0)
+        .unwrap();
+    step_checked(&mut sim);
+    let w = sim.core().wake_counters();
+    assert_eq!(
+        w.injection_parks, 1,
+        "the queue head parks on the held buffer: {w:?}"
+    );
+    let draws = injection_draws(&sim);
+    // The `1 -> 2` tenant leaves at cycle 15 (its next buffer accepts
+    // packets from 10 + 5); that vacate wakes the queue head, which
+    // injects at 16, when the buffer accepts again.
+    while sim.core().cycle() < 16 {
+        step_checked(&mut sim);
+    }
+    let w = sim.core().wake_counters();
+    assert_eq!(
+        injection_draws(&sim),
+        draws,
+        "a parked queue head draws nothing"
+    );
+    assert!(
+        w.injection_skips >= 4,
+        "the head slept through 11..=15: {w:?}"
+    );
+    assert_eq!(sim.stats().injected, 2, "not injected before the vacate");
+    step_checked(&mut sim);
+    assert_eq!(
+        sim.core().vc(slot(1, 2)).occ,
+        Some(queued),
+        "injected at 16"
+    );
+    assert_eq!(
+        injection_draws(&sim),
+        draws + 1,
+        "one draw, on the woken visit"
+    );
+}
+
+/// Subscriptions are keyed by the VC kind a head can use. Escape-sticky
+/// with entry patience, a source-queue head may only claim non-escape VCs
+/// (it holds no network resource to justify an escape VC). Both VCs of
+/// its one out-link are held by packets that eject at node 2, the escape
+/// tenant first: that vacate must leave the head asleep, the non-escape
+/// one a cycle later must wake it.
+#[test]
+fn non_escape_head_sleeps_through_an_escape_vacate_and_wakes_on_a_non_escape_one() {
+    let topo = Topology::mesh(4, 1);
+    let config = SimConfig {
+        vns: 1,
+        vcs_per_vn: 2,
+        num_classes: 1,
+        escape_sticky: true,
+        watchdog_threshold: 0,
+        ..SimConfig::default()
+    };
+    let mut sim = quiet_sim(&topo, config);
+    sim.run(10);
+    let link = topo.link_between(NodeId(1), NodeId(2)).unwrap();
+    let slot = |vc| VcRef { link, vn: 0, vc };
+    let core = sim.core_mut();
+    core.place_packet(slot(0), NodeId(1), NodeId(2), MessageClass::REQUEST, 1);
+    core.place_packet(slot(1), NodeId(1), NodeId(2), MessageClass::REQUEST, 1);
+    core.try_enqueue_packet(NodeId(1), NodeId(3), MessageClass::REQUEST, 1, 0)
+        .unwrap();
+    step_checked(&mut sim);
+    assert_eq!(
+        sim.core().vc(slot(0)).occ,
+        None,
+        "the escape tenant ejects first"
+    );
+    assert!(sim.core().vc(slot(1)).occ.is_some());
+    let w = sim.core().wake_counters();
+    assert_eq!(w.injection_parks, 1, "{w:?}");
+    assert_eq!(
+        w.wakes, 0,
+        "an escape vacate does not wake a non-escape head"
+    );
+    step_checked(&mut sim);
+    let w = sim.core().wake_counters();
+    assert_eq!(
+        w.injection_skips, 1,
+        "still asleep after the escape vacate: {w:?}"
+    );
+    assert_eq!(
+        sim.core().vc(slot(1)).occ,
+        None,
+        "the non-escape tenant ejects next"
+    );
+    assert_eq!(w.wakes, 1, "a non-escape vacate wakes it");
+    step_checked(&mut sim);
+    assert_eq!(
+        sim.stats().injected,
+        3,
+        "injected into the freed non-escape VC"
+    );
+    assert!(sim.core().vc(slot(1)).occ.is_some());
+}
+
+/// A mechanism that runs one empty forced drain at cycle `at` (as a
+/// DRAIN window does on an idle network) and is otherwise inert.
+struct EmptyDrainAt(u64);
+impl Mechanism for EmptyDrainAt {
+    fn name(&self) -> &str {
+        "empty-drain-at"
+    }
+    fn control(&mut self, core: &mut crate::SimCore) -> ControlAction {
+        if core.cycle() == self.0 {
+            ControlAction::Forced(Vec::new(), ForcedKind::Drain)
+        } else {
+            ControlAction::Normal
+        }
+    }
+}
+
+/// Two events outside the subscription graph release a parked queue: a
+/// forced cycle's `wake_all` (the head re-routes on the next visit,
+/// drawing again, and re-parks), and a head change (the next packet
+/// starts fresh — its first park is no spurious wake of the old head's).
+#[test]
+fn head_change_and_forced_wake_all_release_a_parked_queue() {
+    let topo = Topology::mesh(4, 1);
+    let mut sim = Sim::new(
+        topo.clone(),
+        single_vc_config(),
+        Box::new(FullyAdaptive::with_deflection(&topo, None)),
+        Box::new(EmptyDrainAt(12)),
+        Box::new(SyntheticTraffic::new(
+            SyntheticPattern::UniformRandom,
+            0.0,
+            1,
+            0,
+        )),
+    );
+    sim.run(10);
+    let slot = |a, b| VcRef {
+        link: topo.link_between(NodeId(a), NodeId(b)).unwrap(),
+        vn: 0,
+        vc: 0,
+    };
+    let core = sim.core_mut();
+    core.place_packet(slot(2, 3), NodeId(2), NodeId(3), MessageClass::REQUEST, 5);
+    core.place_packet(slot(1, 2), NodeId(1), NodeId(3), MessageClass::REQUEST, 1);
+    for _ in 0..2 {
+        core.try_enqueue_packet(NodeId(1), NodeId(2), MessageClass::REQUEST, 1, 0)
+            .unwrap();
+    }
+    // Cycle 10: the queue head parks behind `1 -> 2`; 11: asleep.
+    step_checked(&mut sim);
+    step_checked(&mut sim);
+    assert_eq!(sim.core().wake_counters().injection_parks, 1);
+    let draws = injection_draws(&sim);
+    // Cycle 12: the empty drain wakes everything; 13: the queue head
+    // re-routes (one draw), finds `1 -> 2` still held and re-parks.
+    step_checked(&mut sim);
+    assert_eq!(sim.core().wake_counters().wake_alls, 1);
+    assert_eq!(
+        injection_draws(&sim),
+        draws,
+        "no allocation on a forced cycle"
+    );
+    step_checked(&mut sim);
+    assert_eq!(
+        injection_draws(&sim),
+        draws + 1,
+        "wake_all released the queue head"
+    );
+    let w = sim.core().wake_counters();
+    assert_eq!(w.injection_parks, 2, "{w:?}");
+    // The first head injects at 16 and holds `1 -> 2` until it ejects at
+    // 18; the second parks behind it at 17, fresh.
+    let spurious = w.spurious_wakes;
+    while sim.stats().ejected < 4 {
+        step_checked(&mut sim);
+    }
+    let w = sim.core().wake_counters();
+    assert_eq!(w.injection_parks, 3, "{w:?}");
+    assert_eq!(
+        w.spurious_wakes, spurious,
+        "a new head's first park is not a spurious wake of the old head"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Observability: event bus wiring and the flight recorder
 // ---------------------------------------------------------------------

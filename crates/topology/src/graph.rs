@@ -132,9 +132,10 @@ pub enum TopologyError {
 }
 
 /// Most out-links a router may have: the routing tables
-/// ([`crate::distance::DistanceMap`], [`crate::updown::UpDownRouting`]) and
-/// the simulator's wake subscriptions name an out-link by its position in
-/// [`Topology::out_links`], one bit of a `u32` per position.
+/// ([`crate::distance::DistanceMap`], [`crate::updown::UpDownRouting`])
+/// name an out-link by its position in [`Topology::out_links`], one bit of
+/// a `u32` per position (the simulator's wake subscriptions spend two bits
+/// of a `u64` per position).
 pub const MAX_DEGREE: usize = 32;
 
 impl fmt::Display for TopologyError {

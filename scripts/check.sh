@@ -26,6 +26,8 @@ echo "==> cargo test --workspace (every suite once)"
 # golden traces and golden pins (trace-byte and Stats digests of the
 # saturated presets, DESIGN.md "Determinism"), the Fig 12 cell that used
 # to wedge (finish cycles per scheme, deep check on every cycle), the
+# congested-irregular benchmark point under the deep check on every
+# cycle (where source-queue heads park), the
 # tier-1 structure properties (routing tables against a queue BFS and
 # their definitions) — so a regression there is
 # named in CI output, not buried in a 400-test run. Any change to the
@@ -36,7 +38,7 @@ awk '
     function emit() { if (suite != "") { print suite; suite = "" } print }
     /^ +(Running|Doc-tests) / {
         suite = $0
-        named = /tests\/(determinism|golden_trace|golden_pin|metrics|shard_props|wedge|proptest_invariants)\.rs/
+        named = /tests\/(determinism|golden_trace|golden_pin|metrics|shard_props|wedge|congested|proptest_invariants)\.rs/
         next
     }
     /^test result: ok\. 0 passed; 0 failed; 0 ignored/ { next }

@@ -17,17 +17,14 @@
 //! ```text
 //! drain_fuzz [--points N] [--seed S] [--inject CYCLES] [--smoke]
 //!            [--baseline escape-vc|spin|updown|ideal] [--seed-fault]
-//!            [--shards K] [--json PATH]
+//!            [--json PATH]
 //! ```
 //!
-//! `--smoke` is the CI preset (few points, short runs, and the 2-shard
-//! kernel so CI soaks shard determinism; used by `scripts/check.sh`).
+//! `--smoke` is the CI preset (few points, short runs; used by
+//! `scripts/check.sh`).
 //! `--seed-fault` corrupts the DRAIN turn-table on every point through
 //! the drainpath crate's test-only hook and *expects* the checker to
 //! catch each one — exit code 0 iff every seeded fault is detected.
-//! `--shards K` runs both legs of every point on the K-shard allocation
-//! kernel, which must not change any verdict (it is bit-identical to the
-//! serial kernel).
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -38,7 +35,7 @@ use drain_bench::json::{num, Json};
 use drain_bench::oracle::{run_oracle, FaultSeed, OracleReport, OracleSpec};
 use drain_bench::sweep::plan::TopoSpec;
 use drain_bench::table::banner;
-use drain_bench::{parse_shards, Flags, Scale};
+use drain_bench::{Flags, Scale};
 use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::RunOutcome;
 use drain_topology::NodeId;
@@ -99,7 +96,6 @@ fn gen_point(i: usize, base_seed: u64, inject_cycles: u64, fault: FaultSeed) -> 
         drain_budget: 150_000,
         baseline: Baseline::EscapeVc,
         flightrec_dir: None,
-        shards: 1,
     };
     if fault != FaultSeed::None {
         // A sabotaged turn-table is only *observable* when a drain window
@@ -161,7 +157,6 @@ fn point_json(p: &FuzzPoint, r: &OracleReport, ok: bool) -> Json {
         ("epoch", num(p.spec.epoch as f64)),
         ("full_drain_period", num(p.spec.full_drain_period as f64)),
         ("baseline", Json::Str(p.spec.baseline.name().to_string())),
-        ("shards", num(p.spec.shards as f64)),
         ("seeded_fault", Json::Bool(p.fault != FaultSeed::None)),
         ("ok", Json::Bool(ok)),
         ("drain_outcome", Json::Str(outcome_str(r.drain.outcome).into())),
@@ -184,7 +179,6 @@ struct Args {
     inject: u64,
     seed_fault: bool,
     baseline: Baseline,
-    shards: usize,
     json_path: String,
 }
 
@@ -205,7 +199,6 @@ fn parse_args() -> Args {
         inject: 3_000,
         seed_fault: false,
         baseline: Baseline::EscapeVc,
-        shards: 1,
         json_path: "results/drain_fuzz.json".to_string(),
     };
     let mut flags = Flags::from_env();
@@ -217,18 +210,14 @@ fn parse_args() -> Args {
             "--inject" => args.inject = flags.parsed(f),
             "--json" => args.json_path = flags.parsed(f),
             "--seed-fault" => args.seed_fault = true,
-            "--shards" => args.shards = flags.value(f, parse_shards),
             "--smoke" => {
+                // The wake-driven Phase A scheduler is on (config
+                // default) for every leg, so the smoke also soaks the
+                // wake graph — including the deep sweep's missed-wake
+                // oracle — and sabotage injection (`--seed-fault`)
+                // covers the wake path too.
                 args.points = 24;
                 args.inject = 1_500;
-                // CI smoke doubles as the shard-determinism soak: every
-                // point runs on the 2-shard kernel, whose verdicts must
-                // match the serial kernel's exactly. The wake-driven
-                // Phase A scheduler is on (config default) for every leg,
-                // so the smoke also soaks the wake graph — including the
-                // deep sweep's missed-wake oracle — and sabotage
-                // injection (`--seed-fault`) covers the wake path too.
-                args.shards = 2;
             }
             "--baseline" => args.baseline = flags.value(f, parse_baseline),
             _ => Flags::unknown(f),
@@ -267,7 +256,6 @@ fn main() {
         .map(|i| {
             let mut p = gen_point(i, args.seed, args.inject, fault);
             p.spec.baseline = args.baseline;
-            p.spec.shards = args.shards;
             p.spec.flightrec_dir = Some(flightrec_dir.clone());
             p
         })

@@ -24,7 +24,7 @@
 //! ```text
 //! drain_metrics [--mesh WxH] [--rate R] [--cycles N] [--points K]
 //!               [--profile-period P] [--telemetry-period T]
-//!               [--snapshot-period S] [--shards K] [--seed S]
+//!               [--snapshot-period S] [--seed S]
 //!               [--out DIR]
 //! ```
 
@@ -35,7 +35,7 @@ use drain_bench::json::{num, Json};
 use drain_bench::report::results_dir;
 use drain_bench::scheme::DrainVariant;
 use drain_bench::table::{banner, print_table};
-use drain_bench::{parse_mesh, parse_positive, parse_rate, parse_shards, Flags, Scale, Scheme};
+use drain_bench::{parse_mesh, parse_positive, parse_rate, Flags, Scale, Scheme};
 use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{MetricsSnapshot, Phase, TelemetrySample, TraceConfig};
 use drain_topology::Topology;
@@ -48,7 +48,6 @@ struct Args {
     profile_period: u64,
     telemetry_period: u64,
     snapshot_period: u64,
-    shards: usize,
     seed: u64,
     out: PathBuf,
 }
@@ -62,7 +61,6 @@ fn parse_args() -> Args {
         profile_period: 64,
         telemetry_period: 256,
         snapshot_period: 4_096,
-        shards: 1,
         seed: 1,
         out: results_dir().join("metrics"),
     };
@@ -77,7 +75,6 @@ fn parse_args() -> Args {
             "--profile-period" => args.profile_period = flags.value(f, parse_positive),
             "--telemetry-period" => args.telemetry_period = flags.parsed(f),
             "--snapshot-period" => args.snapshot_period = flags.value(f, parse_positive),
-            "--shards" => args.shards = flags.value(f, parse_shards),
             "--seed" => args.seed = flags.parsed(f),
             "--out" => args.out = flags.parsed(f),
             _ => Flags::unknown(f),
@@ -123,9 +120,6 @@ fn streaming_phase(args: &Args, topo: &Topology) -> MetricsSnapshot {
         trace_cfg,
     );
     sim.set_profile_period(args.profile_period);
-    if args.shards > 1 {
-        sim.set_shards(args.shards);
-    }
 
     let mut stream = String::new();
     let mut next = 0;

@@ -176,17 +176,6 @@ pub fn parse_positive(value: &str) -> Result<u64, &'static str> {
         .ok_or("a whole number above 0")
 }
 
-/// `--shards` value → shard count: the kernel's `1..=MAX_SHARDS`, checked
-/// here so a bad value is a usage error, not a `SimConfig::validate` panic
-/// inside a sweep worker.
-pub fn parse_shards(value: &str) -> Result<usize, String> {
-    use drain_netsim::MAX_SHARDS;
-    match value.parse::<usize>() {
-        Ok(k) if (1..=MAX_SHARDS).contains(&k) => Ok(k),
-        _ => Err(format!("an integer in 1..={MAX_SHARDS}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,12 +186,12 @@ mod tests {
 
     #[test]
     fn flag_values_parse_in_order() {
-        let mut f = flags(&["--mesh", "4x6", "--smoke", "--shards", "8"]);
+        let mut f = flags(&["--mesh", "4x6", "--smoke", "--cycles", "8"]);
         assert_eq!(f.next_flag().as_deref(), Some("--mesh"));
         assert_eq!(f.try_value("--mesh", parse_mesh), Ok((4, 6)));
         assert_eq!(f.next_flag().as_deref(), Some("--smoke"));
-        assert_eq!(f.next_flag().as_deref(), Some("--shards"));
-        assert_eq!(f.try_value("--shards", parse_shards), Ok(8));
+        assert_eq!(f.next_flag().as_deref(), Some("--cycles"));
+        assert_eq!(f.try_value("--cycles", parse_positive), Ok(8));
         assert_eq!(f.next_flag(), None);
     }
 
@@ -282,19 +271,5 @@ mod tests {
         );
         assert!(check_mesh_faults((4, 4), 10).is_err());
         assert!(check_mesh_faults((1, 2), 1).is_err());
-    }
-
-    #[test]
-    fn shard_counts_outside_the_kernel_range_are_rejected() {
-        assert_eq!(parse_shards("1"), Ok(1));
-        assert_eq!(parse_shards("8"), Ok(8));
-        // Non-numeric shapes, then numbers outside the kernel's range.
-        for v in ["", "two", "2.0", "-1", "2k", "0", "9", "64"] {
-            assert_eq!(
-                parse_shards(v),
-                Err("an integer in 1..=8".to_string()),
-                "{v:?}"
-            );
-        }
     }
 }

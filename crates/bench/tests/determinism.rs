@@ -2,21 +2,15 @@
 //!
 //! 1. parallel sweep execution is bit-identical to serial execution,
 //! 2. a warm cache rerun simulates nothing and returns identical points,
-//! 3. the sharded allocation kernel is invisible: the same seeded point
-//!    produces identical [`drain_netsim::Stats`], the same final cycle and
-//!    byte-identical traces at every shard count — the shard planners
-//!    together draw exactly the serial kernel's per-site sample counts, and
-//!    the telemetry series (credit stalls travel through the shard plans)
-//!    is identical,
-//! 4. the wake-driven Phase A scheduler is invisible: the same seeded
+//! 3. the wake-driven Phase A scheduler is invisible: the same seeded
 //!    point produces identical [`drain_netsim::Stats`], the same final
-//!    cycle and byte-identical traces with blocked-VC parking on and with
-//!    the dense re-route-every-cycle scan forced, at every shard count —
-//!    and parked heads draw nothing,
-//! 5. a closed-loop coherence point that evicts repeats exactly (the
+//!    cycle, byte-identical traces and an identical telemetry series with
+//!    blocked heads parking and with the dense re-route-every-cycle scan
+//!    forced — and parked heads draw nothing,
+//! 4. a closed-loop coherence point that evicts repeats exactly (the
 //!    victim draw indexes a sorted candidate list, not `HashMap` order).
 //!
-//! Items 3–4 hold by construction under the keyed RNG (each draw is
+//! Item 3 holds by construction under the keyed RNG (each draw is
 //! `mix(seed, cycle, site, id)`, see `drain_netsim::rng`); the tests are
 //! what keeps it so. The profiler-cadence differential lives in
 //! `metrics.rs`.
@@ -124,153 +118,67 @@ fn warm_cache_rerun_runs_zero_simulations() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Sharded-kernel differential: every headline scheme at a low and a
-/// saturated rate must produce identical `Stats` (every counter and full
-/// latency histograms), the same final cycle and the same per-site draw
-/// counts on the 2-, 4- and 8-shard kernels as on the serial kernel
-/// (planners sweep only owned slots, so their draws sum to the serial
-/// count).
+/// Wake-scheduler differential on telemetry: Phase A's credit-stall
+/// notes are the one output that reaches neither `Stats` nor the trace,
+/// and a parked head reports its stall from the skip path instead of from
+/// a failed routing pass. So the full sample series (per-router
+/// occupancy, queue depths and credit stalls, per-link flits) and the
+/// per-router stall totals must match the dense scan's.
 #[test]
-fn sharded_kernel_is_bit_identical_across_schemes() {
-    for scheme in Scheme::headline() {
-        for rate in [0.01, 0.35] {
-            let (serial, serial_cycle, _, serial_draws) = point_stats_wake(scheme, rate, true, 1);
-            assert!(serial.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
-            for k in [2usize, 4, 8] {
-                let (sharded, cycle, _, draws) = point_stats_wake(scheme, rate, true, k);
-                assert_eq!(
-                    serial_draws,
-                    draws,
-                    "{} at rate {rate}: draw counts must not depend on shard count {k}",
-                    scheme.label()
-                );
-                assert_eq!(
-                    serial,
-                    sharded,
-                    "{} at rate {rate}: stats must not depend on shard count {k}",
-                    scheme.label()
-                );
-                assert_eq!(
-                    serial_cycle,
-                    cycle,
-                    "{} at rate {rate}: final cycle must not depend on shard count {k}",
-                    scheme.label()
-                );
-            }
-        }
-    }
-}
-
-/// Same differential on the trace stream: with event capture on, the
-/// serial and the 2-/4-/8-shard kernels must yield byte-identical JSONL.
-#[test]
-fn sharded_kernel_keeps_traces_byte_identical() {
+fn wake_scheduler_keeps_telemetry_identical() {
     let topo = irregular_topo();
     for scheme in Scheme::headline() {
-        let traced = |shards: usize| -> String {
+        let observe = |wake: bool| -> (Vec<TelemetrySample>, Vec<u64>) {
             let mut sim = scheme.synthetic_sim_traced(
                 &topo,
                 false,
                 SyntheticPattern::UniformRandom,
-                0.10,
+                0.35,
                 11,
                 512,
                 1,
-                TraceConfig::events_on(),
+                TraceConfig::default().with_telemetry(64),
             );
-            sim.set_shards(shards);
-            sim.set_trace_sink(TraceSink::Memory(Vec::new()));
-            sim.run(2_000);
-            let events = sim
-                .core_mut()
-                .tracer_mut()
-                .take_memory()
-                .expect("memory sink installed");
-            assert!(!events.is_empty());
-            events
-                .iter()
-                .map(|e| e.to_jsonl() + "\n")
-                .collect()
-        };
-        let serial = traced(1);
-        for k in [2usize, 4, 8] {
-            assert_eq!(
-                serial,
-                traced(k),
-                "{}: trace bytes must not depend on shard count {k}",
-                scheme.label()
-            );
-        }
-    }
-}
-
-/// Same differential on telemetry: Phase A's credit-stall notes are the
-/// one output that travels through the shard plans without touching
-/// `Stats` or the trace, so the full sample series (per-router occupancy,
-/// queue depths and credit stalls, per-link flits) and the per-router
-/// stall totals must match the serial kernel's at every shard count, with
-/// the wake scheduler on (parked heads report stalls from the skip path)
-/// and off.
-#[test]
-fn sharded_kernel_keeps_telemetry_identical() {
-    let topo = irregular_topo();
-    for scheme in Scheme::headline() {
-        for wake in [true, false] {
-            let observe = |shards: usize| -> (Vec<TelemetrySample>, Vec<u64>) {
-                let mut sim = scheme.synthetic_sim_traced(
-                    &topo,
-                    false,
-                    SyntheticPattern::UniformRandom,
-                    0.35,
-                    11,
-                    512,
-                    1,
-                    TraceConfig::default().with_telemetry(64),
-                );
-                sim.set_wake_scheduler(wake);
-                sim.set_shards(shards);
-                sim.run(6_000);
-                let telem = sim.core().telemetry();
-                let stalls = (0..topo.num_nodes())
-                    .map(|router| telem.total_credit_stalls(router))
-                    .collect();
-                (telem.samples().cloned().collect(), stalls)
-            };
-            let serial = observe(1);
-            assert!(!serial.0.is_empty(), "{}: no telemetry samples", scheme.label());
-            assert!(
-                serial.1.iter().sum::<u64>() > 0,
-                "{} (wake {wake}): a saturated run must record credit stalls",
-                scheme.label()
-            );
-            for k in [2usize, 4, 8] {
-                assert_eq!(
-                    serial,
-                    observe(k),
-                    "{} (wake {wake}): telemetry must not depend on shard count {k}",
-                    scheme.label()
-                );
+            sim.set_wake_scheduler(wake);
+            sim.run(6_000);
+            if wake {
+                let parks = sim.core().wake_counters().parks;
+                assert!(parks > 0, "{}: wake scheduler never engaged", scheme.label());
             }
-        }
+            let telem = sim.core().telemetry();
+            let stalls = (0..topo.num_nodes())
+                .map(|router| telem.total_credit_stalls(router))
+                .collect();
+            (telem.samples().cloned().collect(), stalls)
+        };
+        let dense = observe(false);
+        assert!(!dense.0.is_empty(), "{}: no telemetry samples", scheme.label());
+        assert!(
+            dense.1.iter().sum::<u64>() > 0,
+            "{}: a saturated run must record credit stalls",
+            scheme.label()
+        );
+        assert_eq!(
+            dense,
+            observe(true),
+            "{}: telemetry must not depend on the wake scheduler",
+            scheme.label()
+        );
     }
 }
 
-/// One seeded point with the wake scheduler set to `wake` on the
-/// `shards`-way kernel (1 = serial reference; `set_shards` forces the
-/// sharded path from cycle 0). Returns the wake counters and per-site draw
-/// counts too, so callers can assert the parking path actually engaged
-/// and that parked heads drew nothing.
+/// One seeded point with the wake scheduler set to `wake`. Returns the
+/// wake counters and per-site draw counts too, so callers can assert the
+/// parking path actually engaged and that parked heads drew nothing.
 fn point_stats_wake(
     scheme: Scheme,
     rate: f64,
     wake: bool,
-    shards: usize,
 ) -> (Stats, u64, drain_netsim::WakeCounters, [u64; NUM_DRAW_SITES]) {
     let topo = irregular_topo();
     let mut sim =
         scheme.synthetic_sim(&topo, false, SyntheticPattern::UniformRandom, rate, 11, 512);
     sim.set_wake_scheduler(wake);
-    sim.set_shards(shards);
     sim.run(6_000);
     (
         sim.stats().clone(),
@@ -281,8 +189,7 @@ fn point_stats_wake(
 }
 
 /// Wake-scheduler differential: every headline scheme at a low and a
-/// saturated rate, on the serial and the 2-/4-shard kernels, must produce
-/// identical `Stats` (every counter and full latency histograms) and the
+/// saturated rate must produce identical `Stats` (every counter and full latency histograms) and the
 /// same final cycle whether blocked VCs park on wake subscriptions or the
 /// dense Phase A scan re-routes them every cycle. A parked head's draw is
 /// never computed: the wake-scheduled run never draws more than the
@@ -296,61 +203,55 @@ fn point_stats_wake(
 fn wake_scheduler_is_bit_identical_to_dense_scan() {
     for scheme in Scheme::headline() {
         for rate in [0.01, 0.35] {
-            for k in [1usize, 2, 4] {
-                let (dense, dense_cycle, dense_ctrs, dense_draws) =
-                    point_stats_wake(scheme, rate, false, k);
-                let (wake, wake_cycle, wake_ctrs, wake_draws) =
-                    point_stats_wake(scheme, rate, true, k);
-                assert_eq!(
-                    dense,
-                    wake,
-                    "{} at rate {rate}, {k} shards: stats must not depend on the wake scheduler",
-                    scheme.label()
-                );
-                assert_eq!(
-                    dense_cycle,
-                    wake_cycle,
-                    "{} at rate {rate}, {k} shards: final cycle must not depend on the wake scheduler",
-                    scheme.label()
-                );
-                assert!(wake.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
-                assert_eq!(
-                    dense_ctrs.parks, 0,
-                    "dense scan must never park ({})",
-                    scheme.label()
-                );
-                let injection_draws =
-                    |draws: [u64; NUM_DRAW_SITES]| draws[DrawSite::Injection.index()];
+            let (dense, dense_cycle, dense_ctrs, dense_draws) = point_stats_wake(scheme, rate, false);
+            let (wake, wake_cycle, wake_ctrs, wake_draws) = point_stats_wake(scheme, rate, true);
+            assert_eq!(
+                dense,
+                wake,
+                "{} at rate {rate}: stats must not depend on the wake scheduler",
+                scheme.label()
+            );
+            assert_eq!(
+                dense_cycle,
+                wake_cycle,
+                "{} at rate {rate}: final cycle must not depend on the wake scheduler",
+                scheme.label()
+            );
+            assert!(wake.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
+            assert_eq!(
+                dense_ctrs.parks, 0,
+                "dense scan must never park ({})",
+                scheme.label()
+            );
+            let injection_draws =
+                |draws: [u64; NUM_DRAW_SITES]| draws[DrawSite::Injection.index()];
+            assert!(
+                injection_draws(wake_draws) <= injection_draws(dense_draws),
+                "{} at rate {rate}: a parked queue head must draw nothing, \
+                 and an unparked one draws as the dense scan does",
+                scheme.label()
+            );
+            if rate > 0.1 {
                 assert!(
-                    injection_draws(wake_draws) <= injection_draws(dense_draws),
-                    "{} at rate {rate}, {k} shards: a parked queue head must draw nothing, \
-                     and an unparked one draws as the dense scan does",
+                    injection_draws(wake_draws) < injection_draws(dense_draws),
+                    "{} saturated: parked injection heads must skip their draws \
+                     (wake {} vs dense {})",
+                    scheme.label(),
+                    injection_draws(wake_draws),
+                    injection_draws(dense_draws)
+                );
+                assert!(
+                    wake_ctrs.parks > 0 && wake_ctrs.skips > 0,
+                    "{} saturated: wake scheduler never engaged ({wake_ctrs:?})",
                     scheme.label()
                 );
-                if rate > 0.1 {
-                    assert!(
-                        injection_draws(wake_draws) < injection_draws(dense_draws),
-                        "{} saturated at {k} shards: parked injection heads must skip their \
-                         draws (wake {} vs dense {})",
-                        scheme.label(),
-                        injection_draws(wake_draws),
-                        injection_draws(dense_draws)
-                    );
-                    assert!(
-                        wake_ctrs.parks > 0 && wake_ctrs.skips > 0,
-                        "{} saturated at {k} shards: wake scheduler never engaged ({wake_ctrs:?})",
-                        scheme.label()
-                    );
-                    assert!(
-                        wake_draws[DrawSite::PhaseA.index()]
-                            < dense_draws[DrawSite::PhaseA.index()],
-                        "{} saturated at {k} shards: parked heads must skip their draws \
-                         (wake {} vs dense {})",
-                        scheme.label(),
-                        wake_draws[DrawSite::PhaseA.index()],
-                        dense_draws[DrawSite::PhaseA.index()]
-                    );
-                }
+                assert!(
+                    wake_draws[DrawSite::PhaseA.index()] < dense_draws[DrawSite::PhaseA.index()],
+                    "{} saturated: parked heads must skip their draws (wake {} vs dense {})",
+                    scheme.label(),
+                    wake_draws[DrawSite::PhaseA.index()],
+                    dense_draws[DrawSite::PhaseA.index()]
+                );
             }
         }
     }
@@ -397,12 +298,12 @@ fn wake_scheduler_is_bit_identical_to_dense_scan() {
 
 /// Same differential on the trace stream: with event capture on, the
 /// wake-driven and dense Phase A schedulers must yield byte-identical
-/// JSONL at every shard count, and on the bursty scripted run.
+/// JSONL, on the synthetic points and on the bursty scripted run.
 #[test]
 fn wake_scheduler_keeps_traces_byte_identical() {
     let topo = irregular_topo();
     for scheme in Scheme::headline() {
-        let traced = |wake: bool, shards: usize| -> String {
+        let traced = |wake: bool| -> String {
             let mut sim = scheme.synthetic_sim_traced(
                 &topo,
                 false,
@@ -414,7 +315,6 @@ fn wake_scheduler_keeps_traces_byte_identical() {
                 TraceConfig::events_on(),
             );
             sim.set_wake_scheduler(wake);
-            sim.set_shards(shards);
             sim.set_trace_sink(TraceSink::Memory(Vec::new()));
             sim.run(2_000);
             let events = sim
@@ -428,14 +328,12 @@ fn wake_scheduler_keeps_traces_byte_identical() {
                 .map(|e| e.to_jsonl() + "\n")
                 .collect()
         };
-        for k in [1usize, 2, 4] {
-            assert_eq!(
-                traced(false, k),
-                traced(true, k),
-                "{}: trace bytes must not depend on the wake scheduler at {k} shards",
-                scheme.label()
-            );
-        }
+        assert_eq!(
+            traced(false),
+            traced(true),
+            "{}: trace bytes must not depend on the wake scheduler",
+            scheme.label()
+        );
     }
     // The bursty DRAIN run: events captured across the idle gaps, every
     // scripted packet delivered.

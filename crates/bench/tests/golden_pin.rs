@@ -8,12 +8,11 @@
 //! identities), the allocation order, or the trace stream fails here even
 //! though it would still be self-consistent.
 //!
-//! The pinned digests were captured on the serial kernel when the
-//! open-loop traffic source moved onto the keyed draws (PR 24; the kernel's
-//! own draws have been keyed since PR 10). The sharded kernel, the wake
-//! scheduler and the phase profiler (sampling in-process through
-//! `Sim::set_profile_period`) are held to the same constants: every cell
-//! must reproduce the digests bit for bit.
+//! The pinned digests were captured when the open-loop traffic source
+//! moved onto the keyed draws (the kernel's own draws were keyed before
+//! that). The wake scheduler and the phase profiler (sampling in-process
+//! through `Sim::set_profile_period`) are held to the same constants:
+//! every cell must reproduce the digests bit for bit.
 //!
 //! If a *deliberate* behaviour change invalidates them, re-capture with
 //! `cargo test -p drain-bench --test golden_pin -- --nocapture` (each test
@@ -49,7 +48,7 @@ fn headline() -> [(&'static str, Scheme); 3] {
 /// a short drain epoch so forced movement appears in-window, 2 000 cycles
 /// of JSONL event bytes. `profile_period` is the phase profiler's cadence
 /// (0 = off).
-fn saturated_trace_digest(scheme: Scheme, shards: usize, profile_period: u64) -> u64 {
+fn saturated_trace_digest(scheme: Scheme, profile_period: u64) -> u64 {
     let topo = Topology::mesh(4, 4);
     let mut sim = scheme.synthetic_sim_traced(
         &topo,
@@ -61,7 +60,6 @@ fn saturated_trace_digest(scheme: Scheme, shards: usize, profile_period: u64) ->
         1,
         TraceConfig::events_on(),
     );
-    sim.set_shards(shards);
     sim.set_profile_period(profile_period);
     sim.set_trace_sink(TraceSink::Memory(Vec::new()));
     sim.run(2_000);
@@ -84,10 +82,9 @@ fn saturated_trace_digest(scheme: Scheme, shards: usize, profile_period: u64) ->
 
 /// Digest of a saturated untraced run's full statistics: mesh(8,8) (the
 /// bench topology), 40% injection, 2 000 cycles, `Stats` debug-formatted
-/// (every counter plus both full latency histograms), with the shard
-/// count, wake scheduler and profiler cadence (0 = off) chosen by the
-/// caller.
-fn saturated_stats_digest(scheme: Scheme, shards: usize, wake: bool, profile_period: u64) -> u64 {
+/// (every counter plus both full latency histograms), with the wake
+/// scheduler and profiler cadence (0 = off) chosen by the caller.
+fn saturated_stats_digest(scheme: Scheme, wake: bool, profile_period: u64) -> u64 {
     let topo = Topology::mesh(8, 8);
     let mut sim = scheme.synthetic_sim(
         &topo,
@@ -97,7 +94,6 @@ fn saturated_stats_digest(scheme: Scheme, shards: usize, wake: bool, profile_per
         17,
         Scheme::DEFAULT_EPOCH,
     );
-    sim.set_shards(shards);
     sim.set_wake_scheduler(wake);
     sim.set_profile_period(profile_period);
     sim.run(2_000);
@@ -125,7 +121,7 @@ const PINNED_STATS: [(&str, u64); 3] = [
 fn saturated_golden_trace_is_pinned() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 1, 0)))
+        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 0)))
         .collect();
     for (id, d) in &got {
         println!("trace {id}: {d:#018x}");
@@ -140,7 +136,7 @@ fn saturated_golden_trace_is_pinned() {
 fn saturated_stats_are_pinned() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 1, true, 0)))
+        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, true, 0)))
         .collect();
     for (id, d) in &got {
         println!("stats {id}: {d:#018x}");
@@ -151,55 +147,18 @@ fn saturated_stats_are_pinned() {
     );
 }
 
-/// The 4-shard kernel must reproduce the *same* pinned trace digests the
-/// serial kernel was captured with — not merely be self-consistent.
+/// The stats pin must hold with the wake scheduler on and with the dense
+/// scan forced. Draws depend only on the key, never on which heads were
+/// actually routed, so both cells hash identically. Run on the drain
+/// scheme (the only one exercising all mechanism paths); the per-scheme
+/// pins above cover the other schemes.
 #[test]
-fn four_shard_golden_trace_matches_serial_pins() {
-    let got: Vec<(&str, u64)> = headline()
-        .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 4, 0)))
-        .collect();
-    for (id, d) in &got {
-        println!("trace k4 {id}: {d:#018x}");
-    }
-    assert_eq!(
-        got, PINNED_TRACE,
-        "4-shard trace bytes drifted from the serial kernel's pinned digests"
-    );
-}
-
-/// Same pin on statistics: 4-shard saturated runs must hash to the serial
-/// kernel's pinned constants.
-#[test]
-fn four_shard_stats_match_serial_pins() {
-    let got: Vec<(&str, u64)> = headline()
-        .into_iter()
-        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 4, true, 0)))
-        .collect();
-    for (id, d) in &got {
-        println!("stats k4 {id}: {d:#018x}");
-    }
-    assert_eq!(
-        got, PINNED_STATS,
-        "4-shard stats drifted from the serial kernel's pinned digests"
-    );
-}
-
-/// The stats pin must hold across the full determinism matrix: shard
-/// count K ∈ {1, 2, 4, 8} × wake scheduler on/off. Draws depend only on
-/// the key, never on visit order or which heads were actually routed, so
-/// every cell hashes identically. Run on the drain scheme (the only one
-/// exercising all mechanism paths); the per-scheme serial pins above
-/// cover the other schemes.
-#[test]
-fn stats_pins_hold_across_shards_and_wake() {
+fn stats_pins_hold_with_wake_and_dense() {
     let pinned = PINNED_STATS[2].1;
-    for shards in [1usize, 2, 4, 8] {
-        for wake in [true, false] {
-            let d = saturated_stats_digest(Scheme::Drain(DrainVariant::Vn1Vc2), shards, wake, 0);
-            println!("stats k{shards} wake={wake}: {d:#018x}");
-            assert_eq!(d, pinned, "stats diverged at shards={shards} wake={wake}");
-        }
+    for wake in [true, false] {
+        let d = saturated_stats_digest(Scheme::Drain(DrainVariant::Vn1Vc2), wake, 0);
+        println!("stats wake={wake}: {d:#018x}");
+        assert_eq!(d, pinned, "stats diverged at wake={wake}");
     }
 }
 
@@ -209,12 +168,12 @@ fn stats_pins_hold_across_shards_and_wake() {
 fn pins_hold_with_the_profiler_sampling() {
     let trace: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 1, 64)))
+        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 64)))
         .collect();
     assert_eq!(trace, PINNED_TRACE, "profiling moved the trace bytes");
     let stats: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 1, true, 64)))
+        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, true, 64)))
         .collect();
     assert_eq!(stats, PINNED_STATS, "profiling moved the stats");
 }

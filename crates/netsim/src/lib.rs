@@ -19,9 +19,6 @@
 //!   is also implemented by the MESI engine in `drain-coherence`).
 //! * [`mechanism`] — the deadlock-freedom hook DRAIN (§III-C drain
 //!   windows) and SPIN plug into.
-//! * [`shard`] — the sharded deterministic allocation kernel: router
-//!   partitioning, parallel per-shard planning, a canonical barrier
-//!   merge. Bit-identical to the serial kernel at every shard count.
 //! * [`deadlock`] — the structural wait-for-graph oracle backing the §II-A
 //!   deadlock-likelihood study (Fig 3) and the §V evaluation's
 //!   deadlock-detection instrumentation.
@@ -70,10 +67,7 @@
 //! # Ok::<(), drain_topology::TopologyError>(())
 //! ```
 
-// `deny`, not `forbid`: the sharded kernel's worker pool
-// (`shard::pool`) carries the crate's only `#[allow(unsafe_code)]`, with
-// the safety argument documented at the site.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod check;
@@ -84,7 +78,6 @@ pub mod metrics;
 pub mod packet;
 pub mod rng;
 pub mod routing;
-pub mod shard;
 pub mod sim;
 pub mod state;
 pub mod stats;
@@ -101,7 +94,6 @@ pub use metrics::{
 };
 pub use packet::{Location, MessageClass, Packet, PacketId, PacketSlab};
 pub use rng::DrawSite;
-pub use shard::{ShardMap, MAX_SHARDS};
 pub use sim::{RunOutcome, Sim};
 pub use state::{SimCore, VcRef, VcState};
 pub use stats::{Stats, WakeCounters};

@@ -12,10 +12,9 @@
 //! and position-independent:
 //!
 //! * parked heads draw **nothing** — skipping a head skips its draw,
-//! * shard planners compute draws **only for owned slots**,
-//! * shard-count and wake-scheduler invariance hold *by construction*:
-//!   the sample a head receives depends only on its identity and the
-//!   cycle, never on who computed it or in what order,
+//! * wake-scheduler invariance holds *by construction*: the sample a
+//!   head receives depends only on its identity and the cycle, never on
+//!   which other heads were visited or in what order,
 //! * the traffic two schemes are offered under one seed is identical *by
 //!   construction*: whether node `n` creates a packet in cycle `c`, and
 //!   for whom, does not depend on what either network did with the

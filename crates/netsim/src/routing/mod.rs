@@ -96,11 +96,7 @@ pub enum WakeProfile {
 ///
 /// Implementations must be deterministic functions of the context (the
 /// `sample` field carries all randomness) so simulations are reproducible.
-///
-/// `Sync` because the sharded kernel's worker threads evaluate
-/// `candidates` concurrently through a shared `&SimCore` (the call takes
-/// `&self` and implementations hold only immutable tables).
-pub trait Routing: Send + Sync {
+pub trait Routing: Send {
     /// Short human-readable name (e.g. `"adaptive"`).
     fn name(&self) -> &str;
 

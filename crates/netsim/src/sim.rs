@@ -10,7 +10,6 @@ use crate::check::{self, CheckConfig, Violation};
 use crate::deadlock;
 use crate::mechanism::{ControlAction, Mechanism};
 use crate::metrics::{MetricsSnapshot, Phase};
-use crate::shard::ShardRuntime;
 use crate::state::SimCore;
 use crate::stats::Stats;
 use crate::trace::{self, TraceEvent, TraceSink};
@@ -52,10 +51,6 @@ pub struct Sim {
     check_sweeps: u64,
     /// Cycles on which the deep invariant tier additionally ran.
     check_deep_sweeps: u64,
-    /// Sharded-kernel runtime (worker pool + ownership tables), built
-    /// lazily on the first sharded allocation cycle so serial runs pay
-    /// nothing (see [`crate::shard`]).
-    shard_rt: Option<ShardRuntime>,
 }
 
 // Compile-time audit of the `Send` guarantee documented above: building a
@@ -89,24 +84,11 @@ impl Sim {
             flight_record: None,
             check_sweeps: 0,
             check_deep_sweeps: 0,
-            shard_rt: None,
         }
     }
 
-    /// Reconfigures the shard count of an assembled simulation (see
-    /// [`SimConfig::shards`]). Results are bit-identical at every shard
-    /// count — the differential suite in the bench crate holds this to
-    /// the byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is 0 or exceeds [`crate::shard::MAX_SHARDS`].
-    pub fn set_shards(&mut self, shards: usize) {
-        self.core.set_shards(shards);
-        // Drop any existing runtime: the pool and ownership tables are
-        // per shard count.
-        self.shard_rt = None;
-    }
+    /// No-op: the kernel is serial; kept only because `benchmark/src/measure.rs` calls it.
+    pub fn set_shards(&mut self, _shards: usize) {}
 
     /// Makes [`Sim::run`] return early once a deadlock is observed.
     pub fn stop_on_deadlock(mut self, stop: bool) -> Self {
@@ -214,7 +196,7 @@ impl Sim {
         let action = self.mechanism.control(&mut self.core);
         self.core.prof_mark(Phase::Mechanism);
         match action {
-            ControlAction::Normal => self.allocate(),
+            ControlAction::Normal => self.core.allocate_and_move(),
             ControlAction::Freeze => {}
             ControlAction::Forced(moves, kind) => {
                 if self.core.config().checks.forced_moves {
@@ -249,19 +231,6 @@ impl Sim {
         }
         self.core.advance_cycle();
         self.core.prof_end_cycle();
-    }
-
-    /// Dispatches a `Normal` cycle's allocation to the serial kernel
-    /// (`shards == 1`) or the sharded one; both are bit-identical.
-    fn allocate(&mut self) {
-        if self.core.config().shards > 1 {
-            let rt = self
-                .shard_rt
-                .get_or_insert_with(|| ShardRuntime::new(&self.core));
-            rt.allocate(&mut self.core);
-        } else {
-            self.core.allocate_and_move();
-        }
     }
 
     fn fail(&mut self, v: Violation) {
@@ -362,9 +331,9 @@ impl Sim {
     /// Collects every counter family the simulation maintains into one
     /// [`MetricsSnapshot`] under the stable `drain_` namespace: `Stats`
     /// (packets, latency histograms, mechanism events), wake-scheduler
-    /// counters, per-site RNG draw volume, cross-shard grants, check-tier
-    /// sweeps, telemetry/trace volume, occupancy gauges, and — when
-    /// enabled — the phase profiler's attribution.
+    /// counters, per-site RNG draw volume, check-tier sweeps,
+    /// telemetry/trace volume, occupancy gauges, and — when enabled — the
+    /// phase profiler's attribution.
     ///
     /// Collection is pull-based: the counters are maintained anyway, so
     /// taking a snapshot costs nothing between scrapes and cannot
@@ -472,18 +441,6 @@ impl Sim {
                 v,
             );
         }
-        if let Some(rt) = &self.shard_rt {
-            m.counter(
-                "drain_shard_fabric_flits_total",
-                "Grants on links that cross a shard boundary",
-                rt.fabric_flits(),
-            );
-            m.counter(
-                "drain_sharded_cycles_total",
-                "Cycles allocated by the sharded kernel",
-                rt.sharded_cycles(),
-            );
-        }
         m.counter_labeled(
             "drain_check_sweeps_total",
             "Invariant check sweeps by tier",
@@ -538,9 +495,7 @@ impl Sim {
             "Packets parked in ejection queues",
             self.core.ejection_backlog() as f64,
         );
-        self.core
-            .profiler()
-            .collect(&mut m, self.core.config().shards);
+        self.core.profiler().collect(&mut m);
         m
     }
 

@@ -111,10 +111,9 @@ enum MoveSource {
     Injection { node: NodeId, class: MessageClass },
 }
 
-/// One pending request for an output link. Opaque outside this module: a
-/// shard planner records it and files it back unchanged.
+/// One pending request for an output link.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct LinkRequest {
+struct LinkRequest {
     source: MoveSource,
     pid: PacketId,
     target: TargetVc,
@@ -149,51 +148,21 @@ enum PhaseAOutcome {
     Stall,
 }
 
-/// Where one Phase A sweep ([`SimCore::phase_a_sweep`]) puts its
-/// decisions. The sweep runs on `&SimCore`, so it mutates nothing itself:
-/// the serial kernel's sink is the allocation scratch ([`AllocScratch`]),
-/// a shard planner's is a plan buffer that is filed into that scratch at
-/// the cycle barrier (see [`crate::shard`]).
-pub(crate) trait PhaseASink {
-    /// The ready head in slot `idx` sits at its destination router and
-    /// contends for ejection queue `q`.
-    fn eject(&mut self, q: usize, idx: usize, pid: PacketId);
-    /// A head (VC or injection queue) requests output link `link`.
-    fn request(&mut self, link: LinkId, req: LinkRequest);
-    /// A blocked head parks under `note`.
-    fn park(&mut self, note: ParkNote);
-    /// A resident head at `router` could not request any move (reported
-    /// only while telemetry is active).
-    fn credit_stall(&mut self, router: usize);
-}
-
 /// What one Phase A sweep counted: parked heads skipped (injection-queue
 /// heads among them), blocked VC heads that neither routed nor parked,
-/// and tie-break samples per [`DrawSite`]. Additive, so per-shard tallies
-/// sum to the serial one.
+/// and tie-break samples per [`DrawSite`].
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct PhaseATally {
+struct PhaseATally {
     skips: u64,
     injection_skips: u64,
     stalls: u64,
     draws: [u64; NUM_DRAW_SITES],
 }
 
-impl std::ops::AddAssign for PhaseATally {
-    fn add_assign(&mut self, o: PhaseATally) {
-        self.skips += o.skips;
-        self.injection_skips += o.injection_skips;
-        self.stalls += o.stalls;
-        for (acc, d) in self.draws.iter_mut().zip(o.draws) {
-            *acc += d;
-        }
-    }
-}
-
 /// The allocation scratch, reused across cycles: everything Phase A filed
 /// for [`SimCore::finish_allocation`]. Boxed in the core so a cycle moves
 /// one pointer out and back, never the vectors.
-pub(crate) struct AllocScratch {
+struct AllocScratch {
     /// Ejection requests `(queue, arena idx, pid)`.
     ejects: Vec<(usize, usize, PacketId)>,
     /// Per output link: this cycle's requests, in sweep order (which
@@ -208,31 +177,11 @@ pub(crate) struct AllocScratch {
 }
 
 impl AllocScratch {
-    /// Requested links among the bitmap `links` — each is granted exactly
-    /// once by Phase B, so this is also the grant count on those links.
-    pub(crate) fn requests_on(&self, links: &[u64]) -> u64 {
-        let both = self.req_bits.iter().zip(links).map(|(&r, &l)| r & l);
-        both.map(|w| u64::from(w.count_ones())).sum()
-    }
-}
-
-impl PhaseASink for AllocScratch {
-    fn eject(&mut self, q: usize, idx: usize, pid: PacketId) {
-        self.ejects.push((q, idx, pid));
-    }
-
+    /// Files a head's request for output link `link`.
     fn request(&mut self, link: LinkId, req: LinkRequest) {
         let li = link.index();
         self.req_bits[li / 64] |= 1u64 << (li % 64);
         self.reqs[li].push(req);
-    }
-
-    fn park(&mut self, note: ParkNote) {
-        self.parks.push(note);
-    }
-
-    fn credit_stall(&mut self, router: usize) {
-        self.stalls.push(router as u32);
     }
 }
 
@@ -422,17 +371,6 @@ impl SimCore {
         &self.config
     }
 
-    /// Reconfigures the shard count mid-assembly. Results are
-    /// bit-identical at every shard count; tests exist to prove it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is 0 or exceeds [`crate::shard::MAX_SHARDS`].
-    pub(crate) fn set_shards(&mut self, shards: usize) {
-        self.config.shards = shards;
-        self.config.validate();
-    }
-
     /// Replaces the runtime invariant checks mid-assembly.
     pub(crate) fn set_checks(&mut self, checks: CheckConfig) {
         self.config.checks = checks;
@@ -512,14 +450,6 @@ impl SimCore {
         self.prof = PhaseProfiler::new(period);
     }
 
-    /// Whether the current cycle is being phase-profiled (shard planners
-    /// read this through the shared `&SimCore` to decide whether to time
-    /// themselves).
-    #[inline(always)]
-    pub(crate) fn prof_active(&self) -> bool {
-        self.prof.active()
-    }
-
     /// Opens the profiler's view of `cycle` (no-op unless profiling).
     #[inline]
     pub(crate) fn prof_begin_cycle(&mut self, cycle: u64) {
@@ -537,13 +467,6 @@ impl SimCore {
     #[inline]
     pub(crate) fn prof_end_cycle(&mut self) {
         self.prof.end_cycle();
-    }
-
-    /// Credits `nanos` of planning wall time to `shard` (reported by the
-    /// sharded kernel as it files the plans, for sampled cycles).
-    #[inline]
-    pub(crate) fn prof_note_shard(&mut self, shard: usize, nanos: u64) {
-        self.prof.note_shard(shard, nanos);
     }
 
     #[inline]
@@ -746,7 +669,7 @@ impl SimCore {
     }
 
     /// Per-[`DrawSite`] samples produced so far, in [`DrawSite::ALL`]
-    /// order (identical at every shard count).
+    /// order.
     pub fn rng_draw_counts(&self) -> [u64; NUM_DRAW_SITES] {
         self.rng_draws
     }
@@ -1008,31 +931,23 @@ impl SimCore {
         self.telem.push_sample(self.cycle, routers);
     }
 
-    /// Normal allocation on the serial kernel: one Phase A sweep over
-    /// every slot and node, filed straight into the allocation scratch,
-    /// then [`SimCore::finish_allocation`].
+    /// Normal allocation: one Phase A sweep over every slot and queue,
+    /// filed into the allocation scratch (checked out of the core for the
+    /// cycle), then [`SimCore::finish_allocation`], which checks it back
+    /// in.
     pub(crate) fn allocate_and_move(&mut self) {
-        let mut scratch = self.take_alloc_scratch();
+        let mut scratch = self.alloc.take().expect("allocation scratch checked in");
         let mut cands = std::mem::take(&mut self.cand_buf);
-        let tally = self.phase_a_sweep(None, |_| true, &mut cands, &mut *scratch);
+        let tally = self.phase_a_sweep(&mut cands, &mut scratch);
         self.cand_buf = cands;
         self.finish_allocation(scratch, tally);
     }
 
-    /// Checks the allocation scratch out of the core for one cycle;
-    /// [`SimCore::finish_allocation`] returns it.
-    pub(crate) fn take_alloc_scratch(&mut self) -> Box<AllocScratch> {
-        self.alloc.take().expect("allocation scratch checked in")
-    }
-
-    /// Phase A: every ready head among `slots` (a bitmap over link-major
-    /// VC indices; `None` = every slot) and every injection-queue head at
-    /// a node `owns_node` accepts reports its decision to `sink` — an
-    /// ejection request, a link request, a park, a credit stall. Takes
-    /// `&self`: the serial kernel and each shard planner run *this*
-    /// function against the same frozen cycle-start state, so sharded
-    /// decisions cannot drift from serial ones. `cands` is routing
-    /// scratch.
+    /// Phase A: every ready VC head and every injection-queue head files
+    /// its decision into `scratch` — an ejection request, a link request,
+    /// a park, a credit stall. Takes `&self`: every decision is made
+    /// against the frozen cycle-start state, and nothing is committed
+    /// before Phase B. `cands` is routing scratch.
     ///
     /// Occupied slots are visited in ascending link-major index order —
     /// the order of the `link, vn, vc` loop nest — then injection queues
@@ -1044,19 +959,12 @@ impl SimCore {
     /// `mix(seed, cycle, site, id)` of [`crate::rng`]; parked heads draw
     /// nothing. Only the VC arena and its hot mirrors are read, never the
     /// packet slab.
-    pub(crate) fn phase_a_sweep<S: PhaseASink>(
-        &self,
-        slots: Option<&[u64]>,
-        owns_node: impl Fn(NodeId) -> bool,
-        cands: &mut Vec<Candidate>,
-        sink: &mut S,
-    ) -> PhaseATally {
+    fn phase_a_sweep(&self, cands: &mut Vec<Candidate>, scratch: &mut AllocScratch) -> PhaseATally {
         let now = self.cycle;
         let seed = self.config.seed;
         let telem_on = self.telem.active();
         let mut tally = PhaseATally::default();
-        for (wi, &occ) in self.occ_bits.iter().enumerate() {
-            let mut w = slots.map_or(occ, |mask| occ & mask[wi]);
+        for (wi, mut w) in self.occ_bits.iter().copied().enumerate() {
             while w != 0 {
                 let idx = wi * 64 + w.trailing_zeros() as usize;
                 w &= w - 1;
@@ -1067,7 +975,9 @@ impl SimCore {
                 let here = self.idx_here[idx];
                 if self.vc_dest[idx] == here {
                     let class = MessageClass(self.vc_class[idx]);
-                    sink.eject(self.qidx(NodeId(here), class), idx, pid);
+                    scratch
+                        .ejects
+                        .push((self.qidx(NodeId(here), class), idx, pid));
                     continue;
                 }
                 // Parked fast path: a head whose last routing pass proved
@@ -1078,14 +988,14 @@ impl SimCore {
                 if self.wake.at[idx] > now {
                     tally.skips += 1;
                     if telem_on {
-                        sink.credit_stall(here as usize);
+                        scratch.stalls.push(u32::from(here));
                     }
                     continue;
                 }
                 tally.draws[DrawSite::PhaseA.index()] += 1;
                 let sample = mix(seed, now, DrawSite::PhaseA, idx as u64);
                 match self.route_or_park(idx, &self.vc_head(idx, sample), cands) {
-                    PhaseAOutcome::Route(out_link, target, blocked_for) => sink.request(
+                    PhaseAOutcome::Route(out_link, target, blocked_for) => scratch.request(
                         out_link,
                         LinkRequest {
                             source: MoveSource::Vc(idx),
@@ -1100,10 +1010,10 @@ impl SimCore {
                     // change.
                     outcome => {
                         if telem_on {
-                            sink.credit_stall(here as usize);
+                            scratch.stalls.push(u32::from(here));
                         }
                         match outcome {
-                            PhaseAOutcome::Park(note) => sink.park(note),
+                            PhaseAOutcome::Park(note) => scratch.parks.push(note),
                             _ => tally.stalls += 1,
                         }
                     }
@@ -1120,10 +1030,6 @@ impl SimCore {
                 let Some(&pid) = queue.front() else {
                     continue;
                 };
-                let node = NodeId((q / classes) as u16);
-                if !owns_node(node) {
-                    continue;
-                }
                 if self.wake.at[first_queue + q] > now {
                     tally.skips += 1;
                     tally.injection_skips += 1;
@@ -1139,8 +1045,9 @@ impl SimCore {
                 let head = self.injection_head(q, sample);
                 match self.route_or_park(first_queue + q, &head, cands) {
                     PhaseAOutcome::Route(link, target, _) => {
+                        let node = NodeId((q / classes) as u16);
                         let class = MessageClass((q % classes) as u8);
-                        sink.request(
+                        scratch.request(
                             link,
                             LinkRequest {
                                 source: MoveSource::Injection { node, class },
@@ -1150,7 +1057,7 @@ impl SimCore {
                             },
                         );
                     }
-                    PhaseAOutcome::Park(note) => sink.park(note),
+                    PhaseAOutcome::Park(note) => scratch.parks.push(note),
                     PhaseAOutcome::Stall => {}
                 }
             }
@@ -1158,21 +1065,17 @@ impl SimCore {
         tally
     }
 
-    /// Everything after the Phase A sweep(s), on the one thread that owns
-    /// `&mut SimCore`: the filed park notes, the sweep's counters and
-    /// telemetry notes, then Phase B — ejection grants and link grants,
-    /// each committed as it is decided.
+    /// Everything after the Phase A sweep: the filed park notes, the
+    /// sweep's counters and telemetry notes, then Phase B — ejection
+    /// grants and link grants, each committed as it is decided.
     ///
     /// Parks go first, in ascending subscriber order (slots, then
-    /// queues). Deferring them past the sweep is exact: the sweep reads a
-    /// deadline only for the head it is visiting and
-    /// [`SimCore::route_or_park`] reads no wake state, while Phase B's
-    /// vacates must fire against the new deadlines. Ascending order is
-    /// the order a serial sweep produces by itself; sorting restores it
-    /// when several shards filed, so the subscription lists are
-    /// bit-identical at every shard count.
-    pub(crate) fn finish_allocation(&mut self, mut scratch: Box<AllocScratch>, tally: PhaseATally) {
-        scratch.parks.sort_unstable_by_key(|n| n.id);
+    /// queues), the order the sweep files them in. Deferring them past
+    /// the sweep is exact: the sweep reads a deadline only for the head
+    /// it is visiting and [`SimCore::route_or_park`] reads no wake state,
+    /// while Phase B's vacates must fire against the new deadlines.
+    fn finish_allocation(&mut self, mut scratch: Box<AllocScratch>, tally: PhaseATally) {
+        debug_assert!(scratch.parks.is_sorted_by_key(|n| n.id));
         for note in scratch.parks.drain(..) {
             let out_links = self.topo.out_links(NodeId(note.here));
             let vn_base = usize::from(note.vn) * self.config.vcs_per_vn;
@@ -1611,8 +1514,7 @@ impl SimCore {
     /// Oldest-first link arbitration for the non-empty request list of
     /// output link `li`: index of the winning request. Rotation breaks
     /// ties; ties on `(age, rotation)` fall to the *last* maximum, so the
-    /// winner depends on list order — which is why shard plans are filed
-    /// in the serial sweep's order (see [`crate::shard`]).
+    /// winner depends on list order, which is the Phase A sweep's order.
     fn link_winner(&self, li: usize, reqs: &[LinkRequest]) -> usize {
         let rot = (self.cycle as usize + li) % reqs.len();
         (0..reqs.len())

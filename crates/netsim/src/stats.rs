@@ -157,7 +157,7 @@ impl LatencyHistogram {
 }
 
 /// Wake-driven Phase A scheduler accounting (see `SimCore` and DESIGN.md
-/// §9). Deliberately *not* part of [`Stats`]: `Stats` is compared exactly
+/// §8). Deliberately *not* part of [`Stats`]: `Stats` is compared exactly
 /// in the wake-on-vs-dense differential tests, and these counters are the
 /// one thing that legitimately differs between the two schedulers (the
 /// `check_sweeps` precedent in `Sim`).
@@ -192,8 +192,7 @@ pub struct WakeCounters {
 /// Aggregated statistics for one simulation.
 ///
 /// `PartialEq` compares every counter and histogram exactly — the
-/// wake-scheduler and shard differential tests rely on it to prove
-/// bit-identity.
+/// wake-scheduler differential tests rely on it to prove bit-identity.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Packets created by endpoints.

@@ -1,4 +1,4 @@
-//! The wake scheduler's bookkeeping (DESIGN.md §9): per-subscriber wake
+//! The wake scheduler's bookkeeping (DESIGN.md §8): per-subscriber wake
 //! deadlines, the subscription lists vacates fire, and the profitability
 //! gate.
 //!
@@ -32,7 +32,7 @@ const GATE_WINDOW: u64 = 2_048;
 /// re-measure profitability (workload phases change).
 const GATE_PROBE_PERIOD: u64 = 8;
 /// Minimum skips a park must earn in a window to keep parking on
-/// (break-even measured in DESIGN.md §9.3).
+/// (break-even measured in DESIGN.md §8.3).
 const GATE_MIN_SKIPS_PER_PARK: u64 = 3;
 /// Windows with fewer parks than this are too quiet to judge (and cost
 /// nothing): the gate stays on.
@@ -159,9 +159,8 @@ impl WakeState {
         }
     }
 
-    /// Gate boundary: runs on the core in both the serial and the sharded
-    /// kernels, on committed counters only, so the gate trajectory is
-    /// identical everywhere.
+    /// Gate boundary: runs on committed counters only, so the gate
+    /// trajectory is a pure function of the simulation.
     #[cold]
     fn gate_tick(&mut self, now: u64) {
         let w = now / GATE_WINDOW;

@@ -7,10 +7,10 @@
 //!
 //! * **visit-order invariance**: evaluating any set of draw keys in any
 //!   permutation yields identical values per key;
-//! * **partition invariance**: splitting the allocation sweep across an
-//!   arbitrary shard partition of an arbitrary connected topology
-//!   changes neither the results nor the number of draws performed —
-//!   shard planners compute draws only for the slots they own.
+//! * **skip invariance**: on an arbitrary connected topology, the wake
+//!   scheduler's skipped visits change nothing but the number of routing
+//!   draws, which can only fall — a parked head draws nothing, and every
+//!   head it does route draws the dense scan's sample.
 //!
 //! The open-loop source draws from the same function, so its statistical
 //! contract is checked here too: per-node Bernoulli frequency, uniform
@@ -67,12 +67,12 @@ proptest! {
     }
 }
 
-/// One run on the `shards`-way kernel: full debug-formatted
-/// statistics, final cycle, and per-site draw counts.
+/// One run with the wake scheduler on or off (dense): full
+/// debug-formatted statistics, final cycle, and per-site draw counts.
 fn keyed_run(
     topo: &drain_topology::Topology,
     sim_seed: u64,
-    shards: usize,
+    wake_scheduler: bool,
 ) -> (String, u64, [u64; NUM_DRAW_SITES]) {
     let config = SimConfig {
         vns: 1,
@@ -80,7 +80,7 @@ fn keyed_run(
         num_classes: 1,
         seed: sim_seed,
         watchdog_threshold: 0,
-        shards,
+        wake_scheduler,
         ..SimConfig::default()
     };
     let mut sim = Sim::new(
@@ -106,21 +106,31 @@ fn keyed_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// An arbitrary shard partition of an arbitrary connected topology
-    /// is invisible: identical statistics, identical final cycle, and —
-    /// because the planners sweep only owned slots — exactly the serial
-    /// kernel's draw counts.
+    /// The wake scheduler is invisible on an arbitrary connected
+    /// topology: identical statistics and final cycle to the dense scan,
+    /// at most its Phase A and injection draws, and exactly its traffic
+    /// draws.
     #[test]
-    fn keyed_sharded_run_matches_serial_on_arbitrary_partitions(
+    fn keyed_wake_run_matches_dense_on_arbitrary_topologies(
         n in 4u16..=20,
         topo_seed in any::<u64>(),
-        k in 2usize..=8,
         sim_seed in any::<u64>(),
     ) {
         let topo = random_connected(n, 3.0, topo_seed);
-        let serial = keyed_run(&topo, sim_seed, 1);
-        let sharded = keyed_run(&topo, sim_seed, k);
-        prop_assert_eq!(serial, sharded);
+        let (dense_stats, dense_cycle, dense_draws) = keyed_run(&topo, sim_seed, false);
+        let (wake_stats, wake_cycle, wake_draws) = keyed_run(&topo, sim_seed, true);
+        prop_assert_eq!(wake_stats, dense_stats);
+        prop_assert_eq!(wake_cycle, dense_cycle);
+        for site in DrawSite::ALL {
+            let (w, d) = (wake_draws[site.index()], dense_draws[site.index()]);
+            match site {
+                DrawSite::PhaseA | DrawSite::Injection => prop_assert!(
+                    w <= d,
+                    "{} draws: wake {} > dense {}", site.label(), w, d
+                ),
+                DrawSite::Traffic | DrawSite::TrafficDest => prop_assert_eq!(w, d),
+            }
+        }
     }
 }
 

@@ -19,10 +19,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test --workspace (every suite once)"
 # One run of every suite. On failure the full log is printed; on success
 # one line per non-empty suite, plus one per test of the differential
-# families — sharded kernel (serial vs 2/4/8-shard bit-identity of
-# Stats, traces and telemetry), wake scheduler (wake vs dense, on the
-# synthetic points and on the closed-loop Fig 12 cell with its mixed
-# packet lengths), profiler and telemetry (pure observers),
+# families — wake scheduler (wake vs dense bit-identity of Stats, traces
+# and telemetry, on the synthetic points and on the closed-loop Fig 12
+# cell with its mixed packet lengths), profiler and telemetry (pure
+# observers),
 # golden traces and golden pins (trace-byte and Stats digests of the
 # saturated presets, DESIGN.md "Determinism"), the Fig 12 cell that used
 # to wedge (finish cycles per scheme, deep check on every cycle), the
@@ -38,20 +38,18 @@ awk '
     function emit() { if (suite != "") { print suite; suite = "" } print }
     /^ +(Running|Doc-tests) / {
         suite = $0
-        named = /tests\/(determinism|golden_trace|golden_pin|metrics|shard_props|wedge|congested|proptest_invariants)\.rs/
+        named = /tests\/(determinism|golden_trace|golden_pin|metrics|wedge|congested|proptest_invariants)\.rs/
         next
     }
     /^test result: ok\. 0 passed; 0 failed; 0 ignored/ { next }
     /^test result/ { emit(); next }
-    /^test / && (named || /shard/) { emit() }
+    /^test / && named { emit() }
 ' "$tmp/test.log"
 
-echo "==> drain-fuzz smoke (invariants + differential oracle, 2-shard kernel)"
-# --smoke pins the 2-shard allocation kernel, so every smoke point also
-# soaks shard determinism: a sharded-kernel divergence shows up as an
-# oracle failure here. The wake-driven Phase A scheduler is on (config
-# default) for every leg, so the smoke — sabotage injection included —
-# also soaks the wake graph under the deep sweep's missed-wake oracle.
+echo "==> drain-fuzz smoke (invariants + differential oracle)"
+# The wake-driven Phase A scheduler is on (config default) for every leg,
+# so the smoke — sabotage injection included — also soaks the wake graph
+# under the deep sweep's missed-wake oracle.
 cargo build --release -p drain-bench --bin drain_fuzz --quiet
 ./target/release/drain_fuzz --smoke --json results/drain_fuzz_smoke.json
 ./target/release/drain_fuzz --smoke --seed-fault \
@@ -87,8 +85,9 @@ cargo build --release -p drain-bench --bin drain_metrics --quiet
 ./target/release/drain_metrics --mesh 4x4 --cycles 8192 --points 2 \
     --out results/metrics_smoke
 # Bad input is one `error:` line and exit code 2, never a backtrace: an
-# unknown flag, and a value outside its range that once ran silently.
-for bad in "drain_metrics --listen x" "drain_trace --rate NaN"; do
+# unknown flag, a flag that was removed, and a value outside its range
+# that once ran silently.
+for bad in "drain_metrics --listen x" "drain_fuzz --shards 2" "drain_trace --rate NaN"; do
     rc=0
     ./target/release/$bad > /dev/null 2> "$tmp/flag.err" || rc=$?
     [ "$rc" = 2 ] && [ "$(wc -l < "$tmp/flag.err")" = 1 ] && grep -q '^error: ' "$tmp/flag.err" \

@@ -1,5 +1,5 @@
 //! `drain-metrics`: metrics-registry / phase-profiler smoke harness and
-//! exposition demo.
+//! JSONL export demo.
 //!
 //! Two phases, both exercising the unified `drain_` metrics namespace:
 //!
@@ -10,16 +10,19 @@
 //!    samples (`{"kind":"telemetry",...}`) taken in the same window.
 //! 2. **Sweep**: a small multi-point sweep runs through the
 //!    [`SweepEngine`]; every per-point snapshot plus the engine's own
-//!    `drain_sweep_*` job metrics merge into one registry written to
-//!    `<out>/drain_metrics.prom`, which is immediately re-parsed and
-//!    round-tripped (`encode(parse(encode)) == encode` — any mismatch is
-//!    fatal). The merged phase-profile attribution prints as a table and
-//!    its shares must sum to ~100%; the merged wake-scheduler counters
-//!    print after it, with the injection-queue heads' parks and skips
-//!    broken out.
+//!    `drain_sweep_*` job metrics merge into one registry written as one
+//!    JSONL line to `<out>/drain_metrics.jsonl`, which is immediately
+//!    re-parsed: the line must be valid JSON and every counter sample
+//!    must read back under its `name{labels}` key with the same value
+//!    (any mismatch is fatal). The merged phase-profile attribution
+//!    prints as a table and its shares must sum to ~100%; the merged
+//!    wake-scheduler counters print after it, with the injection-queue
+//!    heads' parks and skips broken out.
 //!
-//! Everything asserted here is also covered by unit/integration tests;
-//! this binary is the end-to-end smoke run wired into `scripts/check.sh`.
+//! `stream.jsonl` and `drain_metrics.jsonl` are the only files written
+//! to `<out>`. Everything asserted here is also covered by
+//! unit/integration tests; this binary is the end-to-end smoke run wired
+//! into `scripts/check.sh`.
 //!
 //! ```text
 //! drain_metrics [--mesh WxH] [--rate R] [--cycles N] [--points K]
@@ -31,13 +34,12 @@
 use std::path::PathBuf;
 
 use drain_bench::engine::SweepEngine;
-use drain_bench::json::{num, Json};
 use drain_bench::report::results_dir;
 use drain_bench::scheme::DrainVariant;
 use drain_bench::table::{banner, print_table};
 use drain_bench::{parse_mesh, parse_positive, parse_rate, Flags, Scale, Scheme};
 use drain_netsim::traffic::SyntheticPattern;
-use drain_netsim::{MetricsSnapshot, Phase, TelemetrySample, TraceConfig};
+use drain_netsim::{MetricValue, MetricsSnapshot, Phase, TraceConfig};
 use drain_topology::Topology;
 
 struct Args {
@@ -83,29 +85,6 @@ fn parse_args() -> Args {
     args
 }
 
-fn telemetry_line(s: &TelemetrySample, period: u64) -> String {
-    let nums = |it: &mut dyn Iterator<Item = f64>| Json::Arr(it.map(num).collect());
-    Json::obj([
-        ("kind", Json::Str("telemetry".into())),
-        ("cycle", num(s.cycle as f64)),
-        ("window", num(s.window as f64)),
-        ("total_flits", num(s.total_flits() as f64)),
-        (
-            "occupied_vcs",
-            nums(&mut s.routers.iter().map(|r| r.occupied_vcs as f64)),
-        ),
-        (
-            "credit_stalls",
-            nums(&mut s.routers.iter().map(|r| r.credit_stalls as f64)),
-        ),
-        (
-            "link_util",
-            nums(&mut s.link_utilization(period).into_iter()),
-        ),
-    ])
-    .to_string()
-}
-
 /// Phase 1: one streaming simulation emitting merged JSONL.
 fn streaming_phase(args: &Args, topo: &Topology) -> MetricsSnapshot {
     let trace_cfg = TraceConfig::default().with_telemetry(args.telemetry_period);
@@ -131,7 +110,7 @@ fn streaming_phase(args: &Args, topo: &Topology) -> MetricsSnapshot {
         // or before the slice boundary, so draining them first keeps the
         // merged stream in cycle order.
         for s in sim.core_mut().telemetry_mut().take_samples() {
-            stream.push_str(&telemetry_line(&s, args.telemetry_period));
+            stream.push_str(&s.to_jsonl(args.telemetry_period));
             stream.push('\n');
         }
         stream.push_str(&sim.metrics_snapshot().to_jsonl(sim.core().cycle()));
@@ -141,20 +120,20 @@ fn streaming_phase(args: &Args, topo: &Topology) -> MetricsSnapshot {
     let stream_path = args.out.join("stream.jsonl");
     std::fs::write(&stream_path, &stream).expect("write stream.jsonl");
     // Re-parse the merged stream; a malformed line is a bug.
-    let mut metrics_lines = 0u64;
-    let mut telemetry_lines = 0u64;
+    let mut n_metrics = 0u64;
+    let mut n_telemetry = 0u64;
     for (i, line) in stream.lines().enumerate() {
         let v = drain_bench::json::parse(line)
             .unwrap_or_else(|e| panic!("stream line {} does not parse: {e}", i + 1));
         match v.get("kind").and_then(|k| k.as_str()) {
-            Some("metrics") => metrics_lines += 1,
-            Some("telemetry") => telemetry_lines += 1,
+            Some("metrics") => n_metrics += 1,
+            Some("telemetry") => n_telemetry += 1,
             other => panic!("stream line {} has unexpected kind {other:?}", i + 1),
         }
     }
-    assert!(metrics_lines > 0, "streaming phase must emit metrics lines");
+    assert!(n_metrics > 0, "streaming phase must emit metrics lines");
     println!(
-        "stream: {metrics_lines} metrics + {telemetry_lines} telemetry lines -> {}",
+        "stream: {n_metrics} metrics + {n_telemetry} telemetry lines -> {}",
         stream_path.display()
     );
 
@@ -190,6 +169,26 @@ fn sweep_phase(args: &Args, topo: &Topology, scale: Scale) -> MetricsSnapshot {
     merged.merge(&engine.metrics_snapshot());
     engine.finish();
     merged
+}
+
+/// Parses the registry's JSONL `line` back and checks that every counter
+/// sample of `snap` reads back under its `name{labels}` key with the same
+/// value; returns how many counters were checked.
+fn check_reads_back(snap: &MetricsSnapshot, line: &str) -> usize {
+    let parsed = drain_bench::json::parse(line)
+        .unwrap_or_else(|e| panic!("drain_metrics.jsonl does not parse: {e}"));
+    let mut checked = 0;
+    for fam in snap.families() {
+        for s in &fam.samples {
+            if let MetricValue::Counter(v) = s.value {
+                let key = s.key(&fam.name);
+                let back = parsed.get(&key).and_then(|j| j.as_u64());
+                assert_eq!(back, Some(v), "counter {key} does not read back");
+                checked += 1;
+            }
+        }
+    }
+    checked
 }
 
 /// Prints the merged phase attribution and asserts shares sum to ~100%.
@@ -287,23 +286,15 @@ fn main() {
     let mut merged = sweep_phase(&args, &topo, scale);
     merged.merge(&stream_snap);
 
-    // Exposition + round-trip: the .prom file must parse back to a
-    // registry that re-encodes byte-identically.
-    let prom = merged.to_prometheus();
-    let prom_path = args.out.join("drain_metrics.prom");
-    std::fs::write(&prom_path, &prom).expect("write .prom file");
-    let reparsed = MetricsSnapshot::parse_prometheus(&prom)
-        .unwrap_or_else(|e| panic!("exposition does not parse: {e}"));
-    assert_eq!(
-        reparsed.to_prometheus(),
-        prom,
-        "Prometheus exposition must round-trip byte-identically"
-    );
+    let path = args.out.join("drain_metrics.jsonl");
+    let line = merged.to_jsonl(args.cycles);
+    std::fs::write(&path, line.clone() + "\n").expect("write drain_metrics.jsonl");
+    let counters = check_reads_back(&merged, &line);
     println!(
-        "exposition: {} families, {} bytes -> {} (round-trip OK)",
+        "registry: {} families, {counters} counters read back, {} bytes -> {}",
         merged.families().len(),
-        prom.len(),
-        prom_path.display()
+        line.len(),
+        path.display()
     );
 
     phase_table(&merged);

@@ -30,7 +30,6 @@
 use std::path::PathBuf;
 
 use drain_bench::engine::SweepEngine;
-use drain_bench::json::{num, Json};
 use drain_bench::report::{results_dir, write_csv_in};
 use drain_bench::scheme::DrainVariant;
 use drain_bench::sweep::plan::TopoSpec;
@@ -42,7 +41,6 @@ use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{
     DrawSite, RunOutcome, TelemetrySample, TraceConfig, TraceEvent, TraceSink,
 };
-use drain_path::DrainPath;
 use drain_topology::{LinkId, NodeId, Topology};
 
 struct Args {
@@ -131,40 +129,6 @@ struct TraceRun {
     metrics: drain_netsim::MetricsSnapshot,
 }
 
-fn telemetry_jsonl(samples: &[TelemetrySample], period: u64) -> String {
-    let mut out = String::new();
-    for s in samples {
-        let nums = |it: &mut dyn Iterator<Item = f64>| Json::Arr(it.map(num).collect());
-        let line = Json::obj([
-            ("cycle", num(s.cycle as f64)),
-            ("window", num(s.window as f64)),
-            (
-                "occupied_vcs",
-                nums(&mut s.routers.iter().map(|r| r.occupied_vcs as f64)),
-            ),
-            (
-                "inj_depth",
-                nums(&mut s.routers.iter().map(|r| r.inj_depth as f64)),
-            ),
-            (
-                "ej_depth",
-                nums(&mut s.routers.iter().map(|r| r.ej_depth as f64)),
-            ),
-            (
-                "credit_stalls",
-                nums(&mut s.routers.iter().map(|r| r.credit_stalls as f64)),
-            ),
-            (
-                "link_util",
-                nums(&mut s.link_utilization(period).into_iter()),
-            ),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
-}
-
 /// Checks that consecutive `drain-epoch-start` events are `epoch` cycles
 /// apart plus the bounded drain overhead (pre-drain window + forced steps
 /// with their serialization freezes).
@@ -172,7 +136,10 @@ fn check_drain_cadence(starts: &[u64], epoch: u64, topo: &Topology, max_flits: u
     if starts.len() < 2 {
         return;
     }
-    let path_len = DrainPath::compute(topo).expect("connected topology").len() as u64;
+    // A drain path covers every unidirectional link exactly once
+    // (`verify_circuit` rejects any other length), so its length is the
+    // link count.
+    let path_len = topo.num_unidirectional_links() as u64;
     // predrain_window default (5) + worst case: a full drain of the whole
     // Eulerian circuit, each step followed by a max_packet_flits freeze.
     let slack = 8 + path_len * (1 + max_flits) + max_flits;
@@ -256,11 +223,12 @@ fn main() {
     assert_eq!(run.sink_errors, 0, "trace sink reported write errors");
 
     // Telemetry export (JSONL, one sample per line).
-    std::fs::write(
-        &telemetry_path,
-        telemetry_jsonl(&run.samples, args.telemetry_period),
-    )
-    .expect("write telemetry file");
+    let telemetry: String = run
+        .samples
+        .iter()
+        .map(|s| s.to_jsonl(args.telemetry_period) + "\n")
+        .collect();
+    std::fs::write(&telemetry_path, telemetry).expect("write telemetry file");
 
     // Re-parse everything we just wrote; a malformed line is a bug.
     let raw = std::fs::read_to_string(&trace_path).expect("read trace back");

@@ -318,52 +318,22 @@ impl SweepEngine {
     /// The engine's own counters as a mergeable [`MetricsSnapshot`] under
     /// the `drain_sweep_` namespace — per-job cache hit/miss, queue wait,
     /// worker utilization and throughput, ready to merge with per-point
-    /// simulation snapshots and expose via Prometheus or JSONL.
+    /// simulation snapshots and write as JSONL.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let r = self.report();
         let mut m = MetricsSnapshot::new();
         m.counter_labeled(
             "drain_sweep_points_total",
-            "Sweep points by source",
             &[("source", "simulated")],
             r.simulated as u64,
         );
-        m.counter_labeled(
-            "drain_sweep_points_total",
-            "Sweep points by source",
-            &[("source", "cached")],
-            r.cache_hits as u64,
-        );
-        m.counter(
-            "drain_sweep_sim_cycles_total",
-            "Simulated cycles across sweep points",
-            r.sim_cycles,
-        );
-        m.gauge(
-            "drain_sweep_busy_seconds_total",
-            "Summed job wall seconds across workers",
-            r.busy_secs,
-        );
-        m.gauge(
-            "drain_sweep_queue_wait_seconds_total",
-            "Summed queue wait seconds across jobs",
-            r.queue_wait_secs,
-        );
-        m.gauge(
-            "drain_sweep_worker_utilization",
-            "Busy fraction of the worker pool over the run",
-            r.worker_utilization,
-        );
-        m.gauge(
-            "drain_sweep_points_per_sec",
-            "Sweep points completed per wall second",
-            r.points_per_sec,
-        );
-        m.gauge(
-            "drain_sweep_sim_cycles_per_sec",
-            "Simulated cycles per wall second",
-            r.sim_cycles_per_sec,
-        );
+        m.counter_labeled("drain_sweep_points_total", &[("source", "cached")], r.cache_hits as u64);
+        m.counter("drain_sweep_sim_cycles_total", r.sim_cycles);
+        m.gauge("drain_sweep_busy_seconds_total", r.busy_secs);
+        m.gauge("drain_sweep_queue_wait_seconds_total", r.queue_wait_secs);
+        m.gauge("drain_sweep_worker_utilization", r.worker_utilization);
+        m.gauge("drain_sweep_points_per_sec", r.points_per_sec);
+        m.gauge("drain_sweep_sim_cycles_per_sec", r.sim_cycles_per_sec);
         m
     }
 }

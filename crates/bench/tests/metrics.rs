@@ -4,16 +4,19 @@
 //! 1. the profiler is a pure observer — the same seeded point produces
 //!    identical [`drain_netsim::Stats`], the same final cycle and
 //!    byte-identical traces with profiling off and on;
-//! 2. a real simulation's Prometheus exposition parses back and
-//!    re-encodes byte-identically, with registry counters agreeing with
-//!    [`drain_netsim::Stats`], and its telemetry samples sit on window
+//! 2. a real simulation's registry agrees with [`drain_netsim::Stats`]
+//!    and its JSONL line parses back with every counter under its
+//!    `name{labels}` key, and its telemetry samples sit on window
 //!    boundaries and sum to the cumulative link-flit totals;
-//! 3. `MetricsSnapshot::merge` is associative (property-based), so
-//!    fan-in order across sweep workers never changes the exposition.
+//! 3. the JSONL line stays valid JSON for NaN and infinite gauges and
+//!    for label values that need escaping;
+//! 4. `MetricsSnapshot::merge` is associative (property-based), so
+//!    fan-in order across sweep workers never changes the JSONL line.
 
+use drain_bench::json::{self, Json};
 use drain_bench::Scheme;
 use drain_netsim::traffic::SyntheticPattern;
-use drain_netsim::{MetricsSnapshot, Stats, TraceConfig, TraceSink};
+use drain_netsim::{MetricValue, MetricsSnapshot, Stats, TraceConfig, TraceSink};
 
 mod common;
 use common::irregular_topo;
@@ -78,12 +81,12 @@ fn profiler_is_bit_identical_off_and_on() {
     }
 }
 
-/// A real simulation's exposition must round-trip through the text
-/// format byte-identically, and the registry must agree with `Stats`.
+/// A real simulation's registry must agree with `Stats`, and its JSONL
+/// line must parse back with every counter under its `name{labels}` key.
 /// The telemetry series it sampled sits on window boundaries and accounts
 /// for every flit the per-link totals saw.
 #[test]
-fn prometheus_round_trips_on_a_real_snapshot() {
+fn jsonl_snapshot_agrees_with_stats_on_a_real_run() {
     const PERIOD: u64 = 64;
     let topo = irregular_topo();
     let mut sim = Scheme::headline()[0].synthetic_sim_traced(
@@ -141,17 +144,51 @@ fn prometheus_round_trips_on_a_real_snapshot() {
         "telemetry must have sampled"
     );
 
-    let text = snap.to_prometheus();
-    let reparsed = MetricsSnapshot::parse_prometheus(&text)
-        .expect("real exposition parses");
+    let line = snap.to_jsonl(sim.core().cycle());
+    let parsed = json::parse(&line).expect("real snapshot line parses");
+    let mut counters = 0;
+    for fam in snap.families() {
+        for s in &fam.samples {
+            if let MetricValue::Counter(v) = s.value {
+                let key = s.key(&fam.name);
+                assert_eq!(
+                    parsed.get(&key).and_then(Json::as_u64),
+                    Some(v),
+                    "counter {key} must read back"
+                );
+                counters += 1;
+            }
+        }
+    }
+    assert!(counters > 20, "only {counters} counters in a real snapshot");
     assert_eq!(
-        reparsed.to_prometheus(),
-        text,
-        "exposition must round-trip byte-identically"
+        parsed.get("drain_packets_ejected_total").and_then(Json::as_u64),
+        Some(stats.ejected)
+    );
+}
+
+/// JSON has no NaN or infinity and needs quotes and backslashes escaped:
+/// the registry's line must stay parseable with all of them in it.
+#[test]
+fn jsonl_line_is_valid_json_for_nonfinite_gauges_and_escaped_labels() {
+    let mut m = MetricsSnapshot::new();
+    m.gauge("t_nan", f64::NAN);
+    m.gauge("t_inf", f64::INFINITY);
+    m.gauge_labeled("t_neg_inf", &[("k", "a\"b\\c\nd")], f64::NEG_INFINITY);
+    m.counter_labeled("t_escaped_total", &[("path", "C:\\x \"y\"")], 7);
+    let line = m.to_jsonl(0);
+    let parsed = json::parse(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    assert_eq!(parsed.get("t_nan"), Some(&Json::Null));
+    assert_eq!(parsed.get("t_inf"), Some(&Json::Null));
+    assert_eq!(
+        parsed.get("t_neg_inf{k=\"a\"b\\c\nd\"}"),
+        Some(&Json::Null)
     );
     assert_eq!(
-        reparsed.counter_value("drain_packets_ejected_total"),
-        Some(stats.ejected)
+        parsed
+            .get("t_escaped_total{path=\"C:\\x \"y\"\"}")
+            .and_then(Json::as_u64),
+        Some(7)
     );
 }
 
@@ -166,23 +203,23 @@ mod merge_associativity {
     /// in for an arbitrary sample vector).
     fn snapshot(c: u64, labeled: u64, g: i64, hist_seed: u64) -> MetricsSnapshot {
         let mut m = MetricsSnapshot::new();
-        m.counter("t_counter_total", "c", c);
-        m.counter_labeled("t_labeled_total", "l", &[("k", "a")], labeled);
-        m.gauge("t_gauge", "g", g as f64);
+        m.counter("t_counter_total", c);
+        m.counter_labeled("t_labeled_total", &[("k", "a")], labeled);
+        m.gauge("t_gauge", g as f64);
         let mut h = HistogramSnapshot::default();
         let mut x = hist_seed;
         for _ in 0..(hist_seed % 8) {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             h.record(x >> 48);
         }
-        m.histogram("t_hist", "h", h);
+        m.histogram("t_hist", h);
         m
     }
 
     proptest! {
-        /// merge(merge(a, b), c) == merge(a, merge(b, c)) — compared on
-        /// the wire format, so sample ordering and float rendering are
-        /// covered too. Gauges are right-biased in both groupings, so
+        /// merge(merge(a, b), c) == merge(a, merge(b, c)) — compared as
+        /// values and on the JSONL line, so sample ordering and float
+        /// rendering are covered too. Gauges are right-biased in both groupings, so
         /// associativity holds for every kind.
         #[test]
         fn merge_is_associative(
@@ -205,7 +242,8 @@ mod merge_associativity {
             let mut right = sa.clone();
             right.merge(&bc);
 
-            prop_assert_eq!(left.to_prometheus(), right.to_prometheus());
+            prop_assert_eq!(&left, &right);
+            prop_assert_eq!(left.to_jsonl(0), right.to_jsonl(0));
         }
     }
 }

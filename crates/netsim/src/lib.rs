@@ -35,8 +35,8 @@
 //! * [`telemetry`] — opt-in periodic sampler: per-router VC occupancy,
 //!   queue depths, credit stalls and per-link utilization time series.
 //! * [`metrics`] — the unified metrics registry (counters / gauges /
-//!   histograms under one stable `drain_` namespace, Prometheus and
-//!   JSONL exposition) and the sampled kernel phase profiler. Pure
+//!   histograms under one stable `drain_` namespace, written as one
+//!   JSONL line) and the sampled kernel phase profiler. Pure
 //!   observers: enabling them cannot perturb results.
 //! * [`rng`] — the determinism contract for stochastic tie-breaks: every
 //!   draw is a pure function of `(seed, cycle, site, id)`.

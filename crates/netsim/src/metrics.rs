@@ -1,14 +1,14 @@
-//! Unified metrics registry, kernel phase profiler, and exposition
-//! encoders.
+//! Unified metrics registry, kernel phase profiler, and the registry's
+//! JSONL encoder.
 //!
 //! Before this module the simulator's numbers were scattered:
 //! [`crate::Stats`] counts packets and latency, [`crate::WakeCounters`]
 //! counts scheduler events, check-tier sweeps live on [`crate::Sim`].
 //! [`MetricsSnapshot`] unifies every family under one stable `drain_`
 //! namespace as named counters / gauges / histograms that can be merged
-//! across sweep workers and exported as Prometheus text exposition or
-//! flat JSONL (the same hand-written, dependency-free discipline as
-//! [`crate::trace`]).
+//! across sweep workers and written as one flat JSONL line
+//! ([`MetricsSnapshot::to_jsonl`], the same hand-written, dependency-free
+//! discipline as [`crate::trace`], sharing its string escaper).
 //!
 //! Two cost regimes, mirroring [`crate::telemetry`]:
 //!
@@ -33,6 +33,8 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
+
+use crate::trace::escape_into;
 
 /// Metrics configuration, part of [`crate::SimConfig`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -80,8 +82,8 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of all samples (mean = `sum / count`).
     pub sum: u64,
-    /// Largest observed sample (not exported in Prometheus text format,
-    /// which has no standard slot for it; JSONL exposition carries it).
+    /// Largest observed sample (written as the `_max` series by
+    /// [`MetricsSnapshot::to_jsonl`]).
     pub max: u64,
     /// Cumulative counts: `le[k]` is the number of samples `<= 2^k - 1`
     /// for `k < 32`; `le[32]` is the `+Inf` bucket and equals `count`.
@@ -167,7 +169,8 @@ impl HistogramSnapshot {
 // The registry
 // ---------------------------------------------------------------------
 
-/// Metric family kind, mirroring the Prometheus data model.
+/// Metric family kind. The registry rejects a family re-registered
+/// with another kind.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MetricKind {
     /// Monotonically increasing integer count.
@@ -176,17 +179,6 @@ pub enum MetricKind {
     Gauge,
     /// Sample distribution ([`HistogramSnapshot`]).
     Histogram,
-}
-
-impl MetricKind {
-    /// Stable lowercase name, as emitted in `# TYPE` lines.
-    pub fn name(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        }
-    }
 }
 
 /// One metric value.
@@ -214,14 +206,12 @@ pub struct MetricSample {
     pub value: MetricValue,
 }
 
-/// A named metric family: every sample shares the name, kind and help
-/// string and differs only in labels.
+/// A named metric family: every sample shares the name and kind and
+/// differs only in labels.
 #[derive(Clone, PartialEq, Debug)]
 pub struct MetricFamily {
     /// Fully-qualified metric name (stable `drain_` namespace).
     pub name: String,
-    /// One-line description (the `# HELP` text).
-    pub help: String,
     /// Family kind.
     pub kind: MetricKind,
     /// Samples, in insertion order.
@@ -230,7 +220,7 @@ pub struct MetricFamily {
 
 /// A registry snapshot: every family collected from one source (a
 /// simulation, a sweep engine), mergeable across sources and encodable
-/// as Prometheus text exposition or flat JSONL.
+/// as one flat JSONL line ([`MetricsSnapshot::to_jsonl`]).
 ///
 /// Merge semantics per kind: counters and histograms **accumulate**
 /// (exact u64 arithmetic, associative in any grouping — sweep workers
@@ -263,7 +253,7 @@ impl MetricsSnapshot {
         self.families.iter().find(|f| f.name == name)
     }
 
-    fn family_mut(&mut self, name: &str, help: &str, kind: MetricKind) -> &mut MetricFamily {
+    fn family_mut(&mut self, name: &str, kind: MetricKind) -> &mut MetricFamily {
         if let Some(i) = self.families.iter().position(|f| f.name == name) {
             assert_eq!(
                 self.families[i].kind, kind,
@@ -273,22 +263,14 @@ impl MetricsSnapshot {
         }
         self.families.push(MetricFamily {
             name: name.to_string(),
-            help: help.to_string(),
             kind,
             samples: Vec::new(),
         });
         self.families.last_mut().expect("just pushed")
     }
 
-    fn upsert(
-        &mut self,
-        name: &str,
-        help: &str,
-        kind: MetricKind,
-        labels: &[(&str, &str)],
-        value: MetricValue,
-    ) {
-        let fam = self.family_mut(name, help, kind);
+    fn upsert(&mut self, name: &str, kind: MetricKind, labels: &[(&str, &str)], value: MetricValue) {
+        let fam = self.family_mut(name, kind);
         let pos = fam.samples.iter().position(|s| {
             s.labels.len() == labels.len()
                 && s.labels
@@ -309,28 +291,28 @@ impl MetricsSnapshot {
     }
 
     /// Registers (or accumulates into) an unlabeled counter.
-    pub fn counter(&mut self, name: &str, help: &str, v: u64) {
-        self.upsert(name, help, MetricKind::Counter, &[], MetricValue::Counter(v));
+    pub fn counter(&mut self, name: &str, v: u64) {
+        self.upsert(name, MetricKind::Counter, &[], MetricValue::Counter(v));
     }
 
     /// Registers (or accumulates into) a labeled counter sample.
-    pub fn counter_labeled(&mut self, name: &str, help: &str, labels: &[(&str, &str)], v: u64) {
-        self.upsert(name, help, MetricKind::Counter, labels, MetricValue::Counter(v));
+    pub fn counter_labeled(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
+        self.upsert(name, MetricKind::Counter, labels, MetricValue::Counter(v));
     }
 
     /// Registers (or overwrites) an unlabeled gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, v: f64) {
-        self.upsert(name, help, MetricKind::Gauge, &[], MetricValue::Gauge(v));
+    pub fn gauge(&mut self, name: &str, v: f64) {
+        self.upsert(name, MetricKind::Gauge, &[], MetricValue::Gauge(v));
     }
 
     /// Registers (or overwrites) a labeled gauge sample.
-    pub fn gauge_labeled(&mut self, name: &str, help: &str, labels: &[(&str, &str)], v: f64) {
-        self.upsert(name, help, MetricKind::Gauge, labels, MetricValue::Gauge(v));
+    pub fn gauge_labeled(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
+        self.upsert(name, MetricKind::Gauge, labels, MetricValue::Gauge(v));
     }
 
     /// Registers (or merges into) an unlabeled histogram.
-    pub fn histogram(&mut self, name: &str, help: &str, h: HistogramSnapshot) {
-        self.upsert(name, help, MetricKind::Histogram, &[], MetricValue::Histogram(h));
+    pub fn histogram(&mut self, name: &str, h: HistogramSnapshot) {
+        self.upsert(name, MetricKind::Histogram, &[], MetricValue::Histogram(h));
     }
 
     /// The value of an unlabeled counter, when present.
@@ -377,227 +359,64 @@ impl MetricsSnapshot {
                     .iter()
                     .map(|(k, v)| (k.as_str(), v.as_str()))
                     .collect();
-                self.upsert(&fam.name, &fam.help, fam.kind, &labels, s.value);
+                self.upsert(&fam.name, fam.kind, &labels, s.value);
             }
         }
     }
 
     // -----------------------------------------------------------------
-    // Prometheus text exposition
+    // JSONL encoding
     // -----------------------------------------------------------------
 
-    /// Encodes the snapshot as Prometheus text exposition format
-    /// (`text/plain; version=0.0.4`): `# HELP` / `# TYPE` headers per
-    /// family, histogram expansion into `_bucket{le=...}` / `_sum` /
-    /// `_count` series. Deterministic: same snapshot, same bytes.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for fam in &self.families {
-            let _ = writeln!(out, "# HELP {} {}", fam.name, escape_help(&fam.help));
-            let _ = writeln!(out, "# TYPE {} {}", fam.name, fam.kind.name());
-            for s in &fam.samples {
-                match &s.value {
-                    MetricValue::Counter(v) => {
-                        let _ = writeln!(out, "{}{} {}", fam.name, label_str(&s.labels, &[]), v);
-                    }
-                    MetricValue::Gauge(v) => {
-                        let _ = writeln!(
-                            out,
-                            "{}{} {}",
-                            fam.name,
-                            label_str(&s.labels, &[]),
-                            fmt_f64(*v)
-                        );
-                    }
-                    MetricValue::Histogram(h) => {
-                        for (k, &c) in h.le.iter().enumerate() {
-                            let le = if k == HIST_BUCKETS - 1 {
-                                "+Inf".to_string()
-                            } else {
-                                HistogramSnapshot::bound(k).to_string()
-                            };
-                            let _ = writeln!(
-                                out,
-                                "{}_bucket{} {}",
-                                fam.name,
-                                label_str(&s.labels, &[("le", &le)]),
-                                c
-                            );
-                        }
-                        let _ =
-                            writeln!(out, "{}_sum{} {}", fam.name, label_str(&s.labels, &[]), h.sum);
-                        let _ = writeln!(
-                            out,
-                            "{}_count{} {}",
-                            fam.name,
-                            label_str(&s.labels, &[]),
-                            h.count
-                        );
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Parses text exposition produced by
-    /// [`MetricsSnapshot::to_prometheus`] back into a snapshot
-    /// (histograms are reassembled from their `_bucket`/`_sum`/`_count`
-    /// series; the non-standard `max` is not carried by the wire format
-    /// and parses back as the largest non-empty bucket bound). The
-    /// round-trip test pins `encode(parse(encode(s))) == encode(s)`.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed line.
-    pub fn parse_prometheus(text: &str) -> Result<MetricsSnapshot, String> {
-        let mut snap = MetricsSnapshot::new();
-        let mut cur_kind = MetricKind::Gauge;
-        let mut cur_name = String::new();
-        let mut cur_help = String::new();
-        // Histogram accumulation state for the family being parsed.
-        let mut hist: Option<(Vec<(String, String)>, HistogramSnapshot)> = None;
-        for (ln, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            let err = |m: &str| format!("line {}: {m}: {raw}", ln + 1);
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# HELP ") {
-                let (name, help) = rest.split_once(' ').unwrap_or((rest, ""));
-                cur_name = name.to_string();
-                cur_help = unescape_help(help);
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let (name, kind) = rest.split_once(' ').ok_or_else(|| err("bad TYPE"))?;
-                if name != cur_name {
-                    cur_name = name.to_string();
-                    cur_help.clear();
-                }
-                cur_kind = match kind {
-                    "counter" => MetricKind::Counter,
-                    "gauge" => MetricKind::Gauge,
-                    "histogram" => MetricKind::Histogram,
-                    other => return Err(err(&format!("unknown kind {other}"))),
-                };
-                continue;
-            }
-            if line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line.rsplit_once(' ').ok_or_else(|| err("no value"))?;
-            let (name, labels) = parse_labels(key).map_err(|m| err(&m))?;
-            match cur_kind {
-                MetricKind::Counter => {
-                    let v: u64 = value.parse().map_err(|_| err("bad counter value"))?;
-                    let l: Vec<(&str, &str)> =
-                        labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-                    snap.upsert(&name, &cur_help, cur_kind, &l, MetricValue::Counter(v));
-                }
-                MetricKind::Gauge => {
-                    let v: f64 = value.parse().map_err(|_| err("bad gauge value"))?;
-                    let l: Vec<(&str, &str)> =
-                        labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-                    snap.upsert(&name, &cur_help, cur_kind, &l, MetricValue::Gauge(v));
-                }
-                MetricKind::Histogram => {
-                    let v: u64 = value.parse().map_err(|_| err("bad histogram value"))?;
-                    if name == format!("{cur_name}_bucket") {
-                        let le = labels
-                            .iter()
-                            .find(|(k, _)| k == "le")
-                            .map(|(_, v)| v.clone())
-                            .ok_or_else(|| err("bucket without le"))?;
-                        let rest: Vec<(String, String)> = labels
-                            .iter()
-                            .filter(|(k, _)| k != "le")
-                            .cloned()
-                            .collect();
-                        let (_, h) = hist.get_or_insert_with(|| (rest.clone(), HistogramSnapshot::default()));
-                        let k = if le == "+Inf" {
-                            HIST_BUCKETS - 1
-                        } else {
-                            let bound: u64 = le.parse().map_err(|_| err("bad le"))?;
-                            (0..HIST_BUCKETS - 1)
-                                .find(|&k| HistogramSnapshot::bound(k) == bound)
-                                .ok_or_else(|| err("le off the 2^k - 1 grid"))?
-                        };
-                        h.le[k] = v;
-                    } else if name == format!("{cur_name}_sum") {
-                        if let Some((_, h)) = hist.as_mut() {
-                            h.sum = v;
-                        }
-                    } else if name == format!("{cur_name}_count") {
-                        let (lbls, mut h) = hist.take().unwrap_or_default();
-                        h.count = v;
-                        // Best-effort max: the largest non-empty bound.
-                        h.max = (0..HIST_BUCKETS - 1)
-                            .rev()
-                            .find(|&k| h.le[k] < h.count)
-                            .map(|k| HistogramSnapshot::bound(k + 1))
-                            .unwrap_or(0);
-                        let l: Vec<(&str, &str)> =
-                            lbls.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-                        snap.upsert(
-                            &cur_name,
-                            &cur_help,
-                            MetricKind::Histogram,
-                            &l,
-                            MetricValue::Histogram(h),
-                        );
-                    } else {
-                        return Err(err("unexpected histogram series"));
-                    }
-                }
-            }
-        }
-        Ok(snap)
-    }
-
-    // -----------------------------------------------------------------
-    // JSONL exposition
-    // -----------------------------------------------------------------
-
-    /// Encodes the snapshot as one flat JSONL object, mergeable into the
-    /// telemetry stream the harness already writes: `{"kind":"metrics",
-    /// "cycle":N, "<series>":value, ...}`. Labeled samples use their
-    /// exposition key (`name{k="v"}`) as the JSON key; histograms expand
-    /// to `_count`/`_sum`/`_max`/`_p50`/`_p99`.
+    /// Encodes the snapshot as one flat JSON object on one line, the
+    /// registry's only wire format: `{"kind":"metrics","cycle":N,
+    /// "<series>":value,...}`. Each sample is keyed by
+    /// [`MetricSample::key`] (`name` or `name{k="v",...}`); histograms
+    /// expand to `_count`/`_sum`/`_max`/`_p50`/`_p99`; a NaN or infinite
+    /// gauge is written as `null`. Deterministic: same snapshot, same
+    /// bytes.
     pub fn to_jsonl(&self, cycle: u64) -> String {
-        let mut out = String::from("{\"kind\":\"metrics\"");
-        let _ = write!(out, ",\"cycle\":{cycle}");
+        let mut out = format!("{{\"kind\":\"metrics\",\"cycle\":{cycle}");
+        let mut field = |key: &str, value: &dyn std::fmt::Display| {
+            out.push(',');
+            escape_into(key, &mut out);
+            let _ = write!(out, ":{value}");
+        };
         for fam in &self.families {
             for s in &fam.samples {
-                let key = format!("{}{}", fam.name, label_str(&s.labels, &[]));
+                let key = s.key(&fam.name);
                 match &s.value {
-                    MetricValue::Counter(v) => {
-                        let _ = write!(out, ",{}:{}", json_str(&key), v);
-                    }
-                    MetricValue::Gauge(v) => {
-                        let _ = write!(out, ",{}:{}", json_str(&key), fmt_f64(*v));
-                    }
+                    MetricValue::Counter(v) => field(&key, v),
+                    MetricValue::Gauge(v) => field(&key, &fmt_f64(*v)),
                     MetricValue::Histogram(h) => {
-                        let _ = write!(out, ",{}:{}", json_str(&format!("{key}_count")), h.count);
-                        let _ = write!(out, ",{}:{}", json_str(&format!("{key}_sum")), h.sum);
-                        let _ = write!(out, ",{}:{}", json_str(&format!("{key}_max")), h.max);
-                        let _ = write!(
-                            out,
-                            ",{}:{}",
-                            json_str(&format!("{key}_p50")),
-                            h.quantile(0.5)
-                        );
-                        let _ = write!(
-                            out,
-                            ",{}:{}",
-                            json_str(&format!("{key}_p99")),
-                            h.quantile(0.99)
-                        );
+                        field(&format!("{key}_count"), &h.count);
+                        field(&format!("{key}_sum"), &h.sum);
+                        field(&format!("{key}_max"), &h.max);
+                        field(&format!("{key}_p50"), &h.quantile(0.5));
+                        field(&format!("{key}_p99"), &h.quantile(0.99));
                     }
                 }
             }
         }
         out.push('}');
+        out
+    }
+}
+
+impl MetricSample {
+    /// The series key [`MetricsSnapshot::to_jsonl`] writes this sample
+    /// under: the family name, then the labels as `{k="v",...}` (nothing
+    /// for an unlabeled sample). Label values are written as they are;
+    /// the JSON string escaper escapes the whole key.
+    pub fn key(&self, family: &str) -> String {
+        let mut out = family.to_string();
+        for (i, (k, v)) in self.labels.iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            let _ = write!(out, "{k}=\"{v}\"");
+        }
+        if !self.labels.is_empty() {
+            out.push('}');
+        }
         out
     }
 }
@@ -611,123 +430,17 @@ fn merge_value(into: &mut MetricValue, from: &MetricValue) {
     }
 }
 
-/// Formats labels as `{k="v",...}` (empty string when there are none);
-/// `extra` pairs are appended after the sample's own labels.
-fn label_str(labels: &[(String, String)], extra: &[(&str, &str)]) -> String {
-    if labels.is_empty() && extra.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    let mut first = true;
-    for (k, v) in labels
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .chain(extra.iter().copied())
-    {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "{k}=\"{}\"", escape_label(v));
-    }
-    out.push('}');
-    out
-}
-
-/// Parses `name` or `name{k="v",...}` into (name, labels).
-fn parse_labels(key: &str) -> Result<(String, Vec<(String, String)>), String> {
-    let Some(brace) = key.find('{') else {
-        return Ok((key.to_string(), Vec::new()));
-    };
-    let name = key[..brace].to_string();
-    let body = key[brace + 1..]
-        .strip_suffix('}')
-        .ok_or("unterminated label set")?;
-    let mut labels = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let eq = rest.find('=').ok_or("label without =")?;
-        let k = rest[..eq].to_string();
-        let after = rest[eq + 1..]
-            .strip_prefix('"')
-            .ok_or("label value not quoted")?;
-        // Scan to the closing quote, honouring backslash escapes.
-        let mut val = String::new();
-        let mut chars = after.char_indices();
-        let mut end = None;
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '\\' => match chars.next() {
-                    Some((_, 'n')) => val.push('\n'),
-                    Some((_, e)) => val.push(e),
-                    None => return Err("dangling escape".into()),
-                },
-                '"' => {
-                    end = Some(i);
-                    break;
-                }
-                c => val.push(c),
-            }
-        }
-        let end = end.ok_or("unterminated label value")?;
-        labels.push((k, val));
-        rest = after[end + 1..].strip_prefix(',').unwrap_or(&after[end + 1..]);
-    }
-    Ok((name, labels))
-}
-
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
-fn escape_help(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-fn unescape_help(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    let mut chars = v.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some(e) => out.push(e),
-                None => {}
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
 /// Formats an `f64` so it parses back exactly ({} is Rust's shortest
 /// round-trip form) while keeping integral values integral-looking.
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
+/// JSON has no NaN or infinity, so those print as `null`.
+pub(crate) fn fmt_f64(v: f64) -> String {
+    if !v.is_finite() {
+        "null".to_string()
+    } else if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{}", v as i64)
     } else {
         format!("{v}")
     }
-}
-
-/// Minimal JSON string encoder for controlled metric keys.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -923,27 +636,17 @@ impl PhaseProfiler {
         if !self.enabled() {
             return;
         }
-        out.counter(
-            "drain_profile_sampled_cycles_total",
-            "Cycles the phase profiler attributed",
-            self.sampled,
-        );
-        out.counter(
-            "drain_profile_cycle_nanos_total",
-            "Total wall nanoseconds across sampled cycles",
-            self.cycle_nanos,
-        );
+        out.counter("drain_profile_sampled_cycles_total", self.sampled);
+        out.counter("drain_profile_cycle_nanos_total", self.cycle_nanos);
         for &p in &Phase::ALL {
             out.counter_labeled(
                 "drain_profile_phase_nanos_total",
-                "Wall nanoseconds attributed per cycle phase over sampled cycles",
                 &[("phase", p.name())],
                 self.phase_nanos[p as usize],
             );
         }
         out.counter_labeled(
             "drain_profile_phase_nanos_total",
-            "Wall nanoseconds attributed per cycle phase over sampled cycles",
             &[("phase", "other")],
             self.other_nanos(),
         );
@@ -991,15 +694,15 @@ mod tests {
     #[test]
     fn registry_accumulates_counters_and_overwrites_gauges() {
         let mut s = MetricsSnapshot::new();
-        s.counter("drain_x_total", "x", 3);
-        s.counter("drain_x_total", "x", 4);
+        s.counter("drain_x_total", 3);
+        s.counter("drain_x_total", 4);
         assert_eq!(s.counter_value("drain_x_total"), Some(7));
-        s.gauge("drain_g", "g", 1.5);
-        s.gauge("drain_g", "g", 2.5);
+        s.gauge("drain_g", 1.5);
+        s.gauge("drain_g", 2.5);
         assert_eq!(s.gauge_value("drain_g"), Some(2.5));
-        s.counter_labeled("drain_l_total", "l", &[("k", "a")], 1);
-        s.counter_labeled("drain_l_total", "l", &[("k", "b")], 2);
-        s.counter_labeled("drain_l_total", "l", &[("k", "a")], 10);
+        s.counter_labeled("drain_l_total", &[("k", "a")], 1);
+        s.counter_labeled("drain_l_total", &[("k", "b")], 2);
+        s.counter_labeled("drain_l_total", &[("k", "a")], 10);
         assert_eq!(
             s.counter_value_labeled("drain_l_total", &[("k", "a")]),
             Some(11)
@@ -1014,16 +717,16 @@ mod tests {
     #[should_panic(expected = "different kind")]
     fn registry_rejects_kind_conflicts() {
         let mut s = MetricsSnapshot::new();
-        s.counter("drain_x", "x", 1);
-        s.gauge("drain_x", "x", 1.0);
+        s.counter("drain_x", 1);
+        s.gauge("drain_x", 1.0);
     }
 
     #[test]
     fn merge_is_associative_on_counters() {
         let build = |v: u64| {
             let mut s = MetricsSnapshot::new();
-            s.counter("drain_a_total", "a", v);
-            s.counter_labeled("drain_b_total", "b", &[("k", "x")], v * 2);
+            s.counter("drain_a_total", v);
+            s.counter_labeled("drain_b_total", &[("k", "x")], v * 2);
             s
         };
         let (a, b, c) = (build(1), build(10), build(100));
@@ -1039,60 +742,28 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_encoding_shape() {
-        let mut s = MetricsSnapshot::new();
-        s.counter("drain_x_total", "packets seen", 42);
-        s.gauge_labeled("drain_g", "a gauge", &[("router", "0")], 0.5);
-        let mut h = HistogramSnapshot::default();
-        h.record(3);
-        h.record(500);
-        s.histogram("drain_h_cycles", "latency", h);
-        let text = s.to_prometheus();
-        assert!(text.contains("# HELP drain_x_total packets seen"));
-        assert!(text.contains("# TYPE drain_x_total counter"));
-        assert!(text.contains("drain_x_total 42"));
-        assert!(text.contains("drain_g{router=\"0\"} 0.5"));
-        assert!(text.contains("drain_h_cycles_bucket{le=\"3\"} 1"));
-        assert!(text.contains("drain_h_cycles_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("drain_h_cycles_sum 503"));
-        assert!(text.contains("drain_h_cycles_count 2"));
-    }
-
-    #[test]
-    fn prometheus_round_trip_is_stable() {
-        let mut s = MetricsSnapshot::new();
-        s.counter("drain_x_total", "counts with spaces in help", 7);
-        s.gauge("drain_rate", "a fractional gauge", 0.125);
-        s.counter_labeled("drain_wake_events_total", "wake", &[("event", "parks")], 5);
-        s.counter_labeled("drain_wake_events_total", "wake", &[("event", "skips")], 9);
-        let mut h = HistogramSnapshot::default();
-        for v in [1u64, 2, 3, 4096] {
-            h.record(v);
-        }
-        s.histogram("drain_lat_cycles", "latency", h);
-        let once = s.to_prometheus();
-        let parsed = MetricsSnapshot::parse_prometheus(&once).expect("parses");
-        assert_eq!(parsed.to_prometheus(), once, "encode∘parse is identity on encodings");
-        assert_eq!(parsed.counter_value("drain_x_total"), Some(7));
-        assert_eq!(
-            parsed.counter_value_labeled("drain_wake_events_total", &[("event", "skips")]),
-            Some(9)
-        );
-    }
-
-    #[test]
     fn jsonl_line_is_flat_and_tagged() {
         let mut s = MetricsSnapshot::new();
-        s.counter("drain_x_total", "x", 3);
+        s.counter("drain_x_total", 3);
         let mut h = HistogramSnapshot::default();
         h.record(10);
-        s.histogram("drain_h", "h", h);
+        s.histogram("drain_h", h);
+        s.gauge_labeled("drain_g", &[("router", "0")], 0.5);
+        s.counter_labeled("drain_wake_events_total", &[("event", "parks")], 5);
+        s.counter_labeled("drain_wake_events_total", &[("event", "skips")], 9);
         let line = s.to_jsonl(1234);
         assert!(line.starts_with("{\"kind\":\"metrics\",\"cycle\":1234"));
         assert!(line.contains("\"drain_x_total\":3"));
         assert!(line.contains("\"drain_h_count\":1"));
         assert!(line.contains("\"drain_h_max\":10"));
+        assert!(line.contains("\"drain_g{router=\\\"0\\\"}\":0.5"));
+        assert!(line.contains("\"drain_wake_events_total{event=\\\"skips\\\"}\":9"));
         assert!(line.ends_with('}'));
+        assert!(!line.contains('\n'), "one line");
+        assert_eq!(
+            s.counter_value_labeled("drain_wake_events_total", &[("event", "skips")]),
+            Some(9)
+        );
     }
 
     #[test]

@@ -341,69 +341,21 @@ impl Sim {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut m = MetricsSnapshot::new();
         let s = &self.core.stats;
-        m.counter(
-            "drain_packets_generated_total",
-            "Packets created by endpoints",
-            s.generated,
-        );
-        m.counter(
-            "drain_packets_injected_total",
-            "Packets that entered the network",
-            s.injected,
-        );
-        m.counter(
-            "drain_packets_ejected_total",
-            "Packets delivered to an ejection queue",
-            s.ejected,
-        );
-        m.histogram(
-            "drain_net_latency_cycles",
-            "Network latency, injection to ejection",
-            s.net_latency.snapshot(),
-        );
-        m.histogram(
-            "drain_total_latency_cycles",
-            "Total latency, creation to ejection",
-            s.total_latency.snapshot(),
-        );
-        m.counter("drain_hops_total", "Hops over ejected packets", s.hops);
-        m.counter(
-            "drain_misroutes_total",
-            "Hops that did not reduce distance to the destination",
-            s.misroutes,
-        );
-        m.counter(
-            "drain_forced_hops_total",
-            "Hops forced by drains or spins",
-            s.forced_hops,
-        );
-        m.counter(
-            "drain_flit_hops_total",
-            "Flit-link traversals",
-            s.flit_hops,
-        );
-        m.counter("drain_drains_total", "Drain windows executed", s.drains);
-        m.counter(
-            "drain_full_drains_total",
-            "Full drains executed",
-            s.full_drains,
-        );
-        m.counter("drain_spins_total", "Spin moves executed", s.spins);
-        m.counter(
-            "drain_probe_hops_total",
-            "Probe message hops sent (SPIN)",
-            s.probe_hops,
-        );
-        m.counter(
-            "drain_deadlocks_detected_total",
-            "Structural deadlocks detected",
-            s.deadlocks_detected,
-        );
-        m.counter(
-            "drain_oracle_resolutions_total",
-            "Deadlocks resolved by the oracle mechanism",
-            s.oracle_resolutions,
-        );
+        m.counter("drain_packets_generated_total", s.generated);
+        m.counter("drain_packets_injected_total", s.injected);
+        m.counter("drain_packets_ejected_total", s.ejected);
+        m.histogram("drain_net_latency_cycles", s.net_latency.snapshot());
+        m.histogram("drain_total_latency_cycles", s.total_latency.snapshot());
+        m.counter("drain_hops_total", s.hops);
+        m.counter("drain_misroutes_total", s.misroutes);
+        m.counter("drain_forced_hops_total", s.forced_hops);
+        m.counter("drain_flit_hops_total", s.flit_hops);
+        m.counter("drain_drains_total", s.drains);
+        m.counter("drain_full_drains_total", s.full_drains);
+        m.counter("drain_spins_total", s.spins);
+        m.counter("drain_probe_hops_total", s.probe_hops);
+        m.counter("drain_deadlocks_detected_total", s.deadlocks_detected);
+        m.counter("drain_oracle_resolutions_total", s.oracle_resolutions);
         let w = self.core.wake_counters();
         for (event, v) in [
             ("parks", w.parks),
@@ -413,88 +365,31 @@ impl Sim {
             ("wake_alls", w.wake_alls),
             ("stalls", w.stalls),
         ] {
-            m.counter_labeled(
-                "drain_wake_events_total",
-                "Wake-driven Phase A scheduler events",
-                &[("event", event)],
-                v,
-            );
+            m.counter_labeled("drain_wake_events_total", &[("event", event)], v);
         }
         // A family of its own: a label added to `drain_wake_events_total`
         // would break readers that match its label set exactly.
         for (event, v) in [("parks", w.injection_parks), ("skips", w.injection_skips)] {
-            m.counter_labeled(
-                "drain_wake_injection_events_total",
-                "Wake scheduler events of injection-queue heads (included in drain_wake_events_total)",
-                &[("event", event)],
-                v,
-            );
+            m.counter_labeled("drain_wake_injection_events_total", &[("event", event)], v);
         }
         for (site, v) in crate::rng::DrawSite::ALL
             .iter()
             .zip(self.core.rng_draw_counts())
         {
-            m.counter_labeled(
-                "drain_rng_draws_total",
-                "Keyed RNG samples produced, by draw site",
-                &[("site", site.label())],
-                v,
-            );
+            m.counter_labeled("drain_rng_draws_total", &[("site", site.label())], v);
         }
-        m.counter_labeled(
-            "drain_check_sweeps_total",
-            "Invariant check sweeps by tier",
-            &[("tier", "cheap")],
-            self.check_sweeps,
-        );
-        m.counter_labeled(
-            "drain_check_sweeps_total",
-            "Invariant check sweeps by tier",
-            &[("tier", "deep")],
-            self.check_deep_sweeps,
-        );
+        m.counter_labeled("drain_check_sweeps_total", &[("tier", "cheap")], self.check_sweeps);
+        m.counter_labeled("drain_check_sweeps_total", &[("tier", "deep")], self.check_deep_sweeps);
         let telem = self.core.telemetry();
-        m.counter(
-            "drain_telemetry_samples_taken_total",
-            "Telemetry samples taken",
-            telem.samples_taken(),
-        );
-        m.counter(
-            "drain_telemetry_samples_dropped_total",
-            "Telemetry samples dropped by the retention bound",
-            telem.samples_dropped(),
-        );
+        m.counter("drain_telemetry_samples_taken_total", telem.samples_taken());
+        m.counter("drain_telemetry_samples_dropped_total", telem.samples_dropped());
         let tr = self.core.tracer();
-        m.counter(
-            "drain_trace_events_total",
-            "Trace events emitted",
-            tr.emitted(),
-        );
-        m.counter(
-            "drain_trace_sink_errors_total",
-            "Trace sink write errors",
-            tr.sink_errors(),
-        );
-        m.gauge(
-            "drain_cycle",
-            "Current simulation cycle",
-            self.core.cycle() as f64,
-        );
-        m.gauge(
-            "drain_packets_in_network",
-            "Packets currently inside VC buffers",
-            self.core.packets_in_network() as f64,
-        );
-        m.gauge(
-            "drain_live_packets",
-            "Live packets anywhere (queues + network)",
-            self.core.live_packets() as f64,
-        );
-        m.gauge(
-            "drain_ejection_backlog",
-            "Packets parked in ejection queues",
-            self.core.ejection_backlog() as f64,
-        );
+        m.counter("drain_trace_events_total", tr.emitted());
+        m.counter("drain_trace_sink_errors_total", tr.sink_errors());
+        m.gauge("drain_cycle", self.core.cycle() as f64);
+        m.gauge("drain_packets_in_network", self.core.packets_in_network() as f64);
+        m.gauge("drain_live_packets", self.core.live_packets() as f64);
+        m.gauge("drain_ejection_backlog", self.core.ejection_backlog() as f64);
         self.core.profiler().collect(&mut m);
         m
     }

@@ -15,6 +15,7 @@
 
 use std::collections::VecDeque;
 
+use crate::metrics::fmt_f64;
 use crate::trace::TraceConfig;
 
 /// One router's state at a sample boundary.
@@ -57,6 +58,45 @@ impl TelemetrySample {
     /// Total flit-link traversals in the window.
     pub fn total_flits(&self) -> u64 {
         self.link_flits.iter().sum()
+    }
+
+    /// Encodes the sample as one JSON line (no trailing newline):
+    /// `{"kind":"telemetry","cycle":…,"window":…,"total_flits":…,
+    /// "occupied_vcs":[…],"inj_depth":[…],"ej_depth":[…],
+    /// "credit_stalls":[…],"link_util":[…]}`. Per-router arrays are
+    /// indexed by node id, `link_util` by link id and normalised by the
+    /// sampling `period` ([`TelemetrySample::link_utilization`]).
+    pub fn to_jsonl(&self, period: u64) -> String {
+        use std::fmt::Write as _;
+        fn array<T: std::fmt::Display>(
+            out: &mut String,
+            key: &str,
+            items: impl Iterator<Item = T>,
+        ) {
+            let _ = write!(out, ",\"{key}\":[");
+            for (i, v) in items.enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{v}");
+            }
+            out.push(']');
+        }
+        let mut out = format!(
+            "{{\"kind\":\"telemetry\",\"cycle\":{},\"window\":{},\"total_flits\":{}",
+            self.cycle,
+            self.window,
+            self.total_flits()
+        );
+        let r = &self.routers;
+        array(&mut out, "occupied_vcs", r.iter().map(|r| r.occupied_vcs));
+        array(&mut out, "inj_depth", r.iter().map(|r| r.inj_depth));
+        array(&mut out, "ej_depth", r.iter().map(|r| r.ej_depth));
+        array(&mut out, "credit_stalls", r.iter().map(|r| r.credit_stalls));
+        let util = self.link_utilization(period);
+        array(&mut out, "link_util", util.into_iter().map(fmt_f64));
+        out.push('}');
+        out
     }
 }
 
@@ -276,5 +316,25 @@ mod tests {
         assert!((u[0] - 0.5).abs() < 1e-12);
         assert_eq!(u[1], 0.0);
         assert_eq!(s.total_flits(), 5);
+    }
+
+    #[test]
+    fn jsonl_line_carries_every_field_in_order() {
+        let mut t = Telemetry::new(&config(8, 4), 3, 2);
+        t.note_link_flits(0, 4);
+        t.note_link_flits(2, 1);
+        t.note_credit_stalls(1, 2);
+        let mut routers = empty_routers(2);
+        routers[0].occupied_vcs = 3;
+        routers[1].inj_depth = 5;
+        routers[1].ej_depth = 1;
+        let line = t.push_sample(7, routers).to_jsonl(8);
+        assert_eq!(
+            line,
+            "{\"kind\":\"telemetry\",\"cycle\":7,\"window\":1,\"total_flits\":5,\
+             \"occupied_vcs\":[3,0],\"inj_depth\":[0,5],\"ej_depth\":[0,1],\
+             \"credit_stalls\":[0,2],\"link_util\":[0.5,0,0.125]}",
+            "kind first, then every field; link_util is flits / period"
+        );
     }
 }

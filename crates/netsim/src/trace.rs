@@ -481,7 +481,9 @@ enum FlatValue {
     Str(String),
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string: the crate's one JSON
+/// string escaper, shared by the trace and metrics encoders.
+pub(crate) fn escape_into(s: &str, out: &mut String) {
     use std::fmt::Write as _;
     out.push('"');
     for c in s.chars() {

@@ -77,13 +77,21 @@ benchmark/run.sh --quick
 cmp -s benchmark/Cargo.lock "$tmp/benchmark.lock" \
     || { echo "benchmark/Cargo.lock was rewritten by building or running the benchmark: a dependency list changed"; exit 1; }
 
-echo "==> drain-metrics smoke (registry + phase profiler + exposition round-trip)"
-# The binary re-parses its merged JSONL stream and its Prometheus file
-# (round-trip must be byte-identical) and asserts the merged phase
-# attribution sums to ~100%.
+echo "==> drain-metrics smoke (registry + phase profiler + JSONL read-back)"
+# The binary re-parses its merged JSONL stream, reads every counter of the
+# merged registry back from drain_metrics.jsonl, and asserts the merged
+# phase attribution sums to ~100%. The output directory starts empty, so
+# it holds this build's files and nothing else: exactly the two the
+# binary documents, the registry being one `{"kind":"metrics",...}` line.
 cargo build --release -p drain-bench --bin drain_metrics --quiet
+rm -rf results/metrics_smoke
 ./target/release/drain_metrics --mesh 4x4 --cycles 8192 --points 2 \
     --out results/metrics_smoke
+[ "$(ls results/metrics_smoke)" = "$(printf 'drain_metrics.jsonl\nstream.jsonl')" ] \
+    || { echo "results/metrics_smoke must hold only drain_metrics.jsonl and stream.jsonl"; ls results/metrics_smoke; exit 1; }
+[ "$(wc -l < results/metrics_smoke/drain_metrics.jsonl)" = 1 ] \
+    && head -c 17 results/metrics_smoke/drain_metrics.jsonl | grep -qxF '{"kind":"metrics"' \
+    || { echo "drain_metrics.jsonl must be one line starting {\"kind\":\"metrics\""; exit 1; }
 # Bad input is one `error:` line and exit code 2, never a backtrace: an
 # unknown flag, a flag that was removed, and a value outside its range
 # that once ran silently.

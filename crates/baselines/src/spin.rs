@@ -24,28 +24,26 @@
 //! Like real SPIN, protocol-level deadlocks are *not* resolved — the
 //! scheme relies on per-class virtual networks for those.
 
+use drain_netsim::config::MAX_PACKET_FLITS;
 use drain_netsim::mechanism::{ControlAction, ForcedKind, ForcedMove, Mechanism};
 use drain_netsim::routing::{Candidate, RouteCtx};
 use drain_netsim::{SimCore, TraceEvent, VcRef};
+
+/// A probe abandons after this many hops (bounds hardware walk length).
+const MAX_PROBE_LEN: usize = 4096;
+/// Cycles per probe hop (dedicated control wires; 1 in SPIN).
+const PROBE_HOP_LATENCY: u64 = 1;
 
 /// SPIN parameters.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpinConfig {
     /// Blocked cycles before a VC is suspected (paper: 1024).
     pub timeout: u64,
-    /// Probe abandons after this many hops (bounds hardware walk length).
-    pub max_probe_len: usize,
-    /// Cycles per probe hop (dedicated control wires; 1 in SPIN).
-    pub probe_hop_latency: u64,
 }
 
 impl Default for SpinConfig {
     fn default() -> Self {
-        SpinConfig {
-            timeout: 1024,
-            max_probe_len: 4096,
-            probe_hop_latency: 1,
-        }
+        SpinConfig { timeout: 1024 }
     }
 }
 
@@ -242,7 +240,7 @@ impl Mechanism for SpinMechanism {
                 self.probe = Some(Probe {
                     path: vec![suspect],
                     pids: vec![pid],
-                    next_advance_at: now + self.config.probe_hop_latency,
+                    next_advance_at: now + PROBE_HOP_LATENCY,
                 });
             }
             return ControlAction::Normal;
@@ -288,7 +286,7 @@ impl Mechanism for SpinMechanism {
             // Cycle closed: spin the packets on path[pos..].
             let cycle: Vec<VcRef> = probe.path[pos..].to_vec();
             self.probe = None;
-            self.freeze_left = core.config().max_packet_flits() as u64;
+            self.freeze_left = u64::from(MAX_PACKET_FLITS);
             let moves = Self::spin_moves(&cycle);
             if core.trace_enabled() {
                 core.trace_emit(TraceEvent::Spin {
@@ -298,14 +296,14 @@ impl Mechanism for SpinMechanism {
             }
             return ControlAction::Forced(moves, ForcedKind::Spin);
         }
-        if probe.path.len() >= self.config.max_probe_len {
+        if probe.path.len() >= MAX_PROBE_LEN {
             self.probe = None;
             return ControlAction::Normal;
         }
         let next_pid = core.vc(next).occ.expect("wait target is occupied");
         probe.path.push(next);
         probe.pids.push(next_pid);
-        probe.next_advance_at = now + self.config.probe_hop_latency;
+        probe.next_advance_at = now + PROBE_HOP_LATENCY;
         ControlAction::Normal
     }
 }
@@ -334,10 +332,7 @@ mod tests {
                 ..SimConfig::default()
             },
             Box::new(FullyAdaptive::new(&topo)),
-            Box::new(SpinMechanism::new(SpinConfig {
-                timeout: 64,
-                ..SpinConfig::default()
-            })),
+            Box::new(SpinMechanism::new(SpinConfig { timeout: 64 })),
             Box::new(
                 SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.5, 1, 5)
                     .stop_injection_at(2_000),

@@ -37,6 +37,7 @@ use drain_bench::table::{banner, f3, print_table};
 use drain_bench::{
     check_mesh_faults, parse_mesh, parse_positive, parse_rate, usage_error, Flags, Scale, Scheme,
 };
+use drain_netsim::config::MAX_PACKET_FLITS;
 use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{
     DrawSite, RunOutcome, TelemetrySample, TraceConfig, TraceEvent, TraceSink,
@@ -132,7 +133,7 @@ struct TraceRun {
 /// Checks that consecutive `drain-epoch-start` events are `epoch` cycles
 /// apart plus the bounded drain overhead (pre-drain window + forced steps
 /// with their serialization freezes).
-fn check_drain_cadence(starts: &[u64], epoch: u64, topo: &Topology, max_flits: u64) {
+fn check_drain_cadence(starts: &[u64], epoch: u64, topo: &Topology) {
     if starts.len() < 2 {
         return;
     }
@@ -140,8 +141,9 @@ fn check_drain_cadence(starts: &[u64], epoch: u64, topo: &Topology, max_flits: u
     // (`verify_circuit` rejects any other length), so its length is the
     // link count.
     let path_len = topo.num_unidirectional_links() as u64;
-    // predrain_window default (5) + worst case: a full drain of the whole
-    // Eulerian circuit, each step followed by a max_packet_flits freeze.
+    // The pre-drain freeze (MAX_PACKET_FLITS) + worst case: a full drain of
+    // the whole Eulerian circuit, each step followed by the same freeze.
+    let max_flits = u64::from(MAX_PACKET_FLITS);
     let slack = 8 + path_len * (1 + max_flits) + max_flits;
     for pair in starts.windows(2) {
         let delta = pair[1] - pair[0];
@@ -265,7 +267,7 @@ fn main() {
             args.cycles,
             args.epoch
         );
-        check_drain_cadence(&epoch_starts, args.epoch, &topo, 5);
+        check_drain_cadence(&epoch_starts, args.epoch, &topo);
     }
 
     // Per-router utilization / misroute table from the event stream +

@@ -44,7 +44,6 @@ fn main() {
         path,
         DrainConfig {
             epoch: 50,
-            predrain_window: 5,
             hops_per_drain: 1,
             full_drain_period: 0,
         },

@@ -6,6 +6,9 @@ use drain_bench::report::write_csv;
 use drain_bench::table::print_table;
 use drain_bench::Scale;
 use drain_core::DrainConfig;
+use drain_netsim::config::{
+    CTRL_PACKET_FLITS, DATA_PACKET_FLITS, MAX_PACKET_FLITS, ROUTER_LATENCY,
+};
 use drain_netsim::SimConfig;
 
 fn main() {
@@ -40,7 +43,7 @@ fn main() {
         ],
         vec![
             "Router Latency".into(),
-            format!("{} cycle", base.router_latency),
+            format!("{ROUTER_LATENCY} cycle"),
         ],
         vec![
             "Virtual Networks".into(),
@@ -52,8 +55,7 @@ fn main() {
         vec![
             "Buffers".into(),
             format!(
-                "virtual cut-through, single packet per VC, data {} flits / ctrl {} flit",
-                base.data_packet_flits, base.ctrl_packet_flits
+                "virtual cut-through, single packet per VC, data {DATA_PACKET_FLITS} flits / ctrl {CTRL_PACKET_FLITS} flit"
             ),
         ],
         vec!["Link Bandwidth".into(), "128 bits/cycle".into()],
@@ -64,8 +66,8 @@ fn main() {
         vec![
             "DRAIN epoch".into(),
             format!(
-                "{} cycles (pre-drain {} cycles, full drain every {} windows)",
-                dcfg.epoch, dcfg.predrain_window, dcfg.full_drain_period
+                "{} cycles (pre-drain {MAX_PACKET_FLITS} cycles, full drain every {} windows)",
+                dcfg.epoch, dcfg.full_drain_period
             ),
         ],
     ];

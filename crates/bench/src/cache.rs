@@ -62,10 +62,11 @@ impl ResultCache {
     /// Default directory: `results/cache` under the working directory.
     pub const DEFAULT_DIR: &'static str = "results/cache";
 
-    /// Cache honouring the environment: `DRAIN_NO_CACHE=1` disables it,
-    /// `DRAIN_CACHE_DIR` overrides the location.
+    /// Cache honouring the environment: `DRAIN_NO_CACHE=1` disables it
+    /// (`0` or unset keeps it; any other value is a one-line error and
+    /// exit code 2), `DRAIN_CACHE_DIR` overrides the location.
     pub fn from_env() -> ResultCache {
-        if std::env::var("DRAIN_NO_CACHE").map(|v| v == "1").unwrap_or(false) {
+        if crate::env_parsed("DRAIN_NO_CACHE", crate::parse_switch).unwrap_or(false) {
             return ResultCache::disabled();
         }
         let dir = std::env::var("DRAIN_CACHE_DIR")

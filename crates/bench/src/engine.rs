@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use crate::cache::ResultCache;
 use crate::report::RunReport;
-use crate::runner;
+use crate::runner::{self, JobTiming};
 use crate::scale::Scale;
 use crate::scheme::Scheme;
 use crate::sweep::plan::{load_sweep_specs, PointSpec, TopoSpec};
@@ -41,14 +41,12 @@ use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::MetricsSnapshot;
 
 /// Whether the engine should paint a live progress line on stderr:
-/// `DRAIN_PROGRESS=0` disables it, any other value forces it on, and when
-/// unset it follows whether stderr is a terminal (so redirected/CI runs
-/// stay clean).
+/// `DRAIN_PROGRESS=0` disables it, `1` forces it on (any other value is a
+/// one-line error and exit code 2), and when unset it follows whether
+/// stderr is a terminal (so redirected/CI runs stay clean).
 fn progress_enabled() -> bool {
-    match std::env::var("DRAIN_PROGRESS") {
-        Ok(v) => v.trim() != "0",
-        Err(_) => std::io::stderr().is_terminal(),
-    }
+    crate::env_parsed("DRAIN_PROGRESS", crate::parse_switch)
+        .unwrap_or_else(|| std::io::stderr().is_terminal())
 }
 
 /// A `\r`-rewritten stderr progress line for one batch of jobs; a no-op
@@ -198,13 +196,7 @@ impl SweepEngine {
         for (&i, (point, timing)) in miss_idx.iter().zip(simulated) {
             self.cache.store(&specs[i], &point);
             self.simulated += 1;
-            self.sim_cycles += specs[i].sim_cycles();
-            let ms = timing.wall.as_secs_f64() * 1e3;
-            self.busy_secs += timing.wall.as_secs_f64();
-            self.queue_wait_secs += timing.wait.as_secs_f64();
-            if ms > self.max_job_ms {
-                self.max_job_ms = ms;
-            }
+            self.account(specs[i].sim_cycles(), timing);
             results[i] = Some(point);
         }
 
@@ -255,16 +247,19 @@ impl SweepEngine {
         out.into_iter()
             .enumerate()
             .map(|(i, (r, timing))| {
-                self.sim_cycles += sim_cycles(&jobs[i], &r);
-                let ms = timing.wall.as_secs_f64() * 1e3;
-                self.busy_secs += timing.wall.as_secs_f64();
-                self.queue_wait_secs += timing.wait.as_secs_f64();
-                if ms > self.max_job_ms {
-                    self.max_job_ms = ms;
-                }
+                self.account(sim_cycles(&jobs[i], &r), timing);
                 r
             })
             .collect()
+    }
+
+    /// Credits one simulated job to the run: its cycles, busy and
+    /// queue-wait time, and the longest-job mark.
+    fn account(&mut self, sim_cycles: u64, timing: JobTiming) {
+        self.sim_cycles += sim_cycles;
+        self.busy_secs += timing.wall.as_secs_f64();
+        self.queue_wait_secs += timing.wait.as_secs_f64();
+        self.max_job_ms = self.max_job_ms.max(timing.wall.as_secs_f64() * 1e3);
     }
 
     /// Closes the run: builds the [`RunReport`], writes

@@ -74,6 +74,16 @@ pub(crate) fn env_parsed<T>(name: &str, parse: fn(&str) -> Result<T, &'static st
     )
 }
 
+/// The parser of an on/off environment switch (`DRAIN_NO_CACHE`,
+/// `DRAIN_PROGRESS`): `0` or `1`, nothing else.
+pub(crate) fn parse_switch(value: &str) -> Result<bool, &'static str> {
+    match value.trim() {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        _ => Err("0 or 1"),
+    }
+}
+
 /// The `--flag value` command line of the tool binaries (`drain_trace`,
 /// `drain_metrics`, `drain_fuzz`), read one flag at a time. A flag without
 /// its value, a value its parser rejects and a flag nobody matches each end
@@ -209,6 +219,15 @@ mod tests {
             flags(&["0"]).try_value("--profile-period", parse_positive),
             Err("--profile-period \"0\": expected a whole number above 0".to_string())
         );
+    }
+
+    #[test]
+    fn switches_take_zero_or_one_only() {
+        assert_eq!(parse_switch("0"), Ok(false));
+        assert_eq!(parse_switch(" 1\n"), Ok(true));
+        for v in ["", "yes", "true", "2", "01", "on"] {
+            assert_eq!(parse_switch(v), Err("0 or 1"), "{v:?}");
+        }
     }
 
     #[test]

@@ -22,14 +22,6 @@ pub enum DrainVariant {
 }
 
 impl DrainVariant {
-    fn sim_config(self) -> SimConfig {
-        match self {
-            DrainVariant::Vn1Vc2 => SimConfig::drain_default(),
-            DrainVariant::Vn3Vc2 => SimConfig::drain_vn3(),
-            DrainVariant::Vn1Vc6 => SimConfig::drain_vc6(),
-        }
-    }
-
     /// Label used in the paper's legends.
     pub fn label(self) -> &'static str {
         match self {
@@ -138,19 +130,17 @@ impl Scheme {
         }
     }
 
-    /// Base simulator configuration for this scheme (synthetic runs:
-    /// single message class, watchdog disabled — measurement harnesses
-    /// decide their own instrumentation).
-    fn synthetic_config(self) -> SimConfig {
-        let mut c = match self {
-            Scheme::Drain(v) => v.sim_config(),
+    /// The scheme's buffer provisioning (Table II), before the workload
+    /// sets its message classes, queues and watchdog.
+    fn base_config(self) -> SimConfig {
+        match self {
+            Scheme::Drain(DrainVariant::Vn1Vc2) => SimConfig::drain_default(),
+            Scheme::Drain(DrainVariant::Vn3Vc2) => SimConfig::drain_vn3(),
+            Scheme::Drain(DrainVariant::Vn1Vc6) => SimConfig::drain_vc6(),
             Scheme::EscapeVc => SimConfig::escape_vc_baseline(),
             Scheme::Spin => SimConfig::spin_baseline(),
             Scheme::UpDown | Scheme::Ideal | Scheme::Unprotected => SimConfig::default(),
-        };
-        c.num_classes = 1;
-        c.watchdog_threshold = 0;
-        c
+        }
     }
 
     /// Builds a synthetic-traffic simulation (Figs 5/10/11/14).
@@ -209,8 +199,14 @@ impl Scheme {
         trace: TraceConfig,
     ) -> Sim {
         let traffic = SyntheticTraffic::new(pattern, rate, 1, seed ^ 0x7AFF1C);
-        let mut config = self.synthetic_config();
-        config.trace = trace;
+        // One message class, watchdog off: measurement harnesses decide
+        // their own instrumentation.
+        let config = SimConfig {
+            num_classes: 1,
+            watchdog_threshold: 0,
+            trace,
+            ..self.base_config()
+        };
         self.build(
             topo,
             full_mesh,
@@ -234,15 +230,12 @@ impl Scheme {
         seed: u64,
         epoch: u64,
     ) -> Sim {
-        let mut config = match self {
-            Scheme::Drain(v) => v.sim_config(),
-            Scheme::EscapeVc => SimConfig::escape_vc_baseline(),
-            Scheme::Spin => SimConfig::spin_baseline(),
-            Scheme::UpDown | Scheme::Ideal | Scheme::Unprotected => SimConfig::default(),
+        let config = SimConfig {
+            num_classes: 3,
+            inj_queue_capacity: (topo.num_nodes() + 8).max(64),
+            watchdog_threshold: 4 * epoch,
+            ..self.base_config()
         };
-        config.num_classes = 3;
-        config.inj_queue_capacity = (topo.num_nodes() + 8).max(64);
-        config.watchdog_threshold = 4 * epoch;
         let mut trace = AppTrace::new(app.clone(), topo.num_nodes(), seed ^ 0xA99);
         if let Some(q) = quota {
             trace = trace.with_quota(q);

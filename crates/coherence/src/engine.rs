@@ -6,6 +6,7 @@ use std::collections::VecDeque;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use drain_netsim::config::{CTRL_PACKET_FLITS, DATA_PACKET_FLITS};
 use drain_netsim::traffic::Endpoints;
 use drain_netsim::{MessageClass, SimCore};
 use drain_topology::NodeId;
@@ -14,20 +15,22 @@ use crate::msg::{Addr, CohMsg, MsgType};
 use crate::node::{DirCommit, DirState, LineState, MissKind, Mshr, NodeState, Tbe};
 use crate::trace::MemoryTrace;
 
-/// Protocol resource bounds (paper §III-A: finite MSHRs and queues bound
-/// in-flight packets per class).
+/// Outstanding transactions per core (paper §III-A: finite MSHRs and
+/// queues bound in-flight packets per class).
+const MSHRS_PER_CORE: usize = 16;
+/// Blocking directory transactions per home node.
+const TBES_PER_DIR: usize = 16;
+/// Messages consumed per class per node per cycle.
+const CONSUME_PER_CLASS: usize = 1;
+/// Core issue width (memory ops attempted per cycle).
+const ISSUE_WIDTH: usize = 1;
+
+/// Per-run engine parameters (the protocol's resource bounds above are
+/// fixed).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoherenceConfig {
-    /// Outstanding transactions per core.
-    pub mshrs_per_core: usize,
-    /// Blocking directory transactions per home node.
-    pub tbes_per_dir: usize,
     /// L1 capacity in lines.
     pub l1_capacity: usize,
-    /// Messages consumed per class per node per cycle.
-    pub consume_per_class: usize,
-    /// Core issue width (memory ops attempted per cycle).
-    pub issue_width: usize,
     /// RNG seed (evictions).
     pub seed: u64,
 }
@@ -35,11 +38,7 @@ pub struct CoherenceConfig {
 impl Default for CoherenceConfig {
     fn default() -> Self {
         CoherenceConfig {
-            mshrs_per_core: 16,
-            tbes_per_dir: 16,
             l1_capacity: 256,
-            consume_per_class: 1,
-            issue_width: 1,
             seed: 0xC0FE,
         }
     }
@@ -216,9 +215,9 @@ impl CoherenceEngine {
             return;
         }
         let len = if msg.mtype.carries_data() {
-            core.config().data_packet_flits
+            DATA_PACKET_FLITS
         } else {
-            core.config().ctrl_packet_flits
+            CTRL_PACKET_FLITS
         };
         let ok = core.try_enqueue_packet(from, to, msg.mtype.class(), len, msg.pack());
         debug_assert!(
@@ -340,7 +339,7 @@ impl CoherenceEngine {
                     node,
                     home,
                     MessageClass::RESPONSE,
-                    core.config().ctrl_packet_flits,
+                    CTRL_PACKET_FLITS,
                     unblock.pack(),
                 );
             }
@@ -530,7 +529,7 @@ impl CoherenceEngine {
         // is not consumed on stall cycles).
         {
             let ns = &self.nodes[node.index()];
-            if !ns.mshr_available(self.config.mshrs_per_core)
+            if !ns.mshr_available(MSHRS_PER_CORE)
                 || core.injection_space(node, MessageClass::REQUEST) < 2
             {
                 return;
@@ -632,7 +631,7 @@ impl CoherenceEngine {
                 // Needs a writeback MSHR + one more request slot beyond the
                 // one reserved for the triggering miss.
                 let ns = &self.nodes[node.index()];
-                if ns.mshrs.len() + 2 > self.config.mshrs_per_core
+                if ns.mshrs.len() + 2 > MSHRS_PER_CORE
                     || core.injection_space(node, MessageClass::REQUEST) < 2
                 {
                     return false;
@@ -681,8 +680,7 @@ impl CoherenceEngine {
                     match self.request_need(node, &msg) {
                         Some((needs_tbe, fwd_need, resp_need))
                             if (!needs_tbe
-                                || self.nodes[node.index()]
-                                    .tbe_available(self.config.tbes_per_dir))
+                                || self.nodes[node.index()].tbe_available(TBES_PER_DIR))
                                 && core.injection_space(node, MessageClass::FORWARD)
                                     >= fwd_need
                                 && core.injection_space(node, MessageClass::RESPONSE)
@@ -718,11 +716,10 @@ impl Endpoints for CoherenceEngine {
             );
             self.checked_capacity = true;
         }
-        let k = self.config.consume_per_class;
         for ni in 0..self.num_nodes {
             let node = NodeId(ni as u16);
             // 1. Responses: the sink class, always consumable.
-            for _ in 0..k {
+            for _ in 0..CONSUME_PER_CLASS {
                 let Some(d) = core.pop_ejection(node, MessageClass::RESPONSE) else {
                     break;
                 };
@@ -730,7 +727,7 @@ impl Endpoints for CoherenceEngine {
                 self.handle_response(core, node, msg);
             }
             // 2. Forwards: need response-injection space.
-            for _ in 0..k {
+            for _ in 0..CONSUME_PER_CLASS {
                 let Some(pkt) = core.peek_ejection(node, MessageClass::FORWARD) else {
                     break;
                 };
@@ -744,7 +741,7 @@ impl Endpoints for CoherenceEngine {
             }
             // 3. Requests (at the home): need TBE/space and a non-busy
             //    address.
-            for _ in 0..k {
+            for _ in 0..CONSUME_PER_CLASS {
                 let Some(pkt) = core.peek_ejection(node, MessageClass::REQUEST) else {
                     break;
                 };
@@ -755,7 +752,7 @@ impl Endpoints for CoherenceEngine {
                     break; // address busy
                 };
                 let ns = &self.nodes[node.index()];
-                if (needs_tbe && !ns.tbe_available(self.config.tbes_per_dir))
+                if (needs_tbe && !ns.tbe_available(TBES_PER_DIR))
                     || core.injection_space(node, MessageClass::FORWARD) < fwd_need
                     || core.injection_space(node, MessageClass::RESPONSE) < resp_need
                 {
@@ -766,7 +763,7 @@ impl Endpoints for CoherenceEngine {
                 self.handle_request(core, node, msg);
             }
             // 4. Core issue.
-            for _ in 0..self.config.issue_width {
+            for _ in 0..ISSUE_WIDTH {
                 self.try_issue(core, node);
             }
         }

@@ -10,8 +10,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`DrainConfig`] — epoch, pre-drain window, hops per drain, full-drain
-//!   period (paper §III-C).
+//! * [`DrainConfig`] — epoch, hops per drain, full-drain period (paper
+//!   §III-C); the pre-drain window is one serialisation of the longest
+//!   packet, [`drain_netsim::config::MAX_PACKET_FLITS`] cycles.
 //! * [`DrainMechanism`] — the runtime controller implementing the epoch
 //!   register, credit freeze and turn-table-forced movement as a
 //!   [`drain_netsim::mechanism::Mechanism`].
@@ -44,6 +45,7 @@
 pub mod builder;
 pub mod reconfigure;
 
+use drain_netsim::config::MAX_PACKET_FLITS;
 use drain_netsim::mechanism::{ControlAction, ForcedKind, ForcedMove, Mechanism};
 use drain_netsim::{SimCore, TraceEvent, VcRef};
 use drain_path::DrainPath;
@@ -55,9 +57,6 @@ pub use builder::DrainBuildError;
 pub struct DrainConfig {
     /// Cycles between drain windows (paper default: 64K).
     pub epoch: u64,
-    /// Pre-drain credit-freeze length in cycles; must cover the largest
-    /// packet's serialization (paper: 5 cycles).
-    pub predrain_window: u64,
     /// Hops each drain window forces (paper footnote: 1 always wins).
     pub hops_per_drain: u32,
     /// A full drain (the whole path) runs every `full_drain_period` drain
@@ -69,7 +68,6 @@ impl Default for DrainConfig {
     fn default() -> Self {
         DrainConfig {
             epoch: 65_536,
-            predrain_window: 5,
             hops_per_drain: 1,
             full_drain_period: 1024,
         }
@@ -92,7 +90,8 @@ impl DrainConfig {
 enum Phase {
     /// Normal operation; counts down to the next pre-drain.
     Running { epoch_left: u64 },
-    /// Credit freeze before the drain window.
+    /// Credit freeze before the drain window: one serialisation of the
+    /// longest packet.
     PreDrain { left: u64 },
     /// Forced movement, `steps_left` hops to go; `freeze_left` covers the
     /// serialization of the hop in progress.
@@ -196,7 +195,7 @@ impl Mechanism for DrainMechanism {
                     return ControlAction::Normal;
                 }
                 self.phase = Phase::PreDrain {
-                    left: self.config.predrain_window,
+                    left: u64::from(MAX_PACKET_FLITS),
                 };
                 self.moved_this_window = 0;
                 if core.trace_enabled() {
@@ -255,7 +254,7 @@ impl Mechanism for DrainMechanism {
                 }
                 *steps_left -= 1;
                 // Serialization gap before the next step or the restart.
-                *freeze_left = core.config().max_packet_flits() as u64;
+                *freeze_left = u64::from(MAX_PACKET_FLITS);
                 let moves = self.drain_moves(core);
                 self.moved_this_window += moves.len() as u64;
                 let kind = if full {
@@ -274,7 +273,7 @@ mod tests {
     use super::*;
     use drain_netsim::routing::FullyAdaptive;
     use drain_netsim::traffic::{SyntheticPattern, SyntheticTraffic};
-    use drain_netsim::{Sim, SimConfig};
+    use drain_netsim::{Sim, SimConfig, TraceSink};
     use drain_topology::Topology;
 
     fn drain_sim(epoch: u64, rate: f64) -> Sim {
@@ -284,7 +283,6 @@ mod tests {
             path,
             DrainConfig {
                 epoch,
-                predrain_window: 5,
                 hops_per_drain: 1,
                 full_drain_period: 0,
             },
@@ -319,6 +317,31 @@ mod tests {
         assert!(sim.stats().forced_hops > 0);
     }
 
+    /// §III-C: the pre-drain credit freeze covers exactly one
+    /// serialisation of the longest packet, so every drain window's
+    /// forced hop comes `MAX_PACKET_FLITS` frozen cycles after the
+    /// cycle its `DrainEpochStart` is stamped with.
+    #[test]
+    fn predrain_freeze_lasts_one_max_packet() {
+        let mut sim = drain_sim(100, 0.2);
+        sim.set_trace_sink(TraceSink::Memory(Vec::new()));
+        sim.run(2_000);
+        let events = sim.core_mut().tracer_mut().take_memory().unwrap();
+        let (mut start, mut hops) = (None, 0);
+        for e in events {
+            match e {
+                TraceEvent::DrainEpochStart { cycle, .. } => start = Some(cycle),
+                TraceEvent::ForcedHop { cycle, .. } => {
+                    let frozen = cycle - start.expect("hop inside a window") - 1;
+                    assert_eq!(frozen, u64::from(MAX_PACKET_FLITS));
+                    hops += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(hops > 0, "no window moved a packet");
+    }
+
     #[test]
     fn no_drain_movement_when_network_empty() {
         let mut sim = drain_sim(50, 0.0);
@@ -345,7 +368,6 @@ mod tests {
             path,
             DrainConfig {
                 epoch: 64,
-                predrain_window: 5,
                 hops_per_drain: 1,
                 full_drain_period: 1, // every window is a full drain
             },

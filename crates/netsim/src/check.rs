@@ -7,13 +7,13 @@
 //! silently erode under a broken routing table or a malformed forced
 //! permutation and still produce plausible-looking throughput numbers.
 //!
-//! This module is the correctness backstop: with [`CheckConfig`] flags
-//! enabled in [`crate::SimConfig::checks`], the driver re-validates the
-//! whole core every cycle and validates every forced permutation *before*
-//! it is applied. A failed check produces a [`Violation`] carrying the
-//! cycle and the core RNG seed so the run can be replayed exactly; by
-//! default the simulator panics with that report, or (for soak harnesses)
-//! records it and stops the run with
+//! This module is the correctness backstop: with a [`CheckConfig`]
+//! installed through [`crate::Sim::set_checks`], the simulation
+//! re-validates the whole core every cycle and validates every forced
+//! permutation *before* it is applied. A failed check produces a
+//! [`Violation`] carrying the cycle and the core RNG seed so the run can
+//! be replayed exactly; by default the simulator panics with that report,
+//! or (for soak harnesses) records it and stops the run with
 //! [`crate::RunOutcome::InvariantViolation`].
 //!
 //! [`RecordingEndpoints`] supports the differential oracle built on top of
@@ -27,6 +27,7 @@ use std::fmt;
 
 use drain_topology::NodeId;
 
+use crate::config::{LINK_LATENCY, MAX_PACKET_FLITS, ROUTER_LATENCY};
 use crate::mechanism::ForcedMove;
 use crate::packet::{Location, MessageClass, Packet, PacketId};
 use crate::routing::RouteCtx;
@@ -35,25 +36,20 @@ use crate::traffic::Endpoints;
 
 /// Which runtime invariants the driver validates, and how it reacts.
 ///
-/// Stored in [`crate::SimConfig::checks`]. The default is everything off
-/// (production runs pay nothing); [`CheckConfig::full`] turns every check
-/// on, as used by the fuzz harness and the property tests.
+/// Installed with [`crate::Sim::set_checks`]. The default is everything
+/// off (production runs pay nothing); [`CheckConfig::full`] turns every
+/// check on, as used by the fuzz harness and the property tests.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CheckConfig {
-    /// Verify packet/queue/counter conservation identities and timer
-    /// bounds every cycle.
-    pub conservation: bool,
-    /// Verify single-packet-per-VC occupancy and location cross-references
-    /// every cycle.
-    pub occupancy: bool,
-    /// Verify every in-flight packet can still reach its destination
+    /// Run every invariant check: packet/queue/counter conservation and
+    /// timer bounds, single-packet-per-VC occupancy and location
+    /// cross-references, reachability of every in-flight destination
     /// (against the BFS [`drain_topology::distance::DistanceMap`] oracle)
-    /// and that the routing function offers sane candidates.
-    pub reachability: bool,
-    /// Validate forced permutations (drains, spins) before they are
-    /// applied: occupied sources, router-pivot property, distinct
-    /// sources/targets, no innocent packet overwritten.
-    pub forced_moves: bool,
+    /// with sane routing candidates — each cycle — and validation of every
+    /// forced permutation (drains, spins) before it is applied: occupied
+    /// sources, router-pivot property, distinct sources/targets, no
+    /// innocent packet overwritten.
+    pub enabled: bool,
     /// Cycles without any packet movement (while packets are in-network)
     /// that count as a forward-progress violation; 0 disables. For DRAIN
     /// this should comfortably exceed one drain epoch.
@@ -73,10 +69,7 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
-            conservation: false,
-            occupancy: false,
-            reachability: false,
-            forced_moves: false,
+            enabled: false,
             progress_horizon: 0,
             deep_interval: 64,
             panic_on_violation: true,
@@ -89,10 +82,7 @@ impl CheckConfig {
     /// [`CheckConfig::with_progress_horizon`]).
     pub fn full() -> Self {
         CheckConfig {
-            conservation: true,
-            occupancy: true,
-            reachability: true,
-            forced_moves: true,
+            enabled: true,
             ..CheckConfig::default()
         }
     }
@@ -111,7 +101,7 @@ impl CheckConfig {
 
     /// Whether any end-of-cycle sweep is enabled.
     pub fn any_per_cycle(&self) -> bool {
-        self.conservation || self.occupancy || self.reachability || self.progress_horizon > 0
+        self.enabled || self.progress_horizon > 0
     }
 }
 
@@ -201,28 +191,23 @@ fn violation(core: &SimCore, kind: ViolationKind, detail: String) -> Violation {
     }
 }
 
-/// Runs every per-cycle check enabled in the core's
-/// [`crate::SimConfig::checks`]. Called by [`crate::Sim::step`] at the end
-/// of each cycle; callable directly against any quiescent core.
+/// Runs every per-cycle check `checks` enables. Called by
+/// [`crate::Sim::step`] at the end of each cycle; callable directly
+/// against any quiescent core.
 ///
 /// # Errors
 ///
 /// The first violation found, ordered occupancy → conservation →
 /// reachability → progress (occupancy failures would poison the later
 /// sweeps' packet lookups, so they are reported first).
-pub fn run_checks(core: &SimCore) -> Result<(), Violation> {
-    let checks = &core.config().checks;
+pub fn run_checks(core: &SimCore, checks: &CheckConfig) -> Result<(), Violation> {
     let deep = deep_sweep_due(checks, core.cycle());
-    if checks.occupancy {
+    if checks.enabled {
         occupancy_vcs(core).map_err(|d| violation(core, ViolationKind::Occupancy, d))?;
         if deep {
             occupancy_deep(core).map_err(|d| violation(core, ViolationKind::Occupancy, d))?;
         }
-    }
-    if checks.conservation {
         conservation(core).map_err(|d| violation(core, ViolationKind::Conservation, d))?;
-    }
-    if checks.reachability {
         reachability(core).map_err(|d| violation(core, ViolationKind::Reachability, d))?;
         if deep {
             reachability_queued(core).map_err(|d| violation(core, ViolationKind::Reachability, d))?;
@@ -432,7 +417,7 @@ fn conservation(core: &SimCore) -> Result<(), String> {
             s.generated, s.ejected
         ));
     }
-    let flit_horizon = core.cycle() + cfg.max_packet_flits() as u64;
+    let flit_horizon = core.cycle() + u64::from(MAX_PACKET_FLITS);
     for l in topo.link_ids() {
         if core.link_busy_until(l) > flit_horizon {
             return Err(format!(
@@ -442,7 +427,7 @@ fn conservation(core: &SimCore) -> Result<(), String> {
             ));
         }
     }
-    let ready_horizon = core.cycle() + cfg.link_latency as u64 + cfg.router_latency as u64;
+    let ready_horizon = core.cycle() + LINK_LATENCY + ROUTER_LATENCY;
     for r in core.vc_refs() {
         let st = core.vc(r);
         if st.free_at > flit_horizon {

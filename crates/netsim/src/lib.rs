@@ -89,8 +89,8 @@ mod wake;
 pub use check::{CheckConfig, PacketFingerprint, RecordingEndpoints, Violation, ViolationKind};
 pub use config::SimConfig;
 pub use metrics::{
-    HistogramSnapshot, MetricFamily, MetricKind, MetricSample, MetricValue, MetricsConfig,
-    MetricsSnapshot, Phase, PhaseProfiler,
+    HistogramSnapshot, MetricFamily, MetricKind, MetricSample, MetricValue, MetricsSnapshot, Phase,
+    PhaseProfiler,
 };
 pub use packet::{Location, MessageClass, Packet, PacketId, PacketSlab};
 pub use rng::DrawSite;

@@ -16,8 +16,8 @@
 //!   maintains anyway; nothing new runs in the hot path, so building one
 //!   is O(families) at scrape time and free the rest of the time.
 //! * **The phase profiler is push-based but sampled.** When
-//!   [`MetricsConfig::profile_period`] is non-zero, every `period`-th
-//!   cycle is wall-clock-attributed per phase ([`Phase`]).
+//!   [`crate::Sim::set_profile_period`] sets a non-zero period, every
+//!   `period`-th cycle is wall-clock-attributed per phase ([`Phase`]).
 //!   Disabled (`period == 0`, the default) it costs one predictable
 //!   branch per call site, the same `active()` discipline the telemetry
 //!   sampler uses.
@@ -35,29 +35,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::trace::escape_into;
-
-/// Metrics configuration, part of [`crate::SimConfig`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsConfig {
-    /// Kernel phase-profiler sampling cadence in cycles: every
-    /// `profile_period`-th stepped cycle gets per-phase wall-time
-    /// attribution. `0` (the default) disables the profiler entirely.
-    pub profile_period: u64,
-}
-
-impl MetricsConfig {
-    /// The cadence used when a harness asks for "profiling on" without
-    /// picking a number: dense enough for stable shares, sparse enough
-    /// that `Instant` reads stay invisible next to a cycle's work.
-    pub const DEFAULT_PROFILE_PERIOD: u64 = 64;
-
-    /// Profiler enabled at the given cadence.
-    pub fn profiled(period: u64) -> Self {
-        MetricsConfig {
-            profile_period: period,
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Histogram snapshots
@@ -497,8 +474,9 @@ impl Phase {
     }
 }
 
-/// Scoped wall-time attribution per cycle phase, sampled
-/// every [`MetricsConfig::profile_period`] cycles.
+/// Scoped wall-time attribution per cycle phase, sampled every
+/// [`PhaseProfiler::period`] cycles (set with
+/// [`crate::Sim::set_profile_period`]).
 ///
 /// The driver brackets each sampled cycle with
 /// [`PhaseProfiler::begin_cycle`] / [`PhaseProfiler::end_cycle`] and

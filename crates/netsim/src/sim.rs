@@ -45,6 +45,8 @@ pub struct Sim {
     stop_on_deadlock: bool,
     violation: Option<Violation>,
     flight_record: Option<PathBuf>,
+    /// Runtime invariant checks (all off unless [`Sim::set_checks`]).
+    checks: CheckConfig,
     /// Cycles on which the cheap per-cycle invariant tier ran
     /// (simulator accounting only — deliberately *not* part of [`Stats`],
     /// which must be bit-identical with checks on or off).
@@ -82,6 +84,7 @@ impl Sim {
             stop_on_deadlock: false,
             violation: None,
             flight_record: None,
+            checks: CheckConfig::default(),
             check_sweeps: 0,
             check_deep_sweeps: 0,
         }
@@ -96,19 +99,23 @@ impl Sim {
         self
     }
 
-    /// Switches the wake-driven Phase A scheduler (see
-    /// [`SimConfig::wake_scheduler`]) on or off for an assembled
-    /// simulation, resetting all wake state. Results are bit-identical
-    /// either way; the wake-vs-dense differential tests prove it.
+    /// Switches the wake-driven Phase A scheduler on (the default) or off,
+    /// resetting all wake state. On, heads whose routing pass produced no
+    /// feasible move are *parked* (a timed wake deadline plus
+    /// subscriptions on the output links their candidates named) and
+    /// skipped by later Phase A sweeps until a vacate or timeout can have
+    /// changed the answer; off, every head is re-routed every cycle (the
+    /// dense scan, the in-process reference of the wake differentials).
+    /// Results are bit-identical either way — a simulator-speed switch
+    /// only (DESIGN.md §8).
     pub fn set_wake_scheduler(&mut self, enabled: bool) {
         self.core.set_wake_scheduler(enabled);
     }
 
-    /// Replaces the runtime invariant checks (see
-    /// [`SimConfig::checks`]) of an assembled simulation — for harnesses
-    /// that take a simulation from a builder and want it validated.
+    /// Installs the runtime invariant checks (see [`crate::check`]; all
+    /// off by default).
     pub fn set_checks(&mut self, checks: CheckConfig) {
-        self.core.set_checks(checks);
+        self.checks = checks;
     }
 
     /// The simulation state.
@@ -199,7 +206,7 @@ impl Sim {
             ControlAction::Normal => self.core.allocate_and_move(),
             ControlAction::Freeze => {}
             ControlAction::Forced(moves, kind) => {
-                if self.core.config().checks.forced_moves {
+                if self.checks.enabled {
                     if let Err(v) = check::validate_forced(&self.core, &moves) {
                         self.fail(v);
                         return;
@@ -218,12 +225,12 @@ impl Sim {
         self.core.prof_mark(Phase::Mechanism);
         self.core.telemetry_tick();
         self.core.prof_mark(Phase::Telemetry);
-        if self.core.config().checks.any_per_cycle() {
+        if self.checks.any_per_cycle() {
             self.check_sweeps += 1;
-            if check::deep_sweep_due(&self.core.config().checks, self.core.cycle()) {
+            if check::deep_sweep_due(&self.checks, self.core.cycle()) {
                 self.check_deep_sweeps += 1;
             }
-            if let Err(v) = check::run_checks(&self.core) {
+            if let Err(v) = check::run_checks(&self.core, &self.checks) {
                 self.fail(v);
                 return;
             }
@@ -241,7 +248,7 @@ impl Sim {
             detail: v.detail.clone(),
         });
         self.record_failure("invariant");
-        if self.core.config().checks.panic_on_violation {
+        if self.checks.panic_on_violation {
             panic!("{v}");
         }
         self.violation = Some(v);
@@ -319,9 +326,9 @@ impl Sim {
         self.check_deep_sweeps
     }
 
-    /// Reconfigures the kernel phase profiler's sampling cadence for an
-    /// assembled simulation (0 disables; see
-    /// [`crate::metrics::MetricsConfig::profile_period`]). A pure
+    /// Sets the kernel phase profiler's sampling cadence: every
+    /// `period`-th cycle gets per-phase wall-time attribution (0, the
+    /// default, disables it; accumulated attribution is reset). A pure
     /// observer — results are bit-identical at any cadence, and the
     /// metrics differential tests prove it.
     pub fn set_profile_period(&mut self, period: u64) {

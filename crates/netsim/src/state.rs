@@ -24,7 +24,7 @@
 //!
 //! * A grant at cycle `t` moves the packet's occupancy to the downstream VC
 //!   immediately; it becomes eligible for allocation there at
-//!   `t + link_latency + router_latency`.
+//!   `t + LINK_LATENCY + ROUTER_LATENCY` (both 1, [`crate::config`]).
 //! * The traversed link is busy until `t + len_flits` (serialization), and
 //!   the vacated VC can accept a new packet only from `t + len_flits`
 //!   (the tail must fully drain).
@@ -36,8 +36,7 @@ use std::sync::Arc;
 
 use drain_topology::{distance::DistanceMap, IntoSharedTopology, LinkId, NodeId, Topology};
 
-use crate::check::CheckConfig;
-use crate::config::SimConfig;
+use crate::config::{SimConfig, LINK_LATENCY, ROUTER_LATENCY};
 use crate::mechanism::{ForcedKind, ForcedMove};
 use crate::metrics::{Phase, PhaseProfiler};
 use crate::packet::{Location, MessageClass, Packet, PacketId, PacketSlab};
@@ -296,7 +295,6 @@ impl SimCore {
         let classes = config.num_classes;
         let tracer = Tracer::new(&config.trace);
         let telem = Telemetry::new(&config.trace, m, n);
-        let prof = PhaseProfiler::new(config.metrics.profile_period);
         let slots = m * total_vcs;
         // Every slot decode table in one link-major pass, no division.
         let mut idx_link = Vec::with_capacity(slots);
@@ -353,7 +351,7 @@ impl SimCore {
             wake: WakeState::new(slots, n * classes, routing.wake_profile()),
             tracer,
             telem,
-            prof,
+            prof: PhaseProfiler::new(0),
             dmap,
             topo,
             config,
@@ -369,11 +367,6 @@ impl SimCore {
     /// The configuration.
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// Replaces the runtime invariant checks mid-assembly.
-    pub(crate) fn set_checks(&mut self, checks: CheckConfig) {
-        self.config.checks = checks;
     }
 
     /// The routing function's name.
@@ -442,11 +435,8 @@ impl SimCore {
         &self.prof
     }
 
-    /// Reconfigures the phase profiler's sampling cadence (0 disables;
-    /// accumulated attribution is reset). Profiling is a pure observer,
-    /// so flipping it mid-run cannot perturb results.
-    pub fn set_profile_period(&mut self, period: u64) {
-        self.config.metrics.profile_period = period;
+    /// Replaces the phase profiler (see [`crate::Sim::set_profile_period`]).
+    pub(crate) fn set_profile_period(&mut self, period: u64) {
         self.prof = PhaseProfiler::new(period);
     }
 
@@ -894,9 +884,7 @@ impl SimCore {
     /// and runs the park-profitability gate on window boundaries.
     pub(crate) fn advance_cycle(&mut self) {
         self.cycle += 1;
-        if self.config.wake_scheduler {
-            self.wake.tick(self.cycle);
-        }
+        self.wake.tick(self.cycle);
     }
 
     /// Takes a telemetry sample — occupancy and queue depths — when the
@@ -1317,7 +1305,7 @@ impl SimCore {
         cands.clear();
         self.routing.candidates(&head.ctx, cands);
 
-        let mut parkable = self.config.wake_scheduler && self.wake.may_park();
+        let mut parkable = self.wake.may_park();
         let mut wake_at = head.changes_at;
         let vcs = self.config.vcs_per_vn as u8;
         let mut subs: u64 = 0;
@@ -1407,25 +1395,22 @@ impl SimCore {
     /// sweep re-routes it. Used around events the subscription graph does
     /// not model (mechanism-forced permutations).
     pub(crate) fn wake_all(&mut self) {
-        if self.config.wake_scheduler {
-            self.wake.wake_all(self.cycle, set_bits(&self.occ_bits));
-        }
+        self.wake.wake_all(self.cycle, set_bits(&self.occ_bits));
     }
 
     /// Wake-scheduler accounting since construction (or the last
-    /// [`SimCore::set_wake_scheduler`] toggle).
+    /// [`crate::Sim::set_wake_scheduler`] toggle).
     pub fn wake_counters(&self) -> WakeCounters {
         self.wake.counters
     }
 
-    /// Switches the wake-driven Phase A scheduler on or off mid-assembly
-    /// and resets all wake state: deadlines, subscription lists, masks and
-    /// counters. The reset is what makes enabling *after* a disabled
-    /// stretch sound — fires skipped while disabled can no longer be
-    /// missed if nothing is parked. Results are bit-identical either way
-    /// (differential tests exist to prove it).
-    pub fn set_wake_scheduler(&mut self, enabled: bool) {
-        self.config.wake_scheduler = enabled;
+    /// Switches the wake-driven Phase A scheduler on or off and resets all
+    /// wake state: deadlines, subscription lists, masks and counters. The
+    /// reset is what makes enabling *after* a disabled stretch sound —
+    /// fires skipped while disabled can no longer be missed if nothing is
+    /// parked.
+    pub(crate) fn set_wake_scheduler(&mut self, enabled: bool) {
+        self.wake.enabled = enabled;
         self.wake.reset(self.cycle);
     }
 
@@ -1579,7 +1564,7 @@ impl SimCore {
         let target = self
             .resolve_target_vc(cand, vn)
             .expect("target was free at request time and only one grant per link");
-        let arrive = now + self.config.link_latency as u64 + self.config.router_latency as u64;
+        let arrive = now + LINK_LATENCY + ROUTER_LATENCY;
         self.occupy_slot(self.vc_index(target), req.pid, arrive, now);
         self.link_busy[out_link.index()] = now + p_len;
         // Packet bookkeeping.
@@ -1730,7 +1715,7 @@ impl SimCore {
             self.vacate_slot(fidx, now + len);
         }
         // Fill targets / eject.
-        let arrive = now + self.config.link_latency as u64 + self.config.router_latency as u64;
+        let arrive = now + LINK_LATENCY + ROUTER_LATENCY;
         for (pid, to) in staged {
             let p_len = self.packets.get(pid).len_flits as u64;
             let from_node = self.topo.link(to.link).src;

@@ -639,9 +639,6 @@ fn flight_recorder_dumps_on_invariant_violation() {
         num_classes: 1,
         watchdog_threshold: 0,
         seed: 0xF11E,
-        checks: crate::CheckConfig::full()
-            .with_progress_horizon(2_000)
-            .no_panic(),
         trace: TraceConfig::events_on().with_flight_recorder(&dir),
         ..SimConfig::default()
     };
@@ -651,6 +648,11 @@ fn flight_recorder_dumps_on_invariant_violation() {
         Box::new(FullyAdaptive::new(&topo)),
         Box::new(NoMechanism),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.9, 1, 3)),
+    );
+    sim.set_checks(
+        crate::CheckConfig::full()
+            .with_progress_horizon(2_000)
+            .no_panic(),
     );
     let outcome = sim.run(20_000);
     assert_eq!(outcome, crate::RunOutcome::InvariantViolation);

@@ -79,6 +79,9 @@ pub(crate) struct ParkNote {
 
 /// Wake deadlines, subscription lists and gate state.
 pub(crate) struct WakeState {
+    /// The scheduler switch (`Sim::set_wake_scheduler`; on by default).
+    /// Off, nothing parks, ticks or wakes: Phase A is the dense scan.
+    pub(crate) enabled: bool,
     /// Per subscriber: `0` = fresh/active (route on visit); `> now` =
     /// parked (Phase A skips routing and draws nothing); `0 < v <= now`
     /// = woken, routes on the next visit.
@@ -116,6 +119,7 @@ impl WakeState {
     /// first two slots name lists).
     pub(crate) fn new(slots: usize, queues: usize, profile: WakeProfile) -> Self {
         WakeState {
+            enabled: true,
             at: vec![0; slots + queues],
             lists: vec![Vec::new(); slots],
             mask: vec![0; slots + queues],
@@ -130,11 +134,11 @@ impl WakeState {
         }
     }
 
-    /// Whether a blocked head may park now (gate open, routing profile
-    /// not [`WakeProfile::Unstable`]).
+    /// Whether a blocked head may park now (scheduler on, gate open,
+    /// routing profile not [`WakeProfile::Unstable`]).
     #[inline]
     pub(crate) fn may_park(&self) -> bool {
-        self.gate && !matches!(self.profile, WakeProfile::Unstable)
+        self.enabled && self.gate && !matches!(self.profile, WakeProfile::Unstable)
     }
 
     /// Forgets every deadline, subscription and count; the gate restarts
@@ -154,7 +158,7 @@ impl WakeState {
     /// Runs the gate at the start of cycle `now` if a window closed.
     #[inline]
     pub(crate) fn tick(&mut self, now: u64) {
-        if now >= self.gate_next {
+        if self.enabled && now >= self.gate_next {
             self.gate_tick(now);
         }
     }
@@ -282,6 +286,9 @@ impl WakeState {
     /// mask invariant is a subscriber property, and a later fire on a
     /// woken subscriber is a no-op `min`.
     pub(crate) fn wake_all(&mut self, now: u64, occupied: impl Iterator<Item = usize>) {
+        if !self.enabled {
+            return;
+        }
         for idx in occupied {
             self.at[idx] = self.at[idx].min(now);
         }

@@ -21,10 +21,6 @@ fn single_vc_sim(topo: &Topology) -> Sim {
             vcs_per_vn: 1,
             num_classes: 1,
             watchdog_threshold: 0,
-            checks: CheckConfig {
-                deep_interval: 1,
-                ..CheckConfig::full()
-            },
             ..SimConfig::default()
         },
         Box::new(FullyAdaptive::new(topo)),
@@ -83,5 +79,10 @@ fn hand_built_four_router_cyclic_wait_is_fully_reported() {
     // The runtime invariant checker must agree this state is stuck
     // *without* flagging it as a bookkeeping violation: occupancy,
     // conservation and reachability all hold — only progress is absent.
-    drain_netsim::check::run_checks(sim.core()).expect("a deadlock is not a bookkeeping bug");
+    let checks = CheckConfig {
+        deep_interval: 1,
+        ..CheckConfig::full()
+    };
+    drain_netsim::check::run_checks(sim.core(), &checks)
+        .expect("a deadlock is not a bookkeeping bug");
 }

@@ -80,7 +80,6 @@ fn keyed_run(
         num_classes: 1,
         seed: sim_seed,
         watchdog_threshold: 0,
-        wake_scheduler,
         ..SimConfig::default()
     };
     let mut sim = Sim::new(
@@ -95,6 +94,7 @@ fn keyed_run(
             sim_seed ^ 0x9E37,
         )),
     );
+    sim.set_wake_scheduler(wake_scheduler);
     sim.run(800);
     (
         format!("{:?}", sim.stats()),

@@ -47,9 +47,10 @@ awk '
 ' "$tmp/test.log"
 
 echo "==> drain-fuzz smoke (invariants + differential oracle)"
-# The wake-driven Phase A scheduler is on (config default) for every leg,
-# so the smoke — sabotage injection included — also soaks the wake graph
-# under the deep sweep's missed-wake oracle.
+# The wake-driven Phase A scheduler is on for every leg (nothing calls
+# Sim::set_wake_scheduler there), so the smoke — sabotage injection
+# included — also soaks the wake graph under the deep sweep's missed-wake
+# oracle.
 cargo build --release -p drain-bench --bin drain_fuzz --quiet
 ./target/release/drain_fuzz --smoke --json results/drain_fuzz_smoke.json
 ./target/release/drain_fuzz --smoke --seed-fault \
@@ -93,11 +94,14 @@ rm -rf results/metrics_smoke
     && head -c 17 results/metrics_smoke/drain_metrics.jsonl | grep -qxF '{"kind":"metrics"' \
     || { echo "drain_metrics.jsonl must be one line starting {\"kind\":\"metrics\""; exit 1; }
 # Bad input is one `error:` line and exit code 2, never a backtrace: an
-# unknown flag, a flag that was removed, and a value outside its range
-# that once ran silently.
-for bad in "drain_metrics --listen x" "drain_fuzz --shards 2" "drain_trace --rate NaN"; do
+# unknown flag, a flag that was removed, a value outside its range that
+# once ran silently, and an on/off switch that is neither 0 nor 1.
+cargo build --release -p drain-bench --bin table1 --quiet
+bin=./target/release
+for bad in "$bin/drain_metrics --listen x" "$bin/drain_fuzz --shards 2" \
+    "$bin/drain_trace --rate NaN" "DRAIN_NO_CACHE=yes $bin/table1"; do
     rc=0
-    ./target/release/$bad > /dev/null 2> "$tmp/flag.err" || rc=$?
+    env $bad > /dev/null 2> "$tmp/flag.err" || rc=$?
     [ "$rc" = 2 ] && [ "$(wc -l < "$tmp/flag.err")" = 1 ] && grep -q '^error: ' "$tmp/flag.err" \
         || { echo "$bad must end in one error line and exit 2 (got exit $rc)"; cat "$tmp/flag.err"; exit 1; }
 done

@@ -81,10 +81,7 @@ fn drain_removes_scripted_deadlock() {
 
 #[test]
 fn spin_removes_scripted_deadlock() {
-    let mech = SpinMechanism::new(drain_repro::baselines::SpinConfig {
-        timeout: 50,
-        ..Default::default()
-    });
+    let mech = SpinMechanism::new(drain_repro::baselines::SpinConfig { timeout: 50 });
     let mut sim = fig8_deadlock_sim(Box::new(mech));
     sim.run(5_000);
     assert_eq!(sim.stats().ejected, 8, "all packets delivered after spins");

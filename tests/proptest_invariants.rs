@@ -323,7 +323,6 @@ proptest! {
         let mut sim = DrainNetworkBuilder::new(topo)
             .sim_config(SimConfig {
                 num_classes: 1,
-                checks: CheckConfig::full().with_progress_horizon(4_096),
                 ..SimConfig::drain_default()
             })
             .epoch(512)
@@ -331,6 +330,7 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
+        sim.set_checks(CheckConfig::full().with_progress_horizon(4_096));
         sim.run(3_000);
         let s = sim.stats();
         prop_assert_eq!(
@@ -357,7 +357,6 @@ proptest! {
             let mut sim = DrainNetworkBuilder::new(topo)
                 .sim_config(SimConfig {
                     num_classes: 1,
-                    checks: CheckConfig::full().with_progress_horizon(4_096),
                     ..SimConfig::drain_default()
                 })
                 .epoch(512)
@@ -365,6 +364,7 @@ proptest! {
                 .seed(seed)
                 .build()
                 .unwrap();
+            sim.set_checks(CheckConfig::full().with_progress_horizon(4_096));
             sim.set_wake_scheduler(wake);
             sim
         };

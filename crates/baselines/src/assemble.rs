@@ -81,11 +81,11 @@ pub fn baseline_sim_with_config(
 ) -> Sim {
     // One shared topology for the routing function and the core.
     let topo = topo.into_shared();
-    let routing: Box<dyn Routing> = match baseline {
-        Baseline::EscapeVc => Box::new(EscapeVcRouting::auto(&topo, full_mesh)),
-        Baseline::UpDown => Box::new(UpDownAll::new(&topo)),
+    let routing: Routing = match baseline {
+        Baseline::EscapeVc => EscapeVcRouting::auto(&topo, full_mesh).into(),
+        Baseline::UpDown => UpDownAll::new(&topo).into(),
         Baseline::Spin | Baseline::Ideal | Baseline::Unprotected => {
-            Box::new(FullyAdaptive::new(&topo))
+            FullyAdaptive::new(&topo).into()
         }
     };
     let mechanism: Box<dyn drain_netsim::mechanism::Mechanism> = match baseline {

@@ -72,7 +72,7 @@ mod tests {
                 watchdog_threshold: 20_000,
                 ..SimConfig::default()
             },
-            Box::new(FullyAdaptive::new(&topo)),
+            FullyAdaptive::new(&topo),
             Box::new(IdealMechanism::new(16)),
             Box::new(
                 SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.6, 1, 8)

@@ -331,7 +331,7 @@ mod tests {
                 watchdog_threshold: 50_000,
                 ..SimConfig::default()
             },
-            Box::new(FullyAdaptive::new(&topo)),
+            FullyAdaptive::new(&topo),
             Box::new(SpinMechanism::new(SpinConfig { timeout: 64 })),
             Box::new(
                 SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.5, 1, 5)
@@ -356,7 +356,7 @@ mod tests {
                 num_classes: 1,
                 ..SimConfig::spin_baseline()
             },
-            Box::new(FullyAdaptive::new(&topo)),
+            FullyAdaptive::new(&topo),
             Box::new(SpinMechanism::with_defaults()),
             Box::new(SyntheticTraffic::new(
                 SyntheticPattern::UniformRandom,

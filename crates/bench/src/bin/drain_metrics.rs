@@ -17,7 +17,8 @@
 //!    (any mismatch is fatal). The merged phase-profile attribution
 //!    prints as a table and its shares must sum to ~100%; the merged
 //!    wake-scheduler counters print after it, with the injection-queue
-//!    heads' parks and skips broken out.
+//!    heads' parks and skips broken out, and then the kernel work
+//!    counters (`drain_kernel_work_total`) in total and per flit-hop.
 //!
 //! `stream.jsonl` and `drain_metrics.jsonl` are the only files written
 //! to `<out>`. Everything asserted here is also covered by
@@ -271,6 +272,31 @@ fn wake_table(merged: &MetricsSnapshot) {
     );
 }
 
+/// Prints the merged kernel work counters, in total and per flit-hop (a
+/// speed-up's work delta, readable without the host clock).
+fn work_table(merged: &MetricsSnapshot) {
+    let flit_hops = merged.counter_value("drain_flit_hops_total").unwrap_or(0);
+    assert!(flit_hops > 0, "the points moved no flits");
+    let rows: Vec<Vec<String>> = ["heads_visited", "ports_probed"]
+        .iter()
+        .map(|&unit| {
+            let total = merged
+                .counter_value_labeled("drain_kernel_work_total", &[("unit", unit)])
+                .unwrap_or(0);
+            vec![
+                unit.to_string(),
+                total.to_string(),
+                format!("{:.3}", total as f64 / flit_hops as f64),
+            ]
+        })
+        .collect();
+    print_table(
+        "kernel work (merged over all points)",
+        &["unit", "total", "per flit-hop"],
+        &rows,
+    );
+}
+
 fn main() {
     let args = parse_args();
     let scale = Scale::from_env();
@@ -299,5 +325,6 @@ fn main() {
 
     phase_table(&merged);
     wake_table(&merged);
+    work_table(&merged);
     println!("drain_metrics: OK");
 }

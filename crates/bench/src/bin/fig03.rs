@@ -59,7 +59,7 @@ impl Probe<'_> {
         let mut sim = Sim::new(
             topo.clone(),
             config,
-            Box::new(drain_netsim::routing::FullyAdaptive::new(&topo)),
+            drain_netsim::routing::FullyAdaptive::new(&topo),
             Box::new(drain_netsim::mechanism::NoMechanism),
             Box::new(engine),
         )

@@ -53,7 +53,7 @@ fn main() {
         config,
         // Strictly minimal adaptive: the walk-through's knots require
         // packets that cannot deflect sideways.
-        Box::new(FullyAdaptive::with_deflection(&topo, None)),
+        FullyAdaptive::with_deflection(&topo, None),
         Box::new(mech),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.0, 1, 0)),
     );

@@ -103,7 +103,7 @@ impl Scheme {
                 Sim::new(
                     std::sync::Arc::clone(&topo),
                     config,
-                    Box::new(FullyAdaptive::new(topo)),
+                    FullyAdaptive::new(topo),
                     Box::new(mech),
                     endpoints,
                 )

@@ -77,7 +77,7 @@ pub fn bursty_sim(trace: TraceConfig) -> (Sim, u64) {
             trace,
             ..SimConfig::drain_default()
         },
-        Box::new(FullyAdaptive::new(topo)),
+        FullyAdaptive::new(topo),
         Box::new(mech),
         Box::new(TraceTraffic::new(events)),
     );

@@ -815,7 +815,7 @@ mod tests {
                 escape_sticky: true,
                 ..SimConfig::default()
             },
-            Box::new(drain_netsim::routing::EscapeVcRouting::with_dor(&topo)),
+            drain_netsim::routing::EscapeVcRouting::with_dor(&topo),
             Box::new(NoMechanism),
             Box::new(engine),
         )
@@ -858,7 +858,7 @@ mod tests {
                 inj_queue_capacity: 64,
                 ..SimConfig::default()
             },
-            Box::new(FullyAdaptive::new(&topo)),
+            FullyAdaptive::new(&topo),
             Box::new(NoMechanism),
             Box::new(engine),
         );
@@ -889,7 +889,7 @@ mod tests {
                 escape_sticky: true,
                 ..SimConfig::default()
             },
-            Box::new(drain_netsim::routing::EscapeVcRouting::with_dor(&topo)),
+            drain_netsim::routing::EscapeVcRouting::with_dor(&topo),
             Box::new(NoMechanism),
             Box::new(engine),
         );
@@ -912,7 +912,7 @@ mod tests {
                 inj_queue_capacity: 64,
                 ..SimConfig::default()
             },
-            Box::new(FullyAdaptive::new(&topo)),
+            FullyAdaptive::new(&topo),
             Box::new(NoMechanism),
             Box::new(engine),
         );

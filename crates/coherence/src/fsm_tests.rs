@@ -21,7 +21,7 @@ fn scripted_sim(script: ScriptedTrace) -> Sim {
             watchdog_threshold: 10_000,
             ..SimConfig::escape_vc_baseline()
         },
-        Box::new(EscapeVcRouting::with_dor(&topo)),
+        EscapeVcRouting::with_dor(&topo),
         Box::new(NoMechanism),
         Box::new(engine),
     )

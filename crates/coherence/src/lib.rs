@@ -41,7 +41,7 @@
 //! let mut sim = Sim::new(
 //!     topo.clone(),
 //!     SimConfig::default(),
-//!     Box::new(FullyAdaptive::new(&topo)),
+//!     FullyAdaptive::new(&topo),
 //!     Box::new(NoMechanism),
 //!     Box::new(engine),
 //! );

@@ -170,7 +170,7 @@ impl DrainNetworkBuilder {
         Ok(Sim::new(
             topo,
             sim_config,
-            Box::new(routing),
+            routing,
             Box::new(mech),
             endpoints,
         ))

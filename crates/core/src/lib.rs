@@ -296,7 +296,7 @@ mod tests {
                 escape_entry_patience: 0,
                 ..SimConfig::drain_default()
             },
-            Box::new(FullyAdaptive::new(&topo)),
+            FullyAdaptive::new(&topo),
             Box::new(mech),
             Box::new(SyntheticTraffic::new(
                 SyntheticPattern::UniformRandom,
@@ -379,7 +379,7 @@ mod tests {
                 escape_entry_patience: 0,
                 ..SimConfig::drain_default()
             },
-            Box::new(FullyAdaptive::new(&topo)),
+            FullyAdaptive::new(&topo),
             Box::new(mech),
             Box::new(
                 SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.1, 1, 4)

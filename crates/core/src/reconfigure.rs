@@ -101,7 +101,7 @@ impl FaultTolerantNetwork {
         Ok(Sim::new(
             Arc::clone(&topo),
             sim_config.clone(),
-            Box::new(FullyAdaptive::new(topo)),
+            FullyAdaptive::new(topo),
             Box::new(mech),
             Box::new(traffic),
         ))

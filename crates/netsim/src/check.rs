@@ -430,7 +430,9 @@ fn conservation(core: &SimCore) -> Result<(), String> {
     let ready_horizon = core.cycle() + LINK_LATENCY + ROUTER_LATENCY;
     for r in core.vc_refs() {
         let st = core.vc(r);
-        if st.free_at > flit_horizon {
+        // An occupied buffer's `free_at` is the `u64::MAX` sentinel, not a
+        // deadline: only an empty buffer's tail can run past the horizon.
+        if st.occ.is_none() && st.free_at > flit_horizon {
             return Err(format!(
                 "{r:?} frees at {} — beyond cycle + max packet length ({flit_horizon})",
                 st.free_at

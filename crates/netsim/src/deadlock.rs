@@ -144,7 +144,7 @@ mod tests {
                 num_classes: 1,
                 ..SimConfig::default()
             },
-            Box::new(routing),
+            routing,
             Box::new(NoMechanism),
             Box::new(SyntheticTraffic::new(
                 SyntheticPattern::UniformRandom,
@@ -173,7 +173,7 @@ mod tests {
                 watchdog_threshold: 0,
                 ..SimConfig::default()
             },
-            Box::new(routing),
+            routing,
             Box::new(NoMechanism),
             Box::new(SyntheticTraffic::new(
                 SyntheticPattern::UniformRandom,

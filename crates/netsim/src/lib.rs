@@ -58,7 +58,7 @@
 //!     topo.clone(),
 //!     SimConfig { vns: 1, vcs_per_vn: 2, num_classes: 1,
 //!                 deadlock_check_interval: 256, ..SimConfig::default() },
-//!     Box::new(FullyAdaptive::new(&topo)),
+//!     FullyAdaptive::new(&topo),
 //!     Box::new(NoMechanism),
 //!     Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.05, 1, 42)),
 //! );
@@ -96,7 +96,7 @@ pub use packet::{Location, MessageClass, Packet, PacketId, PacketSlab};
 pub use rng::DrawSite;
 pub use sim::{RunOutcome, Sim};
 pub use state::{SimCore, VcRef, VcState};
-pub use stats::{Stats, WakeCounters};
+pub use stats::{KernelWork, Stats, WakeCounters};
 pub use telemetry::{RouterTelemetry, Telemetry, TelemetrySample};
 pub use trace::{TraceConfig, TraceEvent, TraceSink, Tracer};
 

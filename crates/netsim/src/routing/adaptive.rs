@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use drain_topology::{distance::DistanceMap, IntoSharedTopology, Topology};
 
-use super::{push_rotated, Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
+use super::{out_ports, PortSet, PortSets, RouteCtx, TargetVc};
 
 /// Fully adaptive random minimal routing over a [`DistanceMap`], whose
 /// port masks it reads against the topology's `out_links`.
@@ -22,7 +22,7 @@ use super::{push_rotated, Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
 /// use drain_netsim::routing::{FullyAdaptive, Routing, RouteCtx};
 ///
 /// let topo = Topology::mesh(4, 4);
-/// let r = FullyAdaptive::new(&topo);
+/// let r = Routing::from(FullyAdaptive::new(&topo));
 /// let mut out = Vec::new();
 /// r.candidates(&RouteCtx {
 ///     cur: NodeId(0), dest: NodeId(15), arrived_via: None,
@@ -35,6 +35,9 @@ pub struct FullyAdaptive {
     dmap: Arc<DistanceMap>,
     topo: Arc<Topology>,
     deflect_after: Option<u64>,
+    /// Per link: the port it leaves its tail router by (the U-turn a
+    /// deflection must not take is `out_port[arrived_via.reverse()]`).
+    out_port: Vec<u8>,
 }
 
 /// Default blocked-cycles threshold before non-minimal candidates are
@@ -55,6 +58,7 @@ impl FullyAdaptive {
         let topo = topo.into_shared();
         FullyAdaptive {
             dmap: Arc::new(DistanceMap::new(&topo)),
+            out_port: out_ports(&topo),
             topo,
             deflect_after,
         }
@@ -69,55 +73,59 @@ impl FullyAdaptive {
     pub fn deflect_after(&self) -> Option<u64> {
         self.deflect_after
     }
-}
 
-impl Routing for FullyAdaptive {
-    fn name(&self) -> &str {
-        "adaptive"
+    pub(super) fn topology(&self) -> &Topology {
+        &self.topo
     }
 
-    fn candidates(&self, ctx: &RouteCtx, out: &mut Vec<Candidate>) {
-        let out_links = self.topo.out_links(ctx.cur);
+    pub(super) fn shared_distance_map(&self) -> Arc<DistanceMap> {
+        Arc::clone(&self.dmap)
+    }
+
+    /// The minimal ports, then — under sustained pressure — every other
+    /// port except the U-turn.
+    #[inline]
+    pub(super) fn port_sets(&self, ctx: &RouteCtx) -> PortSets {
         let productive = self.dmap.productive_ports(ctx.cur, ctx.dest);
         let target = if ctx.in_escape {
             TargetVc::EscapeOnly
         } else {
             TargetVc::Any
         };
-        push_rotated(out_links, productive, ctx.sample, target, out);
+        let minimal = PortSet {
+            ports: productive,
+            sample: ctx.sample,
+            target,
+        };
         // Under sustained pressure, offer the remaining (non-minimal)
         // output links as last-resort deflections — the "random" part of
         // the paper's fully adaptive random routing. All turns including
         // U-turns are architecturally permitted (§III-A).
-        let deflect = self.deflect_after;
-        if deflect.is_some_and(|after| ctx.blocked_for >= after) {
-            // Never deflect straight back where the packet came from —
-            // that swaps packets endlessly instead of making progress.
-            let back = ctx.arrived_via.map(|l| l.reverse());
-            let back_port = out_links.iter().position(|&l| Some(l) == back);
-            let back_bit = back_port.map_or(0, |j| 1u32 << j);
-            let all_ports = ((1u64 << out_links.len()) - 1) as u32;
-            let rest = all_ports & !productive & !back_bit;
-            push_rotated(out_links, rest, ctx.sample ^ 0x5A, target, out);
+        if self
+            .deflect_after
+            .is_none_or(|after| ctx.blocked_for < after)
+        {
+            return [minimal, PortSet::EMPTY];
         }
-    }
-
-    fn shared_distance_map(&self) -> Option<Arc<DistanceMap>> {
-        Some(Arc::clone(&self.dmap))
-    }
-
-    fn wake_profile(&self) -> WakeProfile {
-        // The minimal set is static; deflection widens it exactly once,
-        // when `blocked_for` reaches the threshold. `sample` only rotates
-        // (both `push_rotated` calls), never changes membership.
-        self.deflect_after
-            .map_or(WakeProfile::Stable, WakeProfile::WidensAt)
+        // Never deflect straight back where the packet came from — that
+        // swaps packets endlessly instead of making progress.
+        let back_bit = ctx
+            .arrived_via
+            .map_or(0, |l| 1u32 << self.out_port[l.reverse().index()]);
+        let all_ports = ((1u64 << self.topo.degree(ctx.cur)) - 1) as u32;
+        let deflect = PortSet {
+            ports: all_ports & !productive & !back_bit,
+            sample: ctx.sample ^ 0x5A,
+            target,
+        };
+        [minimal, deflect]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::Routing;
     use drain_topology::NodeId;
 
     fn ctx(cur: u16, dest: u16, sample: u64) -> RouteCtx {
@@ -134,7 +142,7 @@ mod tests {
     #[test]
     fn deflection_only_under_pressure() {
         let topo = Topology::mesh(4, 4);
-        let r = FullyAdaptive::new(&topo);
+        let r = Routing::from(FullyAdaptive::new(&topo));
         let mut calm = Vec::new();
         r.candidates(&ctx(5, 10, 0), &mut calm);
         let mut pressured = Vec::new();
@@ -153,22 +161,20 @@ mod tests {
     #[test]
     fn candidates_are_productive() {
         let topo = Topology::mesh(4, 4);
-        let r = FullyAdaptive::new(&topo);
+        let adaptive = FullyAdaptive::new(&topo);
+        let dmap = adaptive.distance_map().clone();
         let mut out = Vec::new();
-        r.candidates(&ctx(0, 15, 3), &mut out);
+        Routing::from(adaptive).candidates(&ctx(0, 15, 3), &mut out);
         for c in &out {
             let next = topo.link(c.link).dst;
-            assert!(
-                r.distance_map().distance(next, NodeId(15))
-                    < r.distance_map().distance(NodeId(0), NodeId(15))
-            );
+            assert!(dmap.distance(next, NodeId(15)) < dmap.distance(NodeId(0), NodeId(15)));
         }
     }
 
     #[test]
     fn sample_rotates_preference() {
         let topo = Topology::mesh(4, 4);
-        let r = FullyAdaptive::new(&topo);
+        let r = Routing::from(FullyAdaptive::new(&topo));
         let mut a = Vec::new();
         let mut b = Vec::new();
         r.candidates(&ctx(0, 15, 0), &mut a);
@@ -180,7 +186,7 @@ mod tests {
     #[test]
     fn escape_restriction_narrows_targets() {
         let topo = Topology::mesh(4, 4);
-        let r = FullyAdaptive::new(&topo);
+        let r = Routing::from(FullyAdaptive::new(&topo));
         let mut out = Vec::new();
         r.candidates(
             &RouteCtx {

@@ -4,9 +4,11 @@
 //! graph is acyclic) and is the paper's escape-VC routing on the regular
 //! mesh (Table II).
 
+use std::sync::Arc;
+
 use drain_topology::{IntoSharedTopology, LinkId, NodeId, Topology};
 
-use super::{Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
+use super::{out_ports, PortSet, PortSets, RouteCtx, TargetVc};
 
 /// The unique XY next hop from `cur` toward `dest` on a mesh topology, or
 /// `None` when `cur == dest`.
@@ -40,21 +42,26 @@ pub fn dor_next_hop(topo: &Topology, cur: NodeId, dest: NodeId) -> Option<LinkId
     )
 }
 
-/// Precomputed XY next hops for every `(cur, dest)` pair.
+/// Precomputed XY next hops for every `(cur, dest)` pair, as out-ports.
 ///
 /// `dor_next_hop` recomputes coordinates and scans the adjacency list on
 /// every call; in the simulator's hot loop the escape candidate is built
 /// for each occupied VC head each cycle, so the table turns that into a
-/// single load from a dense `n * n` array (16 KiB on an 8×8 mesh —
-/// resident in L1/L2). Entries for `cur == dest` hold a sentinel.
+/// single load from a dense `n * n` byte array (4 KiB on an 8×8 mesh —
+/// resident in L1). An entry is the port `j` of `out_links(cur)` the hop
+/// takes, the form of the other next-hop tables' masks (bit `j`), or
+/// `u8::MAX` for `cur == dest`.
 #[derive(Clone, Debug)]
 pub struct DorTable {
     num_nodes: usize,
-    /// `next[cur * n + dest]` = XY next-hop link id, `u32::MAX` = none.
-    next: Vec<u32>,
+    /// `next[cur * n + dest]` = XY next-hop port.
+    next: Vec<u8>,
 }
 
 impl DorTable {
+    /// The entry for `cur == dest`.
+    const NONE: u8 = u8::MAX;
+
     /// Tabulates [`dor_next_hop`] over all pairs.
     ///
     /// # Panics
@@ -62,29 +69,32 @@ impl DorTable {
     /// Panics if `topo` is not a full fault-free mesh.
     pub fn new(topo: &Topology) -> Self {
         let n = topo.num_nodes();
-        let mut next = vec![u32::MAX; n * n];
+        let out_port = out_ports(topo);
+        let mut next = vec![Self::NONE; n * n];
         for cur in topo.nodes() {
             for dest in topo.nodes() {
                 if let Some(l) = dor_next_hop(topo, cur, dest) {
-                    next[cur.index() * n + dest.index()] = l.0;
+                    next[cur.index() * n + dest.index()] = out_port[l.index()];
                 }
             }
         }
         DorTable { num_nodes: n, next }
     }
 
-    /// The unique XY next hop from `cur` toward `dest`, or `None` when
-    /// `cur == dest`.
+    /// The XY next hop from `cur` toward `dest` as a port mask of
+    /// `out_links(cur)`: one bit, or none when `cur == dest`.
     #[inline]
-    pub fn next_hop(&self, cur: NodeId, dest: NodeId) -> Option<LinkId> {
-        let l = self.next[cur.index() * self.num_nodes + dest.index()];
-        (l != u32::MAX).then_some(LinkId(l))
+    pub fn ports(&self, cur: NodeId, dest: NodeId) -> u32 {
+        let port = self.next[cur.index() * self.num_nodes + dest.index()];
+        1u32.checked_shl(u32::from(port)).unwrap_or(0)
     }
 }
 
 /// Pure dimension-order routing on every VC.
 #[derive(Clone, Debug)]
 pub struct DorAll {
+    /// Names the ports of the table's masks.
+    topo: Arc<Topology>,
     table: DorTable,
 }
 
@@ -103,29 +113,28 @@ impl DorAll {
         );
         DorAll {
             table: DorTable::new(&topo),
-        }
-    }
-}
-
-impl Routing for DorAll {
-    fn name(&self) -> &str {
-        "dor"
-    }
-
-    fn candidates(&self, ctx: &RouteCtx, out: &mut Vec<Candidate>) {
-        if let Some(link) = self.table.next_hop(ctx.cur, ctx.dest) {
-            let target = if ctx.in_escape {
-                TargetVc::EscapeOnly
-            } else {
-                TargetVc::Any
-            };
-            out.push(Candidate { link, target });
+            topo,
         }
     }
 
-    fn wake_profile(&self) -> WakeProfile {
-        // One table lookup keyed on (cur, dest); no sample, no pressure.
-        WakeProfile::Stable
+    pub(super) fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// The one XY port; no sample, no pressure.
+    #[inline]
+    pub(super) fn port_sets(&self, ctx: &RouteCtx) -> PortSets {
+        let target = if ctx.in_escape {
+            TargetVc::EscapeOnly
+        } else {
+            TargetVc::Any
+        };
+        let xy = PortSet {
+            ports: self.table.ports(ctx.cur, ctx.dest),
+            sample: ctx.sample,
+            target,
+        };
+        [xy, PortSet::EMPTY]
     }
 }
 
@@ -162,6 +171,22 @@ mod tests {
     }
 
     #[test]
+    fn table_ports_are_the_xy_links() {
+        let t = Topology::mesh(5, 4);
+        let table = DorTable::new(&t);
+        for cur in t.nodes() {
+            for dest in t.nodes() {
+                let port = t
+                    .out_links(cur)
+                    .iter()
+                    .position(|&l| Some(l) == dor_next_hop(&t, cur, dest));
+                let mask = port.map_or(0, |j| 1 << j);
+                assert_eq!(table.ports(cur, dest), mask, "{cur:?} -> {dest:?}");
+            }
+        }
+    }
+
+    #[test]
     fn at_destination_no_hop() {
         let t = Topology::mesh(3, 3);
         assert_eq!(dor_next_hop(&t, NodeId(4), NodeId(4)), None);
@@ -170,7 +195,7 @@ mod tests {
     #[test]
     fn routing_trait_emits_single_candidate() {
         let t = Topology::mesh(4, 4);
-        let r = DorAll::new(&t);
+        let r = crate::routing::Routing::from(DorAll::new(&t));
         let mut out = Vec::new();
         r.candidates(
             &RouteCtx {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use drain_topology::{distance::DistanceMap, updown::UpDownRouting, IntoSharedTopology, Topology};
 
-use super::{push_rotated, Candidate, DorTable, RouteCtx, Routing, TargetVc, WakeProfile};
+use super::{DorTable, PortSet, PortSets, RouteCtx, TargetVc};
 
 /// Which restricted routing drives the escape VC.
 #[derive(Clone, Debug)]
@@ -73,16 +73,41 @@ impl EscapeVcRouting {
         }
     }
 
-    fn escape_candidates(&self, ctx: &RouteCtx, fresh_entry: bool, out: &mut Vec<Candidate>) {
-        match &self.escape {
-            EscapeKind::Dor(table) => {
-                if let Some(link) = table.next_hop(ctx.cur, ctx.dest) {
-                    out.push(Candidate {
-                        link,
-                        target: TargetVc::EscapeOnly,
-                    });
-                }
-            }
+    /// `"escape-vc(dor)"` or `"escape-vc(updown)"`.
+    pub fn name(&self) -> &'static str {
+        match self.escape {
+            EscapeKind::Dor(_) => "escape-vc(dor)",
+            EscapeKind::UpDown(_) => "escape-vc(updown)",
+        }
+    }
+
+    pub(super) fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    pub(super) fn shared_distance_map(&self) -> Arc<DistanceMap> {
+        Arc::clone(&self.dmap)
+    }
+
+    /// Inside the escape VC, the restricted routing's ports only;
+    /// outside it, the minimal ports on the adaptive VCs first and the
+    /// escape fallback last.
+    #[inline]
+    pub(super) fn port_sets(&self, ctx: &RouteCtx) -> PortSets {
+        if ctx.in_escape {
+            return [self.escape_set(ctx, false), PortSet::EMPTY];
+        }
+        let adaptive = PortSet {
+            ports: self.dmap.productive_ports(ctx.cur, ctx.dest),
+            sample: ctx.sample,
+            target: TargetVc::NonEscapeOnly,
+        };
+        [adaptive, self.escape_set(ctx, true)]
+    }
+
+    fn escape_set(&self, ctx: &RouteCtx, fresh_entry: bool) -> PortSet {
+        let ports = match &self.escape {
+            EscapeKind::Dor(table) => table.ports(ctx.cur, ctx.dest),
             EscapeKind::UpDown(ud) => {
                 // A packet already in the escape VC carries the up*/down*
                 // phase implied by its arrival link; a packet *entering*
@@ -93,64 +118,28 @@ impl EscapeVcRouting {
                 } else {
                     ud.phase_after(ctx.arrived_via)
                 };
-                push_rotated(
-                    self.topo.out_links(ctx.cur),
-                    ud.next_hop_ports(ctx.cur, ctx.dest, phase),
-                    ctx.sample,
-                    TargetVc::EscapeOnly,
-                    out,
-                );
+                ud.next_hop_ports(ctx.cur, ctx.dest, phase)
             }
+        };
+        PortSet {
+            ports,
+            sample: ctx.sample,
+            target: TargetVc::EscapeOnly,
         }
-    }
-}
-
-impl Routing for EscapeVcRouting {
-    fn name(&self) -> &str {
-        match self.escape {
-            EscapeKind::Dor(_) => "escape-vc(dor)",
-            EscapeKind::UpDown(_) => "escape-vc(updown)",
-        }
-    }
-
-    fn candidates(&self, ctx: &RouteCtx, out: &mut Vec<Candidate>) {
-        if ctx.in_escape {
-            // Restricted escape routing only.
-            self.escape_candidates(ctx, false, out);
-        } else {
-            // Adaptive VCs first, escape fallback last.
-            push_rotated(
-                self.topo.out_links(ctx.cur),
-                self.dmap.productive_ports(ctx.cur, ctx.dest),
-                ctx.sample,
-                TargetVc::NonEscapeOnly,
-                out,
-            );
-            self.escape_candidates(ctx, true, out);
-        }
-    }
-
-    fn shared_distance_map(&self) -> Option<Arc<DistanceMap>> {
-        Some(Arc::clone(&self.dmap))
-    }
-
-    fn wake_profile(&self) -> WakeProfile {
-        // Both branches depend only on cur/dest/arrived_via/in_escape —
-        // frozen while the packet stays put; `sample` only rotates.
-        WakeProfile::Stable
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::Routing;
     use drain_topology::faults::FaultInjector;
     use drain_topology::{NodeId, Topology};
 
     #[test]
     fn adaptive_first_escape_last() {
         let topo = Topology::mesh(4, 4);
-        let r = EscapeVcRouting::with_dor(&topo);
+        let r = Routing::from(EscapeVcRouting::with_dor(&topo));
         let mut out = Vec::new();
         r.candidates(
             &RouteCtx {
@@ -173,7 +162,7 @@ mod tests {
     #[test]
     fn escape_only_when_in_escape() {
         let topo = Topology::mesh(4, 4);
-        let r = EscapeVcRouting::with_dor(&topo);
+        let r = Routing::from(EscapeVcRouting::with_dor(&topo));
         let mut out = Vec::new();
         r.candidates(
             &RouteCtx {
@@ -195,7 +184,7 @@ mod tests {
         let topo = FaultInjector::new(6)
             .remove_links(&Topology::mesh(6, 6), 8)
             .unwrap();
-        let r = EscapeVcRouting::with_updown(&topo);
+        let r = Routing::from(EscapeVcRouting::with_updown(&topo));
         let mut out = Vec::new();
         for cur in topo.nodes() {
             for dest in topo.nodes() {

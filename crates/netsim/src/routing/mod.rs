@@ -1,16 +1,16 @@
 //! Routing algorithms (paper Table II).
 //!
 //! The routing function is consulted once per cycle per head packet and
-//! returns *candidate moves* in preference order: an output link plus which
-//! kind of downstream VC may be targeted. The allocation engine takes the
-//! first candidate whose link and VC are free.
+//! answers with at most two *port sets* in preference order: an out-port
+//! mask of the packet's router (bit `j` = `out_links(cur)[j]`, the form
+//! the `drain_topology` next-hop tables store), a rotation sample, and
+//! which kind of downstream VC the ports may claim. The allocation engine
+//! walks the set ports in rotated order and takes the first whose link and
+//! a VC of that kind are free; [`Routing::candidates`] expands the same
+//! answer into a list for the callers that want one (the deadlock
+//! detector, SPIN's probes, the reference walk).
 //!
-//! The table-driven implementations read a `u32` out-port mask per
-//! (cur, dest) from `drain_topology` (bit `j` = `out_links(cur)[j]`) and
-//! list its ports through `push_rotated`, against the `Arc<Topology>`
-//! the simulation shares.
-//!
-//! | Implementation | Paper usage |
+//! | Variant | Paper usage |
 //! |---|---|
 //! | [`FullyAdaptive`] | DRAIN and SPIN ("fully adaptive random"), Fig 3's non-deadlock-free network |
 //! | [`EscapeVcRouting`] | escape-VC baseline: adaptive VCs + restricted escape VC (DoR or up*/down*) |
@@ -29,7 +29,7 @@ pub use updown_all::UpDownAll;
 
 use std::sync::Arc;
 
-use drain_topology::{distance::DistanceMap, LinkId, NodeId};
+use drain_topology::{distance::DistanceMap, LinkId, NodeId, Topology};
 
 /// Which downstream VCs a candidate move may claim.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,6 +49,97 @@ pub struct Candidate {
     pub link: LinkId,
     /// Downstream VC kind that may be claimed.
     pub target: TargetVc,
+}
+
+/// One set of next hops: the out-ports of the packet's router whose bit
+/// is set in `ports`, offered in the order [`PortSet::rotated`] gives,
+/// each with the same `target` kind.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PortSet {
+    /// Bit `j` stands for `out_links(cur)[j]`.
+    pub ports: u32,
+    /// Picks where the rotated order starts; never which ports are in it.
+    pub sample: u64,
+    /// Downstream VC kind the ports may claim.
+    pub target: TargetVc,
+}
+
+impl PortSet {
+    /// The set that offers nothing.
+    pub const EMPTY: PortSet = PortSet {
+        ports: 0,
+        sample: 0,
+        target: TargetVc::Any,
+    };
+
+    /// The set ports in preference order: ascending port order, starting
+    /// at set bit number `sample % ports.count_ones()` and wrapping
+    /// around, so the set offered never depends on `sample`.
+    #[inline]
+    pub fn rotated(self) -> RotatedPorts {
+        let first = start_port(self.ports, self.sample);
+        RotatedPorts {
+            first,
+            turned: self.ports.rotate_right(first),
+        }
+    }
+}
+
+/// A routing's answer: two port sets in preference order (the second is
+/// [`PortSet::EMPTY`] when the routing has one).
+pub type PortSets = [PortSet; 2];
+
+/// The port indices of a [`PortSet`] in preference order.
+#[derive(Clone, Copy, Debug)]
+pub struct RotatedPorts {
+    first: u32,
+    /// The mask rotated so that bit 0 is port `first`.
+    turned: u32,
+}
+
+impl Iterator for RotatedPorts {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.turned == 0 {
+            return None;
+        }
+        let port = (self.first + self.turned.trailing_zeros()) % u32::BITS;
+        self.turned &= self.turned - 1;
+        Some(port)
+    }
+}
+
+/// The port of set bit number `sample % ports.count_ones()` (32, which
+/// no walk reads, for an empty mask).
+#[inline]
+fn start_port(ports: u32, sample: u64) -> u32 {
+    // One or two ports are all a mesh's minimal sets ever hold, and the
+    // whole of low-load traffic: no count, no division, no loop, and no
+    // branch on how many of the two there are.
+    let low = ports.trailing_zeros();
+    let above_low = ports & ports.wrapping_sub(1);
+    if above_low & above_low.wrapping_sub(1) == 0 {
+        let odd = sample & 1 == 1;
+        return if odd && above_low != 0 {
+            above_low.trailing_zeros()
+        } else {
+            low
+        };
+    }
+    let count = ports.count_ones();
+    let start = (sample % u64::from(count)) as u32;
+    // Drop the lowest set bit `start` times. The loop runs `count` times
+    // whatever `sample` is — a draw that steered a branch would be a
+    // misprediction every other call.
+    let mut from_start = ports;
+    for dropped in 0..count - 1 {
+        if dropped < start {
+            from_start &= from_start - 1;
+        }
+    }
+    from_start.trailing_zeros()
 }
 
 /// Inputs to a routing decision.
@@ -76,10 +167,8 @@ pub struct RouteCtx {
 /// scheduler (see `state.rs`) may park a blocked head and skip re-routing
 /// it only if the set cannot silently change under it.
 ///
-/// `sample` must only *reorder* candidates (the standard `push_rotated`
-/// idiom: the set ports of a next-hop mask, `sample` choosing only where
-/// the list starts); a routing whose set membership depends on `sample`
-/// must report [`WakeProfile::Unstable`].
+/// `sample` only *rotates* a [`PortSet`], so no routing's set membership
+/// depends on it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WakeProfile {
     /// The candidate set is independent of `blocked_for`: once computed
@@ -88,28 +177,71 @@ pub enum WakeProfile {
     /// The set is constant below the threshold and constant (possibly
     /// wider) at/above it: valid until `blocked_for` crosses the value.
     WidensAt(u64),
-    /// No guarantee — the scheduler must re-route such heads every cycle.
-    Unstable,
 }
 
-/// A routing algorithm.
+/// A routing algorithm: one of the four this crate implements.
 ///
-/// Implementations must be deterministic functions of the context (the
-/// `sample` field carries all randomness) so simulations are reproducible.
-pub trait Routing: Send {
-    /// Short human-readable name (e.g. `"adaptive"`).
-    fn name(&self) -> &str;
+/// Every variant is a deterministic function of the context (the `sample`
+/// field carries all randomness) so simulations are reproducible. Build
+/// one from a variant with `.into()`; [`crate::Sim::new`] and
+/// [`crate::SimCore::new`] accept the variants directly.
+#[derive(Clone, Debug)]
+pub enum Routing {
+    /// Fully adaptive random minimal routing.
+    Adaptive(FullyAdaptive),
+    /// Adaptive VCs over a restricted escape VC.
+    EscapeVc(EscapeVcRouting),
+    /// Up*/down* on every VC.
+    UpDown(UpDownAll),
+    /// Dimension order on every VC.
+    Dor(DorAll),
+}
 
-    /// Appends candidate moves for `ctx` to `out` in preference order.
-    /// An empty result means the packet cannot move this cycle (it will be
-    /// retried every cycle).
-    fn candidates(&self, ctx: &RouteCtx, out: &mut Vec<Candidate>);
+impl Routing {
+    /// Short human-readable name (e.g. `"adaptive"`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Routing::Adaptive(_) => "adaptive",
+            Routing::EscapeVc(r) => r.name(),
+            Routing::UpDown(_) => "updown",
+            Routing::Dor(_) => "dor",
+        }
+    }
+
+    /// The next hops for `ctx`: two port sets in preference order. Empty
+    /// sets mean the packet cannot move this cycle (it will be retried).
+    #[inline]
+    pub fn port_sets(&self, ctx: &RouteCtx) -> PortSets {
+        match self {
+            Routing::Adaptive(r) => r.port_sets(ctx),
+            Routing::EscapeVc(r) => r.port_sets(ctx),
+            Routing::UpDown(r) => r.port_sets(ctx),
+            Routing::Dor(r) => r.port_sets(ctx),
+        }
+    }
+
+    /// Appends [`Routing::port_sets`]' answer for `ctx` to `out` as
+    /// candidate moves, in preference order.
+    pub fn candidates(&self, ctx: &RouteCtx, out: &mut Vec<Candidate>) {
+        let out_links = self.topology().out_links(ctx.cur);
+        for set in self.port_sets(ctx) {
+            push_rotated(out_links, set, out);
+        }
+    }
 
     /// How the candidate set depends on `blocked_for` (see
-    /// [`WakeProfile`]). The default is the conservative answer: never
-    /// park, re-route every cycle.
-    fn wake_profile(&self) -> WakeProfile {
-        WakeProfile::Unstable
+    /// [`WakeProfile`]).
+    pub fn wake_profile(&self) -> WakeProfile {
+        match self {
+            // The minimal set is static; deflection widens it exactly
+            // once, when `blocked_for` reaches the threshold.
+            Routing::Adaptive(r) => r
+                .deflect_after()
+                .map_or(WakeProfile::Stable, WakeProfile::WidensAt),
+            // The others read only cur / dest / arrived_via / in_escape,
+            // frozen while the packet stays put.
+            Routing::EscapeVc(_) | Routing::UpDown(_) | Routing::Dor(_) => WakeProfile::Stable,
+        }
     }
 
     /// The all-pairs distance table of the topology this routing was built
@@ -117,64 +249,70 @@ pub trait Routing: Send {
     /// for its misroute accounting instead of running the all-pairs BFS a
     /// second time; routings without a table return `None` and the core
     /// builds its own.
-    fn shared_distance_map(&self) -> Option<Arc<DistanceMap>> {
-        None
+    pub fn shared_distance_map(&self) -> Option<Arc<DistanceMap>> {
+        match self {
+            Routing::Adaptive(r) => Some(r.shared_distance_map()),
+            Routing::EscapeVc(r) => Some(r.shared_distance_map()),
+            Routing::UpDown(_) | Routing::Dor(_) => None,
+        }
+    }
+
+    /// The topology whose ports the masks name.
+    fn topology(&self) -> &Topology {
+        match self {
+            Routing::Adaptive(r) => r.topology(),
+            Routing::EscapeVc(r) => r.topology(),
+            Routing::UpDown(r) => r.topology(),
+            Routing::Dor(r) => r.topology(),
+        }
     }
 }
 
-/// Appends the out-links whose port is set in `ports` (bit `j` stands for
-/// `out_links[j]`, as in the `drain_topology` next-hop tables) to `out` as
-/// candidates with `target` — the standard way implementations randomize
-/// tie-breaks. `sample` only rotates: the links come in port order,
-/// starting at set bit number `sample % ports.count_ones()` and wrapping
-/// around, so the set offered never depends on it.
-#[inline]
-pub(crate) fn push_rotated(
-    out_links: &[LinkId],
-    ports: u32,
-    sample: u64,
-    target: TargetVc,
-    out: &mut Vec<Candidate>,
-) {
-    let candidate = |port: u32| Candidate {
-        link: out_links[port as usize],
-        target,
-    };
-    // One or two ports are all a mesh's minimal sets ever hold, and the
-    // whole of low-load traffic: no count, no division, no loop.
-    if ports == 0 {
-        return;
+impl From<FullyAdaptive> for Routing {
+    fn from(r: FullyAdaptive) -> Self {
+        Routing::Adaptive(r)
     }
-    let low = ports.trailing_zeros();
-    let above_low = ports & (ports - 1);
-    if above_low == 0 {
-        out.push(candidate(low));
-        return;
+}
+
+impl From<EscapeVcRouting> for Routing {
+    fn from(r: EscapeVcRouting) -> Self {
+        Routing::EscapeVc(r)
     }
-    if above_low & (above_low - 1) == 0 {
-        let pair = [low, above_low.trailing_zeros()];
-        let start = (sample % 2) as usize;
-        out.push(candidate(pair[start]));
-        out.push(candidate(pair[1 - start]));
-        return;
+}
+
+impl From<UpDownAll> for Routing {
+    fn from(r: UpDownAll) -> Self {
+        Routing::UpDown(r)
     }
-    let count = ports.count_ones();
-    let start = (sample % u64::from(count)) as u32;
-    // The port of set bit number `start`: drop the lowest set bit `start`
-    // times. Both loops run `count` times whatever `sample` is — a draw
-    // that steered a branch would be a misprediction every other call.
-    let mut from_start = ports;
-    for dropped in 0..count - 1 {
-        if dropped < start {
-            from_start &= from_start - 1;
+}
+
+impl From<DorAll> for Routing {
+    fn from(r: DorAll) -> Self {
+        Routing::Dor(r)
+    }
+}
+
+/// Per link: the port it leaves its tail router by (its index in
+/// `out_links(src)`) — a next-hop link turned back into a mask bit.
+fn out_ports(topo: &Topology) -> Vec<u8> {
+    let mut out_port = vec![0u8; topo.num_unidirectional_links()];
+    for node in topo.nodes() {
+        for (port, &l) in topo.out_links(node).iter().enumerate() {
+            out_port[l.index()] = port as u8;
         }
     }
-    let first = from_start.trailing_zeros();
-    let mut turned = ports.rotate_right(first);
-    while turned != 0 {
-        out.push(candidate((first + turned.trailing_zeros()) % u32::BITS));
-        turned &= turned - 1;
-    }
+    out_port
+}
+
+/// Appends the out-links of `set`'s ports (bit `j` stands for
+/// `out_links[j]`) to `out` in [`PortSet::rotated`] order, as candidates
+/// with `set.target`.
+#[inline]
+fn push_rotated(out_links: &[LinkId], set: PortSet, out: &mut Vec<Candidate>) {
+    out.extend(set.rotated().map(|port| Candidate {
+        link: out_links[port as usize],
+        target: set.target,
+    }));
 }
 
 #[cfg(test)]
@@ -236,7 +374,7 @@ mod tests {
         [(Topology::mesh(5, 5), true), (faulty.unwrap(), false)]
     }
 
-    fn emitted(routing: &dyn Routing, ctx: &RouteCtx) -> Vec<Candidate> {
+    fn emitted(routing: &Routing, ctx: &RouteCtx) -> Vec<Candidate> {
         let mut out = Vec::new();
         routing.candidates(ctx, &mut out);
         out
@@ -247,10 +385,11 @@ mod tests {
         for (topo, full_mesh) in topologies() {
             let dmap = DistanceMap::new(&topo);
             let ud = UpDownRouting::new(&topo);
-            let adaptive = FullyAdaptive::new(&topo);
-            let escape_updown = EscapeVcRouting::with_updown(&topo);
-            let escape_dor = full_mesh.then(|| EscapeVcRouting::with_dor(&topo));
-            let updown_all = UpDownAll::new(&topo);
+            let adaptive = Routing::from(FullyAdaptive::new(&topo));
+            let escape_updown = Routing::from(EscapeVcRouting::with_updown(&topo));
+            let escape_dor = full_mesh.then(|| Routing::from(EscapeVcRouting::with_dor(&topo)));
+            let dor_all = full_mesh.then(|| Routing::from(DorAll::new(&topo)));
+            let updown_all = Routing::from(UpDownAll::new(&topo));
             for_every_ctx(&topo, |ctx| {
                 let minimal = |l: LinkId| {
                     dmap.distance(topo.link(l).dst, ctx.dest) + 1
@@ -311,11 +450,14 @@ mod tests {
                 let got = emitted(&escape_updown, ctx);
                 assert_eq!(got, escape_list(hops), "escape-vc(updown) {ctx:?}");
 
-                if let Some(escape_dor) = &escape_dor {
+                if let (Some(escape_dor), Some(dor_all)) = (&escape_dor, &dor_all) {
                     let xy = dor_next_hop(&topo, ctx.cur, ctx.dest);
-                    let hops = here(&|l| Some(l) == xy, 0, TargetVc::EscapeOnly);
+                    let is_xy = |l: LinkId| Some(l) == xy;
+                    let hops = here(&is_xy, 0, TargetVc::EscapeOnly);
                     let got = emitted(escape_dor, ctx);
                     assert_eq!(got, escape_list(hops), "escape-vc(dor) {ctx:?}");
+                    let expected = here(&is_xy, 0, target);
+                    assert_eq!(emitted(dor_all, ctx), expected, "dor {ctx:?}");
                 }
             });
         }
@@ -326,7 +468,16 @@ mod tests {
         let links: Vec<LinkId> = (100..132).map(LinkId).collect();
         let pushed = |ports: u32, sample: u64| {
             let mut out = Vec::new();
-            push_rotated(&links, ports, sample, TargetVc::Any, &mut out);
+            let target = TargetVc::Any;
+            push_rotated(
+                &links,
+                PortSet {
+                    ports,
+                    sample,
+                    target,
+                },
+                &mut out,
+            );
             out.iter()
                 .map(|c: &Candidate| c.link.0)
                 .collect::<Vec<u32>>()

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use drain_topology::{updown::UpDownRouting, IntoSharedTopology, Topology};
 
-use super::{push_rotated, Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
+use super::{PortSet, PortSets, RouteCtx, TargetVc};
 
 /// Topology-agnostic up*/down* routing applied to all VCs: deadlock-free by
 /// construction, at the cost of non-minimal paths and reduced path
@@ -31,28 +31,26 @@ impl UpDownAll {
     pub fn tables(&self) -> &UpDownRouting {
         &self.ud
     }
-}
 
-impl Routing for UpDownAll {
-    fn name(&self) -> &str {
-        "updown"
+    pub(super) fn topology(&self) -> &Topology {
+        &self.topo
     }
 
-    fn candidates(&self, ctx: &RouteCtx, out: &mut Vec<Candidate>) {
+    /// The legal minimal ports in the phase the arrival link leaves.
+    #[inline]
+    pub(super) fn port_sets(&self, ctx: &RouteCtx) -> PortSets {
         let phase = self.ud.phase_after(ctx.arrived_via);
-        let ports = self.ud.next_hop_ports(ctx.cur, ctx.dest, phase);
         let target = if ctx.in_escape {
             TargetVc::EscapeOnly
         } else {
             TargetVc::Any
         };
-        push_rotated(self.topo.out_links(ctx.cur), ports, ctx.sample, target, out);
-    }
-
-    fn wake_profile(&self) -> WakeProfile {
-        // Hops depend only on (cur, dest, phase(arrived_via)); `sample`
-        // only rotates.
-        WakeProfile::Stable
+        let legal = PortSet {
+            ports: self.ud.next_hop_ports(ctx.cur, ctx.dest, phase),
+            sample: ctx.sample,
+            target,
+        };
+        [legal, PortSet::EMPTY]
     }
 }
 
@@ -67,7 +65,9 @@ mod tests {
         let topo = FaultInjector::new(4)
             .remove_links(&Topology::mesh(6, 6), 6)
             .unwrap();
-        let r = UpDownAll::new(&topo);
+        let updown = UpDownAll::new(&topo);
+        let ud = updown.tables().clone();
+        let r = crate::routing::Routing::from(updown);
         let mut out = Vec::new();
         for cur in topo.nodes() {
             for dest in topo.nodes() {
@@ -93,12 +93,7 @@ mod tests {
         // may be candidates.
         let down = topo
             .link_ids()
-            .find(|&l| {
-                matches!(
-                    r.tables().direction(l),
-                    drain_topology::updown::LinkDirection::Down
-                )
-            })
+            .find(|&l| matches!(ud.direction(l), drain_topology::updown::LinkDirection::Down))
             .unwrap();
         let at = topo.link(down).dst;
         for dest in topo.nodes() {
@@ -119,7 +114,7 @@ mod tests {
             );
             for c in &out {
                 assert!(matches!(
-                    r.tables().direction(c.link),
+                    ud.direction(c.link),
                     drain_topology::updown::LinkDirection::Down
                 ));
             }

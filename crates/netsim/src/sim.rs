@@ -34,8 +34,8 @@ pub enum RunOutcome {
 
 /// A complete simulation: state + mechanism + endpoints.
 ///
-/// `Sim` is `Send` (every plugin trait — [`Mechanism`], [`Endpoints`],
-/// [`crate::routing::Routing`] — requires `Send`), so whole simulations
+/// `Sim` is `Send` (both plugin traits — [`Mechanism`], [`Endpoints`] —
+/// require `Send`, and every [`crate::routing::Routing`] is), so whole simulations
 /// can be handed to worker threads; the experiment harness's parallel
 /// sweep engine relies on this.
 pub struct Sim {
@@ -73,7 +73,7 @@ impl Sim {
     pub fn new(
         topo: impl IntoSharedTopology,
         config: SimConfig,
-        routing: Box<dyn crate::routing::Routing>,
+        routing: impl Into<crate::routing::Routing>,
         mechanism: Box<dyn Mechanism>,
         endpoints: Box<dyn Endpoints>,
     ) -> Self {
@@ -378,6 +378,13 @@ impl Sim {
         // would break readers that match its label set exactly.
         for (event, v) in [("parks", w.injection_parks), ("skips", w.injection_skips)] {
             m.counter_labeled("drain_wake_injection_events_total", &[("event", event)], v);
+        }
+        let work = self.core.kernel_work();
+        for (unit, v) in [
+            ("heads_visited", work.heads_visited),
+            ("ports_probed", work.ports_probed),
+        ] {
+            m.counter_labeled("drain_kernel_work_total", &[("unit", unit)], v);
         }
         for (site, v) in crate::rng::DrawSite::ALL
             .iter()

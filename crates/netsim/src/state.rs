@@ -42,7 +42,7 @@ use crate::metrics::{Phase, PhaseProfiler};
 use crate::packet::{Location, MessageClass, Packet, PacketId, PacketSlab};
 use crate::rng::{mix, DrawSite, NUM_DRAW_SITES};
 use crate::routing::{Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
-use crate::stats::{Stats, WakeCounters};
+use crate::stats::{KernelWork, Stats, WakeCounters};
 use crate::telemetry::Telemetry;
 use crate::trace::{TraceEvent, Tracer};
 use crate::wake::{list_of_bit, list_of_slot, ParkNote, WakeState};
@@ -71,7 +71,8 @@ pub struct VcState {
     pub occ: Option<PacketId>,
     /// Cycle from which the occupant may be allocated onward.
     pub ready_at: u64,
-    /// Cycle from which an empty buffer may accept a new packet.
+    /// Cycle from which an empty buffer may accept a new packet;
+    /// `u64::MAX` while the buffer is occupied.
     pub free_at: u64,
     /// Cycle the current occupant arrived (for timeout counters).
     pub entered_at: u64,
@@ -135,27 +136,29 @@ struct Head {
 
 /// Outcome of one fused Phase A routing + parking decision
 /// ([`SimCore::route_or_park`]).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PhaseAOutcome {
     /// Request this output link (target-VC kind, `blocked_for` age).
     Route(LinkId, TargetVc, u64),
     /// No feasible move; park the head under this note.
     Park(ParkNote),
     /// No feasible move; the head stays active and is re-routed next
-    /// cycle (dense mode, unparkable routing, or a park whose wake would
+    /// cycle (dense mode, a closed gate, or a park whose wake would
     /// fire before it could skip a single visit).
     Stall,
 }
 
 /// What one Phase A sweep counted: parked heads skipped (injection-queue
 /// heads among them), blocked VC heads that neither routed nor parked,
-/// and tie-break samples per [`DrawSite`].
+/// tie-break samples per [`DrawSite`], and the sweep's work (see
+/// [`KernelWork`]).
 #[derive(Clone, Copy, Debug, Default)]
 struct PhaseATally {
     skips: u64,
     injection_skips: u64,
     stalls: u64,
     draws: [u64; NUM_DRAW_SITES],
+    work: KernelWork,
 }
 
 /// The allocation scratch, reused across cycles: everything Phase A filed
@@ -188,7 +191,7 @@ impl AllocScratch {
 pub struct SimCore {
     topo: Arc<Topology>,
     config: SimConfig,
-    routing: Box<dyn Routing>,
+    routing: Routing,
     /// All-pairs distances for misroute accounting — the routing's own
     /// table when it has one (see [`Routing::shared_distance_map`]).
     dmap: Arc<DistanceMap>,
@@ -198,7 +201,10 @@ pub struct SimCore {
     vc_occ: Vec<u32>,
     /// Cycle from which the occupant may be allocated onward.
     vc_ready_at: Vec<u64>,
-    /// Cycle from which an empty buffer may accept a new packet.
+    /// Cycle from which an empty buffer may accept a new packet, and
+    /// `u64::MAX` while it is occupied: `vc_free_at[s] <= now` is the
+    /// whole "claimable" test. Written only by [`SimCore::occupy_slot`]
+    /// and [`SimCore::vacate_slot`].
     vc_free_at: Vec<u64>,
     /// Cycle the current occupant arrived.
     vc_entered_at: Vec<u64>,
@@ -213,8 +219,9 @@ pub struct SimCore {
     occ_bits: Vec<u64>,
     /// Per unidirectional link: busy (serializing) until this cycle.
     link_busy: Vec<u64>,
-    /// Per (node, class) injection queues.
-    inj: Vec<VecDeque<PacketId>>,
+    /// Per (node, class) injection queues, each entry carrying its
+    /// packet's destination (a head's route reads no slab line).
+    inj: Vec<VecDeque<(PacketId, u16)>>,
     /// Per (node, class) ejection queues.
     ej: Vec<VecDeque<PacketId>>,
     /// Live packets.
@@ -228,19 +235,18 @@ pub struct SimCore {
     in_network: usize,
     /// Cached `config.total_vcs()` (the link-major stride).
     stride: usize,
-    /// Number of non-empty injection queues (skips the Phase A injection
-    /// sweep when 0).
-    nonempty_inj: usize,
-    /// Hot mirror of each injection queue head's destination (valid while
-    /// the queue is non-empty) — the Phase A injection sweep reads this
-    /// instead of dereferencing the packet slab.
-    inj_head_dest: Vec<u16>,
+    /// Bitmap over (node, class) injection-queue indices with at least
+    /// one queued packet: the Phase A injection sweep visits only these,
+    /// in ascending bit order.
+    inj_bits: Vec<u64>,
     /// Packets parked in ejection queues (counter form of
     /// [`SimCore::ejection_backlog`]).
     ej_backlog: usize,
     /// Per-[`DrawSite`] samples produced so far (surfaced as
     /// `drain_rng_draws_total{site}`).
     rng_draws: [u64; NUM_DRAW_SITES],
+    /// Phase A work so far (surfaced as `drain_kernel_work_total{unit}`).
+    work: KernelWork,
     /// Bitmap over (node, class) ejection-queue indices with at least one
     /// parked packet (lets consumers pop deliveries without sweeping
     /// every queue; ascending bit order is the sweep order).
@@ -253,8 +259,6 @@ pub struct SimCore {
     /// Decode table: router at which each link-major VC index sits (the
     /// dst node of its link).
     idx_here: Vec<u16>,
-    /// Routing-candidate scratch of the serial Phase A sweep.
-    cand_buf: Vec<Candidate>,
     /// The allocation scratch (`None` only while a cycle's allocation has
     /// it checked out, see [`SimCore::take_alloc_scratch`]).
     alloc: Option<Box<AllocScratch>>,
@@ -282,10 +286,11 @@ impl SimCore {
     pub fn new(
         topo: impl IntoSharedTopology,
         config: SimConfig,
-        routing: Box<dyn Routing>,
+        routing: impl Into<Routing>,
     ) -> Self {
         config.validate();
         let topo = topo.into_shared();
+        let routing = routing.into();
         let dmap = routing
             .shared_distance_map()
             .unwrap_or_else(|| Arc::new(DistanceMap::new(&topo)));
@@ -331,15 +336,14 @@ impl SimCore {
             cycle: 0,
             in_network: 0,
             stride: total_vcs,
-            nonempty_inj: 0,
-            inj_head_dest: vec![0; n * classes],
+            inj_bits: vec![0; (n * classes).div_ceil(64)],
             ej_backlog: 0,
             rng_draws: [0; NUM_DRAW_SITES],
+            work: KernelWork::default(),
             ej_bits: vec![0; (n * classes).div_ceil(64)],
             idx_link,
             idx_vc,
             idx_here,
-            cand_buf: Vec::new(),
             alloc: Some(Box::new(AllocScratch {
                 ejects: Vec::new(),
                 reqs: (0..m).map(|_| Vec::new()).collect(),
@@ -496,10 +500,10 @@ impl SimCore {
     }
 
     /// Cross-validates the occupancy indexes against the dense VC arena:
-    /// the occupied-VC counter and the occupancy bitmap must agree with
-    /// the arena, and the hot mirrors
-    /// (`dest`, `class`, `len_flits`) must match the occupant in the
-    /// packet slab. Used by the deep invariant sweep.
+    /// the occupied-VC counter, the occupancy bitmap and the `free_at`
+    /// sentinel (`u64::MAX` ⟺ occupied) must agree with the arena, and
+    /// the hot mirrors (`dest`, `class`, `len_flits`) must match the
+    /// occupant in the packet slab. Used by the deep invariant sweep.
     ///
     /// # Errors
     ///
@@ -517,6 +521,14 @@ impl SimCore {
                 return Err(format!(
                     "occupancy bitmap disagrees with arena at VC {:?}",
                     self.vc_ref_of_index(idx)
+                ));
+            }
+            if (self.vc_free_at[idx] == u64::MAX) != (occ != EMPTY) {
+                return Err(format!(
+                    "free_at sentinel disagrees with arena at VC {:?}: free_at {}, {}",
+                    self.vc_ref_of_index(idx),
+                    self.vc_free_at[idx],
+                    if occ == EMPTY { "empty" } else { "occupied" }
                 ));
             }
             if occ != EMPTY {
@@ -573,13 +585,15 @@ impl SimCore {
 
     /// Marks `idx` occupied by `pid` and fills the hot mirrors from the
     /// packet slab (the one slab read per occupation; every later sweep
-    /// visit reads only the arena). `free_at` is left untouched — an
-    /// occupied buffer's drain deadline belongs to its previous tenant.
+    /// visit reads only the arena). `free_at` becomes `u64::MAX`, so an
+    /// occupied buffer is never claimable and the wake fold tells it from
+    /// a draining one with the same load.
     #[inline]
     fn occupy_slot(&mut self, idx: usize, pid: PacketId, ready_at: u64, entered_at: u64) {
         let p = self.packets.get(pid);
         let (dest, class, len) = (p.dest.0, p.class.0, p.len_flits);
         self.vc_occ[idx] = pid.0;
+        self.vc_free_at[idx] = u64::MAX;
         self.vc_ready_at[idx] = ready_at;
         self.vc_entered_at[idx] = entered_at;
         self.vc_dest[idx] = dest;
@@ -702,7 +716,7 @@ impl SimCore {
         node: NodeId,
         class: MessageClass,
     ) -> impl Iterator<Item = PacketId> + '_ {
-        self.inj[self.qidx(node, class)].iter().copied()
+        self.inj[self.qidx(node, class)].iter().map(|&(pid, _)| pid)
     }
 
     /// Packet ids parked in a node's per-class ejection queue, head first
@@ -779,11 +793,10 @@ impl SimCore {
         });
         let q = self.qidx(src, class);
         if self.inj[q].is_empty() {
-            self.nonempty_inj += 1;
-            self.inj_head_dest[q] = dest.0;
+            self.inj_bits[q / 64] |= 1u64 << (q % 64);
             self.wake.new_head(self.wake.first_queue() + q);
         }
-        self.inj[q].push_back(pid);
+        self.inj[q].push_back((pid, dest.0));
         self.stats.generated += 1;
         Some(pid)
     }
@@ -821,8 +834,9 @@ impl SimCore {
         self.pop_ejection(node, class)
     }
 
-    /// Routing candidates for an explicit context (used by allocation, the
-    /// deadlock detector and SPIN probes). Results are appended to `out`.
+    /// Routing candidates for an explicit context (used by the reference
+    /// walk, the deadlock detector and SPIN probes). Results are appended
+    /// to `out`.
     pub fn route_candidates(&self, ctx: &RouteCtx, out: &mut Vec<Candidate>) {
         self.routing.candidates(ctx, out);
     }
@@ -863,11 +877,11 @@ impl SimCore {
         }
     }
 
-    /// Whether the VC buffer can accept a new packet right now.
+    /// Whether the VC buffer can accept a new packet right now (empty,
+    /// and its last tenant's tail has drained).
     #[inline]
     pub fn vc_is_free(&self, r: VcRef) -> bool {
-        let idx = self.vc_index(r);
-        self.vc_occ[idx] == EMPTY && self.vc_free_at[idx] <= self.cycle
+        self.vc_free_at[self.vc_index(r)] <= self.cycle
     }
 
     /// Whether the link can start a new serialization right now.
@@ -925,9 +939,7 @@ impl SimCore {
     /// in.
     pub(crate) fn allocate_and_move(&mut self) {
         let mut scratch = self.alloc.take().expect("allocation scratch checked in");
-        let mut cands = std::mem::take(&mut self.cand_buf);
-        let tally = self.phase_a_sweep(&mut cands, &mut scratch);
-        self.cand_buf = cands;
+        let tally = self.phase_a_sweep(&mut scratch);
         self.finish_allocation(scratch, tally);
     }
 
@@ -935,27 +947,32 @@ impl SimCore {
     /// its decision into `scratch` — an ejection request, a link request,
     /// a park, a credit stall. Takes `&self`: every decision is made
     /// against the frozen cycle-start state, and nothing is committed
-    /// before Phase B. `cands` is routing scratch.
+    /// before Phase B.
     ///
     /// Occupied slots are visited in ascending link-major index order —
-    /// the order of the `link, vn, vc` loop nest — then injection queues
-    /// in ascending `(node, class)` order; that order fixes each output
-    /// link's request list and so its arbitration winner. Ascending
+    /// the order of the `link, vn, vc` loop nest — then non-empty
+    /// injection queues (the set bits of `inj_bits`) in ascending
+    /// `(node, class)` order; that order fixes each output link's request
+    /// list and so its arbitration winner. Ascending
     /// set-bit iteration over the occupancy bitmap IS that order and
     /// visits exactly the occupied slots (nothing here changes occupancy,
     /// so the bitmap is stable mid-sweep). Each routed head draws the pure
     /// `mix(seed, cycle, site, id)` of [`crate::rng`]; parked heads draw
     /// nothing. Only the VC arena and its hot mirrors are read, never the
     /// packet slab.
-    fn phase_a_sweep(&self, cands: &mut Vec<Candidate>, scratch: &mut AllocScratch) -> PhaseATally {
+    fn phase_a_sweep(&self, scratch: &mut AllocScratch) -> PhaseATally {
         let now = self.cycle;
         let seed = self.config.seed;
         let telem_on = self.telem.active();
         let mut tally = PhaseATally::default();
         for (wi, mut w) in self.occ_bits.iter().copied().enumerate() {
+            // Counted per head, not per word: `count_ones` is a dozen
+            // instructions without a popcount unit, and at low load most
+            // words are empty.
             while w != 0 {
                 let idx = wi * 64 + w.trailing_zeros() as usize;
                 w &= w - 1;
+                tally.work.heads_visited += 1;
                 if self.vc_ready_at[idx] > now {
                     continue;
                 }
@@ -982,7 +999,8 @@ impl SimCore {
                 }
                 tally.draws[DrawSite::PhaseA.index()] += 1;
                 let sample = mix(seed, now, DrawSite::PhaseA, idx as u64);
-                match self.route_or_park(idx, &self.vc_head(idx, sample), cands) {
+                let head = self.vc_head(idx, sample);
+                match self.route_or_park(idx, &head, &mut tally.work.ports_probed) {
                     PhaseAOutcome::Route(out_link, target, blocked_for) => scratch.request(
                         out_link,
                         LinkRequest {
@@ -1008,30 +1026,31 @@ impl SimCore {
                 }
             }
         }
-        // Injection requests (head of each per-class queue); skipped
-        // wholesale when every queue is empty. A queue head parks and
-        // skips exactly like a VC head, under subscriber id `slots + q`.
-        if self.nonempty_inj > 0 {
-            let classes = self.config.num_classes;
-            let first_queue = self.wake.first_queue();
-            for (q, queue) in self.inj.iter().enumerate() {
-                let Some(&pid) = queue.front() else {
-                    continue;
-                };
+        // Injection requests: the head of each non-empty per-class queue.
+        // A queue head parks and skips exactly like a VC head, under
+        // subscriber id `slots + q`.
+        let classes = self.config.num_classes;
+        let first_queue = self.wake.first_queue();
+        for (wi, mut w) in self.inj_bits.iter().copied().enumerate() {
+            while w != 0 {
+                let q = wi * 64 + w.trailing_zeros() as usize;
+                w &= w - 1;
+                tally.work.heads_visited += 1;
                 if self.wake.at[first_queue + q] > now {
                     tally.skips += 1;
                     tally.injection_skips += 1;
                     continue;
                 }
+                let (pid, dest) = self.inj[q][0];
                 debug_assert_eq!(
-                    NodeId(self.inj_head_dest[q]),
+                    NodeId(dest),
                     self.packets.get(pid).dest,
-                    "stale head mirror"
+                    "stale queued destination"
                 );
                 tally.draws[DrawSite::Injection.index()] += 1;
                 let sample = mix(seed, now, DrawSite::Injection, q as u64);
-                let head = self.injection_head(q, sample);
-                match self.route_or_park(first_queue + q, &head, cands) {
+                let head = self.injection_head(q, dest, sample);
+                match self.route_or_park(first_queue + q, &head, &mut tally.work.ports_probed) {
                     PhaseAOutcome::Route(link, target, _) => {
                         let node = NodeId((q / classes) as u16);
                         let class = MessageClass((q % classes) as u8);
@@ -1078,6 +1097,8 @@ impl SimCore {
         for (acc, d) in self.rng_draws.iter_mut().zip(tally.draws) {
             *acc += d;
         }
+        self.work.heads_visited += tally.work.heads_visited;
+        self.work.ports_probed += tally.work.ports_probed;
         for router in scratch.stalls.drain(..) {
             self.telem.note_credit_stalls(router as usize, 1);
         }
@@ -1182,8 +1203,8 @@ impl SimCore {
         }
     }
 
-    /// The head of injection queue `q` as routing sees it, given its
-    /// tie-break `sample`.
+    /// The head of injection queue `q`, bound for `dest`, as routing sees
+    /// it, given its tie-break `sample`.
     ///
     /// Source-queue waiting is ordinary queueing, not deadlock pressure:
     /// a waiting injection holds no network resource, so it neither
@@ -1191,15 +1212,15 @@ impl SimCore {
     /// a non-escape buffer). Its `blocked_for` is always 0 and its escape
     /// entry fixed, so its candidate set is frozen for as long as it is
     /// the head (`changes_at` = never). The destination comes from the
-    /// hot mirror, not the slab: under backpressure every queue is
+    /// queue entry, not the slab: under backpressure every queue is
     /// non-empty and the slab spans megabytes.
     #[inline(always)]
-    fn injection_head(&self, q: usize, sample: u64) -> Head {
+    fn injection_head(&self, q: usize, dest: u16, sample: u64) -> Head {
         let classes = self.config.num_classes;
         Head {
             ctx: RouteCtx {
                 cur: NodeId((q / classes) as u16),
-                dest: NodeId(self.inj_head_dest[q]),
+                dest: NodeId(dest),
                 arrived_via: None,
                 in_escape: false,
                 blocked_for: 0,
@@ -1223,9 +1244,9 @@ impl SimCore {
     /// Pure routing decision for `head`: the first routing candidate with
     /// a free link and a free target VC, or `None` when every next hop
     /// lacks buffer or link credit this cycle. `cands` is caller-provided
-    /// scratch (cleared here). The independent reference
-    /// [`SimCore::validate_wake_parking`] holds [`SimCore::route_or_park`]
-    /// to.
+    /// scratch (cleared here). The independent per-slot reference over
+    /// the expanded candidate list that [`SimCore::validate_wake_parking`]
+    /// holds [`SimCore::route_or_park`]'s mask walk to.
     fn choose_feasible(
         &self,
         head: &Head,
@@ -1255,16 +1276,27 @@ impl SimCore {
 
     /// Fused Phase A routing + parking decision for subscriber `id` (a
     /// VC slot or `slots + q` for an injection queue) with head `head`:
-    /// the first feasible candidate in rotated order — exactly
-    /// [`SimCore::choose_feasible`]'s answer — or, when every candidate is
+    /// the first feasible next hop in rotated order — exactly
+    /// [`SimCore::choose_feasible`]'s answer — or, when every next hop is
     /// infeasible, a parking decision folded out of the *same* walk (no
-    /// second pass over the candidate set: the failure walk has already
-    /// touched every link clock and target slot the wake decision needs).
+    /// second pass: the failure walk has already touched every link clock
+    /// and target slot the wake decision needs). Adds the ports it
+    /// probes to `probes`.
     ///
-    /// Parking is declined (`Stall`) when unsound — an
-    /// [`WakeProfile::Unstable`] routing (every router fits the 64-bit
-    /// subscription mask: `drain_topology::MAX_DEGREE` is 32) — and when
-    /// it is sound but *worthless*: a wake deadline of `now + 1` fires
+    /// The walk runs on the routing's port masks ([`Routing::port_sets`]),
+    /// never on a candidate list: per set, the ports come in
+    /// [`crate::routing::PortSet::rotated`] order with their index `j` in hand, so the
+    /// link is `out_links(here)[j]` and the subscription bit is
+    /// `2j + kind`. A target slot `s` is claimable iff `vc_free_at[s] <=
+    /// now` and occupied iff `vc_free_at[s] == u64::MAX` — one load per
+    /// slot answers both the feasibility and the wake fold: a port is
+    /// claimable from `max(link_busy, earliest free_at of its target
+    /// slots)`, which is `u64::MAX` when every target slot is occupied.
+    ///
+    /// Every router fits the 64-bit subscription mask
+    /// (`drain_topology::MAX_DEGREE` is 32). Parking is declined (`Stall`)
+    /// when the scheduler is off or its gate closed, and when it is sound
+    /// but *worthless*: a wake deadline of `now + 1` fires
     /// before the next visit could skip anything, so the park would be
     /// pure bookkeeping. With single-cycle link serialization any
     /// candidate with an empty-but-infeasible slot yields a `now + 1`
@@ -1299,77 +1331,53 @@ impl SimCore {
     // compiler kept it out of line, and the call cost `sat_mesh8` ~5 %
     // of its wall time.
     #[inline(always)]
-    fn route_or_park(&self, id: usize, head: &Head, cands: &mut Vec<Candidate>) -> PhaseAOutcome {
+    fn route_or_park(&self, id: usize, head: &Head, probes: &mut u64) -> PhaseAOutcome {
         let now = self.cycle;
-        let vn = head.vn;
-        cands.clear();
-        self.routing.candidates(&head.ctx, cands);
-
-        let mut parkable = self.wake.may_park();
+        let vcs = self.config.vcs_per_vn;
+        let vn_base = usize::from(head.vn) * vcs;
+        let out_links = self.topo.out_links(head.ctx.cur);
         let mut wake_at = head.changes_at;
-        let vcs = self.config.vcs_per_vn as u8;
         let mut subs: u64 = 0;
-        for cand in cands.iter() {
-            let target = match (cand.target, head.allow_escape) {
+        for set in &self.routing.port_sets(&head.ctx) {
+            let target = match (set.target, head.allow_escape) {
                 (TargetVc::Any, false) => TargetVc::NonEscapeOnly,
                 (TargetVc::EscapeOnly, false) => continue,
                 (t, _) => t,
             };
-            let li = cand.link.index();
-            let link_busy = self.link_busy[li];
-            if link_busy <= now
-                && self
-                    .resolve_target_vc(
-                        Candidate {
-                            link: cand.link,
-                            target,
-                        },
-                        vn,
-                    )
-                    .is_some()
-            {
-                return PhaseAOutcome::Route(cand.link, target, head.ctx.blocked_for);
-            }
-            if !parkable {
-                continue;
-            }
-            // Infeasible candidate: fold it into the wake decision.
+            // The target VCs within the VN; for `Any` the non-escape ones
+            // are preferred, but feasibility only asks whether one is
+            // claimable, and that is order-free.
             let (lo, hi) = match target {
-                TargetVc::EscapeOnly => (0u8, 1u8),
+                TargetVc::EscapeOnly => (0, 1),
                 TargetVc::NonEscapeOnly => (1, vcs),
                 TargetVc::Any => (0, vcs),
             };
-            let slot0 = li * self.stride + vn as usize * self.config.vcs_per_vn;
-            // Bit `kind` set: a target slot of that kind is occupied.
-            let mut kinds = 0u64;
-            for tvc in lo..hi {
-                let s = slot0 + tvc as usize;
-                if self.vc_occ[s] != EMPTY {
-                    kinds |= 1 << u32::from(tvc != 0);
-                } else {
-                    // Empty but infeasible: claimable no earlier than
-                    // when both the link and the buffer tail free up.
-                    wake_at = wake_at.min(link_busy.max(self.vc_free_at[s]));
+            for j in set.rotated() {
+                *probes += 1;
+                let link = out_links[j as usize];
+                let li = link.index();
+                let slot0 = li * self.stride + vn_base;
+                // The earliest `free_at` of a target slot (`u64::MAX` when
+                // every one is occupied), and bit `kind` set for each kind
+                // with an occupied target slot.
+                let (mut earliest, mut kinds) = (u64::MAX, 0u64);
+                for (tvc, &f) in (lo..).zip(&self.vc_free_at[slot0 + lo..slot0 + hi]) {
+                    earliest = earliest.min(f);
+                    kinds |= u64::from(f == u64::MAX) << u32::from(tvc != 0);
                 }
-            }
-            if kinds != 0 {
-                match self
-                    .topo
-                    .out_links(head.ctx.cur)
-                    .iter()
-                    .position(|&l| l == cand.link)
-                {
-                    Some(j) => subs |= kinds << (2 * j),
-                    // A candidate that is not an out-link of `here` would
-                    // break the subscription invariant; never park on it.
-                    None => {
-                        debug_assert!(false, "candidate {:?} not an out-link", cand.link);
-                        parkable = false;
-                    }
+                // Claimable once the link and some target slot are both
+                // free: the min over slots of `max(link_busy, free_at)`.
+                let claimable_at = self.link_busy[li].max(earliest);
+                if claimable_at <= now {
+                    return PhaseAOutcome::Route(link, target, head.ctx.blocked_for);
                 }
+                // Infeasible: fold it into the wake decision (unused when
+                // the head may not park).
+                wake_at = wake_at.min(claimable_at);
+                subs |= kinds << (2 * j);
             }
         }
-        if !parkable {
+        if !self.wake.may_park() {
             return PhaseAOutcome::Stall;
         }
         debug_assert!(
@@ -1384,7 +1392,7 @@ impl SimCore {
         PhaseAOutcome::Park(ParkNote {
             id: id as u32,
             here: head.ctx.cur.0,
-            vn,
+            vn: head.vn,
             wake_at,
             subs,
         })
@@ -1396,6 +1404,11 @@ impl SimCore {
     /// not model (mechanism-forced permutations).
     pub(crate) fn wake_all(&mut self) {
         self.wake.wake_all(self.cycle, set_bits(&self.occ_bits));
+    }
+
+    /// Phase A work since construction (see [`KernelWork`]).
+    pub fn kernel_work(&self) -> KernelWork {
+        self.work
     }
 
     /// Wake-scheduler accounting since construction (or the last
@@ -1451,10 +1464,13 @@ impl SimCore {
                 (self.vc_head(id, 0), what)
             } else {
                 let q = id - first_queue;
-                if self.inj[q].is_empty() {
+                let Some(&(_, dest)) = self.inj[q].front() else {
                     return Err(format!("injection queue {q} is parked but empty"));
-                }
-                (self.injection_head(q, 0), format!("injection queue {q}"))
+                };
+                (
+                    self.injection_head(q, dest, 0),
+                    format!("injection queue {q}"),
+                )
             };
             if let Some((l, _)) = self.choose_feasible(&head, &mut cands) {
                 return Err(format!(
@@ -1507,7 +1523,9 @@ impl SimCore {
             .expect("non-empty request list")
     }
 
-    /// Resolves a target kind to the first currently free concrete VC.
+    /// Resolves a target kind to the first currently free concrete VC
+    /// (non-escape before escape for [`TargetVc::Any`]): the slot a
+    /// granted request claims, and the reference walk's feasibility test.
     pub(crate) fn resolve_target_vc(&self, cand: Candidate, vn: u8) -> Option<VcRef> {
         let vcs = self.config.vcs_per_vn as u8;
         let try_vc = |vc: u8| -> Option<VcRef> {
@@ -1541,10 +1559,9 @@ impl SimCore {
             MoveSource::Injection { node, class } => {
                 let q = self.qidx(node, class);
                 let popped = self.inj[q].pop_front();
-                debug_assert_eq!(popped, Some(req.pid));
-                match self.inj[q].front() {
-                    Some(&head) => self.inj_head_dest[q] = self.packets.get(head).dest.0,
-                    None => self.nonempty_inj -= 1,
+                debug_assert_eq!(popped.map(|(pid, _)| pid), Some(req.pid));
+                if self.inj[q].is_empty() {
+                    self.inj_bits[q / 64] &= !(1u64 << (q % 64));
                 }
                 self.wake.new_head(self.wake.first_queue() + q);
                 self.packets.get_mut(req.pid).inject_cycle = now;
@@ -1866,3 +1883,7 @@ impl std::fmt::Debug for SimCore {
             .finish()
     }
 }
+
+#[cfg(test)]
+#[path = "mask_walk_tests.rs"]
+mod mask_walk_tests;

@@ -181,12 +181,25 @@ pub struct WakeCounters {
     pub spurious_wakes: u64,
     /// Conservative wake-alls (mechanism-forced cycles etc.).
     pub wake_alls: u64,
-    /// Blocked VC-head visits that routed to nothing but did not park
-    /// (unstable routing profile, a closed gate, or a wake deadline of
-    /// `now + 1` that could not skip anything). In dense mode every
-    /// blocked VC visit lands here, so `stalls` doubles as the in-network
-    /// blocked-population gauge.
+    /// Blocked VC-head visits that routed to nothing but did not park (a
+    /// closed gate, or a wake deadline of `now + 1` that could not skip
+    /// anything). In dense mode every blocked VC visit lands here, so
+    /// `stalls` doubles as the in-network blocked-population gauge.
     pub stalls: u64,
+}
+
+/// What the Phase A sweep did, in units the host clock cannot bend
+/// (surfaced as `drain_kernel_work_total{unit}`). Like [`WakeCounters`]
+/// it is outside [`Stats`]: the wake scheduler changes the work, never
+/// the result.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KernelWork {
+    /// Heads the sweep looked at: occupied VC slots and non-empty
+    /// injection queues, ready or not, parked or not.
+    pub heads_visited: u64,
+    /// Output ports whose link and target slots a routed head's mask walk
+    /// tested.
+    pub ports_probed: u64,
 }
 
 /// Aggregated statistics for one simulation.

@@ -11,7 +11,7 @@ fn quiet_sim(topo: &Topology, config: SimConfig) -> Sim {
     Sim::new(
         topo.clone(),
         config,
-        Box::new(FullyAdaptive::with_deflection(topo, None)),
+        FullyAdaptive::with_deflection(topo, None),
         Box::new(NoMechanism),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.0, 1, 0)),
     )
@@ -80,7 +80,7 @@ fn freeze_stops_all_movement() {
     let mut sim = Sim::new(
         topo.clone(),
         single_vc_config(),
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(FreezeAfter(20)),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.3, 1, 5)),
     );
@@ -125,7 +125,7 @@ fn forced_move_relocates_packet() {
     let mut sim = Sim::new(
         topo.clone(),
         single_vc_config(),
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(ForceOnce { at: 3, mv, done: false }),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.0, 1, 0)),
     );
@@ -161,7 +161,7 @@ fn forced_move_ejects_at_destination() {
     let mut sim = Sim::new(
         topo.clone(),
         single_vc_config(),
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(ForceOnce { at: 3, mv, done: false }),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.0, 1, 0)),
     );
@@ -215,7 +215,7 @@ fn cyclic_forced_moves_swap_ring_occupants() {
     let mut sim = Sim::new(
         topo.clone(),
         single_vc_config(),
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(ForceSet { at: 2, moves, done: false }),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.0, 1, 0)),
     );
@@ -269,7 +269,7 @@ fn trace_traffic_injects_on_schedule() {
             vcs_per_vn: 2,
             ..SimConfig::default()
         },
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(NoMechanism),
         Box::new(TraceTraffic::new(events)),
     );
@@ -296,7 +296,7 @@ fn serialization_throttles_long_packets() {
             watchdog_threshold: 0,
             ..SimConfig::default()
         },
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(NoMechanism),
         Box::new(SyntheticTraffic::new(SyntheticPattern::Neighbor, 1.0, 5, 3)),
     );
@@ -331,7 +331,7 @@ fn ejection_queue_capacity_backpressures() {
             watchdog_threshold: 0,
             ..SimConfig::default()
         },
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(NoMechanism),
         Box::new(NoConsume),
     );
@@ -559,7 +559,7 @@ fn head_change_and_forced_wake_all_release_a_parked_queue() {
     let mut sim = Sim::new(
         topo.clone(),
         single_vc_config(),
-        Box::new(FullyAdaptive::with_deflection(&topo, None)),
+        FullyAdaptive::with_deflection(&topo, None),
         Box::new(EmptyDrainAt(12)),
         Box::new(SyntheticTraffic::new(
             SyntheticPattern::UniformRandom,
@@ -645,7 +645,7 @@ fn flight_recorder_dumps_on_invariant_violation() {
     let mut sim = Sim::new(
         topo.clone(),
         config,
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(NoMechanism),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.9, 1, 3)),
     );
@@ -700,7 +700,7 @@ fn watchdog_trip_emits_event_and_dump() {
     let mut sim = Sim::new(
         topo.clone(),
         config,
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(NoMechanism),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.9, 1, 3)),
     );
@@ -758,7 +758,7 @@ fn telemetry_samples_on_cadence() {
     let mut sim = Sim::new(
         topo.clone(),
         config,
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(NoMechanism),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.1, 1, 11)),
     );
@@ -783,9 +783,9 @@ fn core_shares_the_routings_distance_map() {
     use crate::routing::{DorAll, EscapeVcRouting, Routing};
 
     let topo = Topology::mesh(4, 4);
-    let routings: [Box<dyn Routing>; 2] = [
-        Box::new(FullyAdaptive::new(&topo)),
-        Box::new(EscapeVcRouting::with_updown(&topo)),
+    let routings: [Routing; 2] = [
+        FullyAdaptive::new(&topo).into(),
+        EscapeVcRouting::with_updown(&topo).into(),
     ];
     for routing in routings {
         let shared = routing
@@ -794,6 +794,6 @@ fn core_shares_the_routings_distance_map() {
         let core = crate::SimCore::new(&topo, SimConfig::default(), routing);
         assert!(std::ptr::eq(core.distance_map(), &*shared));
     }
-    let core = crate::SimCore::new(&topo, SimConfig::default(), Box::new(DorAll::new(&topo)));
+    let core = crate::SimCore::new(&topo, SimConfig::default(), DorAll::new(&topo));
     assert_eq!(core.distance_map().distance(NodeId(0), NodeId(15)), 6);
 }

@@ -68,7 +68,7 @@ struct WakeSub {
 /// kind on out-link `j` of router `here` in which a target slot was
 /// occupied; `vn` is the head's virtual network. Opaque outside the
 /// crate.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ParkNote {
     pub(crate) id: u32,
     pub(crate) here: u16,
@@ -134,11 +134,10 @@ impl WakeState {
         }
     }
 
-    /// Whether a blocked head may park now (scheduler on, gate open,
-    /// routing profile not [`WakeProfile::Unstable`]).
+    /// Whether a blocked head may park now (scheduler on, gate open).
     #[inline]
     pub(crate) fn may_park(&self) -> bool {
-        self.enabled && self.gate && !matches!(self.profile, WakeProfile::Unstable)
+        self.enabled && self.gate
     }
 
     /// Forgets every deadline, subscription and count; the gate restarts

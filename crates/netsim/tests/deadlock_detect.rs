@@ -23,7 +23,7 @@ fn single_vc_sim(topo: &Topology) -> Sim {
             watchdog_threshold: 0,
             ..SimConfig::default()
         },
-        Box::new(FullyAdaptive::new(topo)),
+        FullyAdaptive::new(topo),
         Box::new(NoMechanism),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.0, 1, 7)),
     )

@@ -85,7 +85,7 @@ fn keyed_run(
     let mut sim = Sim::new(
         topo.clone(),
         config,
-        Box::new(FullyAdaptive::new(topo)),
+        FullyAdaptive::new(topo),
         Box::new(NoMechanism),
         Box::new(SyntheticTraffic::new(
             SyntheticPattern::UniformRandom,
@@ -235,7 +235,7 @@ fn offered_traffic_does_not_depend_on_congestion() {
         let mut sim = Sim::new(
             topo.clone(),
             config,
-            Box::new(FullyAdaptive::new(&topo)),
+            FullyAdaptive::new(&topo),
             Box::new(NoMechanism),
             Box::new(BirthLog {
                 inner: SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.6, 1, 77),

@@ -115,7 +115,7 @@ fn saturated_sim_conserves_packets_across_epochs() {
     let mut sim = Sim::new(
         topo.clone(),
         SimConfig::drain_default(),
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(drain_netsim::mechanism::NoMechanism),
         Box::new(SyntheticTraffic::new(
             SyntheticPattern::UniformRandom,

@@ -38,7 +38,7 @@ fn build(topo: &Topology, protected: bool, seed: u64) -> Sim {
     Sim::new(
         topo.clone(),
         config,
-        Box::new(FullyAdaptive::new(topo)),
+        FullyAdaptive::new(topo),
         mechanism,
         Box::new(engine),
     )

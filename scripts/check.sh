@@ -29,7 +29,10 @@ echo "==> cargo test --workspace (every suite once)"
 # congested-irregular benchmark point under the deep check on every
 # cycle (where source-queue heads park), the
 # tier-1 structure properties (routing tables against a queue BFS and
-# their definitions) — so a regression there is
+# their definitions), the mask-walk differential (Phase A's walk over the
+# routing's port masks against the per-slot reference over the expanded
+# candidate list, on seeded random arenas; crate-internal, so matched by
+# its module path) — so a regression there is
 # named in CI output, not buried in a 400-test run. Any change to the
 # keyed draws, visit order or candidate ordering fails here, not in a
 # figure regeneration a week later.
@@ -43,7 +46,7 @@ awk '
     }
     /^test result: ok\. 0 passed; 0 failed; 0 ignored/ { next }
     /^test result/ { emit(); next }
-    /^test / && named { emit() }
+    /^test / && (named || /::mask_walk_tests::/) { emit() }
 ' "$tmp/test.log"
 
 echo "==> drain-fuzz smoke (invariants + differential oracle)"

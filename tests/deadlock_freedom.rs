@@ -20,7 +20,7 @@ fn fig8_deadlock_sim(mechanism: Box<dyn drain_repro::netsim::mechanism::Mechanis
     let mut sim = Sim::new(
         topo.clone(),
         config,
-        Box::new(FullyAdaptive::with_deflection(&topo, None)),
+        FullyAdaptive::with_deflection(&topo, None),
         mechanism,
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.0, 1, 0)),
     );
@@ -120,7 +120,7 @@ fn single_vn_mesi_wedges_without_drain_and_survives_with_it() {
         Sim::new(
             topo.clone(),
             config,
-            Box::new(FullyAdaptive::new(&topo)),
+            FullyAdaptive::new(&topo),
             mechanism,
             Box::new(engine),
         )
@@ -162,7 +162,7 @@ fn escape_vc_baseline_needs_three_vns_for_protocol_freedom() {
             watchdog_threshold: 30_000,
             ..SimConfig::escape_vc_baseline()
         },
-        Box::new(EscapeVcRouting::with_dor(&topo)),
+        EscapeVcRouting::with_dor(&topo),
         Box::new(NoMechanism),
         Box::new(engine),
     );
@@ -194,7 +194,7 @@ fn drain_survives_irregular_torture() {
             watchdog_threshold: 0,
             ..SimConfig::drain_default()
         },
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(mech),
         Box::new(
             SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.15, 1, 13)

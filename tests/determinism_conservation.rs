@@ -109,7 +109,7 @@ fn coherence_transactions_complete_and_conserve() {
             escape_sticky: true,
             ..SimConfig::escape_vc_baseline()
         },
-        Box::new(EscapeVcRouting::with_dor(&topo)),
+        EscapeVcRouting::with_dor(&topo),
         Box::new(drain_repro::netsim::mechanism::NoMechanism),
         Box::new(engine),
     );

@@ -55,7 +55,7 @@ fn build(full_drain_period: u64) -> Sim {
             watchdog_threshold: 0,
             ..SimConfig::default()
         },
-        Box::new(FullyAdaptive::with_deflection(&topo, None)),
+        FullyAdaptive::with_deflection(&topo, None),
         Box::new(mech),
         Box::new(StalledSink { resume_at: 8_000 }),
     );
@@ -115,7 +115,7 @@ fn full_drain_ejects_at_every_destination_visit() {
             watchdog_threshold: 0,
             ..SimConfig::default()
         },
-        Box::new(FullyAdaptive::with_deflection(&topo, None)),
+        FullyAdaptive::with_deflection(&topo, None),
         Box::new(mech),
         Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.0, 1, 0)),
     );

@@ -91,7 +91,7 @@ fn fig11_shape_drain_matches_spin_at_low_load() {
             seed: 5,
             ..SimConfig::drain_default()
         },
-        Box::new(FullyAdaptive::new(&topo)),
+        FullyAdaptive::new(&topo),
         Box::new(DrainMechanism::new(path, DrainConfig::default())),
         Box::new(SyntheticTraffic::new(
             SyntheticPattern::UniformRandom,

@@ -354,7 +354,7 @@ mod tests {
             topo.clone(),
             SimConfig {
                 num_classes: 1,
-                ..SimConfig::spin_baseline()
+                ..SimConfig::default()
             },
             FullyAdaptive::new(&topo),
             Box::new(SpinMechanism::with_defaults()),

@@ -29,13 +29,12 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use drain_baselines::assemble::Baseline;
 use drain_bench::engine::SweepEngine;
 use drain_bench::json::{num, Json};
 use drain_bench::oracle::{run_oracle, FaultSeed, OracleReport, OracleSpec};
 use drain_bench::sweep::plan::TopoSpec;
 use drain_bench::table::banner;
-use drain_bench::{Flags, Scale};
+use drain_bench::{Flags, Scale, Scheme};
 use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::RunOutcome;
 use drain_topology::NodeId;
@@ -94,7 +93,7 @@ fn gen_point(i: usize, base_seed: u64, inject_cycles: u64, fault: FaultSeed) -> 
         full_drain_period: *[0u64, 4, 64].get(rng.gen_range(0..3usize)).unwrap(),
         inject_cycles,
         drain_budget: 150_000,
-        baseline: Baseline::EscapeVc,
+        baseline: Scheme::EscapeVc,
         flightrec_dir: None,
     };
     if fault != FaultSeed::None {
@@ -178,18 +177,28 @@ struct Args {
     seed: u64,
     inject: u64,
     seed_fault: bool,
-    baseline: Baseline,
+    baseline: Scheme,
     json_path: String,
 }
 
-fn parse_baseline(name: &str) -> Result<Baseline, &'static str> {
-    Ok(match name {
-        "escape-vc" => Baseline::EscapeVc,
-        "spin" => Baseline::Spin,
-        "updown" => Baseline::UpDown,
-        "ideal" => Baseline::Ideal,
-        _ => return Err("escape-vc, spin, updown or ideal"),
-    })
+/// Whether `scheme` can be the trusted reference: not DRAIN (the scheme
+/// under test) and not the unprotected network.
+fn is_reference(scheme: Scheme) -> bool {
+    !matches!(scheme, Scheme::Drain(_) | Scheme::Unprotected)
+}
+
+/// `--baseline`: the [`Scheme::name`] of a reference scheme.
+fn parse_reference(name: &str) -> Result<Scheme, String> {
+    name.parse()
+        .ok()
+        .filter(|&s| is_reference(s))
+        .ok_or_else(|| {
+            let names: Vec<&str> = Scheme::all()
+                .filter(|&s| is_reference(s))
+                .map(Scheme::name)
+                .collect();
+            format!("one of {}", names.join(", "))
+        })
 }
 
 fn parse_args() -> Args {
@@ -198,7 +207,7 @@ fn parse_args() -> Args {
         seed: 0xF00D,
         inject: 3_000,
         seed_fault: false,
-        baseline: Baseline::EscapeVc,
+        baseline: Scheme::EscapeVc,
         json_path: "results/drain_fuzz.json".to_string(),
     };
     let mut flags = Flags::from_env();
@@ -219,7 +228,7 @@ fn parse_args() -> Args {
                 args.points = 24;
                 args.inject = 1_500;
             }
-            "--baseline" => args.baseline = flags.value(f, parse_baseline),
+            "--baseline" => args.baseline = flags.value(f, parse_reference),
             _ => Flags::unknown(f),
         }
     }

@@ -22,10 +22,12 @@
 //!
 //! ```text
 //! drain_trace [--mesh WxH] [--faults N] [--fault-seed S]
-//!             [--scheme drain|escape-vc|spin] [--pattern NAME]
+//!             [--scheme NAME] [--pattern NAME]
 //!             [--rate R] [--seed S] [--epoch E] [--cycles C]
 //!             [--telemetry-period P] [--out DIR]
 //! ```
+//!
+//! `--scheme` takes any `Scheme::name` (default `drain`).
 
 use std::path::PathBuf;
 
@@ -70,15 +72,6 @@ fn parse_pattern(name: &str) -> Result<SyntheticPattern, &'static str> {
     })
 }
 
-fn parse_scheme(name: &str) -> Result<Scheme, &'static str> {
-    Ok(match name {
-        "drain" => Scheme::Drain(DrainVariant::Vn1Vc2),
-        "escape-vc" => Scheme::EscapeVc,
-        "spin" => Scheme::Spin,
-        _ => return Err("drain, escape-vc or spin"),
-    })
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         mesh: (4, 4),
@@ -100,7 +93,7 @@ fn parse_args() -> Args {
             "--mesh" => args.mesh = flags.value(f, parse_mesh),
             "--faults" => args.faults = flags.parsed(f),
             "--fault-seed" => args.fault_seed = flags.parsed(f),
-            "--scheme" => args.scheme = flags.value(f, parse_scheme),
+            "--scheme" => args.scheme = flags.value(f, str::parse),
             "--pattern" => args.pattern = flags.value(f, parse_pattern),
             "--rate" => args.rate = flags.value(f, parse_rate),
             "--seed" => args.seed = flags.parsed(f),

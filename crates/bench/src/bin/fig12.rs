@@ -87,11 +87,11 @@ fn main() {
             &rt_rows,
         );
     }
-    write_csv(
-        "fig12",
-        &["faults", "metric", "app", "spin", "drain_vn3vc2", "drain_vn1vc6", "drain_vn1vc2"],
-        &csv_rows,
-    );
+    let csv_header: Vec<&str> = ["faults", "metric", "app"]
+        .into_iter()
+        .chain(schemes[1..].iter().map(|s| s.key()))
+        .collect();
+    write_csv("fig12", &csv_header, &csv_rows);
     println!("\nPaper shape: DRAIN ≈ SPIN; VN-1,VC-2 latency is higher (1/3 the VCs) but runtime is unharmed.");
     engine.finish();
 }

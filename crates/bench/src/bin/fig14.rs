@@ -14,6 +14,7 @@ use drain_bench::sweep::{low_load_latency, saturation_throughput};
 use drain_bench::table::{banner, f1, f3, print_table};
 use drain_bench::{Scale, Scheme};
 use drain_netsim::traffic::SyntheticPattern;
+use drain_netsim::TraceConfig;
 
 fn main() {
     let scale = Scale::from_env();
@@ -69,7 +70,7 @@ fn main() {
     let results = engine.run_jobs(
         &hop_settings,
         |&hops| {
-            let mut sim = drain.synthetic_sim_hops(
+            let mut sim = drain.synthetic_sim_traced(
                 &built,
                 true,
                 SyntheticPattern::UniformRandom,
@@ -77,6 +78,7 @@ fn main() {
                 9,
                 1_024,
                 hops,
+                TraceConfig::default(),
             );
             sim.warmup_and_measure(scale.warmup(), scale.measure());
             (sim.stats().net_latency.mean(), sim.stats().forced_hops)

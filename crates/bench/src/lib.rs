@@ -17,9 +17,10 @@
 //! The building blocks live here:
 //!
 //! * [`scale`] — run-length/seed policy (`DRAIN_SCALE`).
-//! * [`scheme`] — assembling each evaluated scheme (escape VC, SPIN, the
-//!   three DRAIN configurations, ideal, up*/down*) for synthetic and
-//!   coherence workloads.
+//! * [`scheme`] — the one table of evaluated schemes (escape VC, SPIN, the
+//!   three DRAIN configurations, ideal, up*/down*, unprotected): names,
+//!   Table II provisioning, and assembly for synthetic and coherence
+//!   workloads.
 //! * [`sweep`] — load–latency sweeps and saturation-throughput search;
 //!   [`sweep::plan`] expands figure grids into cacheable job specs.
 //! * [`runner`] — the scoped-thread worker pool (order-preserving, so
@@ -51,7 +52,7 @@ pub mod sweep;
 pub mod table;
 
 pub use scale::Scale;
-pub use scheme::{Scheme, Workload};
+pub use scheme::Scheme;
 
 /// Ends the process the way every tool reports bad input: one `error: …`
 /// line on stderr, exit code 2 — a typo must not silently run something

@@ -21,7 +21,6 @@
 //! detection path works end-to-end: the forced-move validator must reject
 //! the first drain window with a replayable report.
 
-use drain_baselines::assemble::{baseline_sim_with_config, Baseline};
 use drain_core::{DrainConfig, DrainMechanism};
 use drain_netsim::routing::FullyAdaptive;
 use drain_netsim::traffic::{SyntheticPattern, SyntheticTraffic};
@@ -33,6 +32,8 @@ use drain_netsim::{
 };
 use drain_path::DrainPath;
 use drain_topology::{LinkId, Topology};
+
+use crate::scheme::{DrainVariant, Scheme, SYNTHETIC_TRAFFIC_SALT};
 
 /// Deliberate fault injection into the DRAIN leg (detection-path tests).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,7 +67,7 @@ pub struct OracleSpec {
     /// everything.
     pub drain_budget: u64,
     /// The trusted reference scheme.
-    pub baseline: Baseline,
+    pub baseline: Scheme,
     /// When set, both legs run with event tracing on and dump a flight
     /// record into this directory on failure (see
     /// [`drain_netsim::trace`]); the dump path lands in
@@ -138,12 +139,23 @@ fn checked_config(mut config: SimConfig, spec: &OracleSpec) -> SimConfig {
 }
 
 fn recording_traffic(spec: &OracleSpec) -> Box<RecordingEndpoints> {
-    // Same traffic-seed derivation as `Scheme::synthetic_sim`, so oracle
-    // runs replay identically through the figure harness.
     Box::new(RecordingEndpoints::new(Box::new(
-        SyntheticTraffic::new(spec.pattern.clone(), spec.rate, 1, spec.seed ^ 0x7AFF1C)
-            .stop_injection_at(spec.inject_cycles),
+        SyntheticTraffic::new(
+            spec.pattern.clone(),
+            spec.rate,
+            1,
+            spec.seed ^ SYNTHETIC_TRAFFIC_SALT,
+        )
+        .stop_injection_at(spec.inject_cycles),
     )))
+}
+
+fn drain_config(spec: &OracleSpec) -> DrainConfig {
+    DrainConfig {
+        epoch: spec.epoch,
+        full_drain_period: spec.full_drain_period,
+        ..DrainConfig::default()
+    }
 }
 
 fn finish_leg(scheme: &'static str, mut sim: Sim, spec: &OracleSpec) -> LegReport {
@@ -171,9 +183,11 @@ fn finish_leg(scheme: &'static str, mut sim: Sim, spec: &OracleSpec) -> LegRepor
     }
 }
 
+/// Wired by hand rather than through [`Scheme::build`]: the sabotage
+/// corrupts the turn table before the mechanism is built.
 fn run_drain_leg(topo: &Topology, spec: &OracleSpec, fault: FaultSeed) -> LegReport {
     let mut path = DrainPath::compute(topo).expect("connected topology");
-    let mut config = checked_config(SimConfig::drain_default(), spec);
+    let mut config = checked_config(Scheme::Drain(DrainVariant::Vn1Vc2).config(), spec);
     if fault == FaultSeed::SkewTurnTable {
         // Compute the skew against the healthy table first, then apply.
         let skew: Vec<(LinkId, LinkId)> = topo
@@ -188,14 +202,7 @@ fn run_drain_leg(topo: &Topology, spec: &OracleSpec, fault: FaultSeed) -> LegRep
         // enter VC 0 freely so every drain window exercises the sabotage.
         config.escape_entry_patience = 0;
     }
-    let mech = DrainMechanism::new(
-        path,
-        DrainConfig {
-            epoch: spec.epoch,
-            full_drain_period: spec.full_drain_period,
-            ..DrainConfig::default()
-        },
-    );
+    let mech = DrainMechanism::new(path, drain_config(spec));
     let sim = Sim::new(
         topo.clone(),
         config,
@@ -207,13 +214,16 @@ fn run_drain_leg(topo: &Topology, spec: &OracleSpec, fault: FaultSeed) -> LegRep
 }
 
 fn run_baseline_leg(topo: &Topology, full_mesh: bool, spec: &OracleSpec) -> LegReport {
-    let sim = baseline_sim_with_config(
-        topo,
-        spec.baseline,
-        full_mesh,
-        recording_traffic(spec),
-        checked_config(spec.baseline.default_config(), spec),
-    );
+    let sim = spec
+        .baseline
+        .build(
+            topo,
+            full_mesh,
+            recording_traffic(spec),
+            checked_config(spec.baseline.config(), spec),
+            drain_config(spec),
+        )
+        .expect("connected topology");
     finish_leg(spec.baseline.name(), sim, spec)
 }
 
@@ -295,7 +305,7 @@ mod tests {
             full_drain_period: 8,
             inject_cycles: 1_500,
             drain_budget: 60_000,
-            baseline: Baseline::EscapeVc,
+            baseline: Scheme::EscapeVc,
             flightrec_dir: None,
         }
     }

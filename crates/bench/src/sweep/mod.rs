@@ -10,6 +10,7 @@
 pub mod plan;
 
 use drain_netsim::traffic::SyntheticPattern;
+use drain_netsim::TraceConfig;
 use drain_topology::Topology;
 
 use crate::scale::Scale;
@@ -30,24 +31,9 @@ pub struct Point {
 }
 
 /// Measures one operating point: warmup, then a measurement window.
+/// `hops_per_drain` is 1 everywhere but the Fig 14 ablation.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_point(
-    scheme: Scheme,
-    topo: &Topology,
-    full_mesh: bool,
-    pattern: &SyntheticPattern,
-    rate: f64,
-    seed: u64,
-    epoch: u64,
-    scale: Scale,
-) -> Point {
-    measure_point_hops(scheme, topo, full_mesh, pattern, rate, seed, epoch, 1, scale)
-}
-
-/// [`measure_point`] with an explicit hops-per-drain-window setting (the
-/// Fig 14 ablation).
-#[allow(clippy::too_many_arguments)]
-pub fn measure_point_hops(
     scheme: Scheme,
     topo: &Topology,
     full_mesh: bool,
@@ -58,7 +44,7 @@ pub fn measure_point_hops(
     hops_per_drain: u32,
     scale: Scale,
 ) -> Point {
-    let mut sim = scheme.synthetic_sim_hops(
+    let mut sim = scheme.synthetic_sim_traced(
         topo,
         full_mesh,
         pattern.clone(),
@@ -66,6 +52,7 @@ pub fn measure_point_hops(
         seed,
         epoch,
         hops_per_drain,
+        TraceConfig::default(),
     );
     sim.warmup_and_measure(scale.warmup(), scale.measure());
     let now = sim.core().cycle();
@@ -93,7 +80,7 @@ pub fn load_sweep(
     scale
         .rate_sweep()
         .into_iter()
-        .map(|rate| measure_point(scheme, topo, full_mesh, pattern, rate, seed, epoch, scale))
+        .map(|rate| measure_point(scheme, topo, full_mesh, pattern, rate, seed, epoch, 1, scale))
         .collect()
 }
 
@@ -136,6 +123,7 @@ mod tests {
             0.02,
             1,
             Scheme::DEFAULT_EPOCH,
+            1,
             Scale::Quick,
         );
         let high = measure_point(
@@ -146,6 +134,7 @@ mod tests {
             0.30,
             1,
             Scheme::DEFAULT_EPOCH,
+            1,
             Scale::Quick,
         );
         assert!(high.latency > low.latency);

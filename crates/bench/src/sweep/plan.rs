@@ -14,8 +14,8 @@ use drain_topology::chiplet::{demo_heterogeneous_system, random_connected};
 use drain_topology::{faults::FaultInjector, Topology};
 
 use crate::scale::Scale;
-use crate::scheme::{DrainVariant, Scheme};
-use crate::sweep::{measure_point_hops, Point};
+use crate::scheme::Scheme;
+use crate::sweep::{measure_point, Point};
 
 /// A reproducible topology description (the cacheable stand-in for a
 /// built [`Topology`]).
@@ -113,20 +113,6 @@ impl TopoSpec {
     }
 }
 
-/// Canonical cache-key fragment for a scheme (stable across label edits).
-pub fn scheme_key(scheme: Scheme) -> &'static str {
-    match scheme {
-        Scheme::EscapeVc => "escapevc",
-        Scheme::Spin => "spin",
-        Scheme::Drain(DrainVariant::Vn1Vc2) => "drain-vn1vc2",
-        Scheme::Drain(DrainVariant::Vn3Vc2) => "drain-vn3vc2",
-        Scheme::Drain(DrainVariant::Vn1Vc6) => "drain-vn1vc6",
-        Scheme::UpDown => "updown",
-        Scheme::Ideal => "ideal",
-        Scheme::Unprotected => "unprotected",
-    }
-}
-
 /// Canonical cache-key fragment for a traffic pattern.
 pub fn pattern_key(pattern: &SyntheticPattern) -> String {
     match pattern {
@@ -197,7 +183,7 @@ impl PointSpec {
     /// simulator locally, so specs can run on any worker thread).
     pub fn run(&self) -> Point {
         let topo = self.topo.build();
-        measure_point_hops(
+        measure_point(
             self.scheme,
             &topo,
             self.topo.full_mesh(),
@@ -216,7 +202,7 @@ impl PointSpec {
     pub fn key_material(&self) -> String {
         format!(
             "scheme={}|topo={}|pattern={}|rate={}|seed={}|epoch={}|hops={}|scale={}",
-            scheme_key(self.scheme),
+            self.scheme.key(),
             self.topo.key_material(),
             pattern_key(&self.pattern),
             (self.rate * 1e6).round() as u64,

@@ -3,14 +3,11 @@
 
 #![allow(dead_code)]
 
-use std::sync::Arc;
-
+use drain_bench::scheme::DrainVariant;
 use drain_bench::{Scale, Scheme};
-use drain_core::{DrainConfig, DrainMechanism};
-use drain_netsim::routing::FullyAdaptive;
+use drain_core::DrainConfig;
 use drain_netsim::traffic::{InjectionEvent, TraceTraffic};
 use drain_netsim::{MessageClass, Sim, SimConfig, TraceConfig};
-use drain_path::DrainPath;
 use drain_topology::faults::FaultInjector;
 use drain_topology::{NodeId, Topology};
 
@@ -44,7 +41,7 @@ pub fn wedge_cell_sim(scheme: Scheme, epoch: u64) -> Sim {
 /// on an empty network. Returns the simulation and the number of scripted
 /// packets.
 pub fn bursty_sim(trace: TraceConfig) -> (Sim, u64) {
-    let topo = Arc::new(irregular_topo());
+    let topo = irregular_topo();
     let n = topo.num_nodes() as u16;
     let mut events = Vec::new();
     for (burst, start) in [(0u64, 0u64), (1, 5_000), (2, 15_000)] {
@@ -61,25 +58,25 @@ pub fn bursty_sim(trace: TraceConfig) -> (Sim, u64) {
         }
     }
     let packets = events.len() as u64;
-    let path = DrainPath::compute(&topo).expect("connected");
-    let mech = DrainMechanism::new(
-        path,
-        DrainConfig {
-            epoch: 2_048,
-            ..DrainConfig::default()
-        },
-    );
-    let sim = Sim::new(
-        Arc::clone(&topo),
-        SimConfig {
-            num_classes: 1,
-            seed: 5,
-            trace,
-            ..SimConfig::drain_default()
-        },
-        FullyAdaptive::new(topo),
-        Box::new(mech),
-        Box::new(TraceTraffic::new(events)),
-    );
+    let drain = Scheme::Drain(DrainVariant::Vn1Vc2);
+    let config = SimConfig {
+        num_classes: 1,
+        seed: 5,
+        trace,
+        ..drain.config()
+    };
+    let drain_config = DrainConfig {
+        epoch: 2_048,
+        ..DrainConfig::default()
+    };
+    let sim = drain
+        .build(
+            topo,
+            false,
+            Box::new(TraceTraffic::new(events)),
+            config,
+            drain_config,
+        )
+        .expect("connected");
     (sim, packets)
 }

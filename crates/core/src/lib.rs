@@ -16,41 +16,46 @@
 //! * [`DrainMechanism`] — the runtime controller implementing the epoch
 //!   register, credit freeze and turn-table-forced movement as a
 //!   [`drain_netsim::mechanism::Mechanism`].
-//! * [`builder::DrainNetworkBuilder`] — one-stop assembly of a DRAIN-protected
-//!   simulation.
 //! * [`reconfigure`] — the fault-event flow: drain traffic, recompute the
 //!   drain path offline, resume on the degraded topology.
+//!
+//! `drain_bench::Scheme` wires DRAIN's Table II setup (this mechanism,
+//! fully adaptive routing, VN-1/VC-2) together with the baselines'.
 //!
 //! # Examples
 //!
 //! ```
+//! use drain_core::{DrainConfig, DrainMechanism};
+//! use drain_netsim::routing::FullyAdaptive;
+//! use drain_netsim::traffic::{SyntheticPattern, SyntheticTraffic};
+//! use drain_netsim::{Sim, SimConfig};
+//! use drain_path::DrainPath;
 //! use drain_topology::Topology;
-//! use drain_core::builder::DrainNetworkBuilder;
-//! use drain_netsim::traffic::{SyntheticTraffic, SyntheticPattern};
 //!
 //! let topo = Topology::mesh(4, 4);
-//! let mut sim = DrainNetworkBuilder::new(topo)
-//!     .epoch(1024)
-//!     .endpoints(Box::new(SyntheticTraffic::new(
-//!         SyntheticPattern::UniformRandom, 0.05, 1, 9)))
-//!     .build()?;
+//! let path = DrainPath::compute(&topo)?;
+//! let drain = DrainConfig { epoch: 1024, ..DrainConfig::default() };
+//! let mut sim = Sim::new(
+//!     &topo,
+//!     SimConfig::drain_default(),
+//!     FullyAdaptive::new(&topo),
+//!     Box::new(DrainMechanism::new(path, drain)),
+//!     Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.05, 1, 9)),
+//! );
 //! sim.run(5_000);
 //! assert!(sim.stats().ejected > 0);
-//! # Ok::<(), drain_core::DrainBuildError>(())
+//! # Ok::<(), drain_path::DrainPathError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
 pub mod reconfigure;
 
 use drain_netsim::config::MAX_PACKET_FLITS;
 use drain_netsim::mechanism::{ControlAction, ForcedKind, ForcedMove, Mechanism};
 use drain_netsim::{SimCore, TraceEvent, VcRef};
 use drain_path::DrainPath;
-
-pub use builder::DrainBuildError;
 
 /// DRAIN runtime parameters (paper §III-C, Table defaults §IV).
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -14,10 +14,15 @@ use std::sync::Arc;
 use drain_netsim::routing::FullyAdaptive;
 use drain_netsim::traffic::{SyntheticPattern, SyntheticTraffic};
 use drain_netsim::{RunOutcome, Sim, SimConfig};
-use drain_path::DrainPath;
+use drain_path::{DrainPath, DrainPathError};
 use drain_topology::{LinkId, Topology, TopologyError};
 
-use crate::{DrainBuildError, DrainConfig, DrainMechanism};
+use crate::{DrainConfig, DrainMechanism};
+
+/// Cycles a flush may run before [`FaultTolerantNetwork::fault_link`]
+/// retires the simulation with whatever it still holds (the caller sees
+/// that in the retired simulation's `live_packets()`).
+const FLUSH_BUDGET: u64 = 500_000;
 
 /// Cumulative service record across fault events.
 #[derive(Clone, Debug, Default)]
@@ -50,7 +55,7 @@ impl FaultTolerantNetwork {
     ///
     /// # Errors
     ///
-    /// [`DrainBuildError`] if no drain path exists for `topo`.
+    /// [`DrainPathError`] if no drain path exists for `topo`.
     pub fn new(
         topo: Topology,
         sim_config: SimConfig,
@@ -58,7 +63,7 @@ impl FaultTolerantNetwork {
         pattern: SyntheticPattern,
         injection_rate: f64,
         seed: u64,
-    ) -> Result<Self, DrainBuildError> {
+    ) -> Result<Self, DrainPathError> {
         let sim = Self::assemble(
             &topo,
             &sim_config,
@@ -66,7 +71,6 @@ impl FaultTolerantNetwork {
             &pattern,
             injection_rate,
             seed,
-            None,
         )?;
         Ok(FaultTolerantNetwork {
             topo,
@@ -80,6 +84,8 @@ impl FaultTolerantNetwork {
         })
     }
 
+    /// One service epoch's simulation. Wired here rather than through
+    /// `drain_bench::Scheme`, which sits in a crate above this one.
     fn assemble(
         topo: &Topology,
         sim_config: &SimConfig,
@@ -87,14 +93,10 @@ impl FaultTolerantNetwork {
         pattern: &SyntheticPattern,
         injection_rate: f64,
         seed: u64,
-        stop_injection_at: Option<u64>,
-    ) -> Result<Sim, DrainBuildError> {
+    ) -> Result<Sim, DrainPathError> {
         let path = DrainPath::compute(topo)?;
         let mech = DrainMechanism::new(path, drain_config.clone());
-        let mut traffic = SyntheticTraffic::new(pattern.clone(), injection_rate, 1, seed ^ 0xFA17);
-        if let Some(c) = stop_injection_at {
-            traffic = traffic.stop_injection_at(c);
-        }
+        let traffic = SyntheticTraffic::new(pattern.clone(), injection_rate, 1, seed ^ 0xFA17);
         // One clone of the (per-epoch) topology, shared between routing
         // and core.
         let topo = std::sync::Arc::new(topo.clone());
@@ -128,54 +130,50 @@ impl FaultTolerantNetwork {
         self.record.total_cycles += cycles;
     }
 
-    /// A link wears out: flush traffic, drop the link, recompute the drain
-    /// path + routing, resume. Returns the flush duration in cycles.
+    /// A link wears out: the network stops accepting traffic and flushes
+    /// the packets it holds, the link is dropped, the drain path and
+    /// routing are recomputed on the degraded topology, and service
+    /// resumes there. Returns the retired simulation, whose
+    /// `live_packets()` is 0 unless its flush ran out of budget.
     ///
     /// # Errors
     ///
-    /// [`TopologyError::WouldDisconnect`] when the failed link was a bridge
-    /// (service cannot continue — the paper's connectivity assumption), or
-    /// a [`DrainBuildError`] wrapped in `Ok(Err(..))` is impossible since
-    /// connectivity was just verified; path errors become panics.
-    pub fn fault_link(&mut self, link: LinkId) -> Result<u64, TopologyError> {
+    /// [`TopologyError::WouldDisconnect`] when the failed link is a bridge:
+    /// service cannot continue (the paper's connectivity assumption), and
+    /// the network is left as it was. Any other degraded topology is
+    /// connected, so its drain path exists.
+    pub fn fault_link(&mut self, link: LinkId) -> Result<Sim, TopologyError> {
         let new_topo = self.topo.without_link(link)?;
-        // Flush in-flight traffic on the old topology (in hardware the
-        // packets drain in place; full drains bound the tail).
-        let flushed = self.flush_in_place();
-        self.record.reconfiguration_cycles += flushed;
-        // Reconfigure on the degraded topology.
-        self.record.total_delivered += self.sim.stats().ejected;
+        self.record.reconfiguration_cycles += self.flush_in_place();
         self.seed = self.seed.wrapping_add(0x9E37_79B9);
-        self.topo = new_topo;
-        self.sim = Self::assemble(
-            &self.topo,
+        let next = Self::assemble(
+            &new_topo,
             &self.sim_config,
             &self.drain_config,
             &self.pattern,
             self.injection_rate,
             self.seed,
-            None,
         )
         .expect("degraded topology is connected, so a drain path exists");
+        self.topo = new_topo;
+        let retired = std::mem::replace(&mut self.sim, next);
+        self.record.total_delivered += retired.stats().ejected;
         self.record.faults_survived += 1;
-        Ok(flushed)
+        Ok(retired)
     }
 
-    /// Runs the current simulation in short slices until the network is
-    /// empty or a generous budget is spent. Injection keeps running in the
-    /// old simulation; at fault-tolerance traffic rates delivery outpaces
-    /// injection, and full drains bound the tail.
+    /// Stops injection and runs the current simulation until it holds no
+    /// packet, or for [`FLUSH_BUDGET`] cycles (in hardware the packets
+    /// drain in place; full drains bound the tail). Returns the cycles it
+    /// took.
     fn flush_in_place(&mut self) -> u64 {
         let start = self.sim.core().cycle();
-        let mut waited = 0u64;
-        while self.sim.core().live_packets() > 0 && waited < 500_000 {
-            let before = self.sim.core().live_packets();
-            self.sim.run(256);
-            waited += 256;
-            if self.sim.core().live_packets() >= before && waited > 8_192 {
-                break;
-            }
-        }
+        let traffic = self
+            .sim
+            .endpoints_as_mut::<SyntheticTraffic>()
+            .expect("service traffic is synthetic");
+        *traffic = traffic.clone().stop_injection_at(start);
+        self.sim.run(FLUSH_BUDGET);
         self.sim.core().cycle() - start
     }
 
@@ -219,8 +217,10 @@ impl std::fmt::Debug for FaultTolerantNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drain_netsim::CheckConfig;
+    use drain_topology::faults::FaultInjector;
 
-    fn network() -> FaultTolerantNetwork {
+    fn network(injection_rate: f64) -> FaultTolerantNetwork {
         FaultTolerantNetwork::new(
             Topology::mesh(4, 4),
             SimConfig {
@@ -233,7 +233,7 @@ mod tests {
                 ..DrainConfig::default()
             },
             SyntheticPattern::UniformRandom,
-            0.05,
+            injection_rate,
             3,
         )
         .unwrap()
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn survives_sequential_faults() {
-        let mut net = network();
+        let mut net = network(0.05);
         net.wear_out_scenario(2_000, 3, 42);
         assert_eq!(net.record().faults_survived, 3);
         assert!(net.delivered() > 0);
@@ -250,6 +250,29 @@ mod tests {
             net.topology().num_bidirectional_links(),
             Topology::mesh(4, 4).num_bidirectional_links() - 3
         );
+    }
+
+    #[test]
+    fn faults_under_load_lose_no_packet() {
+        // Every service epoch runs under the full invariant checks, and
+        // each fault arrives with packets in flight: the retired
+        // simulation must have delivered every packet it created.
+        let mut net = network(0.15);
+        net.sim.set_checks(CheckConfig::full());
+        for i in 0..3 {
+            net.serve(2_000);
+            let link = FaultInjector::new(42)
+                .pick_removable_link(net.topology(), i)
+                .unwrap();
+            let retired = net.fault_link(link).unwrap();
+            net.sim.set_checks(CheckConfig::full());
+            let s = retired.stats();
+            assert!(retired.violation().is_none(), "fault {i}");
+            assert_eq!(retired.core().live_packets(), 0, "fault {i}");
+            assert!(s.generated > 0, "fault {i}");
+            assert_eq!(s.generated, s.ejected, "fault {i}");
+        }
+        assert_eq!(net.record().faults_survived, 3);
     }
 
     #[test]

@@ -103,39 +103,12 @@ impl SimConfig {
         }
     }
 
-    /// DRAIN with the same number of virtual networks as the baselines
-    /// (VN-3, VC-2).
-    pub fn drain_vn3() -> Self {
-        SimConfig {
-            vns: 3,
-            vcs_per_vn: 2,
-            escape_sticky: true,
-            ..SimConfig::default()
-        }
-    }
-
-    /// DRAIN with one virtual network but the baselines' total VC count
-    /// (VN-1, VC-6).
-    pub fn drain_vc6() -> Self {
-        SimConfig {
-            vns: 1,
-            vcs_per_vn: 6,
-            escape_sticky: true,
-            ..SimConfig::default()
-        }
-    }
-
     /// The escape-VC baseline: 3 VNs × 2 VCs, sticky escape.
     pub fn escape_vc_baseline() -> Self {
         SimConfig {
             escape_sticky: true,
             ..SimConfig::default()
         }
-    }
-
-    /// The SPIN baseline: 3 VNs × 2 VCs, no escape restrictions.
-    pub fn spin_baseline() -> Self {
-        SimConfig::default()
     }
 
     /// Total VCs per input port.
@@ -181,8 +154,6 @@ mod tests {
     #[test]
     fn drain_configs() {
         assert_eq!(SimConfig::drain_default().total_vcs(), 2);
-        assert_eq!(SimConfig::drain_vn3().total_vcs(), 6);
-        assert_eq!(SimConfig::drain_vc6().total_vcs(), 6);
         assert!(SimConfig::drain_default().escape_sticky);
     }
 

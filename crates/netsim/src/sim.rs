@@ -144,6 +144,12 @@ impl Sim {
         self.endpoints.as_any().downcast_ref::<T>()
     }
 
+    /// [`Sim::endpoints_as`], mutably (e.g. to stop a traffic source
+    /// mid-run).
+    pub fn endpoints_as_mut<T: 'static>(&mut self) -> Option<&mut T> {
+        (self.endpoints.as_mut() as &mut dyn std::any::Any).downcast_mut::<T>()
+    }
+
     /// Opens a fresh measurement window (call after warmup).
     pub fn open_measurement_window(&mut self) {
         let c = self.core.cycle();

@@ -32,12 +32,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(covered.iter().all(|&c| c), "every router drained");
 
     // Cross-chiplet traffic under DRAIN.
-    let mut sim = DrainNetworkBuilder::new(system)
-        .epoch(16_384)
-        .pattern(SyntheticPattern::UniformRandom)
-        .injection_rate(0.03)
-        .seed(5)
-        .build()?;
+    let drain = Scheme::Drain(DrainVariant::Vn1Vc2);
+    let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.03, 1, 5);
+    let mut sim = drain.build(
+        system,
+        false,
+        Box::new(traffic),
+        SimConfig {
+            num_classes: 1,
+            seed: 5,
+            ..drain.config()
+        },
+        DrainConfig {
+            epoch: 16_384,
+            ..DrainConfig::default()
+        },
+    )?;
     sim.run(60_000);
     let s = sim.stats();
     println!("\nafter 60K cycles of cross-chiplet uniform traffic:");

@@ -23,25 +23,20 @@ fn build(topo: &Topology, protected: bool, seed: u64) -> Sim {
         seed,
         ..SimConfig::default()
     };
-    let mechanism: Box<dyn drain_repro::netsim::mechanism::Mechanism> = if protected {
-        let path = DrainPath::compute(topo).expect("connected");
-        Box::new(DrainMechanism::new(
-            path,
-            DrainConfig {
-                epoch: 8_192,
-                ..DrainConfig::default()
-            },
-        ))
+    // Both networks route fully adaptively on the same single VN; only
+    // the mechanism differs.
+    let scheme = if protected {
+        Scheme::Drain(DrainVariant::Vn1Vc2)
     } else {
-        Box::new(drain_repro::netsim::mechanism::NoMechanism)
+        Scheme::Unprotected
     };
-    Sim::new(
-        topo.clone(),
-        config,
-        FullyAdaptive::new(topo),
-        mechanism,
-        Box::new(engine),
-    )
+    let drain = DrainConfig {
+        epoch: 8_192,
+        ..DrainConfig::default()
+    };
+    scheme
+        .build(topo, true, Box::new(engine), config, drain)
+        .expect("connected")
 }
 
 fn main() {

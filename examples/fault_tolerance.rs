@@ -37,10 +37,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         if let Some(link) = FaultInjector::new(1234).pick_removable_link(net.topology(), event) {
             let e = net.topology().link(link);
-            let flushed = net.fault_link(link)?;
+            let fault_cycle = net.sim().core().cycle();
+            let retired = net.fault_link(link)?;
             println!(
                 "  !! link {}-{} failed; flushed in {} cycles, drain path recomputed",
-                e.src, e.dst, flushed
+                e.src,
+                e.dst,
+                retired.core().cycle() - fault_cycle
+            );
+            assert_eq!(
+                retired.core().live_packets(),
+                0,
+                "the flush delivers every packet"
             );
         }
     }

@@ -25,15 +25,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         path.verify(&topo).is_ok()
     );
 
-    // A DRAIN-protected simulation: fully adaptive routing (not
-    // deadlock-free by itself!), one virtual network with two VCs, and the
-    // paper's 64K-cycle drain epoch.
-    let mut sim = DrainNetworkBuilder::new(topo)
-        .epoch(65_536)
-        .pattern(SyntheticPattern::UniformRandom)
-        .injection_rate(0.05)
-        .seed(7)
-        .build()?;
+    // A DRAIN-protected simulation as the paper evaluates it (Table II):
+    // fully adaptive routing (not deadlock-free by itself!), one virtual
+    // network with two VCs, and the paper's 64K-cycle drain epoch.
+    let drain = Scheme::Drain(DrainVariant::Vn1Vc2);
+    let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.05, 1, 7);
+    let mut sim = drain.build(
+        topo,
+        false,
+        Box::new(traffic),
+        SimConfig {
+            num_classes: 1,
+            seed: 7,
+            ..drain.config()
+        },
+        DrainConfig {
+            epoch: 65_536,
+            ..DrainConfig::default()
+        },
+    )?;
     sim.run(50_000);
 
     let s = sim.stats();

@@ -98,11 +98,13 @@ rm -rf results/metrics_smoke
     || { echo "drain_metrics.jsonl must be one line starting {\"kind\":\"metrics\""; exit 1; }
 # Bad input is one `error:` line and exit code 2, never a backtrace: an
 # unknown flag, a flag that was removed, a value outside its range that
-# once ran silently, and an on/off switch that is neither 0 nor 1.
+# once ran silently, an on/off switch that is neither 0 nor 1, a scheme
+# name not in `Scheme`'s table, and DRAIN asked to be its own reference.
 cargo build --release -p drain-bench --bin table1 --quiet
 bin=./target/release
 for bad in "$bin/drain_metrics --listen x" "$bin/drain_fuzz --shards 2" \
-    "$bin/drain_trace --rate NaN" "DRAIN_NO_CACHE=yes $bin/table1"; do
+    "$bin/drain_trace --rate NaN" "DRAIN_NO_CACHE=yes $bin/table1" \
+    "$bin/drain_trace --scheme bogus" "$bin/drain_fuzz --baseline drain"; do
     rc=0
     env $bad > /dev/null 2> "$tmp/flag.err" || rc=$?
     [ "$rc" = 2 ] && [ "$(wc -l < "$tmp/flag.err")" = 1 ] && grep -q '^error: ' "$tmp/flag.err" \

@@ -1,25 +1,37 @@
 //! Determinism and conservation invariants across the full stack.
 
-use drain_repro::baselines::{baseline_sim, Baseline};
 use drain_repro::prelude::*;
 
-fn traffic(rate: f64, seed: u64) -> Box<SyntheticTraffic> {
-    Box::new(SyntheticTraffic::new(
-        SyntheticPattern::UniformRandom,
-        rate,
-        1,
+/// `scheme` on `topo` at its Table II config, uniform traffic at `rate`,
+/// seeded `seed`; DRAIN runs one message class with drain epoch `epoch`.
+fn sim(scheme: Scheme, topo: &Topology, rate: f64, seed: u64, epoch: u64) -> Sim {
+    let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, rate, 1, seed);
+    let mut config = SimConfig {
         seed,
-    ))
+        ..scheme.config()
+    };
+    if let Scheme::Drain(_) = scheme {
+        config.num_classes = 1;
+    }
+    let drain = DrainConfig {
+        epoch,
+        ..DrainConfig::default()
+    };
+    scheme
+        .build(topo, false, Box::new(traffic), config, drain)
+        .unwrap()
 }
+
+const DRAIN: Scheme = Scheme::Drain(DrainVariant::Vn1Vc2);
 
 #[test]
 fn identical_seeds_identical_runs() {
     let topo = FaultInjector::new(5)
         .remove_links(&Topology::mesh(5, 5), 4)
         .unwrap();
-    for b in [Baseline::EscapeVc, Baseline::Spin, Baseline::Ideal] {
+    for b in [Scheme::EscapeVc, Scheme::Spin, Scheme::Ideal] {
         let run = |seed: u64| {
-            let mut sim = baseline_sim(&topo, b, false, traffic(0.08, seed), seed);
+            let mut sim = sim(b, &topo, 0.08, seed, Scheme::DEFAULT_EPOCH);
             sim.run(8_000);
             (
                 sim.stats().injected,
@@ -37,12 +49,7 @@ fn identical_seeds_identical_runs() {
 fn drain_runs_are_deterministic() {
     let topo = Topology::mesh(4, 4);
     let run = |seed: u64| {
-        let mut sim = DrainNetworkBuilder::new(topo.clone())
-            .epoch(1_024)
-            .injection_rate(0.1)
-            .seed(seed)
-            .build()
-            .unwrap();
+        let mut sim = sim(DRAIN, &topo, 0.1, seed, 1_024);
         sim.run(12_000);
         (sim.stats().ejected, sim.stats().drains, sim.stats().forced_hops)
     };
@@ -55,12 +62,12 @@ fn packets_conserved_under_every_scheme() {
         .remove_links(&Topology::mesh(5, 5), 4)
         .unwrap();
     for b in [
-        Baseline::EscapeVc,
-        Baseline::Spin,
-        Baseline::UpDown,
-        Baseline::Ideal,
+        Scheme::EscapeVc,
+        Scheme::Spin,
+        Scheme::UpDown,
+        Scheme::Ideal,
     ] {
-        let mut sim = baseline_sim(&topo, b, false, traffic(0.1, 2), 2);
+        let mut sim = sim(b, &topo, 0.1, 2, Scheme::DEFAULT_EPOCH);
         sim.run(10_000);
         let s = sim.stats();
         let live = sim.core().live_packets() as u64;
@@ -79,12 +86,8 @@ fn packets_conserved_under_every_scheme() {
 #[test]
 fn drain_conserves_packets_through_forced_moves() {
     let topo = Topology::mesh(4, 4);
-    let mut sim = DrainNetworkBuilder::new(topo)
-        .epoch(256) // drain aggressively to stress forced moves
-        .injection_rate(0.15)
-        .seed(4)
-        .build()
-        .unwrap();
+    // Drain aggressively to stress forced moves.
+    let mut sim = sim(DRAIN, &topo, 0.15, 4, 256);
     sim.run(20_000);
     let s = sim.stats();
     assert!(s.drains > 10);
@@ -121,7 +124,7 @@ fn coherence_transactions_complete_and_conserve() {
 #[test]
 fn stats_quantiles_are_monotone() {
     let topo = Topology::mesh(4, 4);
-    let mut sim = baseline_sim(&topo, Baseline::Spin, true, traffic(0.2, 7), 7);
+    let mut sim = sim(Scheme::Spin, &topo, 0.2, 7, Scheme::DEFAULT_EPOCH);
     sim.run(10_000);
     let h = &sim.stats().net_latency;
     assert!(h.quantile(0.5) <= h.quantile(0.9));

@@ -1,18 +1,31 @@
 //! Coarse, fast assertions that the paper's headline result *shapes* hold
 //! (the full-resolution versions live in the `drain-bench` binaries).
 
-use drain_repro::baselines::{baseline_sim, Baseline};
 use drain_repro::power::{network_model, MechanismKind};
 use drain_repro::prelude::*;
 
-fn traffic(rate: f64, seed: u64) -> Box<SyntheticTraffic> {
-    Box::new(SyntheticTraffic::new(
-        SyntheticPattern::UniformRandom,
-        rate,
-        1,
+/// `scheme` on `topo` at its Table II config, uniform traffic at `rate`,
+/// seeded `seed`; DRAIN runs one message class with drain epoch `epoch`.
+fn sim(scheme: Scheme, topo: &Topology, full_mesh: bool, rate: f64, seed: u64, epoch: u64) -> Sim {
+    let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, rate, 1, seed);
+    let mut config = SimConfig {
         seed,
-    ))
+        ..scheme.config()
+    };
+    if let Scheme::Drain(_) = scheme {
+        config.num_classes = 1;
+    }
+    let drain = DrainConfig {
+        epoch,
+        ..DrainConfig::default()
+    };
+    scheme
+        .build(topo, full_mesh, Box::new(traffic), config, drain)
+        .unwrap()
 }
+
+const DRAIN: Scheme = Scheme::Drain(DrainVariant::Vn1Vc2);
+const EPOCH: u64 = Scheme::DEFAULT_EPOCH;
 
 /// Fig 9 shape: DRAIN saves the majority of router area and power.
 #[test]
@@ -36,7 +49,7 @@ fn fig9_shape_power_savings() {
 #[test]
 fn fig4_shape_wasted_power_dominates() {
     let topo = Topology::mesh(4, 4);
-    let mut sim = baseline_sim(&topo, Baseline::EscapeVc, true, traffic(0.03, 1), 1);
+    let mut sim = sim(Scheme::EscapeVc, &topo, true, 0.03, 1, EPOCH);
     sim.run(10_000);
     let p = network_model(
         &topo,
@@ -62,9 +75,9 @@ fn fig5_shape_updown_below_ideal() {
     let topo = FaultInjector::new(2)
         .remove_links(&Topology::mesh(6, 6), 8)
         .unwrap();
-    let mut ud = baseline_sim(&topo, Baseline::UpDown, false, traffic(0.05, 3), 3);
+    let mut ud = sim(Scheme::UpDown, &topo, false, 0.05, 3, EPOCH);
     ud.warmup_and_measure(2_000, 8_000);
-    let mut ideal = baseline_sim(&topo, Baseline::Ideal, false, traffic(0.05, 3), 3);
+    let mut ideal = sim(Scheme::Ideal, &topo, false, 0.05, 3, EPOCH);
     ideal.warmup_and_measure(2_000, 8_000);
     assert!(ud.stats().net_latency.mean() >= ideal.stats().net_latency.mean() * 0.98);
     let n = topo.num_nodes();
@@ -80,26 +93,9 @@ fn fig11_shape_drain_matches_spin_at_low_load() {
     let topo = FaultInjector::new(7)
         .remove_links(&Topology::mesh(6, 6), 4)
         .unwrap();
-    let mut spin = baseline_sim(&topo, Baseline::Spin, false, traffic(0.02, 5), 5);
+    let mut spin = sim(Scheme::Spin, &topo, false, 0.02, 5, EPOCH);
     spin.warmup_and_measure(2_000, 8_000);
-    let path = DrainPath::compute(&topo).unwrap();
-    let mut drain = Sim::new(
-        topo.clone(),
-        SimConfig {
-            num_classes: 1,
-            watchdog_threshold: 0,
-            seed: 5,
-            ..SimConfig::drain_default()
-        },
-        FullyAdaptive::new(&topo),
-        Box::new(DrainMechanism::new(path, DrainConfig::default())),
-        Box::new(SyntheticTraffic::new(
-            SyntheticPattern::UniformRandom,
-            0.02,
-            1,
-            5,
-        )),
-    );
+    let mut drain = sim(DRAIN, &topo, false, 0.02, 5, EPOCH);
     drain.warmup_and_measure(2_000, 8_000);
     let ls = spin.stats().net_latency.mean();
     let ld = drain.stats().net_latency.mean();
@@ -114,12 +110,7 @@ fn fig11_shape_drain_matches_spin_at_low_load() {
 fn fig14_shape_tiny_epoch_hurts() {
     let topo = Topology::mesh(4, 4);
     let lat_at = |epoch: u64| {
-        let mut sim = DrainNetworkBuilder::new(topo.clone())
-            .epoch(epoch)
-            .injection_rate(0.05)
-            .seed(8)
-            .build()
-            .unwrap();
+        let mut sim = sim(DRAIN, &topo, true, 0.05, 8, epoch);
         sim.warmup_and_measure(2_000, 8_000);
         sim.stats().net_latency.mean()
     };

@@ -29,6 +29,25 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
     ]
 }
 
+/// DRAIN VN-1/VC-2 on `topo`: one message class, drain epoch 512,
+/// uniform traffic at `rate`, seeded `seed`.
+fn drain_sim(topo: Topology, rate: f64, seed: u64) -> Sim {
+    let drain = Scheme::Drain(DrainVariant::Vn1Vc2);
+    let config = SimConfig {
+        num_classes: 1,
+        seed,
+        ..drain.config()
+    };
+    let drain_config = DrainConfig {
+        epoch: 512,
+        ..DrainConfig::default()
+    };
+    let traffic = SyntheticTraffic::new(SyntheticPattern::UniformRandom, rate, 1, seed);
+    drain
+        .build(topo, false, Box::new(traffic), config, drain_config)
+        .unwrap()
+}
+
 /// Hop counts to one destination by a plain queue BFS over reversed edges
 /// — the routine the tables were built with before the bit-parallel one.
 /// `seeds` are the states at distance 0, `preds(v)` the states with an
@@ -320,16 +339,7 @@ proptest! {
         // Full runtime invariant checks ride along (panic-on-violation, so
         // any conservation/occupancy/reachability breach fails the case
         // with a replayable seed), on arbitrary irregular topologies.
-        let mut sim = DrainNetworkBuilder::new(topo)
-            .sim_config(SimConfig {
-                num_classes: 1,
-                ..SimConfig::drain_default()
-            })
-            .epoch(512)
-            .injection_rate(rate)
-            .seed(seed)
-            .build()
-            .unwrap();
+        let mut sim = drain_sim(topo, rate, seed);
         sim.set_checks(CheckConfig::full().with_progress_horizon(4_096));
         sim.run(3_000);
         let s = sim.stats();
@@ -354,16 +364,7 @@ proptest! {
         // the dense re-run pins down end-to-end equivalence — if any wake
         // had been missed, the runs would diverge.
         let build = |topo: Topology, wake: bool| {
-            let mut sim = DrainNetworkBuilder::new(topo)
-                .sim_config(SimConfig {
-                    num_classes: 1,
-                    ..SimConfig::drain_default()
-                })
-                .epoch(512)
-                .injection_rate(rate)
-                .seed(seed)
-                .build()
-                .unwrap();
+            let mut sim = drain_sim(topo, rate, seed);
             sim.set_checks(CheckConfig::full().with_progress_horizon(4_096));
             sim.set_wake_scheduler(wake);
             sim

@@ -9,6 +9,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use drain_netsim::trace::escape_into;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -80,7 +82,7 @@ impl Json {
                     let _ = write!(out, "{x:?}");
                 }
             }
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => escape_into(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -97,7 +99,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    escape_into(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -132,24 +134,6 @@ pub fn float_or_nan(v: Option<&Json>) -> Option<f64> {
         Json::Num(x) => Some(*x),
         _ => None,
     }
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses a complete JSON document.

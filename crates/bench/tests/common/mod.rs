@@ -1,5 +1,5 @@
-//! Shared by the differential suites `determinism.rs` and `metrics.rs`,
-//! and by `wedge.rs` (each uses its own subset).
+//! Shared by the differential suites `determinism.rs`, `golden_pin.rs`
+//! and `metrics.rs`, and by `wedge.rs` (each uses its own subset).
 
 #![allow(dead_code)]
 
@@ -7,9 +7,23 @@ use drain_bench::scheme::DrainVariant;
 use drain_bench::{Scale, Scheme};
 use drain_core::DrainConfig;
 use drain_netsim::traffic::{InjectionEvent, TraceTraffic};
-use drain_netsim::{MessageClass, Sim, SimConfig, TraceConfig};
+use drain_netsim::{MessageClass, RunOutcome, Sim, SimConfig, TraceConfig};
 use drain_topology::faults::FaultInjector;
 use drain_topology::{NodeId, Topology};
+
+/// [`Sim::run`] with every parked head woken before every cycle, so each
+/// head is re-routed every cycle: the reference the wake differentials
+/// hold the default run to. Returns what `Sim::run` would.
+pub fn run_rerouting(sim: &mut Sim, cycles: u64) -> RunOutcome {
+    for _ in 0..cycles {
+        sim.core_mut().wake_all();
+        let outcome = sim.run(1);
+        if outcome != RunOutcome::BudgetExhausted {
+            return outcome;
+        }
+    }
+    RunOutcome::BudgetExhausted
+}
 
 /// The small irregular topology the differentials run on.
 pub fn irregular_topo() -> Topology {

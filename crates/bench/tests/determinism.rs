@@ -5,8 +5,9 @@
 //! 3. the wake-driven Phase A scheduler is invisible: the same seeded
 //!    point produces identical [`drain_netsim::Stats`], the same final
 //!    cycle, byte-identical traces and an identical telemetry series with
-//!    blocked heads parking and with the dense re-route-every-cycle scan
-//!    forced — and parked heads draw nothing,
+//!    blocked heads parking and with every head re-routed every cycle
+//!    (the dense scan, `common::run_rerouting`) — and parked heads draw
+//!    nothing,
 //! 4. a closed-loop coherence point that evicts repeats exactly (the
 //!    victim draw indexes a sorted candidate list, not `HashMap` order).
 //!
@@ -27,7 +28,7 @@ use drain_netsim::{DrawSite, RunOutcome, Stats, TelemetrySample, TraceConfig, Tr
 use drain_topology::Topology;
 
 mod common;
-use common::{bursty_sim, irregular_topo, wedge_cell_sim};
+use common::{bursty_sim, irregular_topo, run_rerouting, wedge_cell_sim};
 
 /// The fig10-style grid this test sweeps: one scheme on a 4×4 mesh with
 /// two different fault patterns.
@@ -139,8 +140,7 @@ fn wake_scheduler_keeps_telemetry_identical() {
                 1,
                 TraceConfig::default().with_telemetry(64),
             );
-            sim.set_wake_scheduler(wake);
-            sim.run(6_000);
+            if wake { sim.run(6_000) } else { run_rerouting(&mut sim, 6_000) };
             if wake {
                 let parks = sim.core().wake_counters().parks;
                 assert!(parks > 0, "{}: wake scheduler never engaged", scheme.label());
@@ -167,7 +167,8 @@ fn wake_scheduler_keeps_telemetry_identical() {
     }
 }
 
-/// One seeded point with the wake scheduler set to `wake`. Returns the
+/// One seeded point, run by `Sim::run` (`wake`) or as the dense scan
+/// (`run_rerouting`). Returns the
 /// wake counters and per-site draw counts too, so callers can assert the
 /// parking path actually engaged and that parked heads drew nothing.
 fn point_stats_wake(
@@ -178,8 +179,7 @@ fn point_stats_wake(
     let topo = irregular_topo();
     let mut sim =
         scheme.synthetic_sim(&topo, false, SyntheticPattern::UniformRandom, rate, 11, 512);
-    sim.set_wake_scheduler(wake);
-    sim.run(6_000);
+    if wake { sim.run(6_000) } else { run_rerouting(&mut sim, 6_000) };
     (
         sim.stats().clone(),
         sim.core().cycle(),
@@ -203,7 +203,7 @@ fn point_stats_wake(
 fn wake_scheduler_is_bit_identical_to_dense_scan() {
     for scheme in Scheme::headline() {
         for rate in [0.01, 0.35] {
-            let (dense, dense_cycle, dense_ctrs, dense_draws) = point_stats_wake(scheme, rate, false);
+            let (dense, dense_cycle, _, dense_draws) = point_stats_wake(scheme, rate, false);
             let (wake, wake_cycle, wake_ctrs, wake_draws) = point_stats_wake(scheme, rate, true);
             assert_eq!(
                 dense,
@@ -218,11 +218,6 @@ fn wake_scheduler_is_bit_identical_to_dense_scan() {
                 scheme.label()
             );
             assert!(wake.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
-            assert_eq!(
-                dense_ctrs.parks, 0,
-                "dense scan must never park ({})",
-                scheme.label()
-            );
             let injection_draws =
                 |draws: [u64; NUM_DRAW_SITES]| draws[DrawSite::Injection.index()];
             assert!(
@@ -261,8 +256,8 @@ fn wake_scheduler_is_bit_identical_to_dense_scan() {
     for scheme in Scheme::headline() {
         let cell = |wake: bool| {
             let mut sim = wedge_cell_sim(scheme, Scheme::DEFAULT_EPOCH);
-            sim.set_wake_scheduler(wake);
-            let outcome = sim.run(Scale::Quick.app_budget());
+            let budget = Scale::Quick.app_budget();
+            let outcome = if wake { sim.run(budget) } else { run_rerouting(&mut sim, budget) };
             (outcome, sim.stats().clone(), sim.core().cycle())
         };
         let (dense, wake) = (cell(false), cell(true));
@@ -278,8 +273,7 @@ fn wake_scheduler_is_bit_identical_to_dense_scan() {
     // short-epoch windows fire on an empty network between them.
     let bursty = |wake: bool| {
         let (mut sim, packets) = bursty_sim(TraceConfig::default());
-        sim.set_wake_scheduler(wake);
-        let outcome = sim.run(30_000);
+        let outcome = if wake { sim.run(30_000) } else { run_rerouting(&mut sim, 30_000) };
         (outcome, sim.stats().clone(), sim.core().cycle(), packets)
     };
     let (dense, wake) = (bursty(false), bursty(true));
@@ -314,9 +308,8 @@ fn wake_scheduler_keeps_traces_byte_identical() {
                 1,
                 TraceConfig::events_on(),
             );
-            sim.set_wake_scheduler(wake);
             sim.set_trace_sink(TraceSink::Memory(Vec::new()));
-            sim.run(2_000);
+            if wake { sim.run(2_000) } else { run_rerouting(&mut sim, 2_000) };
             let events = sim
                 .core_mut()
                 .tracer_mut()
@@ -339,9 +332,8 @@ fn wake_scheduler_keeps_traces_byte_identical() {
     // scripted packet delivered.
     let bursty = |wake: bool| -> String {
         let (mut sim, packets) = bursty_sim(TraceConfig::events_on());
-        sim.set_wake_scheduler(wake);
         sim.set_trace_sink(TraceSink::Memory(Vec::new()));
-        sim.run(30_000);
+        if wake { sim.run(30_000) } else { run_rerouting(&mut sim, 30_000) };
         assert_eq!(sim.stats().ejected, packets);
         let events = sim
             .core_mut()

@@ -24,6 +24,9 @@ use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::{TraceConfig, TraceSink};
 use drain_topology::Topology;
 
+mod common;
+use common::run_rerouting;
+
 /// FNV-1a, dependency-free (the workspace builds offline).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -82,8 +85,9 @@ fn saturated_trace_digest(scheme: Scheme, profile_period: u64) -> u64 {
 
 /// Digest of a saturated untraced run's full statistics: mesh(8,8) (the
 /// bench topology), 40% injection, 2 000 cycles, `Stats` debug-formatted
-/// (every counter plus both full latency histograms), with the wake
-/// scheduler and profiler cadence (0 = off) chosen by the caller.
+/// (every counter plus both full latency histograms), run by `Sim::run`
+/// (`wake`) or as the dense scan (`run_rerouting`), at the profiler
+/// cadence (0 = off) chosen by the caller.
 fn saturated_stats_digest(scheme: Scheme, wake: bool, profile_period: u64) -> u64 {
     let topo = Topology::mesh(8, 8);
     let mut sim = scheme.synthetic_sim(
@@ -94,9 +98,8 @@ fn saturated_stats_digest(scheme: Scheme, wake: bool, profile_period: u64) -> u6
         17,
         Scheme::DEFAULT_EPOCH,
     );
-    sim.set_wake_scheduler(wake);
     sim.set_profile_period(profile_period);
-    sim.run(2_000);
+    if wake { sim.run(2_000) } else { run_rerouting(&mut sim, 2_000) };
     assert!(
         sim.stats().ejected > 0,
         "saturated run must deliver packets"
@@ -147,9 +150,10 @@ fn saturated_stats_are_pinned() {
     );
 }
 
-/// The stats pin must hold with the wake scheduler on and with the dense
-/// scan forced. Draws depend only on the key, never on which heads were
-/// actually routed, so both cells hash identically. Run on the drain
+/// The stats pin must hold with the wake scheduler parking heads and with
+/// the dense scan (every head re-routed every cycle). Draws depend only
+/// on the key, never on which heads were actually routed, so both cells
+/// hash identically. Run on the drain
 /// scheme (the only one exercising all mechanism paths); the per-scheme
 /// pins above cover the other schemes.
 #[test]

@@ -3,13 +3,13 @@
 //! packet lengths was fixed, DRAIN VN-1,VC-2 spent the 64K-epoch budget
 //! here in what read as a protocol-level knot (`BudgetExhausted` at
 //! 150 000 with 33 872 deliveries) — a head sleeping past a feasible
-//! move, not a property of the model. The numbers below are the ones the
-//! dense Phase A scan (`set_wake_scheduler(false)`) produced before the
-//! fix and both schedulers produce now.
+//! move, not a property of the model. The numbers below are the ones a
+//! run that re-routes every head every cycle produced before the fix,
+//! and the default run produces now.
 //!
 //! A change that moves them moved every coherence figure (regenerate
-//! `results/`); `determinism.rs` holds wake and dense to each other on
-//! this cell.
+//! `results/`); `determinism.rs` holds the default run to
+//! `common::run_rerouting` on this cell.
 
 use drain_bench::scheme::DrainVariant;
 use drain_bench::{Scale, Scheme};

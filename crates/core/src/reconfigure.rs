@@ -124,10 +124,14 @@ impl FaultTolerantNetwork {
         &self.record
     }
 
-    /// Runs normal service for `cycles`.
-    pub fn serve(&mut self, cycles: u64) {
-        self.sim.run(cycles);
-        self.record.total_cycles += cycles;
+    /// Runs normal service for up to `cycles` cycles and returns how the
+    /// period ended ([`Sim::run`]'s outcome). Only the cycles actually
+    /// simulated count toward [`ServiceRecord::total_cycles`].
+    pub fn serve(&mut self, cycles: u64) -> RunOutcome {
+        let start = self.sim.core().cycle();
+        let outcome = self.sim.run(cycles);
+        self.record.total_cycles += self.sim.core().cycle() - start;
+        outcome
     }
 
     /// A link wears out: the network stops accepting traffic and flushes
@@ -183,8 +187,10 @@ impl FaultTolerantNetwork {
     }
 
     /// Convenience: run a full wear-out scenario — serve, fail a random
-    /// removable link, repeat `faults` times. Returns the outcome of the
-    /// final service period.
+    /// removable link, repeat `faults` times, then serve once more. Stops
+    /// at the first service period that ends short of its budget and
+    /// returns that period's outcome; `BudgetExhausted` means every period
+    /// ran in full.
     pub fn wear_out_scenario(
         &mut self,
         serve_cycles: u64,
@@ -193,15 +199,17 @@ impl FaultTolerantNetwork {
     ) -> RunOutcome {
         use drain_topology::faults::FaultInjector;
         for i in 0..faults {
-            self.serve(serve_cycles);
+            let outcome = self.serve(serve_cycles);
+            if outcome != RunOutcome::BudgetExhausted {
+                return outcome;
+            }
             if let Some(link) =
                 FaultInjector::new(fault_seed).pick_removable_link(&self.topo, i as u64)
             {
                 self.fault_link(link).expect("picked a removable link");
             }
         }
-        self.serve(serve_cycles);
-        RunOutcome::BudgetExhausted
+        self.serve(serve_cycles)
     }
 }
 
@@ -242,8 +250,10 @@ mod tests {
     #[test]
     fn survives_sequential_faults() {
         let mut net = network(0.05);
-        net.wear_out_scenario(2_000, 3, 42);
+        let outcome = net.wear_out_scenario(2_000, 3, 42);
+        assert_eq!(outcome, RunOutcome::BudgetExhausted);
         assert_eq!(net.record().faults_survived, 3);
+        assert_eq!(net.record().total_cycles, 4 * 2_000);
         assert!(net.delivered() > 0);
         assert!(net.topology().is_connected());
         assert_eq!(
@@ -273,6 +283,21 @@ mod tests {
             assert_eq!(s.generated, s.ejected, "fault {i}");
         }
         assert_eq!(net.record().faults_survived, 3);
+    }
+
+    #[test]
+    fn wear_out_scenario_reports_a_failed_service_period() {
+        // Sabotage the first period: the ledger claims a packet that no
+        // container holds, so its first cycle's conservation check fails
+        // and the frozen simulation runs no further cycle.
+        let mut net = network(0.05);
+        net.sim.set_checks(CheckConfig::full().no_panic());
+        net.sim.core_mut().stats.generated += 1;
+        let outcome = net.wear_out_scenario(2_000, 3, 42);
+        assert_eq!(outcome, RunOutcome::InvariantViolation);
+        assert!(net.sim().violation().is_some());
+        assert_eq!(net.record().faults_survived, 0);
+        assert_eq!(net.record().total_cycles, 0);
     }
 
     #[test]

@@ -193,38 +193,30 @@ fn mask_walk_matches_the_reference_on_random_arenas() {
         .remove_links(&Topology::mesh(5, 5), 5)
         .unwrap();
     let mut draws = Draws(0x5EED);
-    let (mut routed, mut parked, mut parked_without_wake) = (0, 0, 0);
+    let (mut routed, mut parked) = (0, 0);
     for (topo, full_mesh) in [(Topology::mesh(4, 4), true), (faulty, false)] {
         for routing in routings(&topo, full_mesh) {
             for (vcs_per_vn, vns) in [(2, 1), (2, 3), (6, 1), (6, 3)] {
                 for patience in [0, 1, 8] {
-                    for wake in [true, false] {
-                        let config = SimConfig {
-                            vns,
-                            vcs_per_vn,
-                            num_classes: vns,
-                            escape_sticky: true,
-                            escape_entry_patience: patience,
-                            ..SimConfig::default()
-                        };
-                        let mut core = random_core(&topo, config, routing.clone(), &mut draws);
-                        core.set_wake_scheduler(wake);
-                        let (r, p) = check_every_head(&core, &mut draws);
-                        routed += r;
-                        parked += p;
-                        if !wake {
-                            parked_without_wake += p;
-                        }
-                    }
+                    let config = SimConfig {
+                        vns,
+                        vcs_per_vn,
+                        num_classes: vns,
+                        escape_sticky: true,
+                        escape_entry_patience: patience,
+                        ..SimConfig::default()
+                    };
+                    let core = random_core(&topo, config, routing.clone(), &mut draws);
+                    let (r, p) = check_every_head(&core, &mut draws);
+                    routed += r;
+                    parked += p;
                 }
             }
         }
     }
-    // The arenas exercise both answers, and nothing parks with the
-    // scheduler off.
+    // The arenas exercise both answers.
     assert!(routed > 1_000, "only {routed} heads routed");
     assert!(parked > 100, "only {parked} heads parked");
-    assert_eq!(parked_without_wake, 0);
 }
 
 #[test]

@@ -99,19 +99,6 @@ impl Sim {
         self
     }
 
-    /// Switches the wake-driven Phase A scheduler on (the default) or off,
-    /// resetting all wake state. On, heads whose routing pass produced no
-    /// feasible move are *parked* (a timed wake deadline plus
-    /// subscriptions on the output links their candidates named) and
-    /// skipped by later Phase A sweeps until a vacate or timeout can have
-    /// changed the answer; off, every head is re-routed every cycle (the
-    /// dense scan, the in-process reference of the wake differentials).
-    /// Results are bit-identical either way — a simulator-speed switch
-    /// only (DESIGN.md §8).
-    pub fn set_wake_scheduler(&mut self, enabled: bool) {
-        self.core.set_wake_scheduler(enabled);
-    }
-
     /// Installs the runtime invariant checks (see [`crate::check`]; all
     /// off by default).
     pub fn set_checks(&mut self, checks: CheckConfig) {

@@ -143,8 +143,8 @@ enum PhaseAOutcome {
     /// No feasible move; park the head under this note.
     Park(ParkNote),
     /// No feasible move; the head stays active and is re-routed next
-    /// cycle (dense mode, a closed gate, or a park whose wake would
-    /// fire before it could skip a single visit).
+    /// cycle (a closed gate, or a park whose wake would fire before it
+    /// could skip a single visit).
     Stall,
 }
 
@@ -987,7 +987,7 @@ impl SimCore {
                 }
                 // Parked fast path: a head whose last routing pass proved
                 // no feasible move, with a wake deadline still in the
-                // future, routes the same `None` the dense scan would
+                // future, routes the same `None` a re-route would
                 // recompute — skip the ctx build, the routing call and the
                 // feasibility walk entirely.
                 if self.wake.at[idx] > now {
@@ -1401,8 +1401,12 @@ impl SimCore {
     /// Conservative wake-all: every parked head's deadline — VC and
     /// injection-queue heads alike — drops to `now` so the next Phase A
     /// sweep re-routes it. Used around events the subscription graph does
-    /// not model (mechanism-forced permutations).
-    pub(crate) fn wake_all(&mut self) {
+    /// not model (mechanism-forced permutations). Parking is only a cache
+    /// of routing answers, so this is a cache flush: no simulated result
+    /// depends on when, or how often, it is called. Calling it before
+    /// every cycle re-routes every head every cycle — the reference run
+    /// of the wake differential tests.
+    pub fn wake_all(&mut self) {
         self.wake.wake_all(self.cycle, set_bits(&self.occ_bits));
     }
 
@@ -1411,20 +1415,9 @@ impl SimCore {
         self.work
     }
 
-    /// Wake-scheduler accounting since construction (or the last
-    /// [`crate::Sim::set_wake_scheduler`] toggle).
+    /// Wake-scheduler accounting since construction.
     pub fn wake_counters(&self) -> WakeCounters {
         self.wake.counters
-    }
-
-    /// Switches the wake-driven Phase A scheduler on or off and resets all
-    /// wake state: deadlines, subscription lists, masks and counters. The
-    /// reset is what makes enabling *after* a disabled stretch sound —
-    /// fires skipped while disabled can no longer be missed if nothing is
-    /// parked.
-    pub(crate) fn set_wake_scheduler(&mut self, enabled: bool) {
-        self.wake.enabled = enabled;
-        self.wake.reset(self.cycle);
     }
 
     /// Deep-sweep validation of the wake scheduler (paired with

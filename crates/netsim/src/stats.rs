@@ -158,9 +158,10 @@ impl LatencyHistogram {
 
 /// Wake-driven Phase A scheduler accounting (see `SimCore` and DESIGN.md
 /// §8). Deliberately *not* part of [`Stats`]: `Stats` is compared exactly
-/// in the wake-on-vs-dense differential tests, and these counters are the
-/// one thing that legitimately differs between the two schedulers (the
-/// `check_sweeps` precedent in `Sim`).
+/// in the wake differential tests (against a run that re-routes every
+/// head every cycle), and these counters are the one thing that
+/// legitimately differs between the two runs (the `check_sweeps`
+/// precedent in `Sim`). Counted since construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WakeCounters {
     /// Heads parked after a routing pass produced no feasible move (VC
@@ -183,8 +184,8 @@ pub struct WakeCounters {
     pub wake_alls: u64,
     /// Blocked VC-head visits that routed to nothing but did not park (a
     /// closed gate, or a wake deadline of `now + 1` that could not skip
-    /// anything). In dense mode every blocked VC visit lands here, so
-    /// `stalls` doubles as the in-network blocked-population gauge.
+    /// anything). While the gate is closed every blocked VC visit lands
+    /// here.
     pub stalls: u64,
 }
 

@@ -481,9 +481,12 @@ enum FlatValue {
     Str(String),
 }
 
-/// Appends `s` to `out` as a quoted JSON string: the crate's one JSON
-/// string escaper, shared by the trace and metrics encoders.
-pub(crate) fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string: the workspace's one JSON
+/// string escaper, shared by the trace and metrics encoders and the
+/// harness's `drain_bench::json` writer. `#[inline]` lets that writer,
+/// in another crate, inline it as it did its own copy.
+#[inline]
+pub fn escape_into(s: &str, out: &mut String) {
     use std::fmt::Write as _;
     out.push('"');
     for c in s.chars() {

@@ -25,8 +25,9 @@ use crate::stats::WakeCounters;
 /// skips — on workloads whose blocked episodes last only a cycle or two
 /// (a healthy mesh past saturation) the park/wake bookkeeping costs more
 /// than the routing it skips. Parking choice never affects results (a
-/// `Stall` is exactly the dense scan's behaviour), so the gate is purely
-/// a speed knob; it re-probes every [`GATE_PROBE_PERIOD`]-th window.
+/// `Stall` re-routes the head next cycle, as if nothing parked), so the
+/// gate is purely a speed knob; it re-probes every
+/// [`GATE_PROBE_PERIOD`]-th window.
 const GATE_WINDOW: u64 = 2_048;
 /// A gated-off scheduler re-enables parking every this many windows to
 /// re-measure profitability (workload phases change).
@@ -79,9 +80,6 @@ pub(crate) struct ParkNote {
 
 /// Wake deadlines, subscription lists and gate state.
 pub(crate) struct WakeState {
-    /// The scheduler switch (`Sim::set_wake_scheduler`; on by default).
-    /// Off, nothing parks, ticks or wakes: Phase A is the dense scan.
-    pub(crate) enabled: bool,
     /// Per subscriber: `0` = fresh/active (route on visit); `> now` =
     /// parked (Phase A skips routing and draws nothing); `0 < v <= now`
     /// = woken, routes on the next visit.
@@ -119,7 +117,6 @@ impl WakeState {
     /// first two slots name lists).
     pub(crate) fn new(slots: usize, queues: usize, profile: WakeProfile) -> Self {
         WakeState {
-            enabled: true,
             at: vec![0; slots + queues],
             lists: vec![Vec::new(); slots],
             mask: vec![0; slots + queues],
@@ -134,30 +131,16 @@ impl WakeState {
         }
     }
 
-    /// Whether a blocked head may park now (scheduler on, gate open).
+    /// Whether a blocked head may park now (gate open).
     #[inline]
     pub(crate) fn may_park(&self) -> bool {
-        self.enabled && self.gate
-    }
-
-    /// Forgets every deadline, subscription and count; the gate restarts
-    /// open with its next boundary after `now`.
-    pub(crate) fn reset(&mut self, now: u64) {
-        self.at.fill(0);
-        self.mask.fill(0);
-        self.lists.iter_mut().for_each(Vec::clear);
-        self.pending.clear();
-        self.counters = WakeCounters::default();
-        self.gate = true;
-        self.gate_parks = 0;
-        self.gate_skips = 0;
-        self.gate_next = (now / GATE_WINDOW + 1) * GATE_WINDOW;
+        self.gate
     }
 
     /// Runs the gate at the start of cycle `now` if a window closed.
     #[inline]
     pub(crate) fn tick(&mut self, now: u64) {
-        if self.enabled && now >= self.gate_next {
+        if now >= self.gate_next {
             self.gate_tick(now);
         }
     }
@@ -285,9 +268,6 @@ impl WakeState {
     /// mask invariant is a subscriber property, and a later fire on a
     /// woken subscriber is a no-op `min`.
     pub(crate) fn wake_all(&mut self, now: u64, occupied: impl Iterator<Item = usize>) {
-        if !self.enabled {
-            return;
-        }
         for idx in occupied {
             self.at[idx] = self.at[idx].min(now);
         }

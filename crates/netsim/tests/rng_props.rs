@@ -25,7 +25,7 @@ use drain_netsim::mechanism::NoMechanism;
 use drain_netsim::rng::{mix, NUM_DRAW_SITES};
 use drain_netsim::routing::FullyAdaptive;
 use drain_netsim::traffic::{Endpoints, SyntheticPattern, SyntheticTraffic};
-use drain_netsim::{DrawSite, Sim, SimConfig, SimCore};
+use drain_netsim::{DrawSite, RunOutcome, Sim, SimConfig, SimCore};
 use drain_topology::chiplet::random_connected;
 use drain_topology::{NodeId, Topology};
 
@@ -67,12 +67,27 @@ proptest! {
     }
 }
 
-/// One run with the wake scheduler on or off (dense): full
-/// debug-formatted statistics, final cycle, and per-site draw counts.
+/// [`Sim::run`] with every parked head woken before every cycle, so each
+/// head is re-routed every cycle: the dense scan the wake differential
+/// holds the default run to. Returns what `Sim::run` would.
+fn run_rerouting(sim: &mut Sim, cycles: u64) -> RunOutcome {
+    for _ in 0..cycles {
+        sim.core_mut().wake_all();
+        let outcome = sim.run(1);
+        if outcome != RunOutcome::BudgetExhausted {
+            return outcome;
+        }
+    }
+    RunOutcome::BudgetExhausted
+}
+
+/// One run by `Sim::run` (`wake`) or as the dense scan
+/// (`run_rerouting`): full debug-formatted statistics, final cycle, and
+/// per-site draw counts.
 fn keyed_run(
     topo: &drain_topology::Topology,
     sim_seed: u64,
-    wake_scheduler: bool,
+    wake: bool,
 ) -> (String, u64, [u64; NUM_DRAW_SITES]) {
     let config = SimConfig {
         vns: 1,
@@ -94,8 +109,7 @@ fn keyed_run(
             sim_seed ^ 0x9E37,
         )),
     );
-    sim.set_wake_scheduler(wake_scheduler);
-    sim.run(800);
+    if wake { sim.run(800) } else { run_rerouting(&mut sim, 800) };
     (
         format!("{:?}", sim.stats()),
         sim.core().cycle(),

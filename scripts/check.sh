@@ -19,10 +19,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test --workspace (every suite once)"
 # One run of every suite. On failure the full log is printed; on success
 # one line per non-empty suite, plus one per test of the differential
-# families — wake scheduler (wake vs dense bit-identity of Stats, traces
-# and telemetry, on the synthetic points and on the closed-loop Fig 12
-# cell with its mixed packet lengths), profiler and telemetry (pure
-# observers),
+# families — wake scheduler (bit-identity of Stats, traces and telemetry
+# between the default run and run_rerouting, which wakes every head
+# before every cycle, on the synthetic points, on arbitrary topologies
+# and on the closed-loop Fig 12 cell with its mixed packet lengths),
+# profiler and telemetry (pure observers),
 # golden traces and golden pins (trace-byte and Stats digests of the
 # saturated presets, DESIGN.md "Determinism"), the Fig 12 cell that used
 # to wedge (finish cycles per scheme, deep check on every cycle), the
@@ -41,7 +42,7 @@ awk '
     function emit() { if (suite != "") { print suite; suite = "" } print }
     /^ +(Running|Doc-tests) / {
         suite = $0
-        named = /tests\/(determinism|golden_trace|golden_pin|metrics|wedge|congested|proptest_invariants)\.rs/
+        named = /tests\/(determinism|golden_trace|golden_pin|metrics|wedge|congested|proptest_invariants|rng_props)\.rs/
         next
     }
     /^test result: ok\. 0 passed; 0 failed; 0 ignored/ { next }
@@ -50,10 +51,9 @@ awk '
 ' "$tmp/test.log"
 
 echo "==> drain-fuzz smoke (invariants + differential oracle)"
-# The wake-driven Phase A scheduler is on for every leg (nothing calls
-# Sim::set_wake_scheduler there), so the smoke — sabotage injection
-# included — also soaks the wake graph under the deep sweep's missed-wake
-# oracle.
+# Every leg runs the wake-driven Phase A scheduler (Phase A has no other
+# mode), so the smoke — sabotage injection included — also soaks the
+# wake graph under the deep sweep's missed-wake oracle.
 cargo build --release -p drain-bench --bin drain_fuzz --quiet
 ./target/release/drain_fuzz --smoke --json results/drain_fuzz_smoke.json
 ./target/release/drain_fuzz --smoke --seed-fault \

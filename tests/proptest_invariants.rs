@@ -48,6 +48,20 @@ fn drain_sim(topo: Topology, rate: f64, seed: u64) -> Sim {
         .unwrap()
 }
 
+/// [`Sim::run`] with every parked head woken before every cycle, so each
+/// head is re-routed every cycle: the dense scan the wake differential
+/// holds the default run to. Returns what `Sim::run` would.
+fn run_rerouting(sim: &mut Sim, cycles: u64) -> RunOutcome {
+    for _ in 0..cycles {
+        sim.core_mut().wake_all();
+        let outcome = sim.run(1);
+        if outcome != RunOutcome::BudgetExhausted {
+            return outcome;
+        }
+    }
+    RunOutcome::BudgetExhausted
+}
+
 /// Hop counts to one destination by a plain queue BFS over reversed edges
 /// — the routine the tables were built with before the bit-parallel one.
 /// `seeds` are the states at distance 0, `preds(v)` the states with an
@@ -355,29 +369,44 @@ proptest! {
         topo in arb_topology(),
         seed in any::<u64>(),
         rate in 0.05f64..0.4,
+        wake_bits in any::<u64>(),
+        stride in 1u64..64,
     ) {
         // Missed-wake oracle on arbitrary irregular topologies: a parked
         // VC that the dense Phase A scan would move this cycle is a
         // violation. The deep check sweep re-runs that oracle every 64
         // cycles during the run (panic-on-violation with a replayable
         // seed); the explicit call below re-checks the final state, and
-        // the dense re-run pins down end-to-end equivalence — if any wake
-        // had been missed, the runs would diverge.
-        let build = |topo: Topology, wake: bool| {
-            let mut sim = drain_sim(topo, rate, seed);
+        // the dense re-run (`run_rerouting`) pins down end-to-end
+        // equivalence — if any wake had been missed, the runs would
+        // diverge.
+        let build = || {
+            let mut sim = drain_sim(topo.clone(), rate, seed);
             sim.set_checks(CheckConfig::full().with_progress_horizon(4_096));
-            sim.set_wake_scheduler(wake);
             sim
         };
-        let mut sim = build(topo.clone(), true);
+        let mut sim = build();
         sim.run(3_000);
         prop_assert!(
             sim.core().validate_wake_parking().is_ok(),
             "missed wake: {:?}",
             sim.core().validate_wake_parking()
         );
-        let mut dense = build(topo, false);
-        dense.run(3_000);
+        let mut dense = build();
+        run_rerouting(&mut dense, 3_000);
         prop_assert_eq!(sim.stats(), dense.stats());
+        // A third run wakes everything only before the cycles `c` with
+        // `c % stride == 0` and bit `(c / stride) % 64` of `wake_bits`
+        // set: parked heads are woken mid-sleep and re-park, a state
+        // neither run above reaches. Waking is a cache flush, so the
+        // results must not move.
+        let mut sometimes = build();
+        for c in 0..3_000u64 {
+            if c % stride == 0 && (wake_bits >> ((c / stride) % 64)) & 1 == 1 {
+                sometimes.core_mut().wake_all();
+            }
+            sometimes.run(1);
+        }
+        prop_assert_eq!(sim.stats(), sometimes.stats());
     }
 }

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use drain_bench::engine::SweepEngine;
-use drain_bench::json::{num, Json};
+use drain_bench::json::{num, uint, Json};
 use drain_bench::oracle::{run_oracle, FaultSeed, OracleReport, OracleSpec};
 use drain_bench::sweep::plan::TopoSpec;
 use drain_bench::table::banner;
@@ -134,8 +134,8 @@ fn point_json(p: &FuzzPoint, r: &OracleReport, ok: bool) -> Json {
             violations.push(Json::obj([
                 ("scheme", Json::Str(leg.scheme.to_string())),
                 ("kind", Json::Str(v.kind.name().to_string())),
-                ("cycle", num(v.cycle as f64)),
-                ("replay_seed", num(v.seed as f64)),
+                ("cycle", uint(v.cycle)),
+                ("replay_seed", uint(v.seed)),
                 ("detail", Json::Str(v.detail.clone())),
                 (
                     "flight_record",
@@ -152,7 +152,7 @@ fn point_json(p: &FuzzPoint, r: &OracleReport, ok: bool) -> Json {
         ("topo", Json::Str(p.topo.key_material())),
         ("pattern", Json::Str(p.spec.pattern.name().to_string())),
         ("rate", num(p.spec.rate)),
-        ("seed", num(p.spec.seed as f64)),
+        ("seed", uint(p.spec.seed)),
         ("epoch", num(p.spec.epoch as f64)),
         ("full_drain_period", num(p.spec.full_drain_period as f64)),
         ("baseline", Json::Str(p.spec.baseline.name().to_string())),
@@ -314,7 +314,7 @@ fn main() {
         } else {
             "sweep".into()
         })),
-        ("base_seed", num(args.seed as f64)),
+        ("base_seed", uint(args.seed)),
         ("points", num(jobs.len() as f64)),
         ("failing", num(failing as f64)),
         ("points_detail", Json::Arr(records)),

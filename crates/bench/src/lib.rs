@@ -29,7 +29,8 @@
 //! * [`engine`] — ties plan + runner + cache together per figure.
 //! * [`report`] — the experiment/metrics contract ([`report::RunReport`],
 //!   CSV emission).
-//! * [`json`] — dependency-free JSON used by cache and reports.
+//! * [`json`] — the JSON value model used by cache and reports (a
+//!   re-export of [`drain_netsim::json`]).
 //! * [`apps`] — closed-loop application workload runs.
 //! * [`oracle`] — the differential oracle `drain_fuzz` sweeps (DRAIN vs a
 //!   trusted baseline on identical traffic).
@@ -42,7 +43,6 @@
 pub mod apps;
 pub mod cache;
 pub mod engine;
-pub mod json;
 pub mod oracle;
 pub mod report;
 pub mod runner;
@@ -51,6 +51,7 @@ pub mod scheme;
 pub mod sweep;
 pub mod table;
 
+pub use drain_netsim::json;
 pub use scale::Scale;
 pub use scheme::Scheme;
 

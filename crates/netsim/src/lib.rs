@@ -32,6 +32,8 @@
 //!   buffer, JSONL/memory sinks) and the flight recorder that dumps the
 //!   last events + a VC snapshot when a run dies. Distinct from
 //!   [`traffic::TraceTraffic`], which *replays* workload traces.
+//! * [`json`] — the workspace's one JSON reader and writer (cache entries,
+//!   reports, metrics lines, trace events), with an exact `u64` path.
 //! * [`telemetry`] — opt-in periodic sampler: per-router VC occupancy,
 //!   queue depths, credit stalls and per-link utilization time series.
 //! * [`metrics`] — the unified metrics registry (counters / gauges /
@@ -73,6 +75,7 @@
 pub mod check;
 pub mod config;
 pub mod deadlock;
+pub mod json;
 pub mod mechanism;
 pub mod metrics;
 pub mod packet;

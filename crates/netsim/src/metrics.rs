@@ -34,7 +34,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::trace::escape_into;
+use crate::json::escape_into;
 
 // ---------------------------------------------------------------------
 // Histogram snapshots

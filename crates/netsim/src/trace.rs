@@ -16,11 +16,11 @@
 //! 2. **Bounded memory.** Events always land in a ring buffer of
 //!    [`TraceConfig::ring_capacity`] entries (the flight recorder's "last N
 //!    events" window), and optionally stream to a [`TraceSink`].
-//! 3. **No serde.** The build environment has no crates.io access, so
-//!    events serialize through a hand-written flat-JSON line format
-//!    ([`TraceEvent::to_jsonl`] / [`TraceEvent::parse_jsonl`]) that
-//!    round-trips every variant exactly; any JSON reader can consume the
-//!    output.
+//! 3. **One flat JSON line per event.** [`TraceEvent::to_jsonl`] writes
+//!    integers, bools and strings in a fixed field order (byte-stable);
+//!    [`TraceEvent::parse_jsonl`] reads a line back through the crate's
+//!    one JSON reader, [`crate::json`], whose exact `u64` path keeps
+//!    64-bit seeds and cycles exact. Every variant round-trips.
 //!
 //! The **flight recorder** ([`flight_record`]) turns the ring buffer into a
 //! post-mortem artifact: when a run dies (invariant violation, watchdog
@@ -34,6 +34,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::check::ViolationKind;
+use crate::json::{self, escape_into, Json};
 use crate::mechanism::ForcedKind;
 use crate::state::SimCore;
 
@@ -359,111 +360,98 @@ impl TraceEvent {
         s
     }
 
-    /// Parses one line produced by [`TraceEvent::to_jsonl`].
+    /// Parses one line produced by [`TraceEvent::to_jsonl`]: a conversion
+    /// from [`json::parse`].
     ///
     /// # Errors
     ///
     /// A description of the first syntax or schema problem. Unknown event
-    /// types and missing fields are errors; extra fields are tolerated
-    /// (forward compatibility).
+    /// types, missing fields and integers out of their field's range are
+    /// errors; extra fields are tolerated (forward compatibility).
     pub fn parse_jsonl(line: &str) -> Result<TraceEvent, String> {
-        let fields = parse_flat_object(line)?;
-        let get_u64 = |k: &str| -> Result<u64, String> {
-            match fields.iter().find(|(key, _)| key == k) {
-                Some((_, FlatValue::Num(n))) => Ok(*n),
-                Some(_) => Err(format!("field {k:?} is not a number")),
-                None => Err(format!("missing field {k:?}")),
-            }
+        let v = json::parse(line)?;
+        let flag = |k: &str| match field(&v, k)? {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(format!("field {k:?} is not a bool")),
         };
-        let get_bool = |k: &str| -> Result<bool, String> {
-            match fields.iter().find(|(key, _)| key == k) {
-                Some((_, FlatValue::Bool(b))) => Ok(*b),
-                Some(_) => Err(format!("field {k:?} is not a bool")),
-                None => Err(format!("missing field {k:?}")),
-            }
+        let text = |k: &str| {
+            field(&v, k)?.as_str().ok_or_else(|| format!("field {k:?} is not a string"))
         };
-        let get_str = |k: &str| -> Result<&str, String> {
-            match fields.iter().find(|(key, _)| key == k) {
-                Some((_, FlatValue::Str(s))) => Ok(s.as_str()),
-                Some(_) => Err(format!("field {k:?} is not a string")),
-                None => Err(format!("missing field {k:?}")),
-            }
-        };
-        let ev = get_str("ev")?.to_string();
-        let cycle = get_u64("cycle")?;
-        let out = match ev.as_str() {
+        let ev = text("ev")?;
+        let cycle = int(&v, "cycle")?;
+        let out = match ev {
             "inject" => TraceEvent::Inject {
                 cycle,
-                pid: get_u64("pid")? as u32,
-                src: get_u64("src")? as u16,
-                dest: get_u64("dest")? as u16,
-                class: get_u64("class")? as u8,
+                pid: int(&v, "pid")?,
+                src: int(&v, "src")?,
+                dest: int(&v, "dest")?,
+                class: int(&v, "class")?,
             },
             "vc-alloc" => TraceEvent::VcAlloc {
                 cycle,
-                pid: get_u64("pid")? as u32,
-                link: get_u64("link")? as u32,
-                vn: get_u64("vn")? as u8,
-                vc: get_u64("vc")? as u8,
+                pid: int(&v, "pid")?,
+                link: int(&v, "link")?,
+                vn: int(&v, "vn")?,
+                vc: int(&v, "vc")?,
             },
             "link-traverse" => TraceEvent::LinkTraverse {
                 cycle,
-                pid: get_u64("pid")? as u32,
-                link: get_u64("link")? as u32,
-                flits: get_u64("flits")? as u32,
-                misroute: get_bool("misroute")?,
+                pid: int(&v, "pid")?,
+                link: int(&v, "link")?,
+                flits: int(&v, "flits")?,
+                misroute: flag("misroute")?,
             },
             "eject" => TraceEvent::Eject {
                 cycle,
-                pid: get_u64("pid")? as u32,
-                node: get_u64("node")? as u16,
-                class: get_u64("class")? as u8,
-                latency: get_u64("latency")?,
+                pid: int(&v, "pid")?,
+                node: int(&v, "node")?,
+                class: int(&v, "class")?,
+                latency: int(&v, "latency")?,
             },
             "drain-epoch-start" => TraceEvent::DrainEpochStart {
                 cycle,
-                window: get_u64("window")?,
-                full: get_bool("full")?,
+                window: int(&v, "window")?,
+                full: flag("full")?,
             },
             "drain-epoch-end" => TraceEvent::DrainEpochEnd {
                 cycle,
-                window: get_u64("window")?,
-                moved: get_u64("moved")?,
+                window: int(&v, "window")?,
+                moved: int(&v, "moved")?,
             },
             "forced-hop" => TraceEvent::ForcedHop {
                 cycle,
-                pid: get_u64("pid")? as u32,
-                link: get_u64("link")? as u32,
-                kind: ForcedKind::from_name(get_str("kind")?)
-                    .ok_or_else(|| format!("unknown forced kind {:?}", get_str("kind")))?,
-                misroute: get_bool("misroute")?,
+                pid: int(&v, "pid")?,
+                link: int(&v, "link")?,
+                kind: ForcedKind::from_name(text("kind")?)
+                    .ok_or_else(|| format!("unknown forced kind {:?}", text("kind")))?,
+                misroute: flag("misroute")?,
             },
             "probe" => TraceEvent::Probe {
                 cycle,
-                router: get_u64("router")? as u16,
-                len: get_u64("len")? as u32,
+                router: int(&v, "router")?,
+                len: int(&v, "len")?,
             },
             "spin" => TraceEvent::Spin {
                 cycle,
-                moves: get_u64("moves")? as u32,
+                moves: int(&v, "moves")?,
             },
             "deadlock-conviction" => TraceEvent::DeadlockConviction {
                 cycle,
-                convicted: get_u64("convicted")? as u32,
-                link: get_u64("link")? as u32,
-                vn: get_u64("vn")? as u8,
-                vc: get_u64("vc")? as u8,
+                convicted: int(&v, "convicted")?,
+                link: int(&v, "link")?,
+                vn: int(&v, "vn")?,
+                vc: int(&v, "vc")?,
             },
             "watchdog-trip" => TraceEvent::WatchdogTrip {
                 cycle,
-                idle: get_u64("idle")?,
+                idle: int(&v, "idle")?,
             },
             "invariant-violation" => TraceEvent::InvariantViolation {
                 cycle,
-                kind: ViolationKind::from_name(get_str("kind")?)
-                    .ok_or_else(|| format!("unknown violation kind {:?}", get_str("kind")))?,
-                seed: get_u64("seed")?,
-                detail: get_str("detail")?.to_string(),
+                kind: ViolationKind::from_name(text("kind")?)
+                    .ok_or_else(|| format!("unknown violation kind {:?}", text("kind")))?,
+                seed: int(&v, "seed")?,
+                detail: text("detail")?.to_string(),
             },
             other => return Err(format!("unknown event type {other:?}")),
         };
@@ -471,155 +459,16 @@ impl TraceEvent {
     }
 }
 
-// ---------------------------------------------------------------------
-// Flat JSON codec (no serde, no dependency on the bench crate)
-// ---------------------------------------------------------------------
-
-enum FlatValue {
-    Num(u64),
-    Bool(bool),
-    Str(String),
+fn field<'a>(v: &'a Json, k: &str) -> Result<&'a Json, String> {
+    v.get(k).ok_or_else(|| format!("missing field {k:?}"))
 }
 
-/// Appends `s` to `out` as a quoted JSON string: the workspace's one JSON
-/// string escaper, shared by the trace and metrics encoders and the
-/// harness's `drain_bench::json` writer. `#[inline]` lets that writer,
-/// in another crate, inline it as it did its own copy.
-#[inline]
-pub fn escape_into(s: &str, out: &mut String) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parses a single-level JSON object of numbers, bools and strings.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, FlatValue)>, String> {
-    let bytes = line.trim().as_bytes();
-    let mut pos = 0usize;
-    let err = |pos: usize, what: &str| format!("{what} at offset {pos}");
-    let skip_ws = |bytes: &[u8], pos: &mut usize| {
-        while bytes
-            .get(*pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t'))
-        {
-            *pos += 1;
-        }
-    };
-    let parse_string = |bytes: &[u8], pos: &mut usize| -> Result<String, String> {
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(err(*pos, "expected '\"'"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                            *pos += 4;
-                        }
-                        _ => return Err(err(*pos, "bad escape")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    let rest = &bytes[*pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty by match arm");
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    };
-    if bytes.get(pos) != Some(&b'{') {
-        return Err(err(pos, "expected '{'"));
-    }
-    pos += 1;
-    let mut fields = Vec::new();
-    loop {
-        skip_ws(bytes, &mut pos);
-        if bytes.get(pos) == Some(&b'}') {
-            pos += 1;
-            break;
-        }
-        let key = parse_string(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if bytes.get(pos) != Some(&b':') {
-            return Err(err(pos, "expected ':'"));
-        }
-        pos += 1;
-        skip_ws(bytes, &mut pos);
-        let value = match bytes.get(pos) {
-            Some(b'"') => FlatValue::Str(parse_string(bytes, &mut pos)?),
-            Some(b't') if bytes[pos..].starts_with(b"true") => {
-                pos += 4;
-                FlatValue::Bool(true)
-            }
-            Some(b'f') if bytes[pos..].starts_with(b"false") => {
-                pos += 5;
-                FlatValue::Bool(false)
-            }
-            Some(b'0'..=b'9') => {
-                let start = pos;
-                while bytes.get(pos).is_some_and(u8::is_ascii_digit) {
-                    pos += 1;
-                }
-                let text = std::str::from_utf8(&bytes[start..pos]).map_err(|e| e.to_string())?;
-                FlatValue::Num(text.parse::<u64>().map_err(|e| e.to_string())?)
-            }
-            _ => return Err(err(pos, "expected value")),
-        };
-        fields.push((key, value));
-        skip_ws(bytes, &mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => {
-                pos += 1;
-                break;
-            }
-            _ => return Err(err(pos, "expected ',' or '}'")),
-        }
-    }
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing bytes"));
-    }
-    Ok(fields)
+/// Reads the unsigned integer field `k` of `v`, narrowed to its type.
+fn int<T: TryFrom<u64>>(v: &Json, k: &str) -> Result<T, String> {
+    let n = field(v, k)?
+        .as_u64()
+        .ok_or_else(|| format!("field {k:?} is not an unsigned integer"))?;
+    T::try_from(n).map_err(|_| format!("field {k:?} is out of range: {n}"))
 }
 
 // ---------------------------------------------------------------------
@@ -906,7 +755,7 @@ mod tests {
             },
             TraceEvent::ForcedHop {
                 cycle: 1030,
-                pid: 9,
+                pid: u32::MAX,
                 link: 11,
                 kind: ForcedKind::FullDrain,
                 misroute: false,
@@ -934,7 +783,7 @@ mod tests {
             TraceEvent::InvariantViolation {
                 cycle: 77,
                 kind: ViolationKind::ForcedMove,
-                seed: 0xBEEF,
+                seed: u64::MAX,
                 detail: "tricky \"detail\"\nwith newline".to_string(),
             },
         ]
@@ -964,6 +813,9 @@ mod tests {
         assert!(TraceEvent::parse_jsonl("{\"ev\":\"nope\",\"cycle\":1}").is_err());
         assert!(TraceEvent::parse_jsonl("{\"ev\":\"inject\",\"cycle\":1}").is_err());
         assert!(TraceEvent::parse_jsonl("{\"ev\":\"spin\"").is_err());
+        assert!(
+            TraceEvent::parse_jsonl("{\"ev\":\"spin\",\"cycle\":1,\"moves\":4294967296}").is_err()
+        );
     }
 
     #[test]

@@ -58,11 +58,16 @@ cargo build --release -p drain-bench --bin drain_fuzz --quiet
 ./target/release/drain_fuzz --smoke --json results/drain_fuzz_smoke.json
 ./target/release/drain_fuzz --smoke --seed-fault \
     --json results/drain_fuzz_smoke_fault.json
+# A seed above 2^53 must print exactly, not rounded through an f64.
+./target/release/drain_fuzz --points 1 --seed 18446744073709551615 --json "$tmp/seed_max.json"
+grep -qF '"base_seed":18446744073709551615' "$tmp/seed_max.json" \
+    || { echo "drain_fuzz rounded a 64-bit seed"; cat "$tmp/seed_max.json"; exit 1; }
 
 echo "==> drain-trace smoke (event trace + telemetry on a 4x4 mesh)"
-# The binary re-parses every JSONL line it wrote and asserts drain-epoch
-# cadence, so a zero exit is the smoke pass; golden-trace determinism is
-# covered by the drain-bench test suite above.
+# The binary re-parses every trace and telemetry line it wrote, both
+# through the one JSON reader (drain_netsim::json), and asserts
+# drain-epoch cadence, so a zero exit is the smoke pass; golden-trace
+# determinism is covered by the drain-bench test suite above.
 cargo build --release -p drain-bench --bin drain_trace --quiet
 ./target/release/drain_trace --mesh 4x4 --cycles 8192 \
     --out results/trace_smoke

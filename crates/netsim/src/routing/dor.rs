@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use drain_topology::{IntoSharedTopology, LinkId, NodeId, Topology};
 
-use super::{out_ports, PortSet, PortSets, RouteCtx, TargetVc};
+use super::{PortSet, PortSets, RouteCtx, TargetVc};
 
 /// The unique XY next hop from `cur` toward `dest` on a mesh topology, or
 /// `None` when `cur == dest`.
@@ -62,20 +62,44 @@ impl DorTable {
     /// The entry for `cur == dest`.
     const NONE: u8 = u8::MAX;
 
-    /// Tabulates [`dor_next_hop`] over all pairs.
+    /// Tabulates [`dor_next_hop`] over all pairs, in closed form: a row
+    /// `cur = (cx, cy)` is, in each mesh row of destinations, the west
+    /// port left of column `cx`, the east port right of it, and at `cx`
+    /// itself the north port above `cy`, the south port below it and
+    /// none at `cur` — four port lookups and three slice fills per mesh
+    /// row, with no per-pair search.
     ///
     /// # Panics
     ///
     /// Panics if `topo` is not a full fault-free mesh.
     pub fn new(topo: &Topology) -> Self {
         let n = topo.num_nodes();
-        let out_port = out_ports(topo);
+        let (w, _) = topo.mesh_dims().expect("DoR requires mesh dimensions");
+        let w = usize::from(w);
         let mut next = vec![Self::NONE; n * n];
-        for cur in topo.nodes() {
-            for dest in topo.nodes() {
-                if let Some(l) = dor_next_hop(topo, cur, dest) {
-                    next[cur.index() * n + dest.index()] = out_port[l.index()];
-                }
+        for (cur, row) in topo.nodes().zip(next.chunks_exact_mut(n)) {
+            let (cx, cy) = topo.coord(cur).expect("DoR requires mesh coordinates");
+            let (cx, cy) = (usize::from(cx), usize::from(cy));
+            // The port toward node `to`, a neighbour on the mesh, where
+            // the link must exist.
+            let port = |to: usize| {
+                let mut outs = topo.out_links(cur).iter();
+                let j = outs.position(|&l| topo.link(l).dst.index() == to);
+                j.expect("DoR requires a full (fault-free) mesh") as u8
+            };
+            let i = cur.index();
+            let west = if cx > 0 { port(i - 1) } else { Self::NONE };
+            let east = if cx + 1 < w { port(i + 1) } else { Self::NONE };
+            let north = if cy > 0 { port(i - w) } else { Self::NONE };
+            let south = if i + w < n { port(i + w) } else { Self::NONE };
+            for (dy, dests) in row.chunks_exact_mut(w).enumerate() {
+                dests[..cx].fill(west);
+                dests[cx + 1..].fill(east);
+                dests[cx] = match dy.cmp(&cy) {
+                    std::cmp::Ordering::Less => north,
+                    std::cmp::Ordering::Equal => Self::NONE,
+                    std::cmp::Ordering::Greater => south,
+                };
             }
         }
         DorTable { num_nodes: n, next }
@@ -170,20 +194,38 @@ mod tests {
         }
     }
 
+    /// The closed-form table against [`dor_next_hop`] pair by pair, on
+    /// meshes with a single node, a single row, a single column, an odd
+    /// width and an even one.
     #[test]
     fn table_ports_are_the_xy_links() {
-        let t = Topology::mesh(5, 4);
-        let table = DorTable::new(&t);
-        for cur in t.nodes() {
-            for dest in t.nodes() {
-                let port = t
-                    .out_links(cur)
-                    .iter()
-                    .position(|&l| Some(l) == dor_next_hop(&t, cur, dest));
-                let mask = port.map_or(0, |j| 1 << j);
-                assert_eq!(table.ports(cur, dest), mask, "{cur:?} -> {dest:?}");
+        for (w, h) in [(1, 1), (1, 8), (8, 1), (7, 3), (5, 4)] {
+            let t = Topology::mesh(w, h);
+            let table = DorTable::new(&t);
+            for cur in t.nodes() {
+                for dest in t.nodes() {
+                    let port = t
+                        .out_links(cur)
+                        .iter()
+                        .position(|&l| Some(l) == dor_next_hop(&t, cur, dest));
+                    let mask = port.map_or(0, |j| 1 << j);
+                    assert_eq!(
+                        table.ports(cur, dest),
+                        mask,
+                        "{w}x{h}: {cur:?} -> {dest:?}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "DoR requires a full (fault-free) mesh")]
+    fn table_refuses_a_faulty_mesh() {
+        let t = drain_topology::faults::FaultInjector::new(1)
+            .remove_links(&Topology::mesh(4, 4), 1)
+            .unwrap();
+        DorTable::new(&t);
     }
 
     #[test]

@@ -719,6 +719,53 @@ fn watchdog_trip_emits_event_and_dump() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A dump is named by what it records: the same point dumped into two
+/// fresh directories gets the same name (and the same bytes), and a
+/// further dump of it into a directory that has one gets the next free
+/// suffix instead of overwriting it.
+#[test]
+fn flight_record_names_repeat_across_runs_and_never_overwrite() {
+    use crate::trace::{flight_record, TraceConfig};
+
+    let root = std::env::temp_dir().join(format!("drain-frname-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let run_into = |dir: std::path::PathBuf| {
+        let topo = Topology::ring(4);
+        let config = SimConfig {
+            seed: 0xF11E,
+            trace: TraceConfig::events_on().with_flight_recorder(dir),
+            ..SimConfig::default()
+        };
+        let mut sim = Sim::new(
+            topo.clone(),
+            config,
+            FullyAdaptive::new(&topo),
+            Box::new(NoMechanism),
+            Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.3, 1, 3)),
+        );
+        sim.run(50);
+        sim
+    };
+    let (a, b) = (run_into(root.join("a")), run_into(root.join("b")));
+    let first = flight_record(a.core(), "test").unwrap();
+    let twin = flight_record(b.core(), "test").unwrap();
+    let name = |p: &std::path::Path| p.file_name().unwrap().to_str().unwrap().to_owned();
+    assert_eq!(name(&first), "fr-test-seedf11e-c50-adaptive.jsonl");
+    assert_eq!(name(&twin), name(&first));
+    let body = std::fs::read_to_string(&first).unwrap();
+    assert_eq!(std::fs::read_to_string(&twin).unwrap(), body);
+
+    std::fs::write(&first, "kept").unwrap();
+    let second = flight_record(a.core(), "test").unwrap();
+    let third = flight_record(a.core(), "test").unwrap();
+    assert_eq!(name(&second), "fr-test-seedf11e-c50-adaptive-1.jsonl");
+    assert_eq!(name(&third), "fr-test-seedf11e-c50-adaptive-2.jsonl");
+    assert_eq!(std::fs::read_to_string(&first).unwrap(), "kept");
+    assert_eq!(std::fs::read_to_string(&second).unwrap(), body);
+    assert_eq!(std::fs::read_dir(root.join("a")).unwrap().count(), 3);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Hot-path emission: a tiny traced run produces matched inject/eject
 /// pairs plus VC-alloc and link-traverse events consistent with stats.
 #[test]

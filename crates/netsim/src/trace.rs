@@ -627,11 +627,15 @@ impl Tracer {
 // Flight recorder
 // ---------------------------------------------------------------------
 
-/// Process-wide dump counter so concurrent sims never collide on a name.
-static DUMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 /// Dumps a flight record for `core` into the configured
 /// [`TraceConfig::flightrec_dir`], returning the path written.
+///
+/// The file is named by what it records,
+/// `fr-<reason>-seed<seed in hex>-c<cycle>-<routing>.jsonl`, so equal runs
+/// name their dumps alike whatever the order they finish in. A name that
+/// is taken — another dump of the same point into the same directory —
+/// gets the first free suffix `-1`, `-2`, …; the file is created with
+/// `create_new`, so no dump overwrites another.
 ///
 /// The file is JSONL: a header line (reason, replay seed, cycle, topology,
 /// routing, population counters), one `{"snapshot":"vc",...}` line per
@@ -646,14 +650,13 @@ static DUMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::ne
 pub fn flight_record(core: &SimCore, reason: &str) -> Option<PathBuf> {
     use std::fmt::Write as _;
     let dir = core.config().trace.flightrec_dir.clone()?;
-    let seq = DUMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let name = format!(
-        "fr-{reason}-seed{:x}-c{}-p{}-{seq}.jsonl",
+    // `escape-vc(dor)` names its file `…-escape-vc-dor`.
+    let routing = core.routing_name().replace('(', "-").replace(')', "");
+    let stem = format!(
+        "fr-{reason}-seed{:x}-c{}-{routing}",
         core.config().seed,
-        core.cycle(),
-        std::process::id()
+        core.cycle()
     );
-    let path = dir.join(name);
     let mut out = String::new();
     out.push_str("{\"flightrec\":\"v1\",\"reason\":");
     escape_into(reason, &mut out);
@@ -696,14 +699,33 @@ pub fn flight_record(core: &SimCore, reason: &str) -> Option<PathBuf> {
         out.push_str(&ev.to_jsonl());
         out.push('\n');
     }
-    let write = || -> std::io::Result<()> {
+    let write = || -> std::io::Result<PathBuf> {
+        use std::io::Write as _;
         std::fs::create_dir_all(&dir)?;
-        std::fs::write(&path, &out)
+        let mut taken = 0u32;
+        loop {
+            let path = match taken {
+                0 => dir.join(format!("{stem}.jsonl")),
+                k => dir.join(format!("{stem}-{k}.jsonl")),
+            };
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&path);
+            match file {
+                Ok(mut f) => return f.write_all(out.as_bytes()).map(|()| path),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => taken += 1,
+                Err(e) => return Err(e),
+            }
+        }
     };
     match write() {
-        Ok(()) => Some(path),
+        Ok(path) => Some(path),
         Err(e) => {
-            eprintln!("warning: cannot write flight record {}: {e}", path.display());
+            eprintln!(
+                "warning: cannot write flight record {}: {e}",
+                dir.join(stem).display()
+            );
             None
         }
     }

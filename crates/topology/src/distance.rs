@@ -12,62 +12,125 @@
 //! [`Topology::port_links`] turns a mask back into links.
 //!
 //! The distances under the masks come from `all_pairs_bfs`, which
-//! [`crate::updown::UpDownRouting`] runs too, on its phase-expanded graph.
+//! [`crate::updown::UpDownRouting`] runs too, on its phase-expanded graph;
+//! each table hands it its graph as a flat predecessor array.
 
 use crate::{NodeId, Topology};
 
+/// Destinations one wide pass of [`all_pairs_bfs`] takes: two words of
+/// lanes per state.
+const WIDE: usize = 128;
+
 /// Hop counts to every destination from every state of a graph, by a
-/// breadth-first search that walks the edges backwards from 64
+/// breadth-first search that walks the edges backwards from a batch of
 /// destinations at once.
 ///
-/// The graph has `states` states, a multiple of the `n` destinations;
-/// state `s` stands for node `s % n` and is at distance 0 from that
-/// destination. `preds(v)` yields the states with an edge into `v`.
+/// The graph has `start.len() - 1` states, a multiple of the `n`
+/// destinations; state `s` stands for node `s % n` and is at distance 0
+/// from that destination. Its edges come as a flat predecessor array:
+/// the states with an edge into `v` are
+/// `preds[start[v] as usize..start[v + 1] as usize]`.
 /// Returns `dist[s * n + dest]`, `u16::MAX` where `dest` is unreachable.
 ///
-/// One pass keeps three words per state — the destinations that have
-/// `seen` it, the ones that reached it in the last level (`frontier`) and
-/// in this one (`next`) — so a level is `next[u] |= frontier[v]` over the
-/// edges, and the bits of `next[u] & !seen[u]` are written, as the level
-/// number, into the 64 consecutive entries of row `u` the pass owns.
-pub(crate) fn all_pairs_bfs<I: Iterator<Item = usize>>(
-    n: usize,
-    states: usize,
-    preds: impl Fn(usize) -> I,
-) -> Vec<u16> {
+/// Destinations are taken [`WIDE`] at a time while a wide pass fills,
+/// then 64 at a time: each level of a pass sweeps every state whatever
+/// its width, so a wide pass halves that sweep per destination, but over
+/// a batch it cannot fill it costs more than a narrow one (mesh(8, 8):
+/// 9 µs against 7).
+pub(crate) fn all_pairs_bfs(n: usize, start: &[u32], preds: &[u32]) -> Vec<u16> {
+    let states = start.len() - 1;
     let mut dist = vec![u16::MAX; states * n];
-    let mut seen = vec![0u64; states];
-    let mut frontier = vec![0u64; states];
-    let mut next = vec![0u64; states];
-    for base in (0..n).step_by(64) {
-        let width = (n - base).min(64);
-        seen.fill(0);
-        for dest in base..base + width {
+    let wide_end = n / WIDE * WIDE;
+    if wide_end > 0 {
+        let mut pass = BfsPass::<2>::new(states);
+        for base in (0..wide_end).step_by(WIDE) {
+            pass.run(&mut dist, n, base..base + WIDE, start, preds);
+        }
+    }
+    if wide_end < n {
+        let mut pass = BfsPass::<1>::new(states);
+        for base in (wide_end..n).step_by(64) {
+            pass.run(&mut dist, n, base..n.min(base + 64), start, preds);
+        }
+    }
+    dist
+}
+
+/// The per-state words of one [`all_pairs_bfs`] pass, `W` words (64 `W`
+/// destinations) each: the destinations that have `seen` a state, the
+/// ones that reached it in the last level (`frontier`) and in this one
+/// (`next`).
+struct BfsPass<const W: usize> {
+    seen: Vec<[u64; W]>,
+    frontier: Vec<[u64; W]>,
+    next: Vec<[u64; W]>,
+}
+
+impl<const W: usize> BfsPass<W> {
+    fn new(states: usize) -> Self {
+        BfsPass {
+            seen: vec![[0; W]; states],
+            frontier: vec![[0; W]; states],
+            next: vec![[0; W]; states],
+        }
+    }
+
+    /// Fills the columns `dests` (at most `64 * W` of them) of `dist`.
+    /// A level is `next[u] |= frontier[v]` over the edges `u -> v` of
+    /// each non-empty frontier, which it empties; then for each non-empty
+    /// `next[u]` the bits of `next[u] & !seen[u]` are written, as the
+    /// level number, into the entries of row `u` the pass owns, and become
+    /// its frontier. A state no frontier reached costs one compare per
+    /// sweep, no store.
+    fn run(
+        &mut self,
+        dist: &mut [u16],
+        n: usize,
+        dests: std::ops::Range<usize>,
+        start: &[u32],
+        preds: &[u32],
+    ) {
+        let states = self.seen.len();
+        let base = dests.start;
+        self.seen.fill([0; W]);
+        for dest in dests.clone() {
+            let lane = dest - base;
             for s in (dest..states).step_by(n) {
-                seen[s] = 1 << (dest - base);
-                frontier[s] = seen[s];
+                self.seen[s][lane / 64] |= 1 << (lane % 64);
                 dist[s * n + dest] = 0;
             }
         }
+        self.frontier.copy_from_slice(&self.seen);
         let mut level = 0u16;
         loop {
             level += 1;
-            for (v, &reached) in frontier.iter().enumerate() {
-                if reached != 0 {
-                    for u in preds(v) {
-                        next[u] |= reached;
+            for (v, frontier) in self.frontier.iter_mut().enumerate() {
+                if *frontier == [0; W] {
+                    continue;
+                }
+                let reached = std::mem::replace(frontier, [0; W]);
+                for &u in &preds[start[v] as usize..start[v + 1] as usize] {
+                    let into = &mut self.next[u as usize];
+                    for w in 0..W {
+                        into[w] |= reached[w];
                     }
                 }
             }
             let mut any = 0;
             for u in 0..states {
-                let mut fresh = std::mem::take(&mut next[u]) & !seen[u];
-                seen[u] |= fresh;
-                frontier[u] = fresh;
-                any |= fresh;
-                while fresh != 0 {
-                    dist[u * n + base + fresh.trailing_zeros() as usize] = level;
-                    fresh &= fresh - 1;
+                if self.next[u] == [0; W] {
+                    continue;
+                }
+                let row = &mut dist[u * n + base..u * n + dests.end];
+                for w in 0..W {
+                    let mut fresh = std::mem::take(&mut self.next[u][w]) & !self.seen[u][w];
+                    self.seen[u][w] |= fresh;
+                    self.frontier[u][w] = fresh;
+                    any |= fresh;
+                    while fresh != 0 {
+                        row[w * 64 + fresh.trailing_zeros() as usize] = level;
+                        fresh &= fresh - 1;
+                    }
                 }
             }
             // The last level found nothing new, so `frontier` and `next`
@@ -77,7 +140,6 @@ pub(crate) fn all_pairs_bfs<I: Iterator<Item = usize>>(
             }
         }
     }
-    dist
 }
 
 /// Sets bit `port` of `ports[dest]` for every `dest` that is one hop
@@ -122,23 +184,31 @@ pub struct DistanceMap {
     /// a minimal path to `dst`. One lookup is one load — the per-packet
     /// routing query in the simulator's hot loop.
     ports: Vec<u32>,
-    diameter: u16,
-    avg_distance: f64,
 }
 
 impl DistanceMap {
     /// Computes BFS distances and productive-port masks for `topo`.
     pub fn new(topo: &Topology) -> Self {
         let n = topo.num_nodes();
-        let dist = all_pairs_bfs(n, n, |v| {
-            let into_v = topo.in_links(NodeId(v as u16)).iter();
-            into_v.map(|&l| topo.link(l).src.index())
-        });
+        // `in_links(v)[j]` is `out_links(v)[j].reverse()`, so the nodes
+        // with a link into `v` are the far ends of its out-links, in port
+        // order: one array of neighbours is both the BFS's predecessors
+        // and each port's next node below.
+        let mut start = Vec::with_capacity(n + 1);
+        let mut neighbours = Vec::with_capacity(topo.num_unidirectional_links());
+        start.push(0);
+        for v in topo.nodes() {
+            let outs = topo.out_links(v).iter();
+            neighbours.extend(outs.map(|&l| u32::from(topo.link(l).dst.0)));
+            start.push(neighbours.len() as u32);
+        }
+        let dist = all_pairs_bfs(n, &start, &neighbours);
         let mut ports = vec![0u32; n * n];
-        for cur in topo.nodes() {
-            let row = cur.index() * n..(cur.index() + 1) * n;
-            for (port, &l) in topo.out_links(cur).iter().enumerate() {
-                let next = topo.link(l).dst.index();
+        for cur in 0..n {
+            let row = cur * n..(cur + 1) * n;
+            let here = start[cur] as usize..start[cur + 1] as usize;
+            for (port, &next) in neighbours[here].iter().enumerate() {
+                let next = next as usize;
                 mark_closer(
                     &mut ports[row.clone()],
                     &dist[row.clone()],
@@ -147,30 +217,10 @@ impl DistanceMap {
                 );
             }
         }
-        // The diagonal is all zeros: it adds nothing to the sum or the
-        // maximum, and `n` to the count of reachable entries.
-        let (mut diameter, mut sum, mut unreachable) = (0u16, 0u64, 0usize);
-        for &d in &dist {
-            let d = if d == u16::MAX {
-                unreachable += 1;
-                0
-            } else {
-                d
-            };
-            diameter = diameter.max(d);
-            sum += u64::from(d);
-        }
-        let pairs = dist.len() - unreachable - n;
         DistanceMap {
             num_nodes: n,
             dist,
             ports,
-            diameter,
-            avg_distance: if pairs == 0 {
-                0.0
-            } else {
-                sum as f64 / pairs as f64
-            },
         }
     }
 
@@ -188,14 +238,27 @@ impl DistanceMap {
         self.ports[cur.index() * self.num_nodes + dest.index()]
     }
 
-    /// Longest shortest path between any reachable pair.
+    /// Longest shortest path between any reachable pair. A scan of the
+    /// whole table, computed on each call.
     pub fn diameter(&self) -> u16 {
-        self.diameter
+        let reachable = self.dist.iter().filter(|&&d| d != u16::MAX);
+        reachable.copied().max().unwrap_or(0)
     }
 
-    /// Mean shortest-path hop count over all ordered reachable pairs.
+    /// Mean shortest-path hop count over all ordered reachable pairs. A
+    /// scan of the whole table, computed on each call.
     pub fn avg_distance(&self) -> f64 {
-        self.avg_distance
+        let reachable = self.dist.iter().filter(|&&d| d != u16::MAX);
+        let (sum, count) = reachable.fold((0u64, 0usize), |(sum, count), &d| {
+            (sum + u64::from(d), count + 1)
+        });
+        // The diagonal is all zeros: `n` of the reachable entries.
+        let pairs = count - self.num_nodes;
+        if pairs == 0 {
+            0.0
+        } else {
+            sum as f64 / pairs as f64
+        }
     }
 
     /// Average number of minimal next hops over all (cur, dest) pairs with
@@ -259,6 +322,40 @@ mod tests {
         let d1 = DistanceMap::new(&faulty);
         assert!(d1.avg_distance() >= d0.avg_distance());
         assert!(d1.path_diversity() <= d0.path_diversity());
+    }
+
+    /// The summaries are scans on demand; these are the values the
+    /// table computed eagerly before, pinned bit for bit, on a mesh, a
+    /// ring, a faulty mesh and a graph of two components (a 66-node path
+    /// and a triangle), whose unreachable pairs count in none of them.
+    #[test]
+    fn summaries_are_pinned() {
+        let mut edges: Vec<(u16, u16)> = (0..65).map(|i| (i, i + 1)).collect();
+        edges.extend([(66, 67), (67, 68), (68, 66)]);
+        let cases = [
+            (Topology::mesh(4, 4), 6, 2.6666666666666665, 1.6),
+            (Topology::ring(8), 4, 2.2857142857142856, 1.1428571428571428),
+            (
+                FaultInjector::new(2)
+                    .remove_links(&Topology::mesh(8, 8), 12)
+                    .unwrap(),
+                14,
+                5.583333333333333,
+                1.5873015873015872,
+            ),
+            (
+                Topology::from_edges("two-components", 69, &edges).unwrap(),
+                65,
+                22.303538175046555,
+                0.9156010230179028,
+            ),
+        ];
+        for (t, diameter, avg_distance, path_diversity) in cases {
+            let d = DistanceMap::new(&t);
+            assert_eq!(d.diameter(), diameter, "{}", t.name());
+            assert_eq!(d.avg_distance(), avg_distance, "{}", t.name());
+            assert_eq!(d.path_diversity(), path_diversity, "{}", t.name());
+        }
     }
 
     #[test]

@@ -126,19 +126,26 @@ impl UpDownRouting {
         // and both states of a destination at distance 0.
         let down_only = |u: usize| n + u;
         let dir_of = |l: LinkId| dir[l.index()];
-        let dist = all_pairs_bfs(n, 2 * n, |state| {
-            let (v, arrives_down_only) = (state % n, state >= n);
-            let into_v = topo.in_links(NodeId(v as u16)).iter();
-            into_v.flat_map(move |&l| {
-                let u = topo.link(l).src.index();
-                let (first, second) = match (dir_of(l), arrives_down_only) {
-                    (LinkDirection::Up, false) => (Some(u), None),
-                    (LinkDirection::Down, true) => (Some(u), Some(down_only(u))),
-                    _ => (None, None),
-                };
-                first.into_iter().chain(second)
-            })
-        });
+        // Its predecessor array: state `phase * n + v` is entered from
+        // `u` over an up link only in `CanUp`, and from both states of
+        // `u` over a down link only in `DownOnly`.
+        let mut start = Vec::with_capacity(2 * n + 1);
+        let mut preds = Vec::with_capacity(3 * topo.num_unidirectional_links() / 2);
+        start.push(0);
+        for arrives_down_only in [false, true] {
+            for v in topo.nodes() {
+                for &l in topo.in_links(v) {
+                    let u = u32::from(topo.link(l).src.0);
+                    match (dir_of(l), arrives_down_only) {
+                        (LinkDirection::Up, false) => preds.push(u),
+                        (LinkDirection::Down, true) => preds.extend([u, n as u32 + u]),
+                        _ => {}
+                    }
+                }
+                start.push(preds.len() as u32);
+            }
+        }
+        let dist = all_pairs_bfs(n, &start, &preds);
         let mut ports = vec![0u32; 2 * n * n];
         let row = |state: usize| state * n..(state + 1) * n;
         for u in topo.nodes() {

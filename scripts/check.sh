@@ -32,8 +32,10 @@ echo "==> cargo test --workspace (every suite once)"
 # tier-1 structure properties (routing tables against a queue BFS and
 # their definitions), the mask-walk differential (Phase A's walk over the
 # routing's port masks against the per-slot reference over the expanded
-# candidate list, on seeded random arenas; crate-internal, so matched by
-# its module path) — so a regression there is
+# candidate list, on seeded random arenas) and the routing tables' own
+# unit tests (distance, up*/down*, DoR: the closed-form XY table and the
+# pinned summaries) — crate-internal, so matched by module path — so a
+# regression there is
 # named in CI output, not buried in a 400-test run. Any change to the
 # keyed draws, visit order or candidate ordering fails here, not in a
 # figure regeneration a week later.
@@ -47,7 +49,7 @@ awk '
     }
     /^test result: ok\. 0 passed; 0 failed; 0 ignored/ { next }
     /^test result/ { emit(); next }
-    /^test / && (named || /::mask_walk_tests::/) { emit() }
+    /^test / && (named || /(::mask_walk_tests|distance::tests|updown::tests|routing::dor::tests)::/) { emit() }
 ' "$tmp/test.log"
 
 echo "==> drain-fuzz smoke (invariants + differential oracle)"

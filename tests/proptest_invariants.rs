@@ -145,9 +145,10 @@ fn assert_updown_distances_match_bfs(topo: &Topology) {
     }
 }
 
-/// The bit-parallel BFS handles 64 destinations per pass; `arb_topology()`
-/// tops out at 36 nodes, so these sizes are what reaches the second and
-/// third pass and a last pass of every width class (63, 64, 1, 17 wide).
+/// The bit-parallel BFS's narrow passes take 64 destinations each;
+/// `arb_topology()` tops out at 36 nodes, so these sizes are what reaches
+/// a second narrow pass and a last pass of every width class (63, 64, 1,
+/// 17 wide; 129 runs one 128-wide pass before its 1-wide one).
 #[test]
 fn tables_match_queue_bfs_across_the_64_destination_batch_edge() {
     let mut topos: Vec<Topology> = [63, 64, 65, 129]
@@ -163,6 +164,56 @@ fn tables_match_queue_bfs_across_the_64_destination_batch_edge() {
         assert_distance_map_matches_bfs(topo);
         assert_updown_distances_match_bfs(topo);
     }
+}
+
+/// Passes go 128 destinations wide while one fills and 64 wide after:
+/// 127 nodes take only narrow passes (64 + 63), 128 one wide pass, 129 a
+/// wide pass and a 1-wide narrow one, 257 two wide passes and a narrow
+/// one — both sides of the switch, with the faulty mesh(12, 12) (144:
+/// 128 + 16) in between.
+#[test]
+fn tables_match_queue_bfs_across_the_128_destination_pass_edge() {
+    let mut topos: Vec<Topology> = [127, 128, 129, 257]
+        .iter()
+        .map(|&n| random_connected(n, 3.0, u64::from(n)))
+        .collect();
+    topos.push(
+        FaultInjector::new(3)
+            .remove_links(&Topology::mesh(12, 12), 24)
+            .unwrap(),
+    );
+    for topo in &topos {
+        assert_distance_map_matches_bfs(topo);
+        assert_updown_distances_match_bfs(topo);
+    }
+}
+
+/// The benchmark's 1 000-router random graph: 7 wide passes and a
+/// 104-wide remainder in two narrow ones.
+#[test]
+fn tables_match_queue_bfs_on_a_benchmark_sized_graph() {
+    let topo = random_connected(1000, 4.0, 7);
+    assert_distance_map_matches_bfs(&topo);
+    assert_updown_distances_match_bfs(&topo);
+}
+
+#[test]
+fn distance_map_of_two_components_split_across_the_wide_pass() {
+    // A 124-node path and a 10-node ring: the wide pass holds the path
+    // and four ring nodes, the narrow pass the other six.
+    let mut edges: Vec<(u16, u16)> = (0..123).map(|i| (i, i + 1)).collect();
+    edges.extend((124..134).map(|i| (i, if i == 133 { 124 } else { i + 1 })));
+    let topo = Topology::from_edges("two-components", 134, &edges).unwrap();
+    assert_distance_map_matches_bfs(&topo);
+    let d = DistanceMap::new(&topo);
+    for (a, b) in [(0, 124), (123, 128), (130, 5), (127, 60)] {
+        assert_eq!(d.distance(NodeId(a), NodeId(b)), u16::MAX);
+        assert_eq!(d.productive_ports(NodeId(a), NodeId(b)), 0);
+    }
+    for (a, b, hops) in [(127, 128, 1), (125, 131, 4), (124, 129, 5)] {
+        assert_eq!(d.distance(NodeId(a), NodeId(b)), hops);
+    }
+    assert_eq!(d.diameter(), 123);
 }
 
 #[test]
